@@ -20,7 +20,63 @@ from .shapes import Shape, ShapeError, rectangle
 from .values import DomainError, ValueDomain, domain_by_name
 
 
-class ShapedArray:
+def entry_with_boundary(arr, i: int, j: int):
+    """Entry (i,j) of arr, or the boundary value when i = 0 or j = 0.
+
+    The boundary convention is (0,1) and (1,0) carry the corner value
+    (1/2 geometrically, 0 tropically) and every other index on the two axes
+    carries the additive identity (0, resp. -inf).  arr is anything with
+    ``shape``, ``domain`` and ``get(i, j)``: a ShapedArray or a mutable grid.
+    """
+    if i >= 1 and j >= 1:
+        if not arr.shape.contains((i, j)):
+            raise ShapeError(f"box ({i},{j}) outside shape {arr.shape.parts} and not on the boundary")
+        return arr.get(i, j)
+    if i < 0 or j < 0:
+        raise ShapeError(f"negative index ({i},{j})")
+    if i + j == 1:
+        return arr.domain.corner
+    return arr.domain.zero
+
+
+class _ValueArray:
+    """Comparison and display shared by the immutable array types.
+
+    Arrays of different types never compare equal, even on the same rows.
+    """
+
+    __slots__ = ("shape", "domain", "_rows")
+
+    @property
+    def rows(self):
+        return self._rows
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.shape == other.shape
+            and self.domain.name == other.domain.name
+            and self._rows == other._rows
+        )
+
+    def __hash__(self):
+        return hash((self.shape, self.domain.name, self._rows))
+
+    def allclose(self, other, rel_tol: float = 1e-9) -> bool:
+        if self.shape != other.shape or self.domain.name != other.domain.name:
+            return False
+        return all(
+            self.domain.isclose(x, y, rel_tol)
+            for rx, ry in zip(self._rows, other._rows)
+            for x, y in zip(rx, ry)
+        )
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        return f"{type(self).__name__}({self.shape.parts}, {self.domain.name}: {body})"
+
+
+class ShapedArray(_ValueArray):
     """Immutable array of one value per box of a Young diagram.
 
     Indices are 1-based throughout, matching the box convention of Shape.
@@ -29,7 +85,7 @@ class ShapedArray:
     ``geom-float`` domain and flow through all maps unchanged.
     """
 
-    __slots__ = ("shape", "domain", "_rows")
+    __slots__ = ()
 
     def __init__(self, shape: Shape, rows, domain: ValueDomain):
         if len(rows) != shape.n_rows:
@@ -60,10 +116,6 @@ class ShapedArray:
 
     # -- access ---------------------------------------------------------------
 
-    @property
-    def rows(self):
-        return self._rows
-
     def get(self, i: int, j: int):
         if not self.shape.contains((i, j)):
             raise ShapeError(f"box ({i},{j}) not in shape {self.shape.parts}")
@@ -73,24 +125,7 @@ class ShapedArray:
         i, j = box
         return self.get(i, j)
 
-    def get_with_boundary(self, i: int, j: int):
-        """Entry at (i,j), or the boundary value when i = 0 or j = 0.
-
-        The boundary convention is (0,1) and (1,0) carry the corner value
-        (1/2 geometrically, 0 tropically) and every other index on the two
-        axes carries the additive identity (0, resp. -inf).
-        """
-        if i >= 1 and j >= 1:
-            if not self.shape.contains((i, j)):
-                raise ShapeError(
-                    f"box ({i},{j}) outside shape {self.shape.parts} and not on the boundary"
-                )
-            return self._rows[i - 1][j - 1]
-        if i < 0 or j < 0:
-            raise ShapeError(f"negative index ({i},{j})")
-        if (i, j) in ((0, 1), (1, 0)):
-            return self.domain.corner
-        return self.domain.zero
+    get_with_boundary = entry_with_boundary
 
     def with_entries(self, updates) -> "ShapedArray":
         """New array with the boxes in ``updates`` (a {(i,j): value} dict) replaced."""
@@ -108,32 +143,6 @@ class ShapedArray:
         """Apply ``f`` to every entry, optionally landing in another domain."""
         dom = domain or self.domain
         return ShapedArray(self.shape, [[f(x) for x in row] for row in self._rows], dom)
-
-    # -- comparisons ------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ShapedArray)
-            and self.shape == other.shape
-            and self.domain.name == other.domain.name
-            and self._rows == other._rows
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.domain.name, self._rows))
-
-    def allclose(self, other: "ShapedArray", rel_tol: float = 1e-9) -> bool:
-        if self.shape != other.shape or self.domain.name != other.domain.name:
-            return False
-        return all(
-            self.domain.isclose(x, y, rel_tol)
-            for rx, ry in zip(self._rows, other._rows)
-            for x, y in zip(rx, ry)
-        )
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return f"ShapedArray({self.shape.parts}, {self.domain.name}: {body})"
 
     # -- global symmetries -------------------------------------------------------
 
@@ -228,7 +237,7 @@ class ShapedArray:
         return cls.from_json_obj(json.loads(text))
 
 
-class UpperArray:
+class UpperArray(_ValueArray):
     """Entries on the upper part i <= j of a self-conjugate shape.
 
     Row i (1-based) stores the entries for boxes (i,i),...,(i,lam_i), so the
@@ -237,7 +246,7 @@ class UpperArray:
     upper part itself is not a Young diagram.
     """
 
-    __slots__ = ("shape", "domain", "_rows")
+    __slots__ = ()
 
     def __init__(self, shape: Shape, rows, domain: ValueDomain):
         if not shape.is_self_conjugate():
@@ -265,38 +274,10 @@ class UpperArray:
             parts.append(len(row) + i - 1)
         return cls(Shape(tuple(parts)), rows, domain)
 
-    @property
-    def rows(self):
-        return self._rows
-
     def get(self, i: int, j: int):
         if not (1 <= i <= j) or not self.shape.contains((i, j)):
             raise ShapeError(f"box ({i},{j}) not in the upper part of {self.shape.parts}")
         return self._rows[i - 1][j - i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UpperArray)
-            and self.shape == other.shape
-            and self.domain.name == other.domain.name
-            and self._rows == other._rows
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.domain.name, self._rows))
-
-    def allclose(self, other: "UpperArray", rel_tol: float = 1e-9) -> bool:
-        if self.shape != other.shape or self.domain.name != other.domain.name:
-            return False
-        return all(
-            self.domain.isclose(x, y, rel_tol)
-            for rx, ry in zip(self._rows, other._rows)
-            for x, y in zip(rx, ry)
-        )
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return f"UpperArray({self.shape.parts}, {self.domain.name}: {body})"
 
 
 def symmetrize(upper: UpperArray) -> ShapedArray:

@@ -9,7 +9,8 @@ integral identities.
 Exit codes: 0 when everything asked for holds, 1 when a verified identity or
 statistical check fails (the report still goes to stdout), 2 on usage errors,
 unreadable input, or parameters outside a map's precondition.  Identical
-flags, seed included, give byte-identical output regardless of --threads.
+flags, seed included, give byte-identical output.  --threads is accepted
+and ignored: every command runs on one thread, with the same output.
 """
 
 from __future__ import annotations
@@ -348,6 +349,9 @@ def _cmd_whittaker(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+_THREADS_HELP = "accepted and ignored: runs on one thread, output unchanged"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gburge",
@@ -369,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
     p_verify.add_argument("--seed", type=int, required=True)
     p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_verify.add_argument("--out", dest="out_path", default=None, metavar="FILE")
 
     p_poly = sub.add_parser("polymer", help="log-gamma environment Monte Carlo")
@@ -381,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--seed", type=int, required=True)
     p_poly.add_argument("-r", default=None, help="comma-separated Laplace parameters")
     p_poly.add_argument("--tol", type=float, default=1e-10)
-    p_poly.add_argument("--threads", type=int, default=1)
+    p_poly.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_poly.add_argument("--out", dest="out_path", default=None, metavar="FILE")
 
     p_whit = sub.add_parser("whittaker", help="Whittaker evaluation and measure checks")
@@ -395,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_whit.add_argument("--seed", type=int, default=None)
     p_whit.add_argument("-r", default=None, help="comma-separated Laplace parameters")
     p_whit.add_argument("--tol", type=float, default=1e-4)
-    p_whit.add_argument("--threads", type=int, default=1)
+    p_whit.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p_whit.add_argument("--out", dest="out_path", default=None, metavar="FILE")
 
     return parser

@@ -30,7 +30,6 @@ for the tropical maps on integer inputs).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 
@@ -38,13 +37,10 @@ from .arrays import ShapedArray, UpperArray, random_array, random_symmetric_arra
 from .localmaps import (
     Grid,
     UpperGrid,
-    _need,
     a_at,
     b_at,
     c_at,
-    c_up_at,
     d_at,
-    d_up_at,
     e_at,
     inv_c_at,
     inv_d_at,
@@ -90,17 +86,6 @@ def tau_at(g, k, l):
     c_at(g, k, l)
 
 
-def tau_up_at(g, k, l):
-    """tau on an upper-part array; at a diagonal box all constituents switch to
-    their symmetric variants."""
-    if k < l:
-        tau_at(g, k, l)
-        return
-    for i in range(1, k):
-        d_up_at(g, i, k)
-    c_up_at(g, k)
-
-
 def inv_rho_at(g, k, l):
     for s in range(min(k, l) - 1, 0, -1):
         a_at(g, k - s, l - s)
@@ -133,7 +118,7 @@ def tau(arr: ShapedArray, k: int, l: int) -> ShapedArray:
 
 def tau_up(upper: UpperArray, k: int, l: int) -> UpperArray:
     g = UpperGrid(upper)
-    tau_up_at(g, k, l)
+    tau_at(g, k, l)
     return g.to_upper()
 
 
@@ -212,11 +197,11 @@ def gburge_up(upper: UpperArray) -> UpperArray:
     """The column-insertion correspondence restricted to upper-part arrays.
 
     Equals restrict_upper(gburge(symmetrize(.))) but runs entirely on the
-    upper part, one tau_up per upper box in row-major order.
+    upper part, one tau per upper box in row-major order on the mirrored grid.
     """
     g = UpperGrid(upper)
     for k, l in canonical_upper_growth_sequence(upper.shape):
-        tau_up_at(g, k, l)
+        tau_at(g, k, l)
     return g.to_upper()
 
 
@@ -255,51 +240,9 @@ def commutation_sides(arr: ShapedArray, p: int, q: int):
 # missing w_{i,0} counts as the otimes-identity (not the usual boundary zero).
 
 
-def _a_tilde_at(g, i, j):
-    _need(g, i, j)
-    _need(g, i + 1, j)
-    _need(g, i, j + 1)
-    dom = g.domain
-    left = g.get(i, j - 1) if j >= 2 else dom.one
-    H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
-    g.set(i, j, dom.odiv(dom.otimes(left, H), g.get(i, j)))
-
-
-def _d_tilde_at(g, i, j, k, l):
-    _need(g, i, j)
-    _need(g, i + 1, j)
-    _need(g, i, j + 1)
-    _need(g, k, l)
-    dom = g.domain
-    left = g.get(i, j - 1) if j >= 2 else dom.one
-    H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
-    w = g.get(i, j)
-    zA = dom.otimes(g.get(k, l), left)
-    g.set(i, j, dom.hsum(w, zA))
-    g.set(
-        k,
-        l,
-        dom.otimes(
-            dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)),
-            H,
-        ),
-    )
-
-
-def _inv_d_tilde_at(g, i, j, k, l):
-    _need(g, i, j)
-    _need(g, i + 1, j)
-    _need(g, i, j + 1)
-    _need(g, k, l)
-    dom = g.domain
-    left = g.get(i, j - 1) if j >= 2 else dom.one
-    H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
-    wp = g.get(i, j)
-    zp = g.get(k, l)
-    w = dom.oplus(wp, dom.odiv(H, zp))
-    z = dom.odiv(dom.otimes(dom.otimes(wp, zp), w), dom.otimes(left, H))
-    g.set(i, j, w)
-    g.set(k, l, z)
+def _left(g, i, j):
+    """The A-part of the shifted maps at (i,j)."""
+    return g.get(i, j - 1) if j >= 2 else g.domain.one
 
 
 def admissible_composition_params(shape: Shape):
@@ -331,15 +274,15 @@ def composition_of_21(arr: ShapedArray, m: int, q: int) -> ShapedArray:
     a_at(g, m, 1)
     a_at(g, m + 1, 2)
     d_at(g, m + 1, 1, M, q + 1)
-    _inv_d_tilde_at(g, m + 1, 1, M, q + 1)
-    _a_tilde_at(g, m + 1, 2)
+    inv_d_at(g, m + 1, 1, M, q + 1, A=_left(g, m + 1, 1))
+    a_at(g, m + 1, 2, A=_left(g, m + 1, 2))
     a_at(g, m + 2, 2)
-    _a_tilde_at(g, m + 1, 1)
-    _d_tilde_at(g, m + 1, 2, M, q + 1)
+    a_at(g, m + 1, 1, A=_left(g, m + 1, 1))
+    d_at(g, m + 1, 2, M, q + 1, A=_left(g, m + 1, 2))
     d_at(g, m + 2, 3, M, q + 1)
-    _a_tilde_at(g, m + 1, 1)
+    a_at(g, m + 1, 1, A=_left(g, m + 1, 1))
     a_at(g, m + 2, 2)
-    _a_tilde_at(g, m + 1, 2)
+    a_at(g, m + 1, 2, A=_left(g, m + 1, 2))
     a_at(g, m + 1, 2)
     a_at(g, m, 1)
     a_at(g, m + 2, 2)
@@ -535,8 +478,9 @@ def verify_identity(
     max_size bounds matrix sides (or shape rows/columns); for the
     order-independence and recursion checks the shape pool is instead capped
     at 9 boxes, with exhaustive growth-sequence enumeration up to 8 boxes.
-    Trial i is seeded with seed XOR i, so reports are deterministic and
-    independent of the number of worker threads.  Returns
+    Trial i is seeded with seed XOR i, so reports are deterministic.  threads
+    is accepted for compatibility and has no effect: trials run on one
+    thread.  Returns
     {identity, trials, failures, first_counterexample?}.
     """
     if name not in _TRIALS:
@@ -545,15 +489,9 @@ def verify_identity(
     cols_bound = max_cols if max_cols is not None else max_size
     fn = _TRIALS[name]
 
-    def run(idx):
-        rng = random.Random(seed ^ idx)
-        return fn(rng, rows_bound, cols_bound, domain, tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(trials)))
-    else:
-        results = [run(i) for i in range(trials)]
+    results = [
+        fn(random.Random(seed ^ i), rows_bound, cols_bound, domain, tol) for i in range(trials)
+    ]
     failures = sum(1 for r in results if r is not None)
     report = {"identity": name, "trials": trials, "failures": failures}
     if failures:

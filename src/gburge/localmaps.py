@@ -27,9 +27,13 @@ tropical domain too) and validated by round-trip tests:
     d^{-1}:  w_{i,j} = w'_{i,j} oplus (H odiv w'_{k,l})
              w_{k,l} = (w'_{i,j} otimes w'_{k,l} otimes w_{i,j}) odiv (A otimes H)
 
-The symmetric variants c_up, d_up act on upper-part arrays of self-conjugate
-shapes at diagonal boxes; they are the specializations of c and d to symmetric
-arrays and exist only geometrically.
+a, d and d^{-1} take A as an optional argument: the 21-map composition of the
+commutation proof uses shifted variants whose A is the left neighbour alone.
+
+Upper-part arrays of symmetric arrays run the same kernels through UpperGrid,
+which reads a box below the diagonal from its mirror.  At a diagonal box the
+two arguments of A and of H then coincide, so A = x oplus x = 2x and
+H = hsum(x, x) = x/2: the restricted symmetric maps are c and d themselves.
 
 The module also exposes the mutable grid scratch types used by the
 correspondence compositions, so a long chain of local maps costs one array
@@ -38,7 +42,7 @@ copy, not one per step.
 
 from __future__ import annotations
 
-from .arrays import ShapedArray, UpperArray
+from .arrays import ShapedArray, UpperArray, entry_with_boundary
 from .shapes import ShapeError
 from .values import DomainError
 
@@ -63,81 +67,58 @@ class Grid:
     def to_array(self) -> ShapedArray:
         return ShapedArray._wrap(self.shape, self.rows, self.domain)
 
-    def contains(self, i, j):
-        return self.shape.contains((i, j))
-
     def get(self, i, j):
         return self.rows[i - 1][j - 1]
 
     def set(self, i, j, value):
         self.rows[i - 1][j - 1] = value
 
-    def gwb(self, i, j):
-        """Entry with the boundary convention (corner at (0,1),(1,0), zero beyond)."""
-        if i >= 1 and j >= 1:
-            if not self.contains(i, j):
-                raise ShapeError(f"box ({i},{j}) outside shape {self.shape.parts}")
-            return self.get(i, j)
-        if i < 0 or j < 0:
-            raise ShapeError(f"negative index ({i},{j})")
-        if (i, j) in ((0, 1), (1, 0)):
-            return self.domain.corner
-        return self.domain.zero
+    gwb = entry_with_boundary
 
 
-class UpperGrid:
-    """Mutable scratch copy of an UpperArray; same kernel interface as Grid.
+class UpperGrid(Grid):
+    """Mutable scratch copy of an UpperArray of a symmetric array.
 
-    Only boxes with i <= j exist.  All local maps appearing in the restricted
-    symmetric correspondence read within the upper part or the boundary, so no
-    mirrored storage is needed.
+    Only boxes with i <= j are stored; get and set of a box below the
+    diagonal go to its mirror, so every kernel runs on it unchanged.
     """
 
-    __slots__ = ("shape", "domain", "rows")
+    __slots__ = ()
 
     def __init__(self, upper: UpperArray):
-        self.shape = upper.shape
-        self.domain = upper.domain
-        self.rows = [list(r) for r in upper.rows]
+        if upper.domain.is_tropical:
+            raise DomainError("the restricted symmetric maps are defined in the geometric domains only")
+        super().__init__(upper.shape, upper.domain, [list(r) for r in upper.rows])
 
     def to_upper(self) -> UpperArray:
         return UpperArray(self.shape, self.rows, self.domain)
 
-    def contains(self, i, j):
-        return 1 <= i <= j and self.shape.contains((i, j))
-
     def get(self, i, j):
+        if i > j:
+            i, j = j, i
         return self.rows[i - 1][j - i]
 
     def set(self, i, j, value):
+        if i > j:
+            i, j = j, i
         self.rows[i - 1][j - i] = value
-
-    def gwb(self, i, j):
-        if i >= 1 and j >= 1:
-            if not self.contains(i, j):
-                raise ShapeError(f"box ({i},{j}) outside the upper part of {self.shape.parts}")
-            return self.get(i, j)
-        if i < 0 or j < 0:
-            raise ShapeError(f"negative index ({i},{j})")
-        if (i, j) in ((0, 1), (1, 0)):
-            return self.domain.corner
-        return self.domain.zero
 
 
 def _need(grid, i, j):
-    if not grid.contains(i, j):
+    if not grid.shape.contains((i, j)):
         raise ShapeError(f"map needs box ({i},{j}), missing from shape {grid.shape.parts}")
 
 
 # -- kernels (mutate a grid in place) ------------------------------------------------
 
 
-def a_at(g, i, j):
+def a_at(g, i, j, A=None):
     _need(g, i, j)
     _need(g, i + 1, j)
     _need(g, i, j + 1)
     dom = g.domain
-    A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+    if A is None:
+        A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
     H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
     g.set(i, j, dom.odiv(dom.otimes(A, H), g.get(i, j)))
 
@@ -164,7 +145,7 @@ def inv_c_at(g, i, j):
     g.set(i, j, dom.odiv(g.get(i, j), A))
 
 
-def d_at(g, i, j, k, l):
+def d_at(g, i, j, k, l, A=None):
     if (i, j) == (k, l):
         raise ShapeError(f"the two-point map needs distinct boxes, got ({i},{j}) twice")
     _need(g, i, j)
@@ -172,7 +153,8 @@ def d_at(g, i, j, k, l):
     _need(g, i, j + 1)
     _need(g, k, l)
     dom = g.domain
-    A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+    if A is None:
+        A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
     H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
     w = g.get(i, j)
     zA = dom.otimes(g.get(k, l), A)
@@ -187,7 +169,7 @@ def d_at(g, i, j, k, l):
     )
 
 
-def inv_d_at(g, i, j, k, l):
+def inv_d_at(g, i, j, k, l, A=None):
     if (i, j) == (k, l):
         raise ShapeError(f"the two-point map needs distinct boxes, got ({i},{j}) twice")
     _need(g, i, j)
@@ -195,7 +177,8 @@ def inv_d_at(g, i, j, k, l):
     _need(g, i, j + 1)
     _need(g, k, l)
     dom = g.domain
-    A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+    if A is None:
+        A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
     H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
     wp = g.get(i, j)
     zp = g.get(k, l)
@@ -213,39 +196,6 @@ def e_at(g, i, j, k, l):
     w = g.get(i, j)
     g.set(i, j, g.get(k, l))
     g.set(k, l, w)
-
-
-def _geometric_only(g, what):
-    if g.domain.is_tropical:
-        raise DomainError(f"{what} is defined in the geometric domains only")
-
-
-def c_up_at(g, i):
-    """c at a diagonal box of a symmetric array: w_{i,i} -> 2 w_{i-1,i} w_{i,i}."""
-    _geometric_only(g, "the restricted symmetric map c_up")
-    _need(g, i, i)
-    above = g.gwb(i - 1, i)
-    g.set(i, i, 2 * above * g.get(i, i))
-
-
-def d_up_at(g, i, k):
-    """d between diagonal boxes (i,i), (k,k) of a symmetric array.
-
-    Specialization of d with A = 2 w_{i-1,i} and H = w_{i,i+1} / 2 (the two
-    arguments of each coincide by symmetry).
-    """
-    _geometric_only(g, "the restricted symmetric map d_up")
-    if i == k:
-        raise ShapeError(f"the two-point map needs distinct boxes, got ({i},{i}) twice")
-    _need(g, i, i)
-    _need(g, i, i + 1)
-    _need(g, k, k)
-    above = g.gwb(i - 1, i)
-    w = g.get(i, i)
-    z = g.get(k, k)
-    zA = 2 * above * z
-    g.set(i, i, g.domain.hsum(w, zA))
-    g.set(k, k, (zA / (w * w) + 1 / w) * (g.get(i, i + 1) / 2))
 
 
 # -- public one-shot applications ----------------------------------------------------
@@ -294,12 +244,14 @@ def inv_d(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
 
 
 def apply_c_up(upper: UpperArray, i: int) -> UpperArray:
+    """c at the diagonal box (i,i) of a symmetric array: w_{i,i} -> 2 w_{i-1,i} w_{i,i}."""
     g = UpperGrid(upper)
-    c_up_at(g, i)
+    c_at(g, i, i)
     return g.to_upper()
 
 
 def apply_d_up(upper: UpperArray, i: int, k: int) -> UpperArray:
+    """d between the diagonal boxes (i,i) and (k,k) of a symmetric array."""
     g = UpperGrid(upper)
-    d_up_at(g, i, k)
+    d_at(g, i, i, k, k)
     return g.to_upper()

@@ -14,14 +14,14 @@ distributional claims are checked by Monte Carlo here; the Whittaker-measure
 quadrature lives in the whittaker module.
 
 All sampling uses a counter-based splittable generator, so sample i is a pure
-function of (seed, i) and every estimate is independent of how the work is
-split across threads.
+function of (seed, i) and every estimate is a fixed function of the seed.
+Samples are drawn on one thread: the ``threads`` keyword of the public
+checks is accepted and has no effect on their output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -276,12 +276,12 @@ def _kahan_total(terms):
     return total
 
 
-def _chunked_accumulate(samples, n_stats, per_sample, threads):
+def _chunked_accumulate(samples, n_stats, per_sample):
     """Deterministic mean/stderr for n_stats statistics over `samples` draws.
 
-    per_sample(i) returns a tuple of n_stats floats.  Work is chunked; chunk
-    sums are combined in index order with compensated addition, so the result
-    does not depend on the thread count.
+    per_sample(i) returns a tuple of n_stats floats.  Sums are taken per chunk
+    of _CHUNK samples and the chunk sums combined in index order with
+    compensated addition, which fixes the digits of the result.
     """
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
 
@@ -295,11 +295,7 @@ def _chunked_accumulate(samples, n_stats, per_sample, threads):
                 squares[k] += v * v
         return sums, squares
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, range(n_chunks)))
-    else:
-        parts = [chunk(c) for c in range(n_chunks)]
+    parts = [chunk(c) for c in range(n_chunks)]
     out = []
     for k in range(n_stats):
         total = _kahan_total(p[0][k] for p in parts)
@@ -321,31 +317,20 @@ def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int, threads: int = 
         z = _staircase_Z_replica(_replica_rows(spec, Stream(seed, i)))
         return tuple(math.exp(-r * z) for r in r_values)
 
-    stats = _chunked_accumulate(samples, len(r_values), per_sample, threads)
+    stats = _chunked_accumulate(samples, len(r_values), per_sample)
     return [
         MCResult(r, mean, err, samples, seed) for r, (mean, err) in zip(r_values, stats)
     ]
 
 
-def _collect_samples(samples, per_sample, threads):
+def _collect_samples(samples, per_sample):
     """Two deterministic sample vectors (pure per-index functions)."""
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-
-    def chunk(c):
-        lo, hi = c * _CHUNK, min(samples, (c + 1) * _CHUNK)
-        return [per_sample(i) for i in range(lo, hi)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(chunk, range(n_chunks)))
-    else:
-        parts = [chunk(c) for c in range(n_chunks)]
     xs = []
     ys = []
-    for part in parts:
-        for x, y in part:
-            xs.append(x)
-            ys.append(y)
+    for i in range(samples):
+        x, y = per_sample(i)
+        xs.append(x)
+        ys.append(y)
     return xs, ys
 
 
@@ -368,7 +353,7 @@ def check_Z_Zstar(n: int, alpha, samples: int, seed: int, threads: int = 1) -> d
         z_star = _dual_Z(_symmetric_rows(spec, Stream(seed, i, 1)))
         return z, z_star
 
-    xs, ys = _collect_samples(samples, per_sample, threads)
+    xs, ys = _collect_samples(samples, per_sample)
     stat, pvalue = ks_two_sample(xs, ys)
     return {
         "test": "ks-zzstar",
@@ -403,7 +388,7 @@ def check_lukacs(a: float, b: float, samples: int, seed: int, threads: int = 1) 
         rhs = x * y * z
         return lhs, rhs
 
-    xs, ys = _collect_samples(samples, per_sample, threads)
+    xs, ys = _collect_samples(samples, per_sample)
     stat, pvalue = ks_two_sample(xs, ys)
     return {
         "test": "lukacs",

@@ -26,7 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
-_NEG_INF = float("-inf")
+_INF = float("inf")
+_NEG_INF = -_INF
 
 
 class DomainError(ValueError):
@@ -34,80 +35,72 @@ class DomainError(ValueError):
 
 
 class ValueDomain:
-    """One of the three value domains; use the module-level singletons."""
+    """One of the three value domains; use the module-level singletons.
 
-    def __init__(self, name: str, tropical: bool, exact: bool):
+    The subclasses GeometricDomain and TropicalDomain each carry one operation
+    table, so no operation branches on the kind of domain.
+    """
+
+    is_tropical = False
+
+    def __init__(self, name: str, exact: bool, corner, zero, one):
         self.name = name
-        self.is_tropical = tropical
-        self.is_geometric = not tropical
         self.is_exact = exact
-        if tropical:
-            self.corner = 0.0
-            self.zero = _NEG_INF
-            self.one = 0.0
-        elif exact:
-            self.corner = Fraction(1, 2)
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-        else:
-            self.corner = 0.5
-            self.zero = 0.0
-            self.one = 1.0
+        self.corner = corner
+        self.zero = zero
+        self.one = one
 
     def __repr__(self) -> str:
         return f"ValueDomain({self.name!r})"
 
-    # -- the four operations -------------------------------------------------
+    def isclose(self, x, y, rel_tol=1e-12) -> bool:
+        """Equality for exact domains, relative tolerance otherwise."""
+        if self.is_exact:
+            return x == y
+        if x == y:
+            return True
+        scale = max(abs(x), abs(y), 1e-300)
+        return abs(x - y) <= rel_tol * scale
+
+
+class GeometricDomain(ValueDomain):
+    """The positive reals (or rationals) under +, *, / and the harmonic sum.
+
+    The arithmetic is written with plain operators, so Fraction, float, mpf
+    and dual-number entries all flow through the same code.
+    """
 
     def oplus(self, x, y):
-        """Geometric sum / tropical max.  The zero element is its identity."""
-        if self.is_tropical:
-            return x if x >= y else y
+        """Geometric sum.  The zero element is its identity."""
         return x + y
 
     def otimes(self, x, y):
-        """Geometric product / tropical sum."""
-        if self.is_tropical:
-            return x + y
+        """Geometric product."""
         return x * y
 
     def odiv(self, x, y):
-        """Geometric quotient / tropical difference; the zero element may not divide."""
-        if self.is_tropical:
-            if y == _NEG_INF:
-                raise DomainError("tropical division by -inf")
-            return x - y
+        """Geometric quotient; the zero element may not divide."""
         try:
             return x / y
         except ZeroDivisionError:
             raise DomainError("geometric division by zero") from None
 
     def hsum(self, x, y):
-        """Geometric harmonic sum xy/(x+y) / tropical min.
+        """Harmonic sum xy/(x+y).
 
-        Geometric arguments must be strictly positive: the boundary zero
-        reaching an hsum signals a shape-logic bug upstream.
+        Arguments must be strictly positive: the boundary zero reaching an
+        hsum signals a shape-logic bug upstream.
         """
-        if self.is_tropical:
-            return x if x <= y else y
         if not (x > 0 and y > 0):
             raise DomainError(f"hsum needs positive arguments, got {x!r}, {y!r}")
         return x * y / (x + y)
 
-    # -- entries ---------------------------------------------------------------
-
     def coerce(self, x) -> Any:
-        """Normalize an interior entry, enforcing the domain's invariants.
+        """Normalize an interior entry, which must be positive and finite.
 
         Exotic numeric types (dual numbers, mpf) pass through untouched in the
-        float domains, so the generic map code can run on them.
+        float domain, so the generic map code can run on them.
         """
-        if self.is_tropical:
-            if isinstance(x, (int, float)):
-                x = float(x)
-                if x != x or x == float("inf"):
-                    raise DomainError(f"tropical entry must be real or -inf, got {x!r}")
-            return x
         if self.is_exact:
             if isinstance(x, float):
                 raise DomainError(
@@ -116,35 +109,14 @@ class ValueDomain:
             x = Fraction(x)
         elif isinstance(x, (int, Fraction)):
             x = float(x)
-        if not x > 0:
-            raise DomainError(f"geometric interior entries must be positive, got {x!r}")
+        if not 0 < x < _INF:
+            raise DomainError(f"geometric interior entries must be positive and finite, got {x!r}")
         return x
 
-    def isclose(self, x, y, rel_tol=1e-12) -> bool:
-        """Equality for exact domains, relative tolerance otherwise."""
-        if self.is_exact:
-            return x == y
-        if x == y:
-            return True
-        if self.is_tropical and (x == _NEG_INF or y == _NEG_INF):
-            return False
-        scale = max(abs(x), abs(y), 1e-300)
-        return abs(x - y) <= rel_tol * scale
-
-    # -- scalar (de)serialization ----------------------------------------------
-
     def scalar_to_json(self, x):
-        if self.is_tropical:
-            return "-inf" if x == _NEG_INF else float(x)
-        if self.is_exact:
-            return str(x)
-        return float(x)
+        return str(x) if self.is_exact else float(x)
 
     def scalar_from_json(self, obj):
-        if self.is_tropical:
-            if obj == "-inf":
-                return _NEG_INF
-            return self.coerce(float(obj))
         if self.is_exact:
             if isinstance(obj, float):
                 raise DomainError(f"rational entries must be strings or ints, got {obj!r}")
@@ -152,9 +124,54 @@ class ValueDomain:
         return self.coerce(float(obj))
 
 
-GEOMETRIC_RATIONAL = ValueDomain("geom-rational", tropical=False, exact=True)
-GEOMETRIC_FLOAT = ValueDomain("geom-float", tropical=False, exact=False)
-TROPICAL = ValueDomain("tropical", tropical=True, exact=False)
+class TropicalDomain(ValueDomain):
+    """The max-plus reals with -inf: the piecewise-linear limit of the geometric maps."""
+
+    is_tropical = True
+
+    def oplus(self, x, y):
+        """Tropical max.  The zero element -inf is its identity."""
+        return x if x >= y else y
+
+    def otimes(self, x, y):
+        """Tropical sum."""
+        return x + y
+
+    def odiv(self, x, y):
+        """Tropical difference; -inf may not divide."""
+        if y == _NEG_INF:
+            raise DomainError("tropical division by -inf")
+        return x - y
+
+    def hsum(self, x, y):
+        """Tropical min."""
+        return x if x <= y else y
+
+    def coerce(self, x) -> Any:
+        """Normalize an interior entry, which must be real or -inf."""
+        if isinstance(x, (int, float)):
+            x = float(x)
+            if x != x or x == _INF:
+                raise DomainError(f"tropical entry must be real or -inf, got {x!r}")
+        return x
+
+    def isclose(self, x, y, rel_tol=1e-12) -> bool:
+        if x == _NEG_INF or y == _NEG_INF:
+            return x == y
+        return super().isclose(x, y, rel_tol)
+
+    def scalar_to_json(self, x):
+        return "-inf" if x == _NEG_INF else float(x)
+
+    def scalar_from_json(self, obj):
+        if obj == "-inf":
+            return _NEG_INF
+        return self.coerce(float(obj))
+
+
+GEOMETRIC_RATIONAL = GeometricDomain("geom-rational", True, Fraction(1, 2), Fraction(0), Fraction(1))
+GEOMETRIC_FLOAT = GeometricDomain("geom-float", False, 0.5, 0.0, 1.0)
+TROPICAL = TropicalDomain("tropical", False, 0.0, _NEG_INF, 0.0)
 
 DOMAINS = {d.name: d for d in (GEOMETRIC_RATIONAL, GEOMETRIC_FLOAT, TROPICAL)}
 

@@ -449,7 +449,8 @@ def whittaker_measure_check(
     of the column-insertion image of sampled environments, then compares the
     empirical joint CDF on the quantile grid, and the Laplace transform of x1,
     against quadrature of the density.  Agreement is measured in standard
-    errors (binomial for CDF points); three is the pass line.
+    errors (binomial for CDF points); three is the pass line.  threads is
+    accepted and has no effect: samples are drawn on one thread.
     """
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != 2:
@@ -460,7 +461,7 @@ def whittaker_measure_check(
         vec = burge_partition_vector(sample_symmetric_env(spec, Stream(seed, i)))
         return vec[1], vec[0]
 
-    xs1, xs2 = _collect_samples(samples, per_sample, threads)
+    xs1, xs2 = _collect_samples(samples, per_sample)
     xs1 = np.asarray(xs1)
     xs2 = np.asarray(xs2)
     s_cuts = [float(np.quantile(xs1, q)) for q in quantiles]

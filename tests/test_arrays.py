@@ -41,6 +41,20 @@ def test_row_validation():
         ShapedArray.from_rows([[0.5]], R)
 
 
+def test_float_entries_must_be_finite():
+    with pytest.raises(DomainError):
+        ShapedArray.from_rows([[math.inf, 1.0], [1.0, 1.0]], GEOMETRIC_FLOAT)
+    with pytest.raises(DomainError):
+        ShapedArray.from_rows([[math.nan]], GEOMETRIC_FLOAT)
+
+
+def test_shaped_and_upper_arrays_never_compare_equal():
+    full = ShapedArray.from_rows([[1]], R)
+    up = UpperArray.from_rows([[1]], R)
+    assert full.rows == up.rows
+    assert full != up and up != full
+
+
 def test_get_and_indexing():
     a = ShapedArray.from_rows([[1, 2], [3]], R)
     assert a.get(1, 2) == 2

@@ -91,6 +91,16 @@ def test_apply_malformed_array_object_exits_two(tmp_path, capsys):
     assert main(["apply", "--map", "burge", "--in", write_array(tmp_path, {"rows": []})]) == 2
 
 
+def test_apply_infinite_entry_exits_two(tmp_path, capsys):
+    src = tmp_path / "inf.json"
+    src.write_text(
+        '{"shape": [2, 2], "domain": "geom-float", "rows": [[Infinity, 1.0], [1.0, 1.0]]}',
+        encoding="utf-8",
+    )
+    assert main(["apply", "--map", "burge", "--in", str(src)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_apply_burge_up_needs_a_symmetric_array(tmp_path, capsys):
     assert main(["apply", "--map", "burge-up", "--in", write_array(tmp_path, SQUARE)]) == 2
 

@@ -29,7 +29,7 @@ from gburge.correspondences import (
     verify_identity,
 )
 from gburge.shapes import Shape, ShapeError, all_shapes, rectangle, symmetric_closure
-from gburge.values import GEOMETRIC_RATIONAL, TROPICAL
+from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, TROPICAL, DomainError
 
 R = GEOMETRIC_RATIONAL
 seeds = st.integers(0, 10_000)
@@ -211,9 +211,24 @@ def test_identity_names_are_stable():
     }
 
 
-@pytest.mark.parametrize("name", sorted(IDENTITY_NAMES))
-def test_verify_identity_passes(name):
-    rep = verify_identity(name, max_size=3, trials=5, seed=7)
+# The tropical and float maps run the same kernels on another operation table.
+# Rational cases keep the bare identity name as their test id.
+_IDENTITY_CASES = [pytest.param(n, GEOMETRIC_RATIONAL, id=n) for n in sorted(IDENTITY_NAMES)] + [
+    pytest.param(n, d, id=f"{n}-{d.name}")
+    for d in (TROPICAL, GEOMETRIC_FLOAT)
+    for n in sorted(IDENTITY_NAMES)
+]
+
+
+@pytest.mark.parametrize("name, domain", _IDENTITY_CASES)
+def test_verify_identity_passes(name, domain):
+    tol = 1e-9 if domain is GEOMETRIC_FLOAT else 1e-12
+    if name == "prop5.1" and domain is TROPICAL:
+        # the restricted symmetric map is defined geometrically only
+        with pytest.raises(DomainError):
+            verify_identity(name, max_size=3, trials=5, seed=7, domain=domain)
+        return
+    rep = verify_identity(name, max_size=3, trials=5, seed=7, tol=tol, domain=domain)
     assert rep["identity"] == name
     assert rep["trials"] == 5
     assert rep["failures"] == 0
