@@ -311,17 +311,19 @@ def _cmd_polymer(args) -> int:
 
 def _cmd_whittaker(args) -> int:
     alpha = _floats(args.alpha)
+    n = len(alpha) if args.n is None else args.n
+    _require_n_alphas(alpha, n)
     if args.cmd == "eval":
         if args.x is None:
             raise ValueError("--cmd eval needs --x (the argument vector)")
         x = _floats(args.x)
-        value = psi(WhittakerParams(args.n, alpha, x), method=args.method)
-        _emit_json({"n": args.n, "alpha": list(alpha), "x": list(x), "value": value}, args.out_path)
+        value = psi(WhittakerParams(n, alpha, x), method=args.method)
+        _emit_json({"n": n, "alpha": list(alpha), "x": list(x), "value": value}, args.out_path)
         return 0
     if args.cmd == "corollary":
         lhs, rhs, relerr = corollary_check(alpha, args.beta)
         report = {
-            "n": len(alpha),
+            "n": n,
             "alpha": list(alpha),
             "beta": args.beta,
             "lhs": lhs,
@@ -390,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_whit = sub.add_parser("whittaker", help="Whittaker evaluation and measure checks")
     p_whit.add_argument("--cmd", required=True, choices=("eval", "corollary", "density-check"))
-    p_whit.add_argument("-n", type=int, default=2)
+    p_whit.add_argument("-n", type=int, default=None, help="rank; defaults to the length of --alpha")
     p_whit.add_argument("--alpha", required=True, help="comma-separated parameters")
     p_whit.add_argument("--x", default=None, help="comma-separated argument vector")
     p_whit.add_argument("--beta", type=float, default=1.0)

@@ -10,7 +10,9 @@ integrand decays double-exponentially.
 The diagonal (read corner-first, so the dual partition function comes first)
 of the column-insertion image of a symmetric inverse-gamma environment is
 distributed as (1/c) e^{-beta/x_n} Psi_{-alpha}(x) prod dx_i/x_i, where c is
-the normalization constant from the polymer module.  whittaker_measure_check
+the normalization constant from the polymer module.  At n = 2 it is integrated
+on a tensor grid of Psi values from the Bessel closed form (see _log_psi2), and
+psi() keeps the quadrature as the independent route.  whittaker_measure_check
 compares that quadrature density against direct Monte Carlo, both through the
 joint CDF on a quantile grid and through the Laplace transform of the first
 component (the dual partition function, distributed as the replica partition
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kve
 
 from .polymer import (
     EnvSpec,
@@ -279,27 +282,60 @@ def psi(params: WhittakerParams, method: str = "quadrature") -> float:
 # -- the measure on diagonals ---------------------------------------------------------------
 
 
-def _psi2_bulk(alpha, u1, u2, nodes_per_unit=8, pad=9.0):
-    """Rank-2 Whittaker values at (e^{u1_k}, e^{u2}) for a whole column of
-    first arguments, sharing one inner node set that covers every peak."""
-    a1, a2 = alpha
-    lo = min(u2, float(np.min(u1))) - pad
-    hi = max(u2, float(np.max(u1))) + pad
-    panels = max(int(math.ceil((hi - lo) / 2.5)), 1)
-    base, weights = _gauss(20)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    v = (half[:, None] * base[None, :] + 0.5 * (edges[1:] + edges[:-1])[:, None]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    lf = (
-        a1 * v[None, :]
-        + a2 * (u1[:, None] + u2 - v[None, :])
-        - np.exp(np.minimum(u2 - v, 700.0))[None, :]
-        - np.exp(np.minimum(v[None, :] - u1[:, None], 700.0))
-    )
-    row_peak = lf.max(axis=1, keepdims=True)
-    safe_peak = np.maximum(row_peak, -700.0)
-    return (np.exp(lf - safe_peak) @ w) * np.exp(safe_peak[:, 0])
+def _log_psi2(a, u1, u2):
+    """log Psi_a(e^{u1}, e^{u2}) of rank 2, broadcast over u1 and u2, from the
+    closed form Psi_a(x) = 2 (x1 x2)^{(a1+a2)/2} K_{a1-a2}(2 sqrt(x2/x1)).
+
+    log K_nu(z) is log kve(nu, z) - z, except in two ranges where that leaves
+    double range.  Past z = 1e8 (kve returns nan from about 1.3e9) it is the
+    leading term sqrt(pi/2z) e^{-z}, whose relative error (4 nu^2 - 1)/8z is
+    invisible in an integrand of size e^{-z}.  Where K overflows at small z it
+    is the small-argument leading term, Gamma(nu)/2 (z/2)^{-nu}, or
+    -log(z/2) - gamma at nu = 0.  So the result is never nan or +inf.
+    """
+    a1, a2 = a
+    nu = abs(a1 - a2)
+    log_half_z = 0.5 * (np.asarray(u2, dtype=float) - u1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = 2.0 * np.exp(log_half_z)
+        log_k = np.log(kve(nu, z)) - z
+        large = 0.5 * (math.log(0.25 * math.pi) - log_half_z) - z
+        if nu > 0:
+            small = math.lgamma(nu) - math.log(2.0) - nu * log_half_z
+        else:
+            small = np.log(-log_half_z - np.euler_gamma)
+        log_k = np.where(z > 1e8, large, np.where(np.isfinite(log_k), log_k, small))
+    return math.log(2.0) + 0.5 * (a1 + a2) * (u1 + u2) + log_k
+
+
+def _probe_box(logf):
+    """Coordinate ascent over +-40 unit steps from the origin, then on each
+    axis the first unit step out to +-400 where the profile falls the tail
+    drop below the peak, padded by 2; slow power-law tails (small
+    parameters) need long walks.  logf takes arrays of (u1, u2)."""
+    u = np.zeros(2)
+
+    def profile(axis, offsets):
+        return logf(*(u + np.outer(offsets, np.eye(2)[axis])).T)
+
+    steps = np.arange(-40.0, 41.0)
+    for _ in range(3):
+        for axis in range(2):
+            u[axis] += steps[int(np.argmax(profile(axis, steps)))]
+    peak = float(logf(u[0], u[1]))
+    if not math.isfinite(peak):
+        raise NonconvergentQuadratureError("measure integrand has no finite peak")
+    steps = np.arange(1.0, 401.0)
+    axes = []
+    for axis in range(2):
+        ends = []
+        for sign in (-1.0, 1.0):
+            below = profile(axis, sign * steps) < peak - _TAIL_LOG_DROP
+            if not below.any():
+                raise NonconvergentQuadratureError(f"axis {axis} mass did not localize")
+            ends.append(u[axis] + sign * steps[int(np.argmax(below))])
+        axes.append((ends[0] - 2.0, ends[1] + 2.0))
+    return axes
 
 
 class _MeasureGrid:
@@ -308,51 +344,27 @@ class _MeasureGrid:
     to panel boundaries so that cumulative sums are exact panel sums."""
 
     def __init__(self, alpha, beta, cuts1=(), cuts2=(), nodes=16, panel_width=2.5):
-        self.alpha = tuple(float(a) for a in alpha)
-        self.beta = float(beta)
-        neg = tuple(-a for a in self.alpha)
+        neg = tuple(-float(a) for a in alpha)
+        beta = float(beta)
 
         def logf(u1, u2):
-            # scalar probe of the full integrand, in log coordinates
-            value = _psi2_bulk(neg, np.array([u1]), u2)[0]
-            damp = -self.beta * math.exp(min(-u2, 700.0))
-            return (math.log(value) if value > 0 else -math.inf) + damp
+            # the full integrand in log coordinates
+            return _log_psi2(neg, u1, u2) - beta * np.exp(np.minimum(-u2, 700.0))
 
-        axes = self._probe_axes(logf)
-        self._build(neg, axes, cuts1, cuts2, nodes, panel_width)
-
-    def _probe_axes(self, logf):
-        u = [0.0, 0.0]
-        for _ in range(3):
-            for axis in range(2):
-                best = max(range(-40, 41), key=lambda k: logf(*self._shift(u, axis, k)))
-                u[axis] += best
-        peak = logf(u[0], u[1])
-        if not math.isfinite(peak):
-            raise NonconvergentQuadratureError("measure integrand has no finite peak")
-        axes = []
-        for axis in range(2):
-            lo = self._walk(logf, u, axis, -1.0, peak)
-            hi = self._walk(logf, u, axis, +1.0, peak)
-            axes.append((lo - 2.0, hi + 2.0))
-        return axes
-
-    @staticmethod
-    def _walk(logf, u, axis, step, peak, limit=400):
-        """March along one axis until the profile drops below the tail
-        threshold; slow power-law tails (small parameters) need long walks."""
-        point = list(u)
-        for _ in range(limit):
-            point[axis] += step
-            if logf(*point) < peak - _TAIL_LOG_DROP:
-                return point[axis]
-        raise NonconvergentQuadratureError(f"axis {axis} mass did not localize")
-
-    @staticmethod
-    def _shift(u, axis, k):
-        out = list(u)
-        out[axis] += k
-        return out
+        base, weights = _gauss(nodes)
+        axis_nodes = []
+        for (lo, hi), cuts in zip(_probe_box(logf), (cuts1, cuts2)):
+            b = np.asarray(self._boundaries(lo, hi, cuts, panel_width))
+            half = 0.5 * (b[1:] - b[:-1])
+            mid = 0.5 * (b[1:] + b[:-1])
+            axis_nodes.append(
+                ((half[:, None] * base + mid[:, None]).ravel(), (half[:, None] * weights).ravel())
+            )
+        (self._u1, w1), (self._u2, w2) = axis_nodes
+        self._mass = np.exp(logf(self._u1[:, None], self._u2[None, :])) * np.outer(w1, w2)
+        self.total = float(self._mass.sum())
+        if not 0.0 < self.total < math.inf:
+            raise NonconvergentQuadratureError(f"measure mass {self.total} is out of double range")
 
     @staticmethod
     def _boundaries(lo, hi, cuts, panel_width):
@@ -364,28 +376,6 @@ class _MeasureGrid:
             out.extend(a + (b - a) * k / pieces for k in range(pieces))
         out.append(hi)
         return out
-
-    def _build(self, neg, axes, cuts1, cuts2, nodes, panel_width):
-        base, weights = _gauss(nodes)
-
-        def axis_nodes(bounds):
-            b = np.asarray(bounds)
-            half = 0.5 * (b[1:] - b[:-1])
-            mid = 0.5 * (b[1:] + b[:-1])
-            return (half[:, None] * base + mid[:, None]).ravel(), (
-                half[:, None] * weights
-            ).ravel()
-
-        b1 = self._boundaries(*axes[0], cuts1, panel_width)
-        b2 = self._boundaries(*axes[1], cuts2, panel_width)
-        self._u1, w1 = axis_nodes(b1)
-        self._u2, w2 = axis_nodes(b2)
-        mass = np.empty((len(self._u1), len(self._u2)))
-        for j, (u2, w) in enumerate(zip(self._u2, w2)):
-            damp = math.exp(-self.beta * math.exp(min(-u2, 700.0)))
-            mass[:, j] = _psi2_bulk(neg, self._u1, u2) * (w1 * w * damp)
-        self._mass = mass
-        self.total = float(mass.sum())
 
     def cdf(self, s: float, t: float) -> float:
         """Mass of (0, s] x (0, t]; exact panel sums when the cut lines were
@@ -415,7 +405,11 @@ def whittaker_density(n: int, alpha, beta: float, x) -> float:
 def corollary_check(alpha, beta: float):
     """Both sides of the integral identity
     int e^{-beta/x_n} Psi_{-alpha}(x) prod dx_i/x_i = c, as (lhs, rhs, relerr);
-    the left side by quadrature, for n <= 2."""
+    the left side by quadrature, for n <= 2.
+
+    At n = 2 accuracy falls with small alpha: at beta = 1, relerr is 1.2e-4 at
+    alpha = (0.3, 0.4) and 1.9e-3 at (0.2, 0.2), as the box is cut from axis
+    profiles through the peak and misses mass along the u1 axis."""
     alpha = tuple(float(a) for a in alpha)
     if any(a <= 0 for a in alpha) or beta <= 0:
         raise ValueError("parameters must be positive")
@@ -451,6 +445,10 @@ def whittaker_measure_check(
     against quadrature of the density.  Agreement is measured in standard
     errors (binomial for CDF points); three is the pass line.  threads is
     accepted and has no effect: samples are drawn on one thread.
+
+    False-alarm rate about 3%, as all 28 correlated statistics must stay within
+    3 sigma: at alpha = (1, 1.5), beta = 1, samples = 5000 it failed 6 of seeds
+    1-200 (3, 79, 98, 108, 111, 139; 95% interval 1.4-6.4%).
     """
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != 2:

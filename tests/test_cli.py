@@ -281,6 +281,21 @@ def test_whittaker_corollary_unsupported_rank_exits_two(capsys):
     assert main(["whittaker", "--cmd", "corollary", "--alpha", "1,1,1", "--beta", "1"]) == 2
 
 
+def test_whittaker_rank_defaults_to_the_length_of_alpha(capsys):
+    code, out = run(capsys, "whittaker", "--cmd", "corollary", "--alpha", "2", "--beta", "3")
+    assert code == 0
+    assert json.loads(out)["n"] == 1
+
+
+@pytest.mark.parametrize("cmd", ["eval", "corollary", "density-check"])
+def test_whittaker_rank_disagreeing_with_alpha_exits_two(capsys, cmd):
+    argv = ["whittaker", "--cmd", cmd, "-n", "3", "--alpha", "1,1", "--x", "1,1",
+            "--samples", "10", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--alpha needs 3" in captured.err
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import kv
@@ -13,8 +14,8 @@ from gburge.whittaker import (
     TriangularPattern,
     WhittakerParams,
     _line_integral,
+    _log_psi2,
     _MeasureGrid,
-    _psi2_bulk,
     _psi3_quadrature,
     corollary_check,
     energy,
@@ -97,13 +98,38 @@ def test_rank2_parameter_swap_symmetry():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_rank2_bulk_matches_scalar():
+def test_rank2_closed_form_grid_matches_the_line_integral():
+    alpha = (-1.0, -2.0)
     u1 = np.array([-2.0, 0.0, 1.5, 3.0])
-    for u2 in (-1.0, 0.5):
-        bulk = _psi2_bulk((-1.0, -2.0), u1, u2)
-        for k, v in enumerate(u1):
-            scalar = psi(WhittakerParams(2, (-1.0, -2.0), (math.exp(v), math.exp(u2))))
-            assert bulk[k] == pytest.approx(scalar, rel=1e-12)
+    u2 = np.array([-1.0, 0.5])
+    grid = np.exp(_log_psi2(alpha, u1[:, None], u2[None, :]))
+    assert grid.shape == (4, 2)
+    for i, v in enumerate(u1):
+        for j, w in enumerate(u2):
+            scalar = psi(WhittakerParams(2, alpha, (math.exp(v), math.exp(w))))
+            assert grid[i, j] == pytest.approx(scalar, rel=1e-12)
+
+
+def test_rank2_closed_form_stays_in_range_at_extreme_bessel_arguments():
+    # z = 2 sqrt(x2/x1) = 2 e^{(u2 - u1)/2}: kve returns nan from z ~ 1.3e9,
+    # and K_nu overflows at tiny z once |nu| >= 1.5
+    big_z = [(0.0, 2 * math.log(1e9)), (-300.0, 300.0), (0.0, 2000.0)]
+    small_z = [(2 * math.log(1e201), 0.0), (0.0, -1000.0), (1000.0, -1000.0)]
+    for alpha in ((-1.0, -3.0), (-5.0, -8.0), (2.0, -0.5), (-1.0, -1.0)):
+        for u1, u2 in big_z + small_z:
+            value = float(_log_psi2(alpha, u1, u2))
+            assert not math.isnan(value) and value != math.inf
+    # where the leading terms replace kve they still give log K_nu(z)
+    for alpha in ((-1.0, -3.0), (-5.0, -8.0)):
+        for u1, u2 in [(0.0, 2 * math.log(1e9)), (2 * math.log(1e201), 0.0)]:
+            with mpmath.workdps(30):
+                z = 2 * mpmath.exp(mpmath.mpf(u2 - u1) / 2)
+                expected = float(
+                    mpmath.log(2)
+                    + (alpha[0] + alpha[1]) / 2 * (u1 + u2)
+                    + mpmath.log(mpmath.besselk(alpha[0] - alpha[1], z))
+                )
+            assert float(_log_psi2(alpha, u1, u2)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rank3_node_count_is_converged():
@@ -212,6 +238,22 @@ def test_corollary_rank2():
     assert relerr < 1e-6
     with pytest.raises(ValueError):
         corollary_check((1.0, 1.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        ((2.0, 3.0), 1.0),
+        ((2.0, 2.0), 2.0),
+        ((1.5, 2.5), 0.5),
+        ((0.5, 1.5), 1.0),
+        ((5.0, 8.0), 0.1),
+        ((6.0, 9.0), 10.0),
+    ],
+)
+def test_corollary_rank2_sweep(alpha, beta):
+    _, _, relerr = corollary_check(alpha, beta)
+    assert relerr < 1e-6
 
 
 def test_measure_grid_cdf_is_monotone():
