@@ -423,6 +423,7 @@ def main(argv=None) -> int:
         ShapeError,
         DomainError,
         ValueError,
+        OverflowError,
         OSError,
         EnumerationLimitError,
         NonconvergentQuadratureError,

@@ -15,16 +15,24 @@ quadrature lives in the whittaker module.
 
 All sampling uses a counter-based splittable generator, so sample i is a pure
 function of (seed, i) and every estimate is a fixed function of the seed.
-Samples are drawn on one thread: the ``threads`` keyword of the public
-checks is accepted and has no effect on their output.
+The scalar ``Stream`` and the ``sample_*`` functions draw one sample at a
+time in pure Python; they are the per-sample API and the test oracle.  The
+Monte Carlo checks draw on numpy lanes instead (``_Lanes``): lane k is
+sample index k, holds that index's stream state, and takes the same uniforms
+as the scalar stream, so its values match the scalar ones up to numpy and
+libm differing in the last ulp.  Lanes run in blocks of ``_CHUNK`` sample
+indices on one thread: the ``threads`` keyword of the public checks is
+accepted and has no effect on their output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
+import numpy as np
 from scipy.stats import ks_2samp
 
 from .arrays import ShapedArray
@@ -108,6 +116,96 @@ def sample_inv_gamma(alpha: float, beta: float, rng: Stream) -> float:
     return beta / _sample_gamma(alpha, rng)
 
 
+# uint64 constants of the lanes are explicit, so that no NumPy version
+# promotes a Python int operand to float or object.
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2_U64 = np.uint64(0x94D049BB133111EB)
+_ONE_U64, _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (1, 11, 27, 30, 31))
+
+
+def _mix64_lanes(z):
+    """_mix64 over a uint64 array (array arithmetic wraps modulo 2^64)."""
+    z = (z ^ (z >> _S30)) * _MIX1_U64
+    z = (z ^ (z >> _S27)) * _MIX2_U64
+    return z ^ (z >> _S31)
+
+
+class _Lanes:
+    """Stream(seed, i, *tags) for every sample index i of a block, lane k
+    holding index[k]: its base key, its uint64 counter and its spare normal
+    (NaN for none).
+
+    Every draw takes, lane by lane, the same uniforms as the scalar Stream and
+    _sample_gamma would, so the values match the scalar ones up to numpy's
+    log, sin, cos and pow differing from libm in the last ulp.  Parameters
+    are not checked here: the callers pass validated ones.
+    """
+
+    def __init__(self, seed: int, index, *tags: int):
+        keys = np.uint64((Stream(seed)._base + _GOLDEN) & _M64) ^ index.astype(np.uint64)
+        keys = _mix64_lanes(keys)
+        for tag in tags:
+            keys = _mix64_lanes((keys + _GOLDEN_U64) ^ np.uint64(tag & _M64))
+        self.keys = keys
+        self.count = np.zeros(len(keys), dtype=np.uint64)
+        self.spare = np.full(len(keys), np.nan)
+        self.rejections = 0  # Marsaglia-Tsang proposals turned down, all lanes
+
+    @property
+    def uniforms(self) -> int:
+        """Uniforms drawn so far, summed over the lanes."""
+        return int(self.count.sum())
+
+    def _uniform(self, lanes):
+        """Stream.uniform() on each of the given lanes."""
+        count = self.count[lanes] + _ONE_U64
+        self.count[lanes] = count
+        z = _mix64_lanes(self.keys[lanes] + count * _GOLDEN_U64)
+        return ((z >> _S11) + _ONE_U64) * 2.0**-53
+
+    def _normal(self, lanes):
+        """Stream.normal() on each of the given lanes."""
+        z = self.spare[lanes]
+        fresh = np.isnan(z)
+        self.spare[lanes] = np.nan
+        new = lanes[fresh]
+        radius = np.sqrt(-2.0 * np.log(self._uniform(new)))
+        angle = 2.0 * math.pi * self._uniform(new)
+        self.spare[new] = radius * np.sin(angle)
+        z[fresh] = radius * np.cos(angle)
+        return z
+
+    def gamma(self, shape: float):
+        """_sample_gamma(shape, .) on every lane: Marsaglia-Tsang as masked
+        rejection rounds over the lanes still drawing."""
+        if shape < 1.0:
+            g = self.gamma(shape + 1.0)
+            return g * self._uniform(np.arange(len(self.keys))) ** (1.0 / shape)
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        out = np.empty(len(self.keys))
+        todo = np.arange(len(self.keys))
+        while todo.size:
+            x = self._normal(todo)
+            v = 1.0 + c * x
+            live = v > 0.0
+            lanes, x, v = todo[live], x[live], v[live]
+            v = v * v * v
+            u = self._uniform(lanes)
+            done = (u < 1.0 - 0.0331 * x * x * x * x) | (
+                np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v))
+            )
+            out[lanes[done]] = d * v[done]
+            self.rejections += todo.size - int(np.count_nonzero(done))
+            todo = np.concatenate((todo[~live], lanes[~done]))
+        return out
+
+    def inv_gamma(self, alpha: float, beta: float):
+        """sample_inv_gamma(alpha, beta, .) on every lane."""
+        return beta / self.gamma(alpha)
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Size and parameters of a symmetric log-gamma environment."""
@@ -124,32 +222,35 @@ class EnvSpec:
             raise ValueError("all parameters must be positive")
 
 
-def _symmetric_rows(spec: EnvSpec, rng: Stream):
-    """Rows of a symmetric environment; upper entries drawn row-major."""
+def _symmetric_rows(spec: EnvSpec, draw):
+    """Rows of a symmetric environment; upper entries drawn row-major by
+    draw(alpha, beta), one inverse-gamma variate: a float from a scalar
+    Stream, or an array with one entry per lane from _Lanes.inv_gamma."""
     n, alpha = spec.n, spec.alpha
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if i == j:
-                w = sample_inv_gamma(alpha[i], spec.beta, rng)
+                w = draw(alpha[i], spec.beta)
             else:
-                w = sample_inv_gamma(alpha[i] + alpha[j], 1.0, rng)
+                w = draw(alpha[i] + alpha[j], 1.0)
             rows[i][j] = rows[j][i] = w
     return rows
 
 
-def _replica_rows(spec: EnvSpec, rng: Stream):
+def _replica_rows(spec: EnvSpec, draw, sqrt=math.sqrt):
     """Rows of the replica environment on {i + j <= n + 1}: the symmetric
     environment with columns reversed (a persymmetric matrix), restricted to
-    the staircase, with square roots taken on the antidiagonal."""
+    the staircase, with square roots taken on the antidiagonal (np.sqrt for
+    lanes)."""
     n = spec.n
-    sym = _symmetric_rows(spec, rng)
+    sym = _symmetric_rows(spec, draw)
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n - i + 2):
             if i + j == n + 1:
-                row.append(math.sqrt(sym[i - 1][i - 1]))
+                row.append(sqrt(sym[i - 1][i - 1]))
             else:
                 row.append(sym[i - 1][n - j])
         rows.append(row)
@@ -157,11 +258,15 @@ def _replica_rows(spec: EnvSpec, rng: Stream):
 
 
 def sample_symmetric_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
-    return ShapedArray.from_rows(_symmetric_rows(spec, rng), GEOMETRIC_FLOAT)
+    return ShapedArray.from_rows(
+        _symmetric_rows(spec, partial(sample_inv_gamma, rng=rng)), GEOMETRIC_FLOAT
+    )
 
 
 def sample_replica_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
-    return ShapedArray.from_rows(_replica_rows(spec, rng), GEOMETRIC_FLOAT)
+    return ShapedArray.from_rows(
+        _replica_rows(spec, partial(sample_inv_gamma, rng=rng)), GEOMETRIC_FLOAT
+    )
 
 
 # -- partition functions -------------------------------------------------------------
@@ -169,7 +274,11 @@ def sample_replica_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
 
 def _corner_Z(rows):
     """Point-to-point partition function from (1,1) to the bottom-right corner
-    of rectangular weight rows, by the obvious recursion."""
+    of rectangular weight rows, by the obvious recursion.  The weights (and
+    so the result) are floats, or lane arrays from _Lanes.
+
+    This and the other two recursions serve both paths: on lane arrays every
+    + and * is the same IEEE operation, lane by lane, as on floats."""
     m, n = len(rows), len(rows[0])
     z = [[0.0] * n for _ in range(m)]
     for i in range(m):
@@ -276,28 +385,35 @@ def _kahan_total(terms):
     return total
 
 
-def _chunked_accumulate(samples, n_stats, per_sample):
-    """Deterministic mean/stderr for n_stats statistics over `samples` draws.
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
 
-    per_sample(i) returns a tuple of n_stats floats.  Sums are taken per chunk
-    of _CHUNK samples and the chunk sums combined in index order with
-    compensated addition, which fixes the digits of the result.
+
+def _blocks(samples: int):
+    """Sample indices 0..samples-1 as uint64 arrays of at most _CHUNK lanes,
+    in index order: the one way the Monte Carlo checks split their work, which
+    keeps memory flat in the sample count."""
+    for lo in range(0, samples, _CHUNK):
+        yield np.arange(lo, min(samples, lo + _CHUNK), dtype=np.uint64)
+
+
+def _chunked_accumulate(samples, per_block):
+    """Deterministic mean/stderr of statistics over `samples` draws.
+
+    per_block(index) returns one array per statistic, with the values of the
+    sample indices of the block.  Each block sum is a left fold in index order
+    (np.cumsum, not pairwise np.sum), and the block sums are combined in index
+    order with compensated addition, which fixes the digits of the result.
     """
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-
-    def chunk(c):
-        lo, hi = c * _CHUNK, min(samples, (c + 1) * _CHUNK)
-        sums = [0.0] * n_stats
-        squares = [0.0] * n_stats
-        for i in range(lo, hi):
-            for k, v in enumerate(per_sample(i)):
-                sums[k] += v
-                squares[k] += v * v
-        return sums, squares
-
-    parts = [chunk(c) for c in range(n_chunks)]
+    parts = []
+    for index in _blocks(samples):
+        stats = per_block(index)
+        parts.append(
+            ([float(np.cumsum(v)[-1]) for v in stats], [float(np.cumsum(v * v)[-1]) for v in stats])
+        )
     out = []
-    for k in range(n_stats):
+    for k in range(len(parts[0][0])):
         total = _kahan_total(p[0][k] for p in parts)
         total_sq = _kahan_total(p[1][k] for p in parts)
         mean = total / samples
@@ -308,30 +424,39 @@ def _chunked_accumulate(samples, n_stats, per_sample):
 
 def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int, threads: int = 1):
     """Monte Carlo E[exp(-r Z_repl)] on the replica environment, one result
-    per requested r."""
+    per requested r; sample i is drawn from Stream(seed, i)."""
     r_values = [float(r) for r in r_values]
     if any(r < 0 for r in r_values):
         raise ValueError("Laplace parameters must be nonnegative")
+    _check_samples(samples)
 
-    def per_sample(i):
-        z = _staircase_Z_replica(_replica_rows(spec, Stream(seed, i)))
-        return tuple(math.exp(-r * z) for r in r_values)
+    def per_block(index):
+        z = _staircase_Z_replica(_replica_rows(spec, _Lanes(seed, index).inv_gamma, np.sqrt))
+        return [np.exp(-r * z) for r in r_values]
 
-    stats = _chunked_accumulate(samples, len(r_values), per_sample)
+    stats = _chunked_accumulate(samples, per_block)
     return [
         MCResult(r, mean, err, samples, seed) for r, (mean, err) in zip(r_values, stats)
     ]
 
 
-def _collect_samples(samples, per_sample):
-    """Two deterministic sample vectors (pure per-index functions)."""
-    xs = []
-    ys = []
-    for i in range(samples):
-        x, y = per_sample(i)
+def _collect_samples(samples, seed, pair):
+    """Two sample vectors for a two-sample test, and the sampler diagnostics.
+
+    pair(first, second) maps the lanes of Stream(seed, i, 0) and
+    Stream(seed, i, 1) over a block of indices i to two arrays of values.
+    """
+    xs, ys = [], []
+    uniforms = rejections = 0
+    for index in _blocks(samples):
+        lanes = (_Lanes(seed, index, 0), _Lanes(seed, index, 1))
+        x, y = pair(*lanes)
         xs.append(x)
         ys.append(y)
-    return xs, ys
+        uniforms += sum(lane.uniforms for lane in lanes)
+        rejections += sum(lane.rejections for lane in lanes)
+    diagnostics = {"uniforms": uniforms, "gamma_rejections": rejections}
+    return np.concatenate(xs), np.concatenate(ys), diagnostics
 
 
 def ks_two_sample(xs, ys):
@@ -345,15 +470,17 @@ def ks_two_sample(xs, ys):
 def check_Z_Zstar(n: int, alpha, samples: int, seed: int, threads: int = 1) -> dict:
     """KS test of Z_{n,n} against Z*_{n,n} on independent symmetric
     environments with beta = 1/2 (the regime where the two are identically
-    distributed)."""
+    distributed).  The report's diagnostics count the uniforms drawn and the
+    gamma proposals rejected, over both samples."""
     spec = EnvSpec(n, tuple(alpha), 0.5)
+    _check_samples(samples)
 
-    def per_sample(i):
-        z = _corner_Z(_symmetric_rows(spec, Stream(seed, i, 0)))
-        z_star = _dual_Z(_symmetric_rows(spec, Stream(seed, i, 1)))
+    def pair(first, second):
+        z = _corner_Z(_symmetric_rows(spec, first.inv_gamma))
+        z_star = _dual_Z(_symmetric_rows(spec, second.inv_gamma))
         return z, z_star
 
-    xs, ys = _collect_samples(samples, per_sample)
+    xs, ys, diagnostics = _collect_samples(samples, seed, pair)
     stat, pvalue = ks_two_sample(xs, ys)
     return {
         "test": "ks-zzstar",
@@ -365,30 +492,28 @@ def check_Z_Zstar(n: int, alpha, samples: int, seed: int, threads: int = 1) -> d
         "statistic": stat,
         "pvalue": pvalue,
         "pass": bool(pvalue > 0.01),
+        "diagnostics": diagnostics,
     }
 
 
 def check_lukacs(a: float, b: float, samples: int, seed: int, threads: int = 1) -> dict:
     """KS test of (X+Y)Z^2 against XYZ for independent inverse-gamma X, Y, Z
-    with parameters a, b, a+b (scale 1); the two have the same law."""
+    with parameters a, b, a+b (scale 1); the two have the same law.  The
+    report's diagnostics are those of check_Z_Zstar."""
     if a <= 0 or b <= 0:
         raise ValueError("parameters must be positive")
+    _check_samples(samples)
 
-    def draw_triple(rng):
-        return (
-            sample_inv_gamma(a, 1.0, rng),
-            sample_inv_gamma(b, 1.0, rng),
-            sample_inv_gamma(a + b, 1.0, rng),
-        )
+    def draw_triple(lanes):
+        return lanes.inv_gamma(a, 1.0), lanes.inv_gamma(b, 1.0), lanes.inv_gamma(a + b, 1.0)
 
-    def per_sample(i):
-        x, y, z = draw_triple(Stream(seed, i, 0))
+    def pair(first, second):
+        x, y, z = draw_triple(first)
         lhs = (x + y) * z * z
-        x, y, z = draw_triple(Stream(seed, i, 1))
-        rhs = x * y * z
-        return lhs, rhs
+        x, y, z = draw_triple(second)
+        return lhs, x * y * z
 
-    xs, ys = _collect_samples(samples, per_sample)
+    xs, ys, diagnostics = _collect_samples(samples, seed, pair)
     stat, pvalue = ks_two_sample(xs, ys)
     return {
         "test": "lukacs",
@@ -399,6 +524,7 @@ def check_lukacs(a: float, b: float, samples: int, seed: int, threads: int = 1) 
         "statistic": stat,
         "pvalue": pvalue,
         "pass": bool(pvalue > 0.01),
+        "diagnostics": diagnostics,
     }
 
 
@@ -416,4 +542,12 @@ def normalization_c(alpha, beta: float, log: bool = False) -> float:
         for i in range(len(alpha))
         for j in range(i + 1, len(alpha))
     )
-    return total if log else math.exp(total)
+    if log:
+        return total
+    try:
+        return math.exp(total)
+    except OverflowError:
+        raise OverflowError(
+            f"normalization constant c(alpha={tuple(alpha)}, beta={beta}) = exp({total!r}) "
+            "overflows a float"
+        ) from None

@@ -30,7 +30,6 @@ from scipy.special import kve
 from .polymer import (
     EnvSpec,
     Stream,
-    _collect_samples,
     burge_partition_vector,
     normalization_c,
     sample_symmetric_env,
@@ -455,11 +454,11 @@ def whittaker_measure_check(
         raise ValueError("the end-to-end check is implemented for n = 2")
     spec = EnvSpec(2, alpha, beta)
 
-    def per_sample(i):
-        vec = burge_partition_vector(sample_symmetric_env(spec, Stream(seed, i)))
-        return vec[1], vec[0]
-
-    xs1, xs2 = _collect_samples(samples, per_sample)
+    xs1, xs2 = [], []
+    for i in range(samples):
+        t11, t22 = burge_partition_vector(sample_symmetric_env(spec, Stream(seed, i)))
+        xs1.append(t22)
+        xs2.append(t11)
     xs1 = np.asarray(xs1)
     xs2 = np.asarray(xs2)
     s_cuts = [float(np.quantile(xs1, q)) for q in quantiles]

@@ -225,6 +225,16 @@ def test_polymer_non_numeric_alpha_exits_two(capsys):
     assert main(["polymer", "--cmd", "lukacs", "--alpha", "1,x", "--seed", "0"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize("cmd", ["laplace", "ks-zzstar", "lukacs"])
+def test_polymer_samples_below_one_exit_two(capsys, cmd, samples):
+    code = main(["polymer", "--cmd", cmd, "-n", "2", "--alpha", "1,2",
+                 "--samples", samples, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: samples must be at least 1, got {samples}" in captured.err
+
+
 def test_polymer_requires_a_seed(capsys):
     with pytest.raises(SystemExit) as info:
         main(["polymer", "--cmd", "laplace", "-n", "2", "--alpha", "1,1"])
@@ -279,6 +289,14 @@ def test_whittaker_density_check_needs_seed(capsys):
 
 def test_whittaker_corollary_unsupported_rank_exits_two(capsys):
     assert main(["whittaker", "--cmd", "corollary", "--alpha", "1,1,1", "--beta", "1"]) == 2
+
+
+def test_whittaker_corollary_overflowing_constant_exits_two(capsys):
+    code = main(["whittaker", "--cmd", "corollary", "--alpha", "5,8", "--beta", "1e-30"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: normalization constant c(alpha=(5.0, 8.0), beta=1e-30)")
+    assert "overflows a float" in captured.err
 
 
 def test_whittaker_rank_defaults_to_the_length_of_alpha(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gburge.arrays import ShapedArray, random_array
@@ -22,6 +23,15 @@ from gburge.polymer import (
     sample_inv_gamma,
     sample_replica_env,
     sample_symmetric_env,
+)
+from gburge.polymer import (
+    _corner_Z,
+    _dual_Z,
+    _Lanes,
+    _replica_rows,
+    _sample_gamma,
+    _staircase_Z_replica,
+    _symmetric_rows,
 )
 from gburge.shapes import Shape, rectangle
 from gburge.values import GEOMETRIC_RATIONAL
@@ -266,6 +276,131 @@ def test_lukacs_detects_a_wrong_composite():
     pairs = [bad_pair(i) for i in range(4000)]
     _, p = ks_two_sample([a for a, _ in pairs], [b for _, b in pairs])
     assert p < 1e-6
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_monte_carlo_checks_need_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        laplace_mc(EnvSpec(2, (1.0, 1.0), 0.5), [1.0], samples=samples, seed=0)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_Z_Zstar(2, (1.0, 1.0), samples=samples, seed=0)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_lukacs(1.0, 2.0, samples=samples, seed=0)
+
+
+# -- lanes against the scalar oracle ---------------------------------------------------
+
+
+def lane_mismatch(lane_values, scalar_values, rel=1e-12):
+    """(values off by more than rel relative, values not bit-identical)."""
+    lane_values = np.asarray(lane_values)
+    scalar_values = np.asarray(scalar_values)
+    off = np.abs(lane_values - scalar_values) > rel * np.abs(scalar_values)
+    return int(np.count_nonzero(off)), int(np.count_nonzero(lane_values != scalar_values))
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 3.0])
+def test_lane_gamma_draws_match_the_scalar_sampler(shape):
+    # two draws per lane, so the second starts from the first's spare normal
+    lanes_n, seed = 3000, 31
+    lanes = _Lanes(seed, np.arange(lanes_n))
+    drawn = np.stack([lanes.gamma(shape), lanes.gamma(shape)], axis=1)
+    streams = [Stream(seed, i) for i in range(lanes_n)]
+    scalar = [(_sample_gamma(shape, s), _sample_gamma(shape, s)) for s in streams]
+    off, inexact = lane_mismatch(drawn, scalar)
+    assert off == 0, f"{off} draws off by > 1e-12; {inexact} of {2 * lanes_n} not bit-identical"
+    assert lanes.keys.tolist() == [s._base for s in streams]
+    counts = [s._count for s in streams]
+    flipped = sum(a != b for a, b in zip(lanes.count.tolist(), counts))
+    assert flipped == 0, (
+        f"{flipped} lanes drew a different number of uniforms (a flipped rejection); "
+        f"{inexact} of {2 * lanes_n} draws not bit-identical"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lane_partition_functions_match_the_scalar_path(n):
+    spec = EnvSpec(n, (1.0, 1.5, 2.0, 0.5, 3.0)[:n], 0.5)
+    seed, count = 32, 1000
+    index = np.arange(count)
+    lane = {
+        "Z": _corner_Z(_symmetric_rows(spec, _Lanes(seed, index, 0).inv_gamma)),
+        "Z*": _dual_Z(_symmetric_rows(spec, _Lanes(seed, index, 1).inv_gamma)),
+        "Z_repl": _staircase_Z_replica(_replica_rows(spec, _Lanes(seed, index).inv_gamma, np.sqrt)),
+    }
+    scalar = {name: [] for name in lane}
+    for i in range(count):
+        scalar["Z"].append(_corner_Z(sample_symmetric_env(spec, Stream(seed, i, 0)).rows))
+        scalar["Z*"].append(_dual_Z(sample_symmetric_env(spec, Stream(seed, i, 1)).rows))
+        scalar["Z_repl"].append(_staircase_Z_replica(sample_replica_env(spec, Stream(seed, i)).rows))
+    for name in lane:
+        off, inexact = lane_mismatch(lane[name], scalar[name])
+        assert off == 0, (
+            f"{name} at n = {n}: {off} lanes off by > 1e-12, {inexact} of {count} not bit-identical"
+        )
+
+
+def test_monte_carlo_checks_match_the_scalar_path():
+    # 4200 samples cross the 4096-lane block boundary
+    samples, seed = 4200, 33
+    spec = EnvSpec(2, (1.0, 1.5), 1.0)
+    z = [_staircase_Z_replica(sample_replica_env(spec, Stream(seed, i)).rows) for i in range(samples)]
+    (res,) = laplace_mc(spec, [1.0], samples=samples, seed=seed)
+    assert res.estimate == pytest.approx(math.fsum(math.exp(-v) for v in z) / samples, rel=1e-12)
+
+    half = EnvSpec(2, (1.0, 1.5), 0.5)
+    xs = [_corner_Z(sample_symmetric_env(half, Stream(seed, i, 0)).rows) for i in range(samples)]
+    ys = [_dual_Z(sample_symmetric_env(half, Stream(seed, i, 1)).rows) for i in range(samples)]
+    rep = check_Z_Zstar(2, (1.0, 1.5), samples=samples, seed=seed)
+    assert (rep["statistic"], rep["pvalue"]) == ks_two_sample(xs, ys)
+
+    def composite(i, tag):
+        rng = Stream(seed, i, tag)
+        x, y, z = (sample_inv_gamma(p, 1.0, rng) for p in (0.5, 2.0, 2.5))
+        return (x + y) * z * z if tag == 0 else x * y * z
+
+    lhs = [composite(i, 0) for i in range(samples)]
+    rhs = [composite(i, 1) for i in range(samples)]
+    rep = check_lukacs(0.5, 2.0, samples=samples, seed=seed)
+    assert (rep["statistic"], rep["pvalue"]) == ks_two_sample(lhs, rhs)
+
+
+class CountingStream(Stream):
+    """A scalar Stream that counts its normals: one per gamma proposal."""
+
+    def __init__(self, *keys):
+        super().__init__(*keys)
+        self.normals = 0
+
+    def normal(self):
+        self.normals += 1
+        return super().normal()
+
+
+def test_report_diagnostics_count_the_scalar_draws():
+    samples, seed = 300, 34
+    spec = EnvSpec(2, (1.0, 0.5), 0.5)
+    uniforms = rejections = 0
+    for i in range(samples):
+        for tag in (0, 1):
+            rng = CountingStream(seed, i, tag)
+            sample_symmetric_env(spec, rng)
+            uniforms += rng._count
+            rejections += rng.normals - 3  # three entries, each one accepted proposal
+    rep = check_Z_Zstar(2, (1.0, 0.5), samples=samples, seed=seed)
+    assert rep["diagnostics"] == {"uniforms": uniforms, "gamma_rejections": rejections}
+    assert rejections > 0
+
+    uniforms = rejections = 0
+    for i in range(samples):
+        for tag in (0, 1):
+            rng = CountingStream(seed, i, tag)
+            for p in (0.5, 2.0, 2.5):
+                sample_inv_gamma(p, 1.0, rng)
+            uniforms += rng._count
+            rejections += rng.normals - 3
+    rep = check_lukacs(0.5, 2.0, samples=samples, seed=seed, threads=2)
+    assert rep["diagnostics"] == {"uniforms": uniforms, "gamma_rejections": rejections}
 
 
 # -- normalization constant ---------------------------------------------------------------
