@@ -45,6 +45,7 @@ from .oracles import (
 from .polymer import (
     EnvSpec,
     Stream,
+    _check_samples,
     check_lukacs,
     check_Z_Zstar,
     laplace_mc,
@@ -285,6 +286,7 @@ def _cmd_polymer(args) -> int:
         )
     else:  # replica: route agreement on sampled environments
         _require_n_alphas(alpha, args.n)
+        _check_samples(args.samples)
         spec = EnvSpec(args.n, alpha, args.beta)
         worst = 0.0
         for i in range(args.samples):

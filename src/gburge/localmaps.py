@@ -37,7 +37,9 @@ H = hsum(x, x) = x/2: the restricted symmetric maps are c and d themselves.
 
 The module also exposes the mutable grid scratch types used by the
 correspondence compositions, so a long chain of local maps costs one array
-copy, not one per step.
+copy, not one per step.  Handing a grid back as an array is the one place a
+float overflow is caught: every entry goes through the domain's
+check_finite, and no kernel checks its own output.
 """
 
 from __future__ import annotations
@@ -65,7 +67,13 @@ class Grid:
         return cls(arr.shape, arr.domain, arr.to_lists())
 
     def to_array(self) -> ShapedArray:
+        self.domain.check_finite(self.rows, self._box)
         return ShapedArray._wrap(self.shape, self.rows, self.domain)
+
+    @staticmethod
+    def _box(r, k):
+        """The box of rows[r][k]."""
+        return r + 1, k + 1
 
     def get(self, i, j):
         return self.rows[i - 1][j - 1]
@@ -91,7 +99,12 @@ class UpperGrid(Grid):
         super().__init__(upper.shape, upper.domain, [list(r) for r in upper.rows])
 
     def to_upper(self) -> UpperArray:
+        self.domain.check_finite(self.rows, self._box)
         return UpperArray(self.shape, self.rows, self.domain)
+
+    @staticmethod
+    def _box(r, k):
+        return r + 1, r + k + 1
 
     def get(self, i, j):
         if i > j:

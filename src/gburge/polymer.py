@@ -20,9 +20,12 @@ time in pure Python; they are the per-sample API and the test oracle.  The
 Monte Carlo checks draw on numpy lanes instead (``_Lanes``): lane k is
 sample index k, holds that index's stream state, and takes the same uniforms
 as the scalar stream, so its values match the scalar ones up to numpy and
-libm differing in the last ulp.  Lanes run in blocks of ``_CHUNK`` sample
-indices on one thread: the ``threads`` keyword of the public checks is
-accepted and has no effect on their output.
+libm differing in the last ulp.  The Burge map runs on lanes too: an
+environment whose entries are lane arrays lives in the ``GEOMETRIC_LANES``
+value domain, and the unchanged ``gburge`` maps a whole block at once
+(``_burge_diagonals``, which the Whittaker measure check draws on).  Lanes
+run in blocks of ``_CHUNK`` sample indices on one thread: the ``threads``
+keyword of the public checks is accepted and has no effect on their output.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from scipy.stats import ks_2samp
 from .arrays import ShapedArray
 from .correspondences import gburge
 from .shapes import Shape
-from .values import GEOMETRIC_FLOAT
+from .values import GEOMETRIC_FLOAT, GEOMETRIC_LANES
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -440,23 +443,36 @@ def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int, threads: int = 
     ]
 
 
-def _collect_samples(samples, seed, pair):
-    """Two sample vectors for a two-sample test, and the sampler diagnostics.
+def _collect_samples(samples, seed, draw, streams=((0,), (1,))):
+    """Per-sample values over indices 0..samples-1, and the sampler diagnostics.
 
-    pair(first, second) maps the lanes of Stream(seed, i, 0) and
-    Stream(seed, i, 1) over a block of indices i to two arrays of values.
+    For each block of indices i, draw(*lanes) gets the lanes of
+    Stream(seed, i, *tags) for each tags tuple of streams, and returns a
+    tuple of arrays over the block; the result holds each of them
+    concatenated over the blocks.
     """
-    xs, ys = [], []
+    parts = []
     uniforms = rejections = 0
     for index in _blocks(samples):
-        lanes = (_Lanes(seed, index, 0), _Lanes(seed, index, 1))
-        x, y = pair(*lanes)
-        xs.append(x)
-        ys.append(y)
+        lanes = [_Lanes(seed, index, *tags) for tags in streams]
+        parts.append(draw(*lanes))
         uniforms += sum(lane.uniforms for lane in lanes)
         rejections += sum(lane.rejections for lane in lanes)
     diagnostics = {"uniforms": uniforms, "gamma_rejections": rejections}
-    return np.concatenate(xs), np.concatenate(ys), diagnostics
+    return [np.concatenate(values) for values in zip(*parts)], diagnostics
+
+
+def _burge_diagonals(spec: EnvSpec, samples: int, seed: int):
+    """The Burge diagonals (t_11, ..., t_nn) of the symmetric environments of
+    Stream(seed, i), i < samples, as n arrays over i, and the sampler
+    diagnostics: burge_partition_vector(sample_symmetric_env(spec, Stream(seed, i)))
+    for a whole block of indices at once, on lane arrays."""
+
+    def draw(lanes):
+        rows = _symmetric_rows(spec, lanes.inv_gamma)
+        return burge_partition_vector(ShapedArray.from_rows(rows, GEOMETRIC_LANES))
+
+    return _collect_samples(samples, seed, draw, streams=((),))
 
 
 def ks_two_sample(xs, ys):
@@ -480,7 +496,7 @@ def check_Z_Zstar(n: int, alpha, samples: int, seed: int, threads: int = 1) -> d
         z_star = _dual_Z(_symmetric_rows(spec, second.inv_gamma))
         return z, z_star
 
-    xs, ys, diagnostics = _collect_samples(samples, seed, pair)
+    (xs, ys), diagnostics = _collect_samples(samples, seed, pair)
     stat, pvalue = ks_two_sample(xs, ys)
     return {
         "test": "ks-zzstar",
@@ -513,7 +529,7 @@ def check_lukacs(a: float, b: float, samples: int, seed: int, threads: int = 1) 
         x, y, z = draw_triple(second)
         return lhs, x * y * z
 
-    xs, ys, diagnostics = _collect_samples(samples, seed, pair)
+    (xs, ys), diagnostics = _collect_samples(samples, seed, pair)
     stat, pvalue = ks_two_sample(xs, ys)
     return {
         "test": "lukacs",

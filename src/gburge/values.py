@@ -18,7 +18,15 @@ The geometric arithmetic is written with plain Python operators, so any
 value type supporting +, *, / and ordering flows through unchanged: exact
 ``fractions.Fraction`` (the reference domain for identity checks), ``float``,
 ``mpmath.mpf`` (for tropicalization limits, where exp(x/eps) overflows
-doubles) and the dual numbers used for Jacobians.
+doubles) and the dual numbers used for Jacobians.  ``GEOMETRIC_LANES`` runs
+the same arithmetic on 1-D float arrays, one element per lane (a block of
+Monte Carlo samples), so every map runs on a whole block at once; it checks
+its preconditions with ``np.all`` and names the first failing lane.  It
+holds no serializable values and is not one of the named ``DOMAINS``.
+
+Float outputs are checked once, when a map hands back its result
+(``check_finite``), not inside the operations: a float map fed finite
+entries can still overflow, and that raises instead of returning inf or nan.
 """
 
 from __future__ import annotations
@@ -26,12 +34,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 _INF = float("inf")
 _NEG_INF = -_INF
+_LOG_HINT = "entries of this size need a log-space domain, which is not implemented yet"
 
 
 class DomainError(ValueError):
     """Raised when a value is outside its domain or an operation is undefined there."""
+
+
+def _where(box, r, k) -> str:
+    return "box ({},{}) of the map's output".format(*box(r, k))
 
 
 class ValueDomain:
@@ -52,6 +67,16 @@ class ValueDomain:
 
     def __repr__(self) -> str:
         return f"ValueDomain({self.name!r})"
+
+    def check_finite(self, rows, box) -> None:
+        """Reject a map's output rows holding a float nan or +inf, naming
+        box(r, k), the box of rows[r][k].  Exact, mpf and dual-number entries
+        pass untouched."""
+        for r, row in enumerate(rows):
+            for x in row:
+                if type(x) is float and not x < _INF:
+                    k = next(k for k, y in enumerate(row) if y is x)
+                    raise DomainError(f"float overflow at {_where(box, r, k)}: {x!r}; {_LOG_HINT}")
 
     def isclose(self, x, y, rel_tol=1e-12) -> bool:
         """Equality for exact domains, relative tolerance otherwise."""
@@ -124,6 +149,67 @@ class GeometricDomain(ValueDomain):
         return self.coerce(float(obj))
 
 
+def _first(bad) -> int:
+    """Index of the first True lane of a boolean mask (0 for a scalar)."""
+    return int(np.flatnonzero(bad)[0])
+
+
+def _lane(x, k):
+    return float(x[k]) if np.ndim(x) else x
+
+
+class GeometricLanes(GeometricDomain):
+    """The float geometric domain on 1-D arrays, one element per lane.
+
+    oplus and otimes are inherited: on arrays they are the same IEEE
+    operations, lane by lane, as on floats.  The constants stay scalars and
+    broadcast.  Every precondition is checked over all lanes at once, and a
+    DomainError names the first lane that fails it.
+    """
+
+    def odiv(self, x, y):
+        """Geometric quotient; no lane of the divisor may be the zero element."""
+        zero = np.equal(y, 0.0)
+        if zero.any():
+            raise DomainError(f"geometric division by zero in lane {_first(zero)}")
+        return x / y
+
+    def hsum(self, x, y):
+        """Harmonic sum xy/(x+y); every lane of both arguments must be positive."""
+        ok = np.minimum(x, y) > 0.0  # a nan in either argument fails too
+        if not ok.all():
+            k = _first(~ok)
+            raise DomainError(
+                f"hsum needs positive arguments, got {_lane(x, k)!r}, {_lane(y, k)!r} in lane {k}"
+            )
+        return x * y / (x + y)
+
+    def coerce(self, x) -> Any:
+        """Normalize an interior entry, a 1-D array of positive finite floats."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise DomainError(f"lane entries must be 1-D arrays, got shape {x.shape}")
+        ok = (x > 0.0) & (x < _INF)
+        if not ok.all():
+            k = _first(~ok)
+            raise DomainError(
+                "geometric interior entries must be positive and finite, "
+                f"got {float(x[k])!r} in lane {k}"
+            )
+        return x
+
+    def check_finite(self, rows, box) -> None:
+        for r, row in enumerate(rows):
+            for k, x in enumerate(row):
+                bad = ~np.isfinite(x)
+                if bad.any():
+                    lane = _first(bad)
+                    raise DomainError(
+                        f"float overflow at {_where(box, r, k)}: {_lane(x, lane)!r} "
+                        f"in lane {lane}; {_LOG_HINT}"
+                    )
+
+
 class TropicalDomain(ValueDomain):
     """The max-plus reals with -inf: the piecewise-linear limit of the geometric maps."""
 
@@ -172,6 +258,8 @@ class TropicalDomain(ValueDomain):
 GEOMETRIC_RATIONAL = GeometricDomain("geom-rational", True, Fraction(1, 2), Fraction(0), Fraction(1))
 GEOMETRIC_FLOAT = GeometricDomain("geom-float", False, 0.5, 0.0, 1.0)
 TROPICAL = TropicalDomain("tropical", False, 0.0, _NEG_INF, 0.0)
+# Not in DOMAINS: lane arrays are built by the samplers, never parsed by name.
+GEOMETRIC_LANES = GeometricLanes("geom-lanes", False, 0.5, 0.0, 1.0)
 
 DOMAINS = {d.name: d for d in (GEOMETRIC_RATIONAL, GEOMETRIC_FLOAT, TROPICAL)}
 

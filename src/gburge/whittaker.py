@@ -16,7 +16,8 @@ psi() keeps the quadrature as the independent route.  whittaker_measure_check
 compares that quadrature density against direct Monte Carlo, both through the
 joint CDF on a quantile grid and through the Laplace transform of the first
 component (the dual partition function, distributed as the replica partition
-function).
+function).  Its environments are drawn on numpy lanes and mapped by the
+unchanged gburge in the lane value domain, a block of samples at a time.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kve
 
-from .polymer import (
-    EnvSpec,
-    Stream,
-    burge_partition_vector,
-    normalization_c,
-    sample_symmetric_env,
-)
+from .polymer import EnvSpec, _burge_diagonals, _check_samples, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
 
@@ -442,25 +437,27 @@ def whittaker_measure_check(
     of the column-insertion image of sampled environments, then compares the
     empirical joint CDF on the quantile grid, and the Laplace transform of x1,
     against quadrature of the density.  Agreement is measured in standard
-    errors (binomial for CDF points); three is the pass line.  threads is
-    accepted and has no effect: samples are drawn on one thread.
+    errors (binomial for CDF points); three is the pass line.  Sample i is
+    the environment of Stream(seed, i), drawn and mapped on numpy lanes one
+    block at a time (polymer._burge_diagonals); threads is accepted and has
+    no effect.  The report's diagnostics count the uniforms drawn and the
+    gamma proposals rejected, and give the quadrature nodes per axis.
 
     False-alarm rate about 3%, as all 28 correlated statistics must stay within
     3 sigma: at alpha = (1, 1.5), beta = 1, samples = 5000 it failed 6 of seeds
     1-200 (3, 79, 98, 108, 111, 139; 95% interval 1.4-6.4%).
     """
+    _check_samples(samples)
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != 2:
         raise ValueError("the end-to-end check is implemented for n = 2")
-    spec = EnvSpec(2, alpha, beta)
+    (t11, t22), diagnostics = _burge_diagonals(EnvSpec(2, alpha, beta), samples, seed)
+    return _measure_report(alpha, beta, seed, t22, t11, r_values, quantiles, diagnostics)
 
-    xs1, xs2 = [], []
-    for i in range(samples):
-        t11, t22 = burge_partition_vector(sample_symmetric_env(spec, Stream(seed, i)))
-        xs1.append(t22)
-        xs2.append(t11)
-    xs1 = np.asarray(xs1)
-    xs2 = np.asarray(xs2)
+
+def _measure_report(alpha, beta, seed, xs1, xs2, r_values, quantiles, diagnostics):
+    """The whittaker-measure report on the sampled diagonals (xs1, xs2)."""
+    samples = len(xs1)
     s_cuts = [float(np.quantile(xs1, q)) for q in quantiles]
     t_cuts = [float(np.quantile(xs2, q)) for q in quantiles]
     grid = _MeasureGrid(
@@ -504,4 +501,5 @@ def whittaker_measure_check(
         "cdf_max_sigma": worst,
         "laplace": laplace,
         "pass": bool(passed),
+        "diagnostics": {**diagnostics, "grid_nodes": list(grid._mass.shape)},
     }

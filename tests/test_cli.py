@@ -101,6 +101,14 @@ def test_apply_infinite_entry_exits_two(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_apply_float_overflow_exits_two(tmp_path, capsys):
+    huge = {"shape": [2, 2], "domain": "geom-float", "rows": [[1e200, 1e200], [1e200, 1e200]]}
+    assert main(["apply", "--map", "burge", "--in", write_array(tmp_path, huge)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: float overflow at box (1,1)" in captured.err
+
+
 def test_apply_burge_up_needs_a_symmetric_array(tmp_path, capsys):
     assert main(["apply", "--map", "burge-up", "--in", write_array(tmp_path, SQUARE)]) == 2
 
@@ -235,6 +243,21 @@ def test_polymer_samples_below_one_exit_two(capsys, cmd, samples):
     assert f"error: samples must be at least 1, got {samples}" in captured.err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polymer", "--cmd", "replica", "-n", "2", "--alpha", "1,2", "--seed", "1"],
+        ["whittaker", "--cmd", "density-check", "--alpha", "1,2", "--seed", "1"],
+    ],
+)
+def test_replica_and_density_check_samples_below_one_exit_two(capsys, argv, samples):
+    code = main(argv + ["--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"error: samples must be at least 1, got {samples}" in captured.err
+
+
 def test_polymer_requires_a_seed(capsys):
     with pytest.raises(SystemExit) as info:
         main(["polymer", "--cmd", "laplace", "-n", "2", "--alpha", "1,1"])
@@ -276,6 +299,7 @@ def test_whittaker_density_check_small_run(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and len(report["cdf_points"]) == 25
+    assert set(report["diagnostics"]) == {"uniforms", "gamma_rejections", "grid_nodes"}
 
 
 def test_whittaker_eval_needs_x(capsys):

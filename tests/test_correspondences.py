@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,13 @@ from gburge.correspondences import (
     verify_identity,
 )
 from gburge.shapes import Shape, ShapeError, all_shapes, rectangle, symmetric_closure
-from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, TROPICAL, DomainError
+from gburge.values import (
+    GEOMETRIC_FLOAT,
+    GEOMETRIC_LANES,
+    GEOMETRIC_RATIONAL,
+    TROPICAL,
+    DomainError,
+)
 
 R = GEOMETRIC_RATIONAL
 seeds = st.integers(0, 10_000)
@@ -281,3 +289,32 @@ def test_tropical_limit_unknown_map():
     w = ShapedArray.from_rows([[0.0]], TROPICAL)
     with pytest.raises(ValueError):
         tropical_limit_errors(w, "shuffle", 0.1)
+
+
+# -- float overflow is caught where the map hands back its output -------------------------
+
+
+def test_float_overflow_from_finite_entries_raises():
+    huge = ShapedArray.from_rows([[1e200, 1e200], [1e200, 1e200]], GEOMETRIC_FLOAT)
+    for f in (gburge, grsk, inv_gburge):
+        with pytest.raises(DomainError, match=r"float overflow at box \(\d,\d\).*log-space"):
+            f(huge)
+    with pytest.raises(DomainError, match=r"float overflow at box \(1,1\)"):
+        gburge_up(huge.restrict_upper())
+    # the same entries in exact or high-precision arithmetic map without error
+    exact = ShapedArray.from_rows([[10**200, 10**200], [10**200, 10**200]], R)
+    assert gburge(exact).get(2, 2) > 0
+    with mp.workprec(150):
+        wide = huge.map_entries(mp.mpf)
+        assert gburge(wide).get(2, 2) > 0
+
+
+def test_lane_overflow_names_the_box_and_the_lane():
+    rows = [[np.array([1.0, 1e200]), np.ones(2)], [np.ones(2), np.array([1.0, 1e200])]]
+    lanes = ShapedArray.from_rows(rows, GEOMETRIC_LANES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match=r"box \(\d,\d\).*in lane 1;"):
+            gburge(lanes)
+    first_lane = gburge(lanes.map_entries(lambda x: x[:1]))
+    ones = gburge(ShapedArray.from_rows([[1.0, 1.0], [1.0, 1.0]], GEOMETRIC_FLOAT))
+    assert first_lane.get(2, 2).tolist() == [ones.get(2, 2)]

@@ -25,6 +25,8 @@ from gburge.polymer import (
     sample_symmetric_env,
 )
 from gburge.polymer import (
+    _CHUNK,
+    _burge_diagonals,
     _corner_Z,
     _dual_Z,
     _Lanes,
@@ -338,6 +340,25 @@ def test_lane_partition_functions_match_the_scalar_path(n):
         assert off == 0, (
             f"{name} at n = {n}: {off} lanes off by > 1e-12, {inexact} of {count} not bit-identical"
         )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lane_burge_diagonals_match_the_scalar_path(n):
+    # indices 2600..5599 straddle the first block boundary at _CHUNK = 4096
+    spec = EnvSpec(n, tuple(1.0 + k / 4 for k in range(n)), 0.75)
+    seed, lo, hi = 35, _CHUNK - 1496, _CHUNK + 1504
+    lane, _ = _burge_diagonals(spec, hi, seed)
+    assert [len(t) for t in lane] == [hi] * n
+    lane = np.stack(lane, axis=1)[lo:]
+    scalar = [
+        burge_partition_vector(sample_symmetric_env(spec, Stream(seed, i))) for i in range(lo, hi)
+    ]
+    off, _ = lane_mismatch(lane, scalar)
+    inexact_lanes = int(np.count_nonzero((lane != np.asarray(scalar)).any(axis=1)))
+    assert off == 0, (
+        f"n = {n}: {off} diagonal entries off by > 1e-12; "
+        f"{inexact_lanes} of {hi - lo} lanes not bit-identical"
+    )
 
 
 def test_monte_carlo_checks_match_the_scalar_path():

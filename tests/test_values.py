@@ -4,12 +4,14 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gburge.values import (
     DOMAINS,
     GEOMETRIC_FLOAT,
+    GEOMETRIC_LANES,
     GEOMETRIC_RATIONAL,
     TROPICAL,
     DomainError,
@@ -128,3 +130,62 @@ def test_scalar_json_round_trip():
     assert TROPICAL.scalar_to_json(-math.inf) == "-inf"
     assert TROPICAL.scalar_from_json("-inf") == -math.inf
     assert GEOMETRIC_FLOAT.scalar_from_json(1.5) == 1.5
+
+
+# -- the lane domain -------------------------------------------------------------
+
+
+def test_lane_ops_are_the_float_ops_lane_by_lane():
+    rng = np.random.default_rng(5)
+    x, y = np.exp(rng.uniform(-5, 5, 500)), np.exp(rng.uniform(-5, 5, 500))
+    L, F = GEOMETRIC_LANES, GEOMETRIC_FLOAT
+    for op in ("oplus", "otimes", "odiv", "hsum"):
+        lane = getattr(L, op)(x, y)
+        scalar = [getattr(F, op)(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        assert lane.tolist() == scalar, op
+    # the constants stay scalars and broadcast against lanes
+    assert L.odiv(L.one, x).tolist() == [1.0 / a for a in x.tolist()]
+    assert L.oplus(L.corner, L.corner) == L.one
+    assert "geom-lanes" not in DOMAINS
+
+
+def test_lane_hsum_names_the_first_nonpositive_lane():
+    x = np.array([1.0, 2.0, 0.0, -1.0])
+    y = np.ones(4)
+    with pytest.raises(DomainError, match="in lane 2"):
+        GEOMETRIC_LANES.hsum(x, y)
+    with pytest.raises(DomainError, match="in lane 1"):
+        GEOMETRIC_LANES.hsum(y, np.array([1.0, math.nan, 1.0, 1.0]))
+
+
+def test_lane_odiv_names_the_first_zero_divisor_lane():
+    with pytest.raises(DomainError, match="division by zero in lane 3"):
+        GEOMETRIC_LANES.odiv(np.ones(5), np.array([1.0, 2.0, 3.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -2.0])
+def test_lane_coerce_names_the_first_bad_lane(bad):
+    x = np.ones(6)
+    x[4] = bad
+    with pytest.raises(DomainError, match="in lane 4"):
+        GEOMETRIC_LANES.coerce(x)
+    with pytest.raises(DomainError, match="1-D"):
+        GEOMETRIC_LANES.coerce(np.ones((2, 2)))
+    assert GEOMETRIC_LANES.coerce([1, 2]).tolist() == [1.0, 2.0]
+
+
+def test_check_finite_rejects_float_overflow_only():
+    def box(r, k):
+        return r + 1, k + 2
+
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"box \(2,3\).*log-space"):
+            GEOMETRIC_FLOAT.check_finite([[1.0, 2.0], [3.0, bad]], box)
+    lanes = np.array([1.0, math.inf, math.nan])
+    with pytest.raises(DomainError, match=r"box \(1,3\).*lane 1.*log-space"):
+        GEOMETRIC_LANES.check_finite([[np.ones(3), lanes]], box)
+    # exact, high-precision and finite values pass untouched
+    GEOMETRIC_FLOAT.check_finite([[1e300, mp.mpf("1e400")]], box)
+    GEOMETRIC_RATIONAL.check_finite([[Fraction(10) ** 400]], box)
+    TROPICAL.check_finite([[-math.inf, 0.0]], box)
+    GEOMETRIC_LANES.check_finite([[np.array([1e300, 1e-300])]], box)

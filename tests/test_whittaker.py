@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from gburge.polymer import EnvSpec, laplace_mc, normalization_c
+from gburge.polymer import (
+    EnvSpec,
+    Stream,
+    burge_partition_vector,
+    laplace_mc,
+    normalization_c,
+    sample_symmetric_env,
+)
 from gburge.whittaker import (
     NonconvergentQuadratureError,
     TriangularPattern,
     WhittakerParams,
     _line_integral,
     _log_psi2,
+    _measure_report,
     _MeasureGrid,
     _psi3_quadrature,
     corollary_check,
@@ -274,6 +282,52 @@ def test_measure_check_end_to_end():
     assert [row["r"] for row in report["laplace"]] == [0.5, 1.0, 2.0]
     with pytest.raises(ValueError):
         whittaker_measure_check((1.0, 1.0, 1.0), 0.5, samples=10, seed=0)
+
+
+class CountingStream(Stream):
+    """A scalar Stream that counts its normals: one per gamma proposal."""
+
+    def __init__(self, *keys):
+        super().__init__(*keys)
+        self.normals = 0
+
+    def normal(self):
+        self.normals += 1
+        return super().normal()
+
+
+@pytest.mark.parametrize(
+    "alpha, samples, seed", [((1.0, 1.5), 5000, 11), ((1.0, 1.0), 4000, 7)]
+)
+def test_measure_check_matches_a_report_on_scalar_draws(alpha, samples, seed):
+    # the lane route against sample_symmetric_env and burge_partition_vector
+    # one sample at a time, sampler diagnostics included
+    spec = EnvSpec(2, alpha, 1.0)
+    t11, t22 = [], []
+    uniforms = rejections = 0
+    for i in range(samples):
+        rng = CountingStream(seed, i)
+        first, last = burge_partition_vector(sample_symmetric_env(spec, rng))
+        t11.append(first)
+        t22.append(last)
+        uniforms += rng._count
+        rejections += rng.normals - 3  # three entries, each one accepted proposal
+    want = _measure_report(
+        alpha, 1.0, seed, np.asarray(t22), np.asarray(t11), (0.5, 1.0, 2.0),
+        (0.1, 0.3, 0.5, 0.7, 0.9), {"uniforms": uniforms, "gamma_rejections": rejections},
+    )
+    got = whittaker_measure_check(alpha, 1.0, samples=samples, seed=seed)
+    assert got == want
+    assert got["diagnostics"]["gamma_rejections"] > 0
+    cuts = [sorted({math.log(p[key]) for p in got["cdf_points"]}) for key in ("s", "t")]
+    grid = _MeasureGrid(alpha, 1.0, *cuts)
+    assert got["diagnostics"]["grid_nodes"] == [len(grid._u1), len(grid._u2)]
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_measure_check_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        whittaker_measure_check((1.0, 1.0), 1.0, samples=samples, seed=0)
 
 
 def test_replica_laplace_matches_the_quadrature():
