@@ -59,10 +59,16 @@ class _ValueArray:
             and self._rows == other._rows
         )
 
+    def _scalars_only(self, method: str) -> None:
+        if self.domain.holds_arrays:
+            raise DomainError(f"{method} needs scalar entries; {self.domain.name} holds arrays")
+
     def __hash__(self):
+        self._scalars_only("hash")
         return hash((self.shape, self.domain.name, self._rows))
 
     def allclose(self, other, rel_tol: float = 1e-9) -> bool:
+        self._scalars_only("allclose")
         if self.shape != other.shape or self.domain.name != other.domain.name:
             return False
         return all(
@@ -212,6 +218,7 @@ class ShapedArray(_ValueArray):
     # -- serialization ----------------------------------------------------------------
 
     def to_json_obj(self):
+        self._scalars_only("to_json")
         return {
             "shape": list(self.shape.parts),
             "domain": self.domain.name,

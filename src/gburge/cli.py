@@ -116,7 +116,8 @@ def _write(text: str, out_path):
 
 
 def _emit_json(obj, out_path) -> None:
-    _write(json.dumps(obj, indent=2, default=str) + "\n", out_path)
+    # strict JSON: a nan or an infinity raises ValueError (exit 2), not a bare NaN token
+    _write(json.dumps(obj, indent=2, default=str, allow_nan=False) + "\n", out_path)
 
 
 # -- apply ---------------------------------------------------------------

@@ -29,9 +29,11 @@ for the tropical maps on integer inputs).
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import mpmath as mp
+import numpy as np
 
 from .arrays import ShapedArray, UpperArray, random_array, random_symmetric_array, symmetrize
 from .localmaps import (
@@ -98,28 +100,34 @@ def inv_tau_at(g, k, l):
         inv_d_at(g, k - s, l - s, k, l)
 
 
+def _run(g, kernel, boxes):
+    """Apply kernel(g, k, l) at each box (k, l) in turn and return the grid g.
+
+    On lane arrays this is one np.errstate per map call, none per op: a lane
+    that overflows raises its DomainError when the grid is handed back, with
+    no numpy warning first.  Other domains run no numpy array ops and skip it.
+    """
+    quiet = np.errstate(all="ignore") if g.domain.holds_arrays else contextlib.nullcontext()
+    with quiet:
+        for k, l in boxes:
+            kernel(g, k, l)
+    return g
+
+
 def rho(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    g = Grid.of(arr)
-    rho_at(g, k, l)
-    return g.to_array()
+    return _run(Grid.of(arr), rho_at, [(k, l)]).to_array()
 
 
 def sigma(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    g = Grid.of(arr)
-    sigma_at(g, k, l)
-    return g.to_array()
+    return _run(Grid.of(arr), sigma_at, [(k, l)]).to_array()
 
 
 def tau(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    g = Grid.of(arr)
-    tau_at(g, k, l)
-    return g.to_array()
+    return _run(Grid.of(arr), tau_at, [(k, l)]).to_array()
 
 
 def tau_up(upper: UpperArray, k: int, l: int) -> UpperArray:
-    g = UpperGrid(upper)
-    tau_at(g, k, l)
-    return g.to_upper()
+    return _run(UpperGrid(upper), tau_at, [(k, l)]).to_upper()
 
 
 # -- the correspondences --------------------------------------------------------------
@@ -140,34 +148,22 @@ def grsk(arr: ShapedArray, order=None) -> ShapedArray:
     The output is independent of the choice of growth sequence (a tested
     property); the default is row-major.
     """
-    g = Grid.of(arr)
-    for k, l in _resolve_order(arr.shape, order):
-        rho_at(g, k, l)
-    return g.to_array()
+    return _run(Grid.of(arr), rho_at, _resolve_order(arr.shape, order)).to_array()
 
 
 def gburge(arr: ShapedArray, order=None) -> ShapedArray:
     """Column-insertion correspondence B: one tau per box of a growth sequence."""
-    g = Grid.of(arr)
-    for k, l in _resolve_order(arr.shape, order):
-        tau_at(g, k, l)
-    return g.to_array()
+    return _run(Grid.of(arr), tau_at, _resolve_order(arr.shape, order)).to_array()
 
 
 def inv_grsk(arr: ShapedArray, order=None) -> ShapedArray:
     """Inverse of grsk: inverse diagonal maps in the reverse growth order."""
-    g = Grid.of(arr)
-    for k, l in reversed(_resolve_order(arr.shape, order)):
-        inv_rho_at(g, k, l)
-    return g.to_array()
+    return _run(Grid.of(arr), inv_rho_at, reversed(_resolve_order(arr.shape, order))).to_array()
 
 
 def inv_gburge(arr: ShapedArray, order=None) -> ShapedArray:
     """Inverse of gburge: inverse diagonal maps in the reverse growth order."""
-    g = Grid.of(arr)
-    for k, l in reversed(_resolve_order(arr.shape, order)):
-        inv_tau_at(g, k, l)
-    return g.to_array()
+    return _run(Grid.of(arr), inv_tau_at, reversed(_resolve_order(arr.shape, order))).to_array()
 
 
 def gschutz(arr: ShapedArray) -> ShapedArray:
@@ -181,11 +177,8 @@ def gschutz(arr: ShapedArray) -> ShapedArray:
     if not arr.shape.is_rectangular:
         raise ShapeError(f"the involution needs a rectangular shape, got {arr.shape.parts}")
     m, n = arr.shape.n_rows, arr.shape.n_cols
-    g = Grid.of(arr)
-    for r in range(n - 1, 0, -1):
-        for l in range(1, r + 1):
-            sigma_at(g, m, l)
-    return g.to_array()
+    boxes = [(m, l) for r in range(n - 1, 0, -1) for l in range(1, r + 1)]
+    return _run(Grid.of(arr), sigma_at, boxes).to_array()
 
 
 def gschutz_upper(arr: ShapedArray) -> ShapedArray:
@@ -199,10 +192,8 @@ def gburge_up(upper: UpperArray) -> UpperArray:
     Equals restrict_upper(gburge(symmetrize(.))) but runs entirely on the
     upper part, one tau per upper box in row-major order on the mirrored grid.
     """
-    g = UpperGrid(upper)
-    for k, l in canonical_upper_growth_sequence(upper.shape):
-        tau_at(g, k, l)
-    return g.to_upper()
+    boxes = canonical_upper_growth_sequence(upper.shape)
+    return _run(UpperGrid(upper), tau_at, boxes).to_upper()
 
 
 # -- the local commutation relation ---------------------------------------------------

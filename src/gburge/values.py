@@ -57,6 +57,7 @@ class ValueDomain:
     """
 
     is_tropical = False
+    holds_arrays = False  # True where an entry is a 1-D array of lanes
 
     def __init__(self, name: str, exact: bool, corner, zero, one):
         self.name = name
@@ -164,8 +165,12 @@ class GeometricLanes(GeometricDomain):
     oplus and otimes are inherited: on arrays they are the same IEEE
     operations, lane by lane, as on floats.  The constants stay scalars and
     broadcast.  Every precondition is checked over all lanes at once, and a
-    DomainError names the first lane that fails it.
+    DomainError names the first lane that fails it.  Maps on lane arrays run
+    under one np.errstate per call (correspondences._run), so an overflowing
+    lane raises from check_finite with no numpy warning first.
     """
+
+    holds_arrays = True
 
     def odiv(self, x, y):
         """Geometric quotient; no lane of the divisor may be the zero element."""

@@ -3,25 +3,29 @@
 The function of rank n is an integral over triangular patterns with a fixed
 bottom row: each pattern contributes the product of its type components raised
 to the given parameters, damped by the exponential of its energy.  Ranks 1 to
-3 are supported, by exact formula, one-dimensional adaptive quadrature, and
-tensor quadrature respectively, always in logarithmic coordinates where the
-integrand decays double-exponentially.
+3 are supported, always in logarithmic coordinates where the integrand decays
+double-exponentially: rank 1 by exact formula, rank 2 by one-dimensional
+adaptive quadrature, and rank 3 by Givental's recursion, a 2-D grid over the
+second row of the rank-2 Bessel closed form (see _psi3_grid).  One peak
+search (_probe_box) and one panel rule (_panel_nodes) serve every grid.
 
 The diagonal (read corner-first, so the dual partition function comes first)
 of the column-insertion image of a symmetric inverse-gamma environment is
 distributed as (1/c) e^{-beta/x_n} Psi_{-alpha}(x) prod dx_i/x_i, where c is
 the normalization constant from the polymer module.  At n = 2 it is integrated
 on a tensor grid of Psi values from the Bessel closed form (see _log_psi2), and
-psi() keeps the quadrature as the independent route.  whittaker_measure_check
-compares that quadrature density against direct Monte Carlo, both through the
-joint CDF on a quantile grid and through the Laplace transform of the first
-component (the dual partition function, distributed as the replica partition
-function).  Its environments are drawn on numpy lanes and mapped by the
-unchanged gburge in the lane value domain, a block of samples at a time.
+rank-2 psi() keeps the line quadrature as the independent route.
+whittaker_measure_check compares that quadrature density against direct Monte
+Carlo, both through the joint CDF on a quantile grid and through the Laplace
+transform of the first component (the dual partition function, distributed as
+the replica partition function).  Its environments are drawn on numpy lanes
+and mapped by the unchanged gburge in the lane value domain, a block of
+samples at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -169,95 +173,69 @@ def _psi2_logf(alpha, x):
     return logf, 0.5 * (l1 + l2)
 
 
+def _walls(*gaps):
+    """Sum of e^gap over the gaps, each exponent clipped at 700 to stay finite."""
+    return sum(np.exp(np.minimum(gap, 700.0)) for gap in gaps)
+
+
 def _psi3_logf(alpha, x):
     a1, a2, a3 = alpha
     l1, l2, l3 = (math.log(v) for v in x)
     lx = l1 + l2 + l3
 
     def logf(u11, u21, u22):
-        walls = (
-            np.exp(np.minimum(u22 - u11, 700.0))
-            + np.exp(np.minimum(u11 - u21, 700.0))
-            + np.exp(np.minimum(l2 - u21, 700.0))
-            + np.exp(np.minimum(u21 - l1, 700.0))
-            + np.exp(np.minimum(l3 - u22, 700.0))
-            + np.exp(np.minimum(u22 - l2, 700.0))
-        )
+        walls = _walls(u22 - u11, u11 - u21, l2 - u21, u21 - l1, l3 - u22, u22 - l2)
         return a1 * u11 + a2 * (u21 + u22 - u11) + a3 * (lx - u21 - u22) - walls
 
     return logf, np.array([0.5 * (l1 + l2), 0.5 * (l1 + l2), 0.5 * (l2 + l3)])
 
 
-def _tensor_axes(logf, centers, scan=60):
-    """Coordinate-ascent peak search, then per-axis ranges where the
-    along-axis profile stays within the tail drop of the peak."""
-    u = np.array(centers, dtype=float)
-    dim = len(u)
-    offsets = np.arange(-float(scan), scan + 1.0)
-    for _ in range(3):
-        for axis in range(dim):
-            grid = np.tile(u, (len(offsets), 1))
-            grid[:, axis] = u[axis] + offsets
-            vals = logf(*(grid[:, k] for k in range(dim)))
-            u[axis] = grid[int(np.argmax(vals)), axis]
-    peak = float(logf(*(np.array([v]) for v in u))[0])
-    if not math.isfinite(peak):
-        raise NonconvergentQuadratureError("integrand is not finite at its probed peak")
-    axes = []
-    for axis in range(dim):
-        grid = np.tile(u, (len(offsets), 1))
-        grid[:, axis] = u[axis] + offsets
-        vals = logf(*(grid[:, k] for k in range(dim)))
-        alive = offsets[vals >= peak - _TAIL_LOG_DROP]
-        if len(alive) == 0 or alive[0] == offsets[0] or alive[-1] == offsets[-1]:
-            raise NonconvergentQuadratureError(f"axis {axis} mass did not localize")
-        axes.append((u[axis] + float(alive[0]) - 2.0, u[axis] + float(alive[-1]) + 2.0))
-    return axes, peak
+def _psi3_grid(alpha, x, nodes=16):
+    """Rank-3 Psi by Givental's recursion: the integral over the second row
+    (u21, u22) of the rank-2 closed form Psi_{(a1, a2)}(e^{u21}, e^{u22})
+    times the bottom row's factors, on a panel grid in s = u21 + u22 and
+    d = u22 - u21.  The Bessel factor depends on d alone, so log K is
+    evaluated once per d node, and the Jacobian 1/2 cancels the closed
+    form's factor 2."""
+    a1, a2, a3 = alpha
+    l1, l2, l3 = (math.log(v) for v in x)
+    nu = abs(a1 - a2)
 
+    def logf(s, d):
+        u21, u22 = 0.5 * (s - d), 0.5 * (s + d)
+        walls = _walls(l2 - u21, u21 - l1, l3 - u22, u22 - l2)
+        return 0.5 * (a1 + a2) * s + a3 * (l1 + l2 + l3 - s) + _log_bessel_k(nu, 0.5 * d) - walls
 
-def _psi3_quadrature(alpha, x, nodes):
-    logf, centers = _psi3_logf(alpha, x)
-    axes, peak = _tensor_axes(logf, centers)
-    pts = []
-    wts = []
-    base, weights = _gauss(nodes)
-    for lo, hi in axes:
-        pts.append(0.5 * (hi - lo) * base + 0.5 * (hi + lo))
-        wts.append(0.5 * (hi - lo) * weights)
-    u11, u21, u22 = np.meshgrid(*pts, indexing="ij", sparse=True)
-    values = np.exp(logf(u11, u21, u22) - peak)
-    total = np.einsum("i,j,k,ijk->", wts[0], wts[1], wts[2], values)
-    return float(total) * math.exp(peak)
+    (s_box, d_box), peak = _probe_box(logf, (0.5 * (l1 + l3) + l2, 0.5 * (l3 - l1)))
+    s, ws = _panel_nodes(*s_box, nodes=nodes)
+    d, wd = _panel_nodes(*d_box, nodes=nodes)
+    return float(wd @ np.exp(logf(s, d[:, None]) - peak) @ ws) * math.exp(peak)
 
 
 def _psi3_monte_carlo(alpha, x, samples=400_000, strata=8):
-    """Stratified uniform sampling over the probed box; lower precision than
-    the tensor quadrature but an independent evaluation route."""
+    """Stratified uniform sampling of the three free entries over their
+    probed box; lower precision than the grid but an independent route."""
     logf, centers = _psi3_logf(alpha, x)
-    axes, peak = _tensor_axes(logf, centers)
+    axes, peak = _probe_box(logf, centers)
     per_cell = max(samples // strata**3, 8)
-    edges = [np.linspace(lo, hi, strata + 1) for lo, hi in axes]
-    cell_vol = math.prod((hi - lo) / strata for lo, hi in axes)
+    lo = np.array([a for a, _ in axes])
+    width = np.array([b - a for a, b in axes]) / strata
     rng = np.random.default_rng(0x57A7)
     total = 0.0
-    for i in range(strata):
-        for j in range(strata):
-            for k in range(strata):
-                u = rng.random((per_cell, 3))
-                u11 = edges[0][i] + (edges[0][i + 1] - edges[0][i]) * u[:, 0]
-                u21 = edges[1][j] + (edges[1][j + 1] - edges[1][j]) * u[:, 1]
-                u22 = edges[2][k] + (edges[2][k + 1] - edges[2][k]) * u[:, 2]
-                total += float(np.mean(np.exp(logf(u11, u21, u22) - peak)))
-    return total * cell_vol * math.exp(peak)
+    for cell in itertools.product(range(strata), repeat=3):
+        u = lo + width * (np.array(cell) + rng.random((per_cell, 3)))
+        total += float(np.mean(np.exp(logf(*u.T) - peak)))
+    return total * math.prod(width) * math.exp(peak)
 
 
 def psi(params: WhittakerParams, method: str = "quadrature") -> float:
     """The rank-n Whittaker function at params.x with exponents params.alpha.
 
     Rank 1 is the monomial prod x^alpha; rank 2 integrates over the single
-    free entry; rank 3 integrates over the three free entries by tensor
-    quadrature (method "quadrature") or stratified Monte Carlo over the same
-    box (method "monte-carlo", noticeably less precise).
+    free entry; rank 3 integrates the rank-2 Bessel closed form over the
+    second row on a 2-D grid (method "quadrature", see _psi3_grid), or the
+    three free entries by stratified Monte Carlo (method "monte-carlo",
+    noticeably less precise).
     """
     if method not in ("quadrature", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
@@ -269,27 +247,23 @@ def psi(params: WhittakerParams, method: str = "quadrature") -> float:
     if params.n == 3:
         if method == "monte-carlo":
             return _psi3_monte_carlo(params.alpha, params.x)
-        return _psi3_quadrature(params.alpha, params.x, nodes=64)
+        return _psi3_grid(params.alpha, params.x)
     raise ValueError(f"unsupported rank {params.n}; only n <= 3 is implemented")
 
 
-# -- the measure on diagonals ---------------------------------------------------------------
+# -- grids from the rank-2 closed form ------------------------------------------------------
 
 
-def _log_psi2(a, u1, u2):
-    """log Psi_a(e^{u1}, e^{u2}) of rank 2, broadcast over u1 and u2, from the
-    closed form Psi_a(x) = 2 (x1 x2)^{(a1+a2)/2} K_{a1-a2}(2 sqrt(x2/x1)).
+def _log_bessel_k(nu, log_half_z):
+    """log K_nu(z) at z = 2 e^{log_half_z}, broadcast over log_half_z.
 
-    log K_nu(z) is log kve(nu, z) - z, except in two ranges where that leaves
-    double range.  Past z = 1e8 (kve returns nan from about 1.3e9) it is the
-    leading term sqrt(pi/2z) e^{-z}, whose relative error (4 nu^2 - 1)/8z is
-    invisible in an integrand of size e^{-z}.  Where K overflows at small z it
-    is the small-argument leading term, Gamma(nu)/2 (z/2)^{-nu}, or
-    -log(z/2) - gamma at nu = 0.  So the result is never nan or +inf.
+    It is log kve(nu, z) - z, except in two ranges where that leaves double
+    range.  Past z = 1e8 (kve returns nan from about 1.3e9) it is the leading
+    term sqrt(pi/2z) e^{-z}, whose relative error (4 nu^2 - 1)/8z is invisible
+    in an integrand of size e^{-z}.  Where K overflows at small z it is the
+    small-argument leading term, Gamma(nu)/2 (z/2)^{-nu}, or -log(z/2) - gamma
+    at nu = 0.  So the result is never nan or +inf.
     """
-    a1, a2 = a
-    nu = abs(a1 - a2)
-    log_half_z = 0.5 * (np.asarray(u2, dtype=float) - u1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z = 2.0 * np.exp(log_half_z)
         log_k = np.log(kve(nu, z)) - z
@@ -298,30 +272,39 @@ def _log_psi2(a, u1, u2):
             small = math.lgamma(nu) - math.log(2.0) - nu * log_half_z
         else:
             small = np.log(-log_half_z - np.euler_gamma)
-        log_k = np.where(z > 1e8, large, np.where(np.isfinite(log_k), log_k, small))
+        return np.where(z > 1e8, large, np.where(np.isfinite(log_k), log_k, small))
+
+
+def _log_psi2(a, u1, u2):
+    """log Psi_a(e^{u1}, e^{u2}) of rank 2, broadcast over u1 and u2, from the
+    closed form Psi_a(x) = 2 (x1 x2)^{(a1+a2)/2} K_{a1-a2}(2 sqrt(x2/x1))."""
+    a1, a2 = a
+    log_k = _log_bessel_k(abs(a1 - a2), 0.5 * (np.asarray(u2, dtype=float) - u1))
     return math.log(2.0) + 0.5 * (a1 + a2) * (u1 + u2) + log_k
 
 
-def _probe_box(logf):
-    """Coordinate ascent over +-40 unit steps from the origin, then on each
-    axis the first unit step out to +-400 where the profile falls the tail
-    drop below the peak, padded by 2; slow power-law tails (small
-    parameters) need long walks.  logf takes arrays of (u1, u2)."""
-    u = np.zeros(2)
+def _probe_box(logf, start):
+    """Coordinate ascent over +-40 unit steps from start, then on each axis
+    the first unit step out to +-400 where the profile falls the tail drop
+    below the peak, padded by 2; slow power-law tails (small parameters)
+    need long walks.  logf takes one coordinate per axis and broadcasts
+    them; a profile passes its other axes as scalars.  Returns the box and
+    the peak."""
+    u = np.array(start, dtype=float)
 
     def profile(axis, offsets):
-        return logf(*(u + np.outer(offsets, np.eye(2)[axis])).T)
+        return logf(*(u[k] + offsets if k == axis else u[k] for k in range(len(u))))
 
     steps = np.arange(-40.0, 41.0)
     for _ in range(3):
-        for axis in range(2):
+        for axis in range(len(u)):
             u[axis] += steps[int(np.argmax(profile(axis, steps)))]
-    peak = float(logf(u[0], u[1]))
+    peak = float(logf(*u))
     if not math.isfinite(peak):
-        raise NonconvergentQuadratureError("measure integrand has no finite peak")
+        raise NonconvergentQuadratureError("integrand has no finite peak")
     steps = np.arange(1.0, 401.0)
     axes = []
-    for axis in range(2):
+    for axis in range(len(u)):
         ends = []
         for sign in (-1.0, 1.0):
             below = profile(axis, sign * steps) < peak - _TAIL_LOG_DROP
@@ -329,7 +312,25 @@ def _probe_box(logf):
                 raise NonconvergentQuadratureError(f"axis {axis} mass did not localize")
             ends.append(u[axis] + sign * steps[int(np.argmax(below))])
         axes.append((ends[0] - 2.0, ends[1] + 2.0))
-    return axes
+    return axes, peak
+
+
+def _panel_nodes(lo, hi, cuts=(), nodes=16, panel_width=2.5):
+    """Gauss nodes and weights on [lo, hi], in panels at most panel_width
+    wide, with a panel boundary at every cut inside the interval."""
+    edges = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+    b = []
+    for a, c in zip(edges, edges[1:]):
+        pieces = max(int(math.ceil((c - a) / panel_width)), 1)
+        b.extend(a + (c - a) * k / pieces for k in range(pieces))
+    b = np.array(b + [hi])
+    base, weights = _gauss(nodes)
+    half = 0.5 * (b[1:] - b[:-1])
+    mid = 0.5 * (b[1:] + b[:-1])
+    return (half[:, None] * base + mid[:, None]).ravel(), (half[:, None] * weights).ravel()
+
+
+# -- the measure on diagonals ---------------------------------------------------------------
 
 
 class _MeasureGrid:
@@ -337,7 +338,7 @@ class _MeasureGrid:
     positive quadrant, in log coordinates, with prescribed cut lines aligned
     to panel boundaries so that cumulative sums are exact panel sums."""
 
-    def __init__(self, alpha, beta, cuts1=(), cuts2=(), nodes=16, panel_width=2.5):
+    def __init__(self, alpha, beta, cuts1=(), cuts2=()):
         neg = tuple(-float(a) for a in alpha)
         beta = float(beta)
 
@@ -345,31 +346,14 @@ class _MeasureGrid:
             # the full integrand in log coordinates
             return _log_psi2(neg, u1, u2) - beta * np.exp(np.minimum(-u2, 700.0))
 
-        base, weights = _gauss(nodes)
-        axis_nodes = []
-        for (lo, hi), cuts in zip(_probe_box(logf), (cuts1, cuts2)):
-            b = np.asarray(self._boundaries(lo, hi, cuts, panel_width))
-            half = 0.5 * (b[1:] - b[:-1])
-            mid = 0.5 * (b[1:] + b[:-1])
-            axis_nodes.append(
-                ((half[:, None] * base + mid[:, None]).ravel(), (half[:, None] * weights).ravel())
-            )
-        (self._u1, w1), (self._u2, w2) = axis_nodes
+        axes, _ = _probe_box(logf, (0.0, 0.0))
+        (self._u1, w1), (self._u2, w2) = (
+            _panel_nodes(lo, hi, cuts) for (lo, hi), cuts in zip(axes, (cuts1, cuts2))
+        )
         self._mass = np.exp(logf(self._u1[:, None], self._u2[None, :])) * np.outer(w1, w2)
         self.total = float(self._mass.sum())
         if not 0.0 < self.total < math.inf:
             raise NonconvergentQuadratureError(f"measure mass {self.total} is out of double range")
-
-    @staticmethod
-    def _boundaries(lo, hi, cuts, panel_width):
-        inner = sorted(c for c in cuts if lo < c < hi)
-        edges = [lo] + inner + [hi]
-        out = []
-        for a, b in zip(edges, edges[1:]):
-            pieces = max(int(math.ceil((b - a) / panel_width)), 1)
-            out.extend(a + (b - a) * k / pieces for k in range(pieces))
-        out.append(hi)
-        return out
 
     def cdf(self, s: float, t: float) -> float:
         """Mass of (0, s] x (0, t]; exact panel sums when the cut lines were

@@ -1,9 +1,11 @@
 """Exit codes, output formats and determinism of the command-line interface."""
 
 import json
+import math
 
 import pytest
 
+from gburge import cli
 from gburge.cli import main
 
 SQUARE = {"shape": [2, 2], "domain": "geom-rational", "rows": [["2", "1"], ["4", "3"]]}
@@ -321,6 +323,16 @@ def test_whittaker_corollary_overflowing_constant_exits_two(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: normalization constant c(alpha=(5.0, 8.0), beta=1e-30)")
     assert "overflows a float" in captured.err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_report_value_exits_two_with_an_error_line(capsys, monkeypatch, bad):
+    monkeypatch.setattr(cli, "psi", lambda params, method: bad)
+    code = main(["whittaker", "--cmd", "eval", "--alpha", "1", "--x", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+    assert captured.err.count("\n") == 1
 
 
 def test_whittaker_rank_defaults_to_the_length_of_alpha(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -318,3 +319,19 @@ def test_lane_overflow_names_the_box_and_the_lane():
     first_lane = gburge(lanes.map_entries(lambda x: x[:1]))
     ones = gburge(ShapedArray.from_rows([[1.0, 1.0], [1.0, 1.0]], GEOMETRIC_FLOAT))
     assert first_lane.get(2, 2).tolist() == [ones.get(2, 2)]
+
+
+def test_lane_overflow_raises_without_numpy_warnings():
+    big = np.array([1.0, 1e200])
+    lanes = ShapedArray.from_rows([[big, np.ones(2)], [np.ones(2), big]], GEOMETRIC_LANES)
+    upper = UpperArray.from_rows([[big, np.ones(2)], [big]], GEOMETRIC_LANES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (gburge, grsk, inv_gburge):
+            with pytest.raises(DomainError, match=r"box \(\d,\d\).*in lane 1;"):
+                f(lanes)
+        with pytest.raises(DomainError, match=r"box \(\d,\d\).*in lane 1;"):
+            gburge_up(upper)
+    # the lane errstate does not leak out of the map call
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.array([1e200]) * np.array([1e200])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gburge.arrays import ShapedArray
 from gburge.values import (
     DOMAINS,
     GEOMETRIC_FLOAT,
@@ -189,3 +190,25 @@ def test_check_finite_rejects_float_overflow_only():
     GEOMETRIC_RATIONAL.check_finite([[Fraction(10) ** 400]], box)
     TROPICAL.check_finite([[-math.inf, 0.0]], box)
     GEOMETRIC_LANES.check_finite([[np.array([1e300, 1e-300])]], box)
+
+
+# -- lane arrays refuse what needs scalar entries -----------------------------------
+
+
+def _lane_array():
+    return ShapedArray.from_rows([[np.array([1.0, 2.0])]], GEOMETRIC_LANES)
+
+
+def test_lane_array_hash_raises_a_domain_error():
+    with pytest.raises(DomainError, match="hash needs scalar entries; geom-lanes holds arrays"):
+        hash(_lane_array())
+
+
+def test_lane_array_to_json_raises_a_domain_error():
+    with pytest.raises(DomainError, match="to_json needs scalar entries; geom-lanes holds arrays"):
+        _lane_array().to_json()
+
+
+def test_lane_array_allclose_raises_a_domain_error():
+    with pytest.raises(DomainError, match="allclose needs scalar entries; geom-lanes holds arrays"):
+        _lane_array().allclose(_lane_array())

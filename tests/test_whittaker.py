@@ -24,7 +24,9 @@ from gburge.whittaker import (
     _log_psi2,
     _measure_report,
     _MeasureGrid,
-    _psi3_quadrature,
+    _probe_box,
+    _psi3_grid,
+    _psi3_logf,
     corollary_check,
     energy,
     psi,
@@ -143,18 +145,53 @@ def test_rank2_closed_form_stays_in_range_at_extreme_bessel_arguments():
 def test_rank3_node_count_is_converged():
     alpha = (-1.0, -2.0, -3.0)
     x = (2.0, 0.7, 1.3)
-    assert _psi3_quadrature(alpha, x, 64) == pytest.approx(
-        _psi3_quadrature(alpha, x, 96), rel=1e-12
+    assert psi(WhittakerParams(3, alpha, x)) == pytest.approx(
+        _psi3_grid(alpha, x, nodes=24), rel=1e-12
     )
 
 
+# (alpha, x) points for rank 3: small mixed-sign parameters near the unit
+# argument, as in the benchmark, and one with larger parameters
+RANK3_POINTS = [
+    ((-1.0, -2.0, -3.0), (2.0, 0.7, 1.3)),
+    ((-1.0, -2.0, -3.0), (1.0, 1.0, 1.0)),
+    ((0.12, 0.24, 0.3), (math.exp(0.7), math.exp(-0.7), 1.0)),
+    ((-0.47, -0.03, 0.44), (math.exp(-0.7), math.exp(0.7), math.exp(0.2))),
+    ((-0.5, 0.5, -0.25), (math.exp(0.7), math.exp(0.7), math.exp(-0.7))),
+]
+
+
 def test_rank3_parameter_permutation_symmetry():
-    x = (1.0, 1.0, 1.0)
-    values = [
-        _psi3_quadrature(perm, x, 64)
-        for perm in itertools.permutations((-1.0, -2.0, -3.0))
-    ]
-    assert max(values) == pytest.approx(min(values), rel=1e-9)
+    for alpha, x in RANK3_POINTS:
+        values = [psi(WhittakerParams(3, perm, x)) for perm in itertools.permutations(alpha)]
+        assert max(values) == pytest.approx(min(values), rel=1e-12), alpha
+
+
+def rank3_tensor_oracle(alpha, x, nodes=192, pad=6.0):
+    """Independent route: a 3-D Gauss tensor rule over the three free entries,
+    on the probed box widened by pad units on every side, summed one u11
+    slice at a time.  At these points 192 nodes agree with 256 nodes and a
+    10-unit pad to 4e-14."""
+    logf, centers = _psi3_logf(alpha, x)
+    axes, peak = _probe_box(logf, centers)
+    base, weights = np.polynomial.legendre.leggauss(nodes)
+    points, rules = [], []
+    for lo, hi in axes:
+        lo, hi = lo - pad, hi + pad
+        points.append(0.5 * (hi - lo) * base + 0.5 * (hi + lo))
+        rules.append(0.5 * (hi - lo) * weights)
+    u11, u21, u22 = points
+    total = sum(
+        w * (rules[1] @ np.exp(logf(v, u21[:, None], u22) - peak) @ rules[2])
+        for v, w in zip(u11, rules[0])
+    )
+    return float(total) * math.exp(peak)
+
+
+@pytest.mark.parametrize("alpha, x", RANK3_POINTS)
+def test_rank3_matches_a_widened_tensor_rule(alpha, x):
+    expected = rank3_tensor_oracle(alpha, x)
+    assert psi(WhittakerParams(3, alpha, x)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rank3_scale_covariance():
@@ -184,8 +221,6 @@ def test_unsupported_ranks_and_methods():
 def test_integrand_fast_path_matches_pattern_definitions():
     # the quadrature's log-integrand must agree with exponent-weighted type
     # products damped by the energy, computed through the public functions
-    from gburge.whittaker import _psi3_logf
-
     alpha = (-0.5, -1.25, -2.0)
     x = (1.3, 0.6, 2.2)
     logf, _ = _psi3_logf(alpha, x)
