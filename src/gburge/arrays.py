@@ -25,8 +25,8 @@ def entry_with_boundary(arr, i: int, j: int):
 
     The boundary convention is (0,1) and (1,0) carry the corner value
     (1/2 geometrically, 0 tropically) and every other index on the two axes
-    carries the additive identity (0, resp. -inf).  arr is anything with
-    ``shape``, ``domain`` and ``get(i, j)``: a ShapedArray or a mutable grid.
+    carries the additive identity (0, resp. -inf).  The scratch grids of the
+    local maps store these values in a padded row 0 and column 0 instead.
     """
     if i >= 1 and j >= 1:
         if not arr.shape.contains((i, j)):
@@ -179,11 +179,9 @@ class ShapedArray(_ValueArray):
 
     def diagonal(self, k: int):
         """Entries on diagonal j - i = k, in increasing i."""
-        out = []
-        for i, j in self.shape.boxes():
-            if j - i == k:
-                out.append(self._rows[i - 1][j - 1])
-        return tuple(out)
+        c0 = max(0, k)
+        rows = self._rows[max(0, -k):]
+        return tuple(row[c0 + r] for r, row in enumerate(rows) if len(row) > c0 + r)
 
     def diagonal_product(self, k: int):
         """The otimes-product over diagonal j - i = k."""

@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import random
+import re
 import sys
 
 from .arrays import ShapedArray, random_array, symmetrize
@@ -418,7 +419,15 @@ _HANDLERS = {
 }
 
 
+_LIST_OPTIONS = ("--alpha", "--x", "-r")  # comma lists of floats
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a negative list such as -1,-2 as an option: glue it on
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _LIST_OPTIONS and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

@@ -39,6 +39,7 @@ from .arrays import ShapedArray, UpperArray, random_array, random_symmetric_arra
 from .localmaps import (
     Grid,
     UpperGrid,
+    _need,
     a_at,
     b_at,
     c_at,
@@ -54,7 +55,7 @@ from .shapes import (
     all_shapes,
     canonical_growth_sequence,
     canonical_upper_growth_sequence,
-    is_valid_growth_sequence,
+    growth_sequence_error,
     random_growth_sequence,
     random_shape,
     rectangle,
@@ -115,30 +116,36 @@ def _run(g, kernel, boxes):
 
 
 def rho(arr: ShapedArray, k: int, l: int) -> ShapedArray:
+    _need(arr.shape, "rho", k, l)
     return _run(Grid.of(arr), rho_at, [(k, l)]).to_array()
 
 
 def sigma(arr: ShapedArray, k: int, l: int) -> ShapedArray:
+    _need(arr.shape, "sigma", k, l, (k, l + 1))
     return _run(Grid.of(arr), sigma_at, [(k, l)]).to_array()
 
 
 def tau(arr: ShapedArray, k: int, l: int) -> ShapedArray:
+    _need(arr.shape, "tau", k, l)
     return _run(Grid.of(arr), tau_at, [(k, l)]).to_array()
 
 
 def tau_up(upper: UpperArray, k: int, l: int) -> UpperArray:
+    _need(upper.shape, "upper tau", k, l)
     return _run(UpperGrid(upper), tau_at, [(k, l)]).to_upper()
 
 
 # -- the correspondences --------------------------------------------------------------
 
 
-def _resolve_order(shape: Shape, order):
+def _resolve_order(shape: Shape, order, name):
+    """Row-major by default, else order checked once, naming its first bad step."""
     if order is None:
         return canonical_growth_sequence(shape)
     order = [tuple(b) for b in order]
-    if not is_valid_growth_sequence(shape, order):
-        raise ShapeError(f"not a valid growth sequence for shape {shape.parts}")
+    fault = growth_sequence_error(shape, order)
+    if fault:
+        raise ShapeError(f"{name}: not a valid growth sequence for shape {shape.parts}: {fault}")
     return order
 
 
@@ -148,22 +155,24 @@ def grsk(arr: ShapedArray, order=None) -> ShapedArray:
     The output is independent of the choice of growth sequence (a tested
     property); the default is row-major.
     """
-    return _run(Grid.of(arr), rho_at, _resolve_order(arr.shape, order)).to_array()
+    return _run(Grid.of(arr), rho_at, _resolve_order(arr.shape, order, "grsk")).to_array()
 
 
 def gburge(arr: ShapedArray, order=None) -> ShapedArray:
     """Column-insertion correspondence B: one tau per box of a growth sequence."""
-    return _run(Grid.of(arr), tau_at, _resolve_order(arr.shape, order)).to_array()
+    return _run(Grid.of(arr), tau_at, _resolve_order(arr.shape, order, "gburge")).to_array()
 
 
 def inv_grsk(arr: ShapedArray, order=None) -> ShapedArray:
     """Inverse of grsk: inverse diagonal maps in the reverse growth order."""
-    return _run(Grid.of(arr), inv_rho_at, reversed(_resolve_order(arr.shape, order))).to_array()
+    order = _resolve_order(arr.shape, order, "inv_grsk")
+    return _run(Grid.of(arr), inv_rho_at, reversed(order)).to_array()
 
 
 def inv_gburge(arr: ShapedArray, order=None) -> ShapedArray:
     """Inverse of gburge: inverse diagonal maps in the reverse growth order."""
-    return _run(Grid.of(arr), inv_tau_at, reversed(_resolve_order(arr.shape, order))).to_array()
+    order = _resolve_order(arr.shape, order, "inv_gburge")
+    return _run(Grid.of(arr), inv_tau_at, reversed(order)).to_array()
 
 
 def gschutz(arr: ShapedArray) -> ShapedArray:
@@ -208,6 +217,7 @@ def admissible_commutation_boxes(shape: Shape):
 def commutation_sides(arr: ShapedArray, p: int, q: int):
     """Evaluate both sides of sigma_{p,q} rho_{p,q+1} tau_{p,q}
     = tau_{p,q+1} rho_{p,q} sigma_{p-1,q} e^{p,q+1}_{p,q}."""
+    _need(arr.shape, "commutation", p, q, (p - 1, q), (p, q + 1))
     g = Grid.of(arr)
     tau_at(g, p, q)
     rho_at(g, p, q + 1)
@@ -381,18 +391,10 @@ def _trial_recursion(rng, max_rows, max_cols, domain, tol):
     ref_b = gburge(w)
     for corner in shape.corner_boxes():
         sub_order = canonical_growth_sequence(shape.remove_box(corner))
-        g = Grid.of(w)
-        for k, l in sub_order:
-            rho_at(g, k, l)
-        rho_at(g, *corner)
-        out = g.to_array()
+        out = _run(Grid.of(w), rho_at, [*sub_order, corner]).to_array()
         if not _equal(out, ref_k, tol):
             return _cex(w, out, ref_k)
-        g = Grid.of(w)
-        for k, l in sub_order:
-            tau_at(g, k, l)
-        tau_at(g, *corner)
-        out = g.to_array()
+        out = _run(Grid.of(w), tau_at, [*sub_order, corner]).to_array()
         if not _equal(out, ref_b, tol):
             return _cex(w, out, ref_b)
     return None

@@ -30,21 +30,28 @@ tropical domain too) and validated by round-trip tests:
 a, d and d^{-1} take A as an optional argument: the 21-map composition of the
 commutation proof uses shifted variants whose A is the left neighbour alone.
 
-Upper-part arrays of symmetric arrays run the same kernels through UpperGrid,
-which reads a box below the diagonal from its mirror.  At a diagonal box the
-two arguments of A and of H then coincide, so A = x oplus x = 2x and
-H = hsum(x, x) = x/2: the restricted symmetric maps are c and d themselves.
+The kernels run on a padded scratch Grid: row 0 and column 0 hold the
+boundary (the corner value at (0,1) and (1,0), the zero element elsewhere),
+so rows[i][j] is box (i,j) and A is read without a branch.  Kernels check no
+box.  A diagonal map at (k,l) touches only boxes of the order ideal below
+(k,l), so each public entry point checks its boxes once: apply_*, inv_c and
+inv_d here; the diagonal maps, the commutation, the 21-map composition and
+the growth-sequence check in correspondences.  The error names the map, the
+box and, for an order, the step.
 
-The module also exposes the mutable grid scratch types used by the
-correspondence compositions, so a long chain of local maps costs one array
-copy, not one per step.  Handing a grid back as an array is the one place a
-float overflow is caught: every entry goes through the domain's
-check_finite, and no kernel checks its own output.
+UpperGrid is the padded full symmetric grid of an upper-part array; its set
+writes a box and its mirror.  At a diagonal box the two arguments of A and
+of H coincide, so A = x oplus x = 2x and H = hsum(x, x) = x/2: the
+restricted symmetric maps are c and d themselves.
+
+A chain of local maps on one grid costs one array copy.  Handing a grid back
+as an array is the one place a float overflow is caught: every entry goes
+through the domain's check_finite, and no kernel checks its own output.
 """
 
 from __future__ import annotations
 
-from .arrays import ShapedArray, UpperArray, entry_with_boundary
+from .arrays import ShapedArray, UpperArray
 from .shapes import ShapeError
 from .values import DomainError
 
@@ -53,145 +60,126 @@ from .values import DomainError
 
 
 class Grid:
-    """Mutable scratch copy of a ShapedArray for composing map kernels."""
+    """Mutable padded scratch copy of a ShapedArray: rows[i][j] is box (i,j),
+    and row 0 and column 0 hold the boundary values."""
 
     __slots__ = ("shape", "domain", "rows")
 
     def __init__(self, shape, domain, rows):
+        zero, corner = domain.zero, domain.corner
         self.shape = shape
         self.domain = domain
-        self.rows = rows
+        self.rows = [[zero, corner] + [zero] * (shape.n_cols - 1)]
+        self.rows += [[corner if i == 0 else zero, *row] for i, row in enumerate(rows)]
 
     @classmethod
     def of(cls, arr: ShapedArray) -> "Grid":
-        return cls(arr.shape, arr.domain, arr.to_lists())
+        return cls(arr.shape, arr.domain, arr.rows)
 
     def to_array(self) -> ShapedArray:
-        self.domain.check_finite(self.rows, self._box)
-        return ShapedArray._wrap(self.shape, self.rows, self.domain)
+        rows = [row[1:] for row in self.rows[1:]]
+        self.domain.check_finite(rows, self._box)
+        return ShapedArray._wrap(self.shape, rows, self.domain)
 
     @staticmethod
     def _box(r, k):
-        """The box of rows[r][k]."""
+        """The box of the unpadded rows[r][k]."""
         return r + 1, k + 1
 
     def get(self, i, j):
-        return self.rows[i - 1][j - 1]
+        return self.rows[i][j]
 
     def set(self, i, j, value):
-        self.rows[i - 1][j - 1] = value
-
-    gwb = entry_with_boundary
+        self.rows[i][j] = value
 
 
 class UpperGrid(Grid):
-    """Mutable scratch copy of an UpperArray of a symmetric array.
-
-    Only boxes with i <= j are stored; get and set of a box below the
-    diagonal go to its mirror, so every kernel runs on it unchanged.
-    """
+    """Mutable padded scratch copy of the symmetric array of an UpperArray;
+    set writes a box and its mirror, so every kernel runs on it unchanged."""
 
     __slots__ = ()
 
     def __init__(self, upper: UpperArray):
         if upper.domain.is_tropical:
             raise DomainError("the restricted symmetric maps are defined in the geometric domains only")
-        super().__init__(upper.shape, upper.domain, [list(r) for r in upper.rows])
+        up = upper.rows
+        full = [[up[min(r, k)][abs(k - r)] for k in range(p)] for r, p in enumerate(upper.shape.parts)]
+        super().__init__(upper.shape, upper.domain, full)
 
     def to_upper(self) -> UpperArray:
-        self.domain.check_finite(self.rows, self._box)
-        return UpperArray(self.shape, self.rows, self.domain)
+        rows = [self.rows[i][i:] for i in range(1, len(self.rows)) if len(self.rows[i]) > i]
+        self.domain.check_finite(rows, self._box)
+        return UpperArray(self.shape, rows, self.domain)
 
     @staticmethod
     def _box(r, k):
         return r + 1, r + k + 1
 
-    def get(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.rows[i - 1][j - i]
-
     def set(self, i, j, value):
-        if i > j:
-            i, j = j, i
-        self.rows[i - 1][j - i] = value
+        self.rows[i][j] = self.rows[j][i] = value
 
 
-def _need(grid, i, j):
-    if not grid.shape.contains((i, j)):
-        raise ShapeError(f"map needs box ({i},{j}), missing from shape {grid.shape.parts}")
+def _need(shape, name, i, j, *more):
+    """Check, once per call, that the map name at (i,j) finds (i,j) and the boxes in more."""
+    where, parts = f"{name} at ({i},{j})", shape.parts
+    if not shape.contains((i, j)):
+        raise ShapeError(f"{where}: box ({i},{j}) missing from shape {parts}")
+    for k, l in more:
+        if not shape.contains((k, l)):
+            raise ShapeError(f"{where} needs box ({k},{l}), missing from shape {parts}")
 
 
-# -- kernels (mutate a grid in place) ------------------------------------------------
+def _need_pair(shape, name, i, j, k, l, forward=True):
+    """_need for a two-point map; d and d^{-1} also read the forward neighbours of (i,j)."""
+    if (i, j) == (k, l):
+        raise ShapeError(f"{name} at ({i},{j}) needs two distinct boxes, got ({i},{j}) twice")
+    _need(shape, name, i, j, *([(i + 1, j), (i, j + 1)] if forward else []), (k, l))
+
+
+# -- kernels (mutate a grid in place; boxes checked by the caller) ---------------------
 
 
 def a_at(g, i, j, A=None):
-    _need(g, i, j)
-    _need(g, i + 1, j)
-    _need(g, i, j + 1)
     dom = g.domain
     if A is None:
-        A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+        A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
     H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
     g.set(i, j, dom.odiv(dom.otimes(A, H), g.get(i, j)))
 
 
 def b_at(g, i, j):
-    _need(g, i, j)
-    _need(g, i, j + 1)
     dom = g.domain
-    A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+    A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
     g.set(i, j, dom.odiv(dom.otimes(A, g.get(i, j + 1)), g.get(i, j)))
 
 
 def c_at(g, i, j):
-    _need(g, i, j)
     dom = g.domain
-    A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+    A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
     g.set(i, j, dom.otimes(g.get(i, j), A))
 
 
 def inv_c_at(g, i, j):
-    _need(g, i, j)
     dom = g.domain
-    A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+    A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
     g.set(i, j, dom.odiv(g.get(i, j), A))
 
 
 def d_at(g, i, j, k, l, A=None):
-    if (i, j) == (k, l):
-        raise ShapeError(f"the two-point map needs distinct boxes, got ({i},{j}) twice")
-    _need(g, i, j)
-    _need(g, i + 1, j)
-    _need(g, i, j + 1)
-    _need(g, k, l)
     dom = g.domain
     if A is None:
-        A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+        A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
     H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
     w = g.get(i, j)
     zA = dom.otimes(g.get(k, l), A)
     g.set(i, j, dom.hsum(w, zA))
-    g.set(
-        k,
-        l,
-        dom.otimes(
-            dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)),
-            H,
-        ),
-    )
+    g.set(k, l, dom.otimes(dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)), H))
 
 
 def inv_d_at(g, i, j, k, l, A=None):
-    if (i, j) == (k, l):
-        raise ShapeError(f"the two-point map needs distinct boxes, got ({i},{j}) twice")
-    _need(g, i, j)
-    _need(g, i + 1, j)
-    _need(g, i, j + 1)
-    _need(g, k, l)
     dom = g.domain
     if A is None:
-        A = dom.oplus(g.gwb(i - 1, j), g.gwb(i, j - 1))
+        A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
     H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
     wp = g.get(i, j)
     zp = g.get(k, l)
@@ -202,63 +190,59 @@ def inv_d_at(g, i, j, k, l, A=None):
 
 
 def e_at(g, i, j, k, l):
-    if (i, j) == (k, l):
-        raise ShapeError(f"the swap map needs distinct boxes, got ({i},{j}) twice")
-    _need(g, i, j)
-    _need(g, k, l)
     w = g.get(i, j)
     g.set(i, j, g.get(k, l))
     g.set(k, l, w)
 
 
-# -- public one-shot applications ----------------------------------------------------
+# -- public one-shot applications (the box checks live here) -------------------------
+
+
+def _once(arr, kernel, *args):
+    g = Grid.of(arr)
+    kernel(g, *args)
+    return g.to_array()
 
 
 def apply_a(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    g = Grid.of(arr)
-    a_at(g, i, j)
-    return g.to_array()
+    _need(arr.shape, "a", i, j, (i + 1, j), (i, j + 1))
+    return _once(arr, a_at, i, j)
 
 
 def apply_b(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    g = Grid.of(arr)
-    b_at(g, i, j)
-    return g.to_array()
+    _need(arr.shape, "b", i, j, (i, j + 1))
+    return _once(arr, b_at, i, j)
 
 
 def apply_c(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    g = Grid.of(arr)
-    c_at(g, i, j)
-    return g.to_array()
+    _need(arr.shape, "c", i, j)
+    return _once(arr, c_at, i, j)
 
 
 def apply_d(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
-    g = Grid.of(arr)
-    d_at(g, *box_ij, *box_kl)
-    return g.to_array()
+    _need_pair(arr.shape, "d", *box_ij, *box_kl)
+    return _once(arr, d_at, *box_ij, *box_kl)
 
 
 def apply_e(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
-    g = Grid.of(arr)
-    e_at(g, *box_ij, *box_kl)
-    return g.to_array()
+    _need_pair(arr.shape, "e", *box_ij, *box_kl, forward=False)
+    return _once(arr, e_at, *box_ij, *box_kl)
 
 
 def inv_c(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    g = Grid.of(arr)
-    inv_c_at(g, i, j)
-    return g.to_array()
+    _need(arr.shape, "inverse c", i, j)
+    return _once(arr, inv_c_at, i, j)
 
 
 def inv_d(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
-    g = Grid.of(arr)
-    inv_d_at(g, *box_ij, *box_kl)
-    return g.to_array()
+    _need_pair(arr.shape, "inverse d", *box_ij, *box_kl)
+    return _once(arr, inv_d_at, *box_ij, *box_kl)
 
 
 def apply_c_up(upper: UpperArray, i: int) -> UpperArray:
     """c at the diagonal box (i,i) of a symmetric array: w_{i,i} -> 2 w_{i-1,i} w_{i,i}."""
     g = UpperGrid(upper)
+    _need(upper.shape, "upper c", i, i)
     c_at(g, i, i)
     return g.to_upper()
 
@@ -266,5 +250,6 @@ def apply_c_up(upper: UpperArray, i: int) -> UpperArray:
 def apply_d_up(upper: UpperArray, i: int, k: int) -> UpperArray:
     """d between the diagonal boxes (i,i) and (k,k) of a symmetric array."""
     g = UpperGrid(upper)
+    _need_pair(upper.shape, "upper d", i, i, k, k)
     d_at(g, i, i, k, k)
     return g.to_upper()

@@ -162,23 +162,29 @@ def shape_from_boxes(boxes: Sequence[tuple[int, int]]) -> Shape:
 
 
 def is_valid_growth_sequence(shape: Shape, boxes: Sequence[tuple[int, int]]) -> bool:
-    """True iff boxes lists each box of shape exactly once and every prefix is a diagram.
+    """True iff boxes lists each box of shape exactly once and every prefix is a diagram."""
+    return growth_sequence_error(shape, boxes) is None
+
+
+def growth_sequence_error(shape: Shape, boxes: Sequence[tuple[int, int]]) -> str | None:
+    """Why boxes is not a growth sequence of shape, naming the index and box
+    of its first bad step; None when it is one.
 
     A prefix is a Young diagram exactly when each added box (i, j) extends row i
     by one (j = current length + 1) without overtaking row i-1.
     """
     row_len = [0] * (shape.n_rows + 1)
-    seen = 0
-    for i, j in boxes:
+    for step, (i, j) in enumerate(boxes):
         if not shape.contains((i, j)):
-            return False
+            return f"order[{step}] = ({i},{j}) is not in the shape"
         if j != row_len[i] + 1:
-            return False
+            return f"order[{step}] = ({i},{j}) does not extend row {i} by one box"
         if i > 1 and row_len[i - 1] < j:
-            return False
+            return f"order[{step}] = ({i},{j}) overtakes row {i - 1}"
         row_len[i] = j
-        seen += 1
-    return seen == shape.size
+    if sum(row_len) != shape.size:
+        return f"the order stops after {sum(row_len)} of {shape.size} boxes"
+    return None
 
 
 def canonical_growth_sequence(shape: Shape) -> list[Box]:

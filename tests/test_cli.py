@@ -350,6 +350,27 @@ def test_whittaker_rank_disagreeing_with_alpha_exits_two(capsys, cmd):
     assert captured.out == "" and "--alpha needs 3" in captured.err
 
 
+def test_whittaker_eval_takes_a_negative_alpha_after_a_space(capsys):
+    argv = ("whittaker", "--cmd", "eval", "-n", "3")
+    spaced = run(capsys, *argv, "--alpha", "-1,-2,-3", "--x", "1,1,1")
+    glued = run(capsys, *argv, "--alpha=-1,-2,-3", "--x", "1,1,1")
+    assert spaced[0] == 0
+    assert spaced == glued
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("whittaker", "--cmd", "eval", "--x", "1,2"), "--alpha", "-.5,1"),
+        (("whittaker", "--cmd", "eval", "--alpha", "1,2"), "--x", "-1,2"),
+        (("polymer", "--cmd", "laplace", "--alpha", "1,1.5", "--samples", "50", "--seed", "1"),
+         "-r", "-0.5,1"),
+    ],
+)
+def test_every_comma_list_option_reads_a_negative_value_after_a_space(capsys, argv, option, value):
+    assert run(capsys, *argv, option, value) == run(capsys, *argv, f"{option}={value}")
+
+
 def test_no_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -1,0 +1,142 @@
+"""Map outputs pinned bit for bit: gburge, grsk, their inverses, gschutz and
+gburge_up on fixed arrays over Fraction, float, max-plus and float lanes.
+
+golden_maps.json holds each input and the output the maps gave before the
+scratch grid was padded with its boundary; a change to the grid or the
+kernels must reproduce them exactly, so the order of the arithmetic is part
+of what is pinned.  Floats are stored with float.hex.  To regenerate (only
+for a deliberate change of the arithmetic order, declared in CHANGES.md):
+
+    PYTHONPATH=src python tests/test_golden_maps.py > tests/golden_maps.json
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gburge.arrays import ShapedArray, UpperArray, random_array, random_symmetric_array
+from gburge.correspondences import gburge, gburge_up, grsk, gschutz, inv_gburge, inv_grsk
+from gburge.shapes import Shape, random_growth_sequence
+from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_LANES, GEOMETRIC_RATIONAL, TROPICAL
+
+GOLDEN = Path(__file__).with_name("golden_maps.json")
+DOMAINS = {d.name: d for d in (GEOMETRIC_RATIONAL, GEOMETRIC_FLOAT, TROPICAL, GEOMETRIC_LANES)}
+MAPS = {"gburge": gburge, "grsk": grsk, "inv_gburge": inv_gburge, "inv_grsk": inv_grsk}
+
+SHAPES = [(1,), (3, 3), (2, 2, 2), (4, 4, 4, 4), (5, 5, 5), (6,) * 6,
+          (3, 2, 1), (4, 2, 2, 1), (5, 3, 3, 1), (6, 4, 4, 2, 1)]
+SYMMETRIC = [(1,), (2, 1), (3, 2, 1), (3, 3, 3), (4, 4, 2, 2), (4, 3, 2, 1), (6,) * 6]
+
+
+def _enc(domain, x):
+    if domain.is_exact:
+        return str(x)
+    if domain.holds_arrays:
+        return [float(v).hex() for v in x]
+    return float(x).hex()
+
+
+def _dec(domain, s):
+    if domain.is_exact:
+        return Fraction(s)
+    if domain.holds_arrays:
+        return np.array([float.fromhex(v) for v in s])
+    return float.fromhex(s)
+
+
+def _rows(domain, arr):
+    return [[_enc(domain, x) for x in row] for row in arr.rows]
+
+
+def _lanes(shape, rng, n_lanes=3):
+    draws = [random_array(shape, GEOMETRIC_FLOAT, rng) for _ in range(n_lanes)]
+    rows = [
+        [np.array([d.rows[r][k] for d in draws]) for k in range(len(row))]
+        for r, row in enumerate(draws[0].rows)
+    ]
+    return ShapedArray._wrap(shape, rows, GEOMETRIC_LANES)
+
+
+def _apply(case, arr):
+    order = case.get("order")
+    if case["map"] == "gschutz":
+        return gschutz(arr)
+    if case["map"] == "gburge_up":
+        return gburge_up(arr)
+    return MAPS[case["map"]](arr, order)
+
+
+def _case(name, domain, arr, order=None):
+    case = {"map": name, "domain": domain.name, "shape": list(arr.shape.parts),
+            "input": _rows(domain, arr)}
+    if order is not None:
+        case["order"] = [list(b) for b in order]
+    case["output"] = _rows(domain, _apply(case, arr))
+    return case
+
+
+def generate():
+    """The cases, inputs drawn from fixed seeds and outputs from the current code."""
+    cases = []
+    rng = random.Random(20010915)
+    for dom in (GEOMETRIC_RATIONAL, GEOMETRIC_FLOAT, TROPICAL):
+        for parts in SHAPES:
+            shape = Shape(parts)
+            w = random_array(shape, dom, rng)
+            for name in MAPS:
+                cases.append(_case(name, dom, w))
+            cases.append(_case("gburge", dom, w, random_growth_sequence(shape, rng)))
+            if shape.is_rectangular:
+                cases.append(_case("gschutz", dom, w))
+    for dom in (GEOMETRIC_RATIONAL, GEOMETRIC_FLOAT):
+        for parts in SYMMETRIC:
+            w = random_symmetric_array(Shape(parts), dom, rng)
+            cases.append(_case("gburge_up", dom, w.restrict_upper()))
+    for parts in ((3, 3), (4, 4, 4, 4), (4, 3, 2, 1)):
+        w = _lanes(Shape(parts), rng)
+        for name in MAPS:
+            cases.append(_case(name, GEOMETRIC_LANES, w))
+    return cases
+
+
+def _input(case):
+    dom = DOMAINS[case["domain"]]
+    rows = [[_dec(dom, s) for s in row] for row in case["input"]]
+    if case["map"] == "gburge_up":
+        return UpperArray(Shape(case["shape"]), rows, dom)
+    return ShapedArray._wrap(Shape(case["shape"]), rows, dom)
+
+
+CASES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+
+def _id(case):
+    order = "-order" if "order" in case else ""
+    return f"{case['map']}{order}-{case['domain']}-{'x'.join(map(str, case['shape']))}"
+
+
+def test_the_golden_file_covers_every_map_and_domain():
+    seen = {(c["map"], c["domain"]) for c in CASES}
+    for name in MAPS:
+        for dom in DOMAINS:
+            assert (name, dom) in seen
+    for dom in ("geom-rational", "geom-float", "tropical"):
+        assert ("gschutz", dom) in seen
+    assert ("gburge_up", "geom-rational") in seen and ("gburge_up", "geom-float") in seen
+    assert max(max(c["shape"][0], len(c["shape"])) for c in CASES) == 6
+
+
+@pytest.mark.parametrize("case", CASES, ids=_id)
+def test_map_output_is_bit_identical(case):
+    dom = DOMAINS[case["domain"]]
+    assert _rows(dom, _apply(case, _input(case))) == case["output"]
+
+
+if __name__ == "__main__":
+    json.dump(generate(), sys.stdout, indent=0)
+    sys.stdout.write("\n")
