@@ -42,6 +42,7 @@ from .polymer import (
     Stream,
     burge_partition_vector,
     check_lukacs,
+    check_replica_routes,
     check_Z_Zstar,
     ks_two_sample,
     laplace_mc,
@@ -102,6 +103,7 @@ __all__ = [
     "check_prop4",
     "check_prop43",
     "check_replica_decomposition",
+    "check_replica_routes",
     "corollary_check",
     "domain_by_name",
     "energy",

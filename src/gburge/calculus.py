@@ -17,7 +17,7 @@ import random
 import numpy as np
 
 from .arrays import ShapedArray, UpperArray, random_array, random_symmetric_array
-from .correspondences import gburge, gburge_up, grsk, gschutz
+from .correspondences import gburge, gburge_up, grsk, gschutz, tally
 from .shapes import Shape, ShapeError, all_shapes
 from .values import GEOMETRIC_FLOAT, DomainError
 
@@ -214,16 +214,10 @@ def verify_jacobians(
     compared entrywise (within fd_tol).
     """
     rng = random.Random(seed)
-    trials = failures = 0
-    first = None
+    outcomes = []
 
     def record(ok, arr, map_name, detail):
-        nonlocal trials, failures, first
-        trials += 1
-        if not ok:
-            failures += 1
-            if first is None:
-                first = {"input": arr.to_json_obj(), "map": map_name, **detail}
+        outcomes.append(None if ok else {"input": arr.to_json_obj(), "map": map_name, **detail})
 
     if symmetric:
         shapes = [s for s in all_shapes(16) if s.is_self_conjugate() and s.n_rows <= 4]
@@ -246,8 +240,4 @@ def verify_jacobians(
                     fd = loglog_jacobian(map_name, arr, mode="central-difference", h=h)
                     gap = float(np.max(np.abs(jac - fd)))
                     record(gap <= fd_tol, arr, map_name, {"dual_vs_fd_gap": gap})
-    name = "jacobian-symmetric" if symmetric else "jacobian"
-    report = {"identity": name, "trials": trials, "failures": failures}
-    if first is not None:
-        report["first_counterexample"] = first
-    return report
+    return tally("jacobian-symmetric" if symmetric else "jacobian", outcomes)

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import re
 import sys
+from functools import partial
 
 from .arrays import ShapedArray, random_array, symmetrize
 from .calculus import verify_jacobians
@@ -43,16 +43,7 @@ from .oracles import (
     check_replica_decomposition,
     random_persymmetric_square_weights,
 )
-from .polymer import (
-    EnvSpec,
-    Stream,
-    _check_samples,
-    check_lukacs,
-    check_Z_Zstar,
-    laplace_mc,
-    replica_Z,
-    sample_replica_env,
-)
+from .polymer import EnvSpec, check_lukacs, check_replica_routes, check_Z_Zstar, laplace_mc
 from .shapes import ShapeError, all_shapes, rectangle
 from .values import GEOMETRIC_RATIONAL, DomainError
 from .whittaker import (
@@ -74,30 +65,6 @@ _APPLY_MAPS = (
     "transpose",
     "reverse-rows",
     "reverse-cols",
-)
-
-_EXTRA_IDENTITIES = (
-    "prop4.1",
-    "prop4.2",
-    "prop4.3",
-    "jacobian",
-    "jacobian-symmetric",
-    "tropical-limit",
-    "replica-decomposition",
-)
-
-# per-identity defaults (max_size, trials, tol) when the flags are omitted
-_VERIFY_DEFAULTS = {name: (4, 50, 1e-12) for name in IDENTITY_NAMES}
-_VERIFY_DEFAULTS.update(
-    {
-        "prop4.1": (3, 20, 1e-9),
-        "prop4.2": (3, 20, 1e-9),
-        "prop4.3": (4, 50, 1e-9),
-        "jacobian": (3, 10, 1e-6),
-        "jacobian-symmetric": (4, 10, 1e-6),
-        "tropical-limit": (3, 20, 1e-9),
-        "replica-decomposition": (4, 25, 1e-9),
-    }
 )
 
 
@@ -181,73 +148,90 @@ def _merge_reports(name: str, reports) -> dict:
     return out
 
 
-def _verify_prop4(which: str, max_size: int, trials: int, seed: int, tol: float) -> dict:
-    rng = random.Random(seed)
-    if which == "grsk-4.1":
-        pool = [rectangle(m, n) for m in range(1, max_size + 1) for n in range(1, max_size + 1)]
-    else:
-        pool = [
-            s
-            for s in all_shapes(max_size * max_size)
-            if s.n_rows <= max_size and s.n_cols <= max_size
-        ]
-    reports = []
-    for _ in range(trials):
-        arr = random_array(rng.choice(pool), GEOMETRIC_RATIONAL, rng)
-        reports.append(check_prop4(arr, which, tol=tol))
-    name = "prop4.1" if which == "grsk-4.1" else "prop4.2"
-    return _merge_reports(name, reports)
+def _sampled(name: str, check, draw):
+    """The run function of a check on one input at a time: draw(max_size)
+    gives a sampler, each trial's input is sampler(rng) from one
+    Random(seed), check(input, tol) reports on it, and the reports are
+    merged."""
+
+    def run(max_size, trials, seed, tol):
+        rng, sample = random.Random(seed), draw(max_size)
+        return _merge_reports(name, [check(sample(rng), tol) for _ in range(trials)])
+
+    return run
 
 
-def _verify_prop43(max_size: int, trials: int, seed: int, tol: float) -> dict:
-    rng = random.Random(seed)
-    pool = list(all_shapes(max_size * max_size))
-    reports = []
-    for _ in range(trials):
-        arr = random_array(rng.choice(pool), GEOMETRIC_RATIONAL, rng)
-        reports.append(check_prop43(arr, tol=tol))
-    return _merge_reports("prop4.3", reports)
+def _on_shapes(pool):
+    """A draw of rational arrays on shapes picked from pool(max_size)."""
+
+    def draw(max_size):
+        shapes = pool(max_size)
+        return lambda rng: random_array(rng.choice(shapes), GEOMETRIC_RATIONAL, rng)
+
+    return draw
 
 
-def _verify_replica_decomposition(max_size: int, trials: int, seed: int, tol: float) -> dict:
-    rng = random.Random(seed)
-    reports = []
-    for _ in range(trials):
-        n = rng.randint(2, max(max_size, 2))
-        weights = random_persymmetric_square_weights(n, rng)
-        reports.append(check_replica_decomposition(weights, tol=tol))
-    return _merge_reports("replica-decomposition", reports)
+def _rectangles(k):
+    return [rectangle(m, n) for m in range(1, k + 1) for n in range(1, k + 1)]
+
+
+def _in_square(k):
+    return [s for s in all_shapes(k * k) if s.n_rows <= k and s.n_cols <= k]
+
+
+def _up_to_boxes(k):
+    return list(all_shapes(k * k))
+
+
+def _persymmetric(max_size):
+    return lambda rng: random_persymmetric_square_weights(rng.randint(2, max(max_size, 2)), rng)
+
+
+def _prop4(which):
+    return lambda arr, tol: check_prop4(arr, which, tol)
+
+
+# name -> (run(max_size, trials, seed, tol), default max_size, trials, tol);
+# a default of None marks a flag the check does not take
+_CHECKS = {
+    **{name: (partial(verify_identity, name), 4, 50, 1e-12) for name in IDENTITY_NAMES},
+    "prop4.1": (_sampled("prop4.1", _prop4("grsk-4.1"), _on_shapes(_rectangles)), 3, 20, 1e-9),
+    "prop4.2": (_sampled("prop4.2", _prop4("gburge-4.2"), _on_shapes(_in_square)), 3, 20, 1e-9),
+    "prop4.3": (_sampled("prop4.3", check_prop43, _on_shapes(_up_to_boxes)), 4, 50, 1e-9),
+    "jacobian": (
+        lambda k, trials, seed, tol: verify_jacobians(False, trials, seed, tol, max_boxes=k * k),
+        3, 10, 1e-6,
+    ),
+    "jacobian-symmetric": (
+        lambda _, trials, seed, tol: verify_jacobians(True, trials, seed, tol),
+        None, 10, 1e-6,
+    ),
+    "tropical-limit": (
+        lambda k, trials, seed, _: tropical_limit_check(k * k, trials, seed),
+        3, 20, None,
+    ),
+    "replica-decomposition": (
+        _sampled("replica-decomposition", check_replica_decomposition, _persymmetric),
+        4, 25, 1e-9,
+    ),
+}
 
 
 def _cmd_verify(args) -> int:
     name = args.identity
-    if name not in IDENTITY_NAMES and name not in _EXTRA_IDENTITIES:
-        known = ", ".join(IDENTITY_NAMES + _EXTRA_IDENTITIES)
-        raise ValueError(f"unknown identity {name!r}; known: {known}")
-    d_size, d_trials, d_tol = _VERIFY_DEFAULTS[name]
-    max_size = args.max_size if args.max_size is not None else d_size
-    trials = args.trials if args.trials is not None else d_trials
-    tol = args.tol if args.tol is not None else d_tol
-    if name in IDENTITY_NAMES:
-        report = verify_identity(
-            name, max_size=max_size, trials=trials, seed=args.seed, tol=tol, threads=args.threads
-        )
-    elif name == "prop4.1":
-        report = _verify_prop4("grsk-4.1", max_size, trials, args.seed, tol)
-    elif name == "prop4.2":
-        report = _verify_prop4("gburge-4.2", max_size, trials, args.seed, tol)
-    elif name == "prop4.3":
-        report = _verify_prop43(max_size, trials, args.seed, tol)
-    elif name == "jacobian":
-        report = verify_jacobians(
-            symmetric=False, points=trials, seed=args.seed, tol=tol, max_boxes=max_size * max_size
-        )
-    elif name == "jacobian-symmetric":
-        report = verify_jacobians(symmetric=True, points=trials, seed=args.seed, tol=tol)
-    elif name == "tropical-limit":
-        report = tropical_limit_check(max_boxes=max_size * max_size, trials=trials, seed=args.seed)
-    else:
-        report = _verify_replica_decomposition(max_size, trials, args.seed, tol)
+    if name not in _CHECKS:
+        raise ValueError(f"unknown identity {name!r}; known: {', '.join(_CHECKS)}")
+    run, *defaults = _CHECKS[name]
+    flags = {"--max-size": args.max_size, "--trials": args.trials, "--tol": args.tol}
+    for (flag, given), default in zip(flags.items(), defaults):
+        if given is None:
+            continue
+        if default is None:
+            raise ValueError(f"{name} takes no {flag}")
+        if flag != "--tol" and given < 1:
+            raise ValueError(f"{flag} must be at least 1, got {given}")
+    max_size, trials, tol = (d if g is None else g for g, d in zip(flags.values(), defaults))
+    report = run(max_size, trials, args.seed, tol)
     _emit_json(report, args.out_path)
     return 0 if report["failures"] == 0 else 1
 
@@ -288,24 +272,8 @@ def _cmd_polymer(args) -> int:
         )
     else:  # replica: route agreement on sampled environments
         _require_n_alphas(alpha, args.n)
-        _check_samples(args.samples)
         spec = EnvSpec(args.n, alpha, args.beta)
-        worst = 0.0
-        for i in range(args.samples):
-            env = sample_replica_env(spec, Stream(args.seed, i))
-            oracle = replica_Z(env, via="oracle")
-            folded = replica_Z(env, via="persymmetric-burge")
-            worst = max(worst, abs(oracle - folded) / abs(oracle))
-        report = {
-            "test": "replica-routes",
-            "n": args.n,
-            "alpha": list(alpha),
-            "beta": args.beta,
-            "samples": args.samples,
-            "seed": args.seed,
-            "max_relerr": worst,
-            "pass": bool(worst <= args.tol),
-        }
+        report = check_replica_routes(spec, args.samples, args.seed, args.tol)
     _emit_json(report, args.out_path)
     return 0 if report["pass"] else 1
 

@@ -297,6 +297,22 @@ def composition_of_21(arr: ShapedArray, m: int, q: int) -> ShapedArray:
 # -- identity verification --------------------------------------------------------------
 
 
+def tally(name: str, outcomes, **extra) -> dict:
+    """The report of an identity check, one trial per outcome: None for a
+    pass, a JSON-ready counterexample for a failure.
+
+    Keys, in order: identity (the name), trials, failures, then the extra
+    keys as given, then first_counterexample (the first failing outcome)
+    when any trial failed.
+    """
+    outcomes = list(outcomes)
+    failed = [o for o in outcomes if o is not None]
+    report = {"identity": name, "trials": len(outcomes), "failures": len(failed), **extra}
+    if failed:
+        report["first_counterexample"] = failed[0]
+    return report
+
+
 def _equal(lhs: ShapedArray, rhs: ShapedArray, tol: float) -> bool:
     if lhs.domain.is_exact:
         return lhs == rhs
@@ -473,23 +489,15 @@ def verify_identity(
     at 9 boxes, with exhaustive growth-sequence enumeration up to 8 boxes.
     Trial i is seeded with seed XOR i, so reports are deterministic.  threads
     is accepted for compatibility and has no effect: trials run on one
-    thread.  Returns
-    {identity, trials, failures, first_counterexample?}.
+    thread.  Returns the `tally` report, one trial per input.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; expected one of {sorted(IDENTITY_NAMES)}")
     rows_bound = max_rows if max_rows is not None else max_size
     cols_bound = max_cols if max_cols is not None else max_size
     fn = _TRIALS[name]
-
-    results = [
-        fn(random.Random(seed ^ i), rows_bound, cols_bound, domain, tol) for i in range(trials)
-    ]
-    failures = sum(1 for r in results if r is not None)
-    report = {"identity": name, "trials": trials, "failures": failures}
-    if failures:
-        report["first_counterexample"] = next(r for r in results if r is not None)
-    return report
+    rngs = (random.Random(seed ^ i) for i in range(trials))
+    return tally(name, [fn(rng, rows_bound, cols_bound, domain, tol) for rng in rngs])
 
 
 # -- degeneration of the geometric maps to the piecewise-linear ones ---------------------
@@ -535,10 +543,8 @@ def tropical_limit_check(
     """
     epsilons = tuple(sorted(epsilons, reverse=True))
     pool = _shape_pool(max_boxes)
-    failures = 0
-    first = None
     worst = {eps: 0.0 for eps in epsilons}
-    checks = 0
+    outcomes = []
     for idx in range(trials):
         rng = random.Random(seed ^ idx)
         shape = pool[rng.randrange(len(pool))]
@@ -546,26 +552,18 @@ def tropical_limit_check(
         kinds = ["rsk", "burge"] + (["schutz"] if shape.is_rectangular else [])
         for kind in kinds:
             errs = [tropical_limit_errors(trop_in, kind, eps) for eps in epsilons]
-            checks += 1
             for eps, err in zip(epsilons, errs):
                 worst[eps] = max(worst[eps], err)
             ok = all(err <= bound_constant * eps for eps, err in zip(epsilons, errs)) and all(
                 errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1)
             )
-            if not ok:
-                failures += 1
-                if first is None:
-                    first = {
-                        "input": trop_in.to_json_obj(),
-                        "map": kind,
-                        "errors": {str(e): err for e, err in zip(epsilons, errs)},
-                    }
-    report = {
-        "identity": "tropical-limit",
-        "trials": checks,
-        "failures": failures,
-        "max_error_by_eps": {str(e): worst[e] for e in epsilons},
-    }
-    if first is not None:
-        report["first_counterexample"] = first
-    return report
+            outcomes.append(
+                None
+                if ok
+                else {
+                    "input": trop_in.to_json_obj(),
+                    "map": kind,
+                    "errors": {str(e): err for e, err in zip(epsilons, errs)},
+                }
+            )
+    return tally("tropical-limit", outcomes, max_error_by_eps={str(e): worst[e] for e in epsilons})

@@ -24,7 +24,7 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .arrays import ShapedArray
-from .correspondences import gburge, grsk
+from .correspondences import gburge, grsk, tally
 from .shapes import rectangle
 from .values import ValueDomain
 
@@ -151,10 +151,18 @@ def path_sum(weights: ShapedArray, family):
 # -- identity checks against the correspondences ------------------------------------------
 
 
-def _values_equal(dom: ValueDomain, x, y, tol: float) -> bool:
-    if dom.is_exact:
-        return x == y
-    return dom.isclose(x, y, tol)
+def _outcome(dom: ValueDomain, arr: ShapedArray, lhs, rhs, tol: float, **where):
+    """None when lhs equals rhs (within tol for an inexact domain), else the
+    counterexample: the input, the keys of `where`, and both sides."""
+    same = lhs == rhs if dom.is_exact else dom.isclose(lhs, rhs, tol)
+    if same:
+        return None
+    return {
+        "input": arr.to_json_obj(),
+        **where,
+        "lhs": dom.scalar_to_json(lhs),
+        "rhs": dom.scalar_to_json(rhs),
+    }
 
 
 def _diag_product(t: ShapedArray, m: int, n: int, k: int):
@@ -182,28 +190,13 @@ def check_prop4(arr: ShapedArray, which: str, tol: float = 1e-9) -> dict:
         dual = True
     else:
         raise ValueError(f"unknown check {which!r}; expected grsk-4.1 or gburge-4.2")
-    trials = failures = 0
-    first = None
+    outcomes = []
     for m, n in sites:
         for k in range(1, min(m, n) + 1):
             lhs = _diag_product(t, m, n, k)
             rhs = path_sum(arr, enum_nonintersecting(m, n, k, dual))
-            trials += 1
-            if not _values_equal(dom, lhs, rhs, tol):
-                failures += 1
-                if first is None:
-                    first = {
-                        "input": arr.to_json_obj(),
-                        "border_box": [m, n],
-                        "k": k,
-                        "lhs": dom.scalar_to_json(lhs),
-                        "rhs": dom.scalar_to_json(rhs),
-                    }
-    name = "prop4.1" if which == "grsk-4.1" else "prop4.2"
-    report = {"identity": name, "trials": trials, "failures": failures}
-    if first is not None:
-        report["first_counterexample"] = first
-    return report
+            outcomes.append(_outcome(dom, arr, lhs, rhs, tol, border_box=[m, n], k=k))
+    return tally("prop4.1" if which == "grsk-4.1" else "prop4.2", outcomes)
 
 
 def check_prop43(arr: ShapedArray, tol: float = 1e-9) -> dict:
@@ -229,22 +222,8 @@ def check_prop43(arr: ShapedArray, tol: float = 1e-9) -> dict:
         ratio_rhs = dom.oplus(ratio_rhs, dom.odiv(one, arr.get(i, j)))
 
     checks = [("diagonal", diag_lhs, diag_rhs), ("all-boxes", ratio_lhs, ratio_rhs)]
-    failures = 0
-    first = None
-    for label, lhs, rhs in checks:
-        if not _values_equal(dom, lhs, rhs, tol):
-            failures += 1
-            if first is None:
-                first = {
-                    "input": arr.to_json_obj(),
-                    "check": label,
-                    "lhs": dom.scalar_to_json(lhs),
-                    "rhs": dom.scalar_to_json(rhs),
-                }
-    report = {"identity": "prop4.3", "trials": len(checks), "failures": failures}
-    if first is not None:
-        report["first_counterexample"] = first
-    return report
+    outcomes = [_outcome(dom, arr, lhs, rhs, tol, check=label) for label, lhs, rhs in checks]
+    return tally("prop4.3", outcomes)
 
 
 # -- replica decomposition -----------------------------------------------------------------
@@ -317,12 +296,4 @@ def check_replica_decomposition(weights: ShapedArray, tol: float = 1e-9) -> dict
         half = path_sum(modified, _paths_between((1, 1), (a, b)))
         z_repl = dom.oplus(z_repl, dom.otimes(half, half))
 
-    failures = 0 if _values_equal(dom, z_full, z_repl, tol) else 1
-    report = {"identity": "replica-decomposition", "trials": 1, "failures": failures}
-    if failures:
-        report["first_counterexample"] = {
-            "input": weights.to_json_obj(),
-            "lhs": dom.scalar_to_json(z_full),
-            "rhs": dom.scalar_to_json(z_repl),
-        }
-    return report
+    return tally("replica-decomposition", [_outcome(dom, weights, z_full, z_repl, tol)])

@@ -544,6 +544,29 @@ def check_lukacs(a: float, b: float, samples: int, seed: int, threads: int = 1) 
     }
 
 
+def check_replica_routes(spec: EnvSpec, samples: int, seed: int, tol: float) -> dict:
+    """Route agreement of replica_Z on sampled replica environments: the
+    oracle path sums against the persymmetric Burge route, sample i drawn
+    from Stream(seed, i).  Passes when the worst relative gap is within tol."""
+    _check_samples(samples)
+    worst = 0.0
+    for i in range(samples):
+        env = sample_replica_env(spec, Stream(seed, i))
+        oracle = replica_Z(env, via="oracle")
+        folded = replica_Z(env, via="persymmetric-burge")
+        worst = max(worst, abs(oracle - folded) / abs(oracle))
+    return {
+        "test": "replica-routes",
+        "n": spec.n,
+        "alpha": list(spec.alpha),
+        "beta": spec.beta,
+        "samples": samples,
+        "seed": seed,
+        "max_relerr": worst,
+        "pass": bool(worst <= tol),
+    }
+
+
 def normalization_c(alpha, beta: float, log: bool = False) -> float:
     """The environment's normalization constant
     beta^(-sum alpha) * prod Gamma(alpha_i) * prod_{i<j} Gamma(alpha_i+alpha_j),

@@ -171,6 +171,38 @@ def test_verify_requires_a_seed(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--trials", "--max-size"])
+@pytest.mark.parametrize("name", ["thm3.2", "prop4.1", "replica-decomposition", "jacobian"])
+def test_verify_trials_or_max_size_below_one_exit_two(capsys, name, flag, value):
+    code = main(["verify", "--identity", name, flag, value, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [("tropical-limit", "--tol", "1e-300"), ("jacobian-symmetric", "--max-size", "1")],
+)
+def test_verify_flag_the_check_does_not_take_exits_two(capsys, name, flag, value):
+    code = main(["verify", "--identity", name, flag, value, "--trials", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {name} takes no {flag}\n"
+
+
+def test_every_check_has_a_default_for_each_flag_it_takes():
+    for name, (run, max_size, trials, tol) in cli._CHECKS.items():
+        assert callable(run) and trials >= 1, name
+        assert max_size is None or max_size >= 1, name
+        assert tol is None or tol > 0, name
+    assert [n for n, entry in cli._CHECKS.items() if None in entry] == [
+        "jacobian-symmetric",
+        "tropical-limit",
+    ]
+
+
 # -- polymer ---------------------------------------------------------------
 
 

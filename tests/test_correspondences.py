@@ -26,6 +26,7 @@ from gburge.correspondences import (
     inv_grsk,
     rho,
     sigma,
+    tally,
     tau,
     tropical_limit_check,
     tropical_limit_errors,
@@ -267,6 +268,14 @@ def test_verify_identity_reports_a_counterexample_when_broken():
     assert cex["input"]["domain"] == "geom-float"
 
 
+def test_tally_counts_outcomes_and_keeps_the_first_counterexample():
+    assert tally("x", [None, None]) == {"identity": "x", "trials": 2, "failures": 0}
+    assert tally("x", iter([])) == {"identity": "x", "trials": 0, "failures": 0}
+    rep = tally("x", [None, {"k": 1}, None, {"k": 2}], worst=0.5)
+    assert list(rep) == ["identity", "trials", "failures", "worst", "first_counterexample"]
+    assert rep["trials"] == 4 and rep["failures"] == 2 and rep["first_counterexample"] == {"k": 1}
+
+
 # -- degeneration to the tropical maps ----------------------------------------------------
 
 
@@ -284,6 +293,14 @@ def test_tropical_limit_check_passes():
     rep = tropical_limit_check(max_boxes=6, trials=6, seed=11)
     assert rep["failures"] == 0
     assert set(rep["max_error_by_eps"]) == {"0.1", "0.01", "0.001"}
+
+
+def test_tropical_limit_check_reports_a_counterexample_after_its_errors():
+    # at eps = 1 the gaps are above zero, so a zero budget fails some trials
+    rep = tropical_limit_check(max_boxes=4, trials=2, seed=0, epsilons=(1.0,), bound_constant=0.0)
+    assert list(rep) == ["identity", "trials", "failures", "max_error_by_eps", "first_counterexample"]
+    assert 0 < rep["failures"] <= rep["trials"]
+    assert set(rep["first_counterexample"]) == {"input", "map", "errors"}
 
 
 def test_tropical_limit_unknown_map():

@@ -15,6 +15,7 @@ from gburge.polymer import (
     Stream,
     burge_partition_vector,
     check_lukacs,
+    check_replica_routes,
     check_Z_Zstar,
     ks_two_sample,
     laplace_mc,
@@ -206,6 +207,19 @@ def test_replica_matches_a_hand_sum():
     # n = 2: endpoints (1,2) and (2,1); Z'_{1,2} = w11 w12, Z'_{2,1} = w11 w21
     w = ShapedArray.from_rows([[Fraction(2), Fraction(3)], [Fraction(5)]], R)
     assert replica_Z(w) == Fraction(6) ** 2 + Fraction(10) ** 2
+
+
+def test_check_replica_routes_report():
+    spec = EnvSpec(3, (1, 1.5, 2), 1.0)
+    report = check_replica_routes(spec, samples=6, seed=4, tol=1e-10)
+    assert list(report) == ["test", "n", "alpha", "beta", "samples", "seed", "max_relerr", "pass"]
+    assert report["test"] == "replica-routes" and report["alpha"] == [1.0, 1.5, 2.0]
+    assert report["max_relerr"] < 1e-10 and report["pass"] is True
+    assert check_replica_routes(spec, samples=6, seed=4, tol=0.0)["pass"] is (
+        report["max_relerr"] == 0.0
+    )
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_replica_routes(spec, samples=0, seed=4, tol=1e-10)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
