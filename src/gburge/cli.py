@@ -54,20 +54,6 @@ from .whittaker import (
     whittaker_measure_check,
 )
 
-_APPLY_MAPS = (
-    "rsk",
-    "burge",
-    "schutz",
-    "schutz-upper",
-    "burge-up",
-    "inv-rsk",
-    "inv-burge",
-    "transpose",
-    "reverse-rows",
-    "reverse-cols",
-)
-
-
 def _floats(text: str):
     try:
         return tuple(float(part) for part in text.split(","))
@@ -101,34 +87,40 @@ def _parse_order(text: str):
         ) from None
 
 
+class _Orderless:
+    """A map f(arr) that takes no growth sequence, called as f(arr, order)."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, arr, order):
+        return self.f(arr)
+
+
+# name -> f(arr, order), in the order --help lists them; order is None without --order
+_APPLY_MAPS = {
+    "rsk": grsk,
+    "burge": gburge,
+    "schutz": _Orderless(gschutz),
+    "schutz-upper": _Orderless(gschutz_upper),
+    "burge-up": _Orderless(lambda arr: symmetrize(gburge_up(arr.restrict_upper()))),
+    "inv-rsk": inv_grsk,
+    "inv-burge": inv_gburge,
+    "transpose": _Orderless(ShapedArray.transpose),
+    "reverse-rows": _Orderless(ShapedArray.reverse_rows),
+    "reverse-cols": _Orderless(ShapedArray.reverse_cols),
+}
+
+
 def _cmd_apply(args) -> int:
     with open(args.in_path, encoding="utf-8") as handle:
         arr = ShapedArray.from_json(handle.read())
     order = _parse_order(args.order) if args.order else None
-    takes_order = {"rsk", "burge", "inv-rsk", "inv-burge"}
-    if order is not None and args.map not in takes_order:
-        raise ValueError(f"--order applies to {sorted(takes_order)}, not {args.map!r}")
-    if args.map == "rsk":
-        result = grsk(arr, order)
-    elif args.map == "burge":
-        result = gburge(arr, order)
-    elif args.map == "inv-rsk":
-        result = inv_grsk(arr, order)
-    elif args.map == "inv-burge":
-        result = inv_gburge(arr, order)
-    elif args.map == "schutz":
-        result = gschutz(arr)
-    elif args.map == "schutz-upper":
-        result = gschutz_upper(arr)
-    elif args.map == "burge-up":
-        result = symmetrize(gburge_up(arr.restrict_upper()))
-    elif args.map == "transpose":
-        result = arr.transpose()
-    elif args.map == "reverse-rows":
-        result = arr.reverse_rows()
-    else:
-        result = arr.reverse_cols()
-    _write(result.to_json(indent=2) + "\n", args.out_path)
+    apply = _APPLY_MAPS[args.map]
+    if order is not None and isinstance(apply, _Orderless):
+        ordered = sorted(name for name, f in _APPLY_MAPS.items() if not isinstance(f, _Orderless))
+        raise ValueError(f"--order applies to {ordered}, not {args.map!r}")
+    _write(apply(arr, order).to_json(indent=2) + "\n", args.out_path)
     return 0
 
 

@@ -275,24 +275,28 @@ def sample_replica_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
 # -- partition functions -------------------------------------------------------------
 
 
+def _path_sums(rows):
+    """Point-to-point partition functions from (1,1) to every box of ragged
+    weight rows (row lengths not increasing), by the obvious recursion.  The
+    weights (and so the sums) are floats, or lane arrays from _Lanes.
+
+    This recursion serves both paths: on lane arrays every + and * is the
+    same IEEE operation, lane by lane, as on floats."""
+    sums = []
+    for i, weights in enumerate(rows):
+        row = []
+        for j, w in enumerate(weights):
+            above = sums[i - 1][j] if i else 0.0
+            left = row[j - 1] if j else 0.0
+            row.append(w if i == j == 0 else w * (above + left))
+        sums.append(row)
+    return sums
+
+
 def _corner_Z(rows):
     """Point-to-point partition function from (1,1) to the bottom-right corner
-    of rectangular weight rows, by the obvious recursion.  The weights (and
-    so the result) are floats, or lane arrays from _Lanes.
-
-    This and the other two recursions serve both paths: on lane arrays every
-    + and * is the same IEEE operation, lane by lane, as on floats."""
-    m, n = len(rows), len(rows[0])
-    z = [[0.0] * n for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            if i == 0 and j == 0:
-                z[i][j] = rows[i][j]
-            else:
-                above = z[i - 1][j] if i else 0.0
-                left = z[i][j - 1] if j else 0.0
-                z[i][j] = rows[i][j] * (above + left)
-    return z[m - 1][n - 1]
+    of rectangular weight rows."""
+    return _path_sums(rows)[-1][-1]
 
 
 def _dual_Z(rows):
@@ -316,16 +320,7 @@ def burge_partition_vector(env: ShapedArray):
 def _staircase_Z_replica(rows):
     """Replica partition function from triangular weight rows (i + j <= n+1):
     sum over antidiagonal endpoints of the squared point-to-point sums."""
-    n = len(rows)
-    z = {}
-    for i in range(1, n + 1):
-        for j in range(1, n - i + 2):
-            w = rows[i - 1][j - 1]
-            if i == 1 and j == 1:
-                z[(i, j)] = w
-            else:
-                z[(i, j)] = w * (z.get((i - 1, j), 0.0) + z.get((i, j - 1), 0.0))
-    return sum(z[(a, n + 1 - a)] ** 2 for a in range(1, n + 1))
+    return sum(row[-1] ** 2 for row in _path_sums(rows))
 
 
 def replica_Z(weights: ShapedArray, via: str = "persymmetric-burge"):

@@ -4,17 +4,17 @@ The function of rank n is an integral over triangular patterns with a fixed
 bottom row: each pattern contributes the product of its type components raised
 to the given parameters, damped by the exponential of its energy.  Ranks 1 to
 3 are supported, always in logarithmic coordinates where the integrand decays
-double-exponentially: rank 1 by exact formula, rank 2 by one-dimensional
-adaptive quadrature, and rank 3 by Givental's recursion, a 2-D grid over the
-second row of the rank-2 Bessel closed form (see _psi3_grid).  One peak
-search (_probe_box) and one panel rule (_panel_nodes) serve every grid.
+double-exponentially: rank 1 by exact formula, rank 2 by its Bessel closed
+form Psi_a(x) = 2 (x1 x2)^{(a1+a2)/2} K_{a1-a2}(2 sqrt(x2/x1)) (see
+_log_psi2), and rank 3 by Givental's recursion, a 2-D grid over the second
+row of the rank-2 closed form (see _psi3_grid).  One peak search
+(_probe_box) and one panel rule (_panel_nodes) serve every grid.
 
 The diagonal (read corner-first, so the dual partition function comes first)
 of the column-insertion image of a symmetric inverse-gamma environment is
 distributed as (1/c) e^{-beta/x_n} Psi_{-alpha}(x) prod dx_i/x_i, where c is
 the normalization constant from the polymer module.  At n = 2 it is integrated
-on a tensor grid of Psi values from the Bessel closed form (see _log_psi2), and
-rank-2 psi() keeps the line quadrature as the independent route.
+on a tensor grid of Psi values from the same closed form.
 whittaker_measure_check compares that quadrature density against direct Monte
 Carlo, both through the joint CDF on a quantile grid and through the Laplace
 transform of the first component (the dual partition function, distributed as
@@ -38,7 +38,8 @@ _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
 
 
 class NonconvergentQuadratureError(RuntimeError):
-    """The adaptive panels ran out before the tails became negligible."""
+    """The integrand has no finite peak, its mass does not localize within
+    the probe's reach, or the integral leaves double range."""
 
 
 @dataclass(frozen=True)
@@ -103,74 +104,7 @@ class WhittakerParams:
             raise ValueError("the argument must be positive")
 
 
-# -- adaptive quadrature in log coordinates ---------------------------------------
-
-
-_GL_CACHE: dict = {}
-
-
-def _gauss(nodes: int):
-    if nodes not in _GL_CACHE:
-        _GL_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
-    return _GL_CACHE[nodes]
-
-
-def _line_integral(logf, center, nodes=20, panel_width=2.5, tail_tol=1e-13, max_panels=160):
-    """Integral of exp(logf) over the real line by panel growth from the peak.
-
-    logf maps a numpy array of points to their log-integrand values; panels
-    are added on both sides of the (probed) peak until their contribution is
-    negligible.  Returns the integral in linear scale.
-    """
-    probe = center + np.arange(-40.0, 41.0)
-    vals = logf(probe)
-    peak = float(np.max(vals))
-    if math.isnan(peak) or peak == math.inf:
-        raise NonconvergentQuadratureError("integrand is not finite near the probe range")
-    if peak == -math.inf or peak < -745.0:
-        return 0.0  # the whole integral underflows double precision
-    top = float(probe[int(np.argmax(vals))])
-    base, weights = _gauss(nodes)
-
-    def panel(lo, hi):
-        u = 0.5 * (hi - lo) * base + 0.5 * (hi + lo)
-        return 0.5 * (hi - lo) * float(np.dot(weights, np.exp(logf(u) - peak)))
-
-    lo = top - 0.5 * panel_width
-    hi = top + 0.5 * panel_width
-    total = panel(lo, hi)
-    for _ in range(max_panels):
-        part = panel(hi, hi + panel_width)
-        hi += panel_width
-        total += part
-        if part <= tail_tol * total:
-            break
-    else:
-        raise NonconvergentQuadratureError("right tail did not become negligible")
-    for _ in range(max_panels):
-        part = panel(lo - panel_width, lo)
-        lo -= panel_width
-        total += part
-        if part <= tail_tol * total:
-            break
-    else:
-        raise NonconvergentQuadratureError("left tail did not become negligible")
-    return total * math.exp(peak)
-
-
-def _psi2_logf(alpha, x):
-    a1, a2 = alpha
-    l1, l2 = math.log(x[0]), math.log(x[1])
-
-    def logf(v):
-        return (
-            a1 * v
-            + a2 * (l1 + l2 - v)
-            - np.exp(np.minimum(l2 - v, 700.0))
-            - np.exp(np.minimum(v - l1, 700.0))
-        )
-
-    return logf, 0.5 * (l1 + l2)
+# -- integrands in log coordinates ----------------------------------------------
 
 
 def _walls(*gaps):
@@ -231,19 +165,19 @@ def _psi3_monte_carlo(alpha, x, samples=400_000, strata=8):
 def psi(params: WhittakerParams, method: str = "quadrature") -> float:
     """The rank-n Whittaker function at params.x with exponents params.alpha.
 
-    Rank 1 is the monomial prod x^alpha; rank 2 integrates over the single
-    free entry; rank 3 integrates the rank-2 Bessel closed form over the
-    second row on a 2-D grid (method "quadrature", see _psi3_grid), or the
-    three free entries by stratified Monte Carlo (method "monte-carlo",
-    noticeably less precise).
+    Rank 1 is the monomial prod x^alpha; rank 2 is the Bessel closed form
+    (see _log_psi2), for either method; rank 3 integrates the rank-2 closed
+    form over the second row on a 2-D grid (method "quadrature", see
+    _psi3_grid), or the three free entries by stratified Monte Carlo (method
+    "monte-carlo", noticeably less precise).
     """
     if method not in ("quadrature", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
     if params.n == 1:
         return params.x[0] ** params.alpha[0]
     if params.n == 2:
-        logf, center = _psi2_logf(params.alpha, params.x)
-        return _line_integral(logf, center)
+        u1, u2 = (math.log(v) for v in params.x)
+        return math.exp(float(_log_psi2(params.alpha, u1, u2)))
     if params.n == 3:
         if method == "monte-carlo":
             return _psi3_monte_carlo(params.alpha, params.x)
@@ -313,6 +247,15 @@ def _probe_box(logf, start):
             ends.append(u[axis] + sign * steps[int(np.argmax(below))])
         axes.append((ends[0] - 2.0, ends[1] + 2.0))
     return axes, peak
+
+
+_GL_CACHE: dict = {}
+
+
+def _gauss(nodes: int):
+    if nodes not in _GL_CACHE:
+        _GL_CACHE[nodes] = np.polynomial.legendre.leggauss(nodes)
+    return _GL_CACHE[nodes]
 
 
 def _panel_nodes(lo, hi, cuts=(), nodes=16, panel_width=2.5):
@@ -385,6 +328,15 @@ def corollary_check(alpha, beta: float):
     int e^{-beta/x_n} Psi_{-alpha}(x) prod dx_i/x_i = c, as (lhs, rhs, relerr);
     the left side by quadrature, for n <= 2.
 
+    At n = 1 the integrand e^{-alpha u - beta e^{-u}} is integrated on the box
+    that _probe_box finds, in panels of 20 Gauss nodes.  Its right tail
+    e^{-alpha u} needs 46/alpha unit steps to fall the tail drop, and the probe
+    walks 400, so alpha below 0.116 raises NonconvergentQuadratureError (axis
+    0 mass did not localize), as the rank-2 grid does.  Above the floor,
+    accuracy falls as the peak narrows to width about 1/sqrt(alpha): at
+    beta = 1, relerr is below 1e-12 up to alpha = 7.4, exceeds 1e-8 at some
+    alphas from 19 on and reaches 5.4e-6 near 47.
+
     At n = 2 accuracy falls with small alpha: at beta = 1, relerr is 1.2e-4 at
     alpha = (0.3, 0.4) and 1.9e-3 at (0.2, 0.2), as the box is cut from axis
     profiles through the peak and misses mass along the u1 axis."""
@@ -398,7 +350,9 @@ def corollary_check(alpha, beta: float):
         def logf(u):
             return -a * u - beta * np.exp(np.minimum(-u, 700.0))
 
-        lhs = _line_integral(logf, center=math.log(beta))
+        ((lo, hi),), peak = _probe_box(logf, (math.log(beta),))
+        u, w = _panel_nodes(lo, hi, nodes=20)
+        lhs = float(w @ np.exp(logf(u) - peak)) * math.exp(peak)
     elif len(alpha) == 2:
         lhs = _MeasureGrid(alpha, beta).total
     else:

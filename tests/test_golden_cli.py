@@ -1,11 +1,14 @@
 """CLI output pinned byte for byte: every `verify` check at its defaults and
 at one explicit setting, two failing runs that print a counterexample, the
-replica route check, and the unknown-identity error.
+replica route check, the unknown-identity error, every `apply` map on a
+rational 3x3 and a float 3x2 array (with and without --order), and the
+`whittaker` commands.
 
-golden_cli.json holds the argv, exit code, stdout and stderr of each run.  A
-change to the check registry or to the report builders must reproduce them
-exactly.  To regenerate (only for a deliberate change of output, declared in
-CHANGES.md):
+golden_cli.json holds the argv, exit code, stdout and stderr of each run; the
+`apply` inputs are the apply_*.json files beside it, read with this directory
+as the working directory.  A change to the check registry, the map table or
+the report builders must reproduce them exactly.  To regenerate (only for a
+deliberate change of output, declared in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden_cli.py > tests/golden_cli.json
 """
@@ -13,6 +16,7 @@ CHANGES.md):
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +24,8 @@ import pytest
 
 from gburge.cli import main
 
-GOLDEN = Path(__file__).with_name("golden_cli.json")
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden_cli.json"
 
 NAMES = (
     "thm3.4-C", "thm3.4-R", "thm3.2", "prop3.3", "appendix-C-identity",
@@ -37,6 +42,22 @@ def _explicit(name):
     return [arg for key, pair in _EXPLICIT.items() if _IGNORED.get(name) != key for arg in pair]
 
 
+MAPS = (
+    "rsk", "burge", "schutz", "schutz-upper", "burge-up", "inv-rsk", "inv-burge", "transpose",
+    "reverse-rows", "reverse-cols",
+)
+# each input with its column-major growth sequence
+_APPLY_INPUTS = {
+    "apply_rational_3x3.json": "[[1,1],[2,1],[3,1],[1,2],[2,2],[3,2],[1,3],[2,3],[3,3]]",
+    "apply_float_3x2.json": "[[1,1],[2,1],[3,1],[1,2],[2,2],[3,2]]",
+}
+_APPLY = [["apply", "--map", m, "--in", path] for path in _APPLY_INPUTS for m in MAPS] + [
+    ["apply", "--map", m, "--in", path, "--order", order]
+    for path, order in _APPLY_INPUTS.items()
+    for m in ("rsk", "burge", "inv-rsk", "inv-burge", "schutz")
+]
+
+
 COMMANDS = (
     [["verify", "--identity", name, "--seed", "1"] for name in NAMES]
     + [["verify", "--identity", name, "--seed", "2", *_explicit(name)] for name in NAMES]
@@ -48,13 +69,34 @@ COMMANDS = (
          "--seed", "2"],
         ["verify", "--identity", "no-such-check", "--seed", "1"],
     ]
+    + _APPLY
+    + [
+        ["whittaker", "--cmd", "eval", "--alpha", "0.5,-0.3,1.2", "--x", "0.7,1.3,2.1"],
+        ["whittaker", "--cmd", "eval", "--alpha", "0.5,-0.3,1.2", "--x", "0.7,1.3,2.1",
+         "--method", "monte-carlo"],
+        ["whittaker", "--cmd", "corollary", "--alpha", "1.5,2.5", "--beta", "0.5"],
+        ["whittaker", "--cmd", "density-check", "--alpha", "1,1.5", "--beta", "1", "--samples",
+         "5000", "--seed", "11"],
+        # rank-2 eval and rank-1 corollary, whose digits the Bessel closed form
+        # and the box rule moved (CHANGES.md)
+        ["whittaker", "--cmd", "eval", "--alpha", "1,1", "--x", "1,1"],
+        ["whittaker", "--cmd", "eval", "--alpha", "-2.329,-5.384", "--x", "0.0098,111.7"],
+        ["whittaker", "--cmd", "corollary", "--alpha", "2", "--beta", "3"],
+        ["whittaker", "--cmd", "corollary", "--alpha", "0.5"],
+        ["whittaker", "--cmd", "corollary", "--alpha", "0.1"],
+    ]
 )
 
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(HERE)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 

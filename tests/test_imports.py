@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and every
+private name a module defines is used somewhere in the package.
 
-A name counts as used when the module reads it anywhere in its code
-(annotations included) or lists it in `__all__`.
+An imported name counts as used when the module reads it anywhere in its
+code (annotations included) or lists it in `__all__`.  A module-level private
+function, class or constant counts as used when any module of the package
+reads it, imports it or reads it as an attribute.
 """
 
 import ast
@@ -45,3 +48,57 @@ def test_every_imported_name_is_used(path):
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n__all__ = ['sep']\n")
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["math", "path"]
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants, with their lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def _dead(trees):
+    referenced = {name for tree in trees.values() for name in _references(tree)}
+    return [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in referenced
+    ]
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    dead = _dead(trees)
+    assert not dead, f"private names nothing in the package uses: {', '.join(dead)}"
+
+
+def test_the_scan_sees_a_dead_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "_LIMIT: int = 3\n_CACHE = {}\ndef _f():\n    return _CACHE\nclass _C: pass\n"
+        ),
+        "b.py": ast.parse("from .a import _f\n"),
+    }
+    assert _dead(trees) == ["a.py:1 _LIMIT", "a.py:5 _C"]

@@ -20,7 +20,6 @@ from gburge.whittaker import (
     NonconvergentQuadratureError,
     TriangularPattern,
     WhittakerParams,
-    _line_integral,
     _log_psi2,
     _measure_report,
     _MeasureGrid,
@@ -41,6 +40,29 @@ def rank2_closed_form(alpha, x):
     z = sqrt(x1 x2) t, to a modified Bessel function of the second kind."""
     a1, a2 = alpha
     return 2 * (x[0] * x[1]) ** ((a1 + a2) / 2) * kv(a1 - a2, 2 * math.sqrt(x[1] / x[0]))
+
+
+def rank2_besselk(alpha, x):
+    """The same closed form in mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        a1, a2 = (mpmath.mpf(a) for a in alpha)
+        x1, x2 = (mpmath.mpf(v) for v in x)
+        k = mpmath.besselk(a1 - a2, 2 * mpmath.sqrt(x2 / x1))
+        return float(2 * (x1 * x2) ** ((a1 + a2) / 2) * k)
+
+
+def rank2_pattern_integral(alpha, u1, u2):
+    """Rank-2 Psi at (e^u1, e^u2) from its definition: the integral over the
+    free entry e^v of e^{a1 v + a2 (u1 + u2 - v) - e^{u2 - v} - e^{v - u1}}, by
+    mpmath at 30 digits.  Ten units beyond the arguments the integrand is below
+    e^{-e^10}, so the finite interval loses nothing."""
+    a1, a2 = alpha
+    with mpmath.workdps(30):
+
+        def f(v):
+            return mpmath.exp(a1 * v + a2 * (u1 + u2 - v) - mpmath.exp(u2 - v) - mpmath.exp(v - u1))
+
+        return float(mpmath.quad(f, mpmath.linspace(min(u1, u2) - 10, max(u1, u2) + 10, 8)))
 
 
 # -- patterns ---------------------------------------------------------------
@@ -108,7 +130,7 @@ def test_rank2_parameter_swap_symmetry():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_rank2_closed_form_grid_matches_the_line_integral():
+def test_rank2_closed_form_grid_matches_the_pattern_integral():
     alpha = (-1.0, -2.0)
     u1 = np.array([-2.0, 0.0, 1.5, 3.0])
     u2 = np.array([-1.0, 0.5])
@@ -116,8 +138,27 @@ def test_rank2_closed_form_grid_matches_the_line_integral():
     assert grid.shape == (4, 2)
     for i, v in enumerate(u1):
         for j, w in enumerate(u2):
-            scalar = psi(WhittakerParams(2, alpha, (math.exp(v), math.exp(w))))
-            assert grid[i, j] == pytest.approx(scalar, rel=1e-12)
+            expected = rank2_pattern_integral(alpha, float(v), float(w))
+            assert grid[i, j] == pytest.approx(expected, rel=1e-12)
+
+
+# (alpha, log x): x1 x2 = 1 with log(x2/x1) = 6, 8, 10, where the integrand's
+# peak is narrow, and three random points whose log(x2/x1) is near 9
+NARROW_PEAKS = [
+    (alpha, (-0.5 * t, 0.5 * t)) for alpha in ((-1.0, -2.0), (1.0, 1.0)) for t in (6.0, 8.0, 10.0)
+] + [
+    ((-2.329, -5.384), (-4.624, 4.716)),
+    ((4.132, 0.99), (-4.502, 4.721)),
+    ((-3.178, -0.216), (-4.679, 4.245)),
+]
+
+
+@pytest.mark.parametrize("alpha, logx", NARROW_PEAKS)
+def test_rank2_matches_besselk_where_the_peak_is_narrow(alpha, logx):
+    x = tuple(math.exp(u) for u in logx)
+    # abs=0: the values run down to 1e-94, below pytest.approx's default abs
+    expected = rank2_besselk(alpha, x)
+    assert psi(WhittakerParams(2, alpha, x)) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_rank2_closed_form_stays_in_range_at_extreme_bessel_arguments():
@@ -236,9 +277,9 @@ def test_integrand_fast_path_matches_pattern_definitions():
     assert via_fast_path == pytest.approx(direct, rel=1e-12)
 
 
-def test_line_integral_reports_nonconvergence():
+def test_probe_box_reports_nonconvergence():
     with pytest.raises(NonconvergentQuadratureError):
-        _line_integral(lambda u: np.zeros_like(u), center=0.0, max_panels=5)
+        _probe_box(lambda u: np.zeros_like(u), (0.0,))
 
 
 # -- the measure ---------------------------------------------------------------
@@ -250,6 +291,17 @@ def test_density_rank1_is_inverse_gamma():
     expected = beta**alpha / math.gamma(alpha) * x ** (-alpha) * math.exp(-beta / x) / x
     assert got == pytest.approx(expected, rel=1e-12)
     assert got >= 0
+
+
+def test_density_rank2_where_the_peak_is_narrow():
+    alpha, beta = (1.0, 1.5), 1.0
+    x = (math.exp(-4.5), math.exp(4.7))
+    expected = (
+        math.exp(-beta / x[1])
+        * rank2_besselk((-1.0, -1.5), x)
+        / (normalization_c(alpha, beta) * x[0] * x[1])
+    )
+    assert whittaker_density(2, alpha, beta, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_density_rank2_point_value():
@@ -270,6 +322,21 @@ def test_corollary_rank1_is_exact():
     lhs, rhs, relerr = corollary_check((2.0,), 3.0)
     assert rhs == pytest.approx(1.0 / 9.0, rel=1e-14)
     assert relerr < 1e-10
+
+
+# from the floor up; past alpha = 19 the narrowing peak costs more than 1e-8
+# on some alphas (see corollary_check)
+@pytest.mark.parametrize("alpha", [0.12, 0.5, 2.0, 10.0, 20.0])
+def test_corollary_rank1_sweep(alpha):
+    _, _, relerr = corollary_check((alpha,), 1.0)
+    assert relerr < 1e-8
+
+
+def test_corollary_rank1_floor():
+    # the 46-unit tail drop of the e^{-alpha u} tail needs 46/alpha steps of
+    # the 400 the box probe walks
+    with pytest.raises(NonconvergentQuadratureError, match="did not localize"):
+        corollary_check((0.115,), 1.0)
 
 
 def test_corollary_rank2():
