@@ -96,12 +96,11 @@ class ShapedArray(_ValueArray):
     def __init__(self, shape: Shape, rows, domain: ValueDomain):
         if len(rows) != shape.n_rows:
             raise ShapeError(f"expected {shape.n_rows} rows, got {len(rows)}")
-        coerced = []
-        for i, row in enumerate(rows, start=1):
-            want = shape.row_length(i)
+        coerce, coerced = domain.coerce, []
+        for i, (row, want) in enumerate(zip(rows, shape.parts), start=1):
             if len(row) != want:
                 raise ShapeError(f"row {i} has {len(row)} entries, shape wants {want}")
-            coerced.append(tuple(domain.coerce(x) for x in row))
+            coerced.append(tuple(map(coerce, row)))
         self.shape = shape
         self.domain = domain
         self._rows = tuple(coerced)

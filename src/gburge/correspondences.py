@@ -29,7 +29,7 @@ for the tropical maps on integer inputs).
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import random
 
 import mpmath as mp
@@ -108,10 +108,13 @@ def _run(g, kernel, boxes):
     that overflows raises its DomainError when the grid is handed back, with
     no numpy warning first.  Other domains run no numpy array ops and skip it.
     """
-    quiet = np.errstate(all="ignore") if g.domain.holds_arrays else contextlib.nullcontext()
-    with quiet:
-        for k, l in boxes:
-            kernel(g, k, l)
+    if g.domain.holds_arrays:
+        with np.errstate(all="ignore"):
+            for k, l in boxes:
+                kernel(g, k, l)
+        return g
+    for k, l in boxes:
+        kernel(g, k, l)
     return g
 
 
@@ -138,10 +141,16 @@ def tau_up(upper: UpperArray, k: int, l: int) -> UpperArray:
 # -- the correspondences --------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=128)
+def _row_major(shape: Shape) -> tuple:
+    """The row-major growth sequence of shape, built once per shape."""
+    return tuple(canonical_growth_sequence(shape))
+
+
 def _resolve_order(shape: Shape, order, name):
     """Row-major by default, else order checked once, naming its first bad step."""
     if order is None:
-        return canonical_growth_sequence(shape)
+        return _row_major(shape)
     order = [tuple(b) for b in order]
     fault = growth_sequence_error(shape, order)
     if fault:
@@ -243,7 +252,7 @@ def commutation_sides(arr: ShapedArray, p: int, q: int):
 
 def _left(g, i, j):
     """The A-part of the shifted maps at (i,j)."""
-    return g.get(i, j - 1) if j >= 2 else g.domain.one
+    return g.rows[i][j - 1] if j >= 2 else g.domain.one
 
 
 def admissible_composition_params(shape: Shape):

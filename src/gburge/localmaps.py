@@ -32,12 +32,14 @@ commutation proof uses shifted variants whose A is the left neighbour alone.
 
 The kernels run on a padded scratch Grid: row 0 and column 0 hold the
 boundary (the corner value at (0,1) and (1,0), the zero element elsewhere),
-so rows[i][j] is box (i,j) and A is read without a branch.  Kernels check no
-box.  A diagonal map at (k,l) touches only boxes of the order ideal below
-(k,l), so each public entry point checks its boxes once: apply_*, inv_c and
-inv_d here; the diagonal maps, the commutation, the 21-map composition and
-the growth-sequence check in correspondences.  The error names the map, the
-box and, for an order, the step.
+so rows[i][j] is box (i,j) and A is read without a branch.  Every read
+indexes g.rows, and every write goes through g.set, which on an UpperGrid
+also writes the mirror box.  Kernels check no box.  A diagonal map at (k,l)
+touches only boxes of the order ideal below (k,l), so each public entry
+point checks its boxes once: apply_*, inv_c and inv_d here; the diagonal
+maps, the commutation, the 21-map composition and the growth-sequence check
+in correspondences.  The error names the map, the box and, for an order,
+the step.
 
 UpperGrid is the padded full symmetric grid of an upper-part array; its set
 writes a box and its mirror.  At a diagonal box the two arguments of A and
@@ -85,9 +87,6 @@ class Grid:
     def _box(r, k):
         """The box of the unpadded rows[r][k]."""
         return r + 1, k + 1
-
-    def get(self, i, j):
-        return self.rows[i][j]
 
     def set(self, i, j, value):
         self.rows[i][j] = value
@@ -140,49 +139,49 @@ def _need_pair(shape, name, i, j, k, l, forward=True):
 
 
 def a_at(g, i, j, A=None):
-    dom = g.domain
+    dom, r = g.domain, g.rows
     if A is None:
-        A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
-    H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
-    g.set(i, j, dom.odiv(dom.otimes(A, H), g.get(i, j)))
+        A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    H = dom.hsum(r[i + 1][j], r[i][j + 1])
+    g.set(i, j, dom.odiv(dom.otimes(A, H), r[i][j]))
 
 
 def b_at(g, i, j):
-    dom = g.domain
-    A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
-    g.set(i, j, dom.odiv(dom.otimes(A, g.get(i, j + 1)), g.get(i, j)))
+    dom, r = g.domain, g.rows
+    A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    g.set(i, j, dom.odiv(dom.otimes(A, r[i][j + 1]), r[i][j]))
 
 
 def c_at(g, i, j):
-    dom = g.domain
-    A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
-    g.set(i, j, dom.otimes(g.get(i, j), A))
+    dom, r = g.domain, g.rows
+    A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    g.set(i, j, dom.otimes(r[i][j], A))
 
 
 def inv_c_at(g, i, j):
-    dom = g.domain
-    A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
-    g.set(i, j, dom.odiv(g.get(i, j), A))
+    dom, r = g.domain, g.rows
+    A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    g.set(i, j, dom.odiv(r[i][j], A))
 
 
 def d_at(g, i, j, k, l, A=None):
-    dom = g.domain
+    dom, r = g.domain, g.rows
     if A is None:
-        A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
-    H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
-    w = g.get(i, j)
-    zA = dom.otimes(g.get(k, l), A)
+        A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    H = dom.hsum(r[i + 1][j], r[i][j + 1])
+    w = r[i][j]
+    zA = dom.otimes(r[k][l], A)
     g.set(i, j, dom.hsum(w, zA))
     g.set(k, l, dom.otimes(dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)), H))
 
 
 def inv_d_at(g, i, j, k, l, A=None):
-    dom = g.domain
+    dom, r = g.domain, g.rows
     if A is None:
-        A = dom.oplus(g.get(i - 1, j), g.get(i, j - 1))
-    H = dom.hsum(g.get(i + 1, j), g.get(i, j + 1))
-    wp = g.get(i, j)
-    zp = g.get(k, l)
+        A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    H = dom.hsum(r[i + 1][j], r[i][j + 1])
+    wp = r[i][j]
+    zp = r[k][l]
     w = dom.oplus(wp, dom.odiv(H, zp))
     z = dom.odiv(dom.otimes(dom.otimes(wp, zp), w), dom.otimes(A, H))
     g.set(i, j, w)
@@ -190,8 +189,9 @@ def inv_d_at(g, i, j, k, l, A=None):
 
 
 def e_at(g, i, j, k, l):
-    w = g.get(i, j)
-    g.set(i, j, g.get(k, l))
+    r = g.rows
+    w = r[i][j]
+    g.set(i, j, r[k][l])
     g.set(k, l, w)
 
 

@@ -127,6 +127,8 @@ class GeometricDomain(ValueDomain):
         Exotic numeric types (dual numbers, mpf) pass through untouched in the
         float domain, so the generic map code can run on them.
         """
+        if type(x) is float and 0.0 < x < _INF and not self.is_exact:
+            return x
         if self.is_exact:
             if isinstance(x, float):
                 raise DomainError(

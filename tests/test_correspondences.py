@@ -32,7 +32,14 @@ from gburge.correspondences import (
     tropical_limit_errors,
     verify_identity,
 )
-from gburge.shapes import Shape, ShapeError, all_shapes, rectangle, symmetric_closure
+from gburge.shapes import (
+    Shape,
+    ShapeError,
+    all_shapes,
+    canonical_growth_sequence,
+    rectangle,
+    symmetric_closure,
+)
 from gburge.values import (
     GEOMETRIC_FLOAT,
     GEOMETRIC_LANES,
@@ -144,6 +151,35 @@ def test_invalid_order_rejected():
     w = ShapedArray.from_rows([[1, 2], [3, 4]], R)
     with pytest.raises(ShapeError):
         grsk(w, [(1, 1), (2, 2), (1, 2), (2, 1)])
+
+
+@pytest.mark.parametrize("dom", [R, GEOMETRIC_FLOAT, TROPICAL], ids=lambda d: d.name)
+@pytest.mark.parametrize("parts", [(1,), (3, 2), (2, 2, 1), (4, 4, 4, 4)])
+def test_default_order_is_the_explicit_row_major_order(parts, dom):
+    shape = Shape(parts)
+    w = rand(shape, sum(parts), dom)
+    row_major = [(i, j) for i, p in enumerate(parts, start=1) for j in range(1, p + 1)]
+    for apply_map in (grsk, gburge, inv_grsk, inv_gburge):
+        assert apply_map(w) == apply_map(w, row_major)
+
+
+def test_cached_orders_of_two_shapes_stay_apart():
+    # same size, transposed: a borrowed order would read boxes outside the shape
+    u, v = rand(Shape((3, 1)), 1), rand(Shape((2, 1, 1)), 2)
+    want = {w: (gburge(w, list(w.shape.boxes())), inv_grsk(w, list(w.shape.boxes()))) for w in (u, v)}
+    for w in (u, v, u, v, v, u):
+        assert (gburge(w), inv_grsk(w)) == want[w]
+
+
+def test_mutating_the_canonical_sequence_leaves_the_default_order_alone():
+    w = rand(Shape((3, 2)), 5)
+    before = gburge(w)
+    seq = canonical_growth_sequence(w.shape)
+    seq.reverse()
+    assert gburge(w) == before
+    seq.clear()
+    assert gburge(w) == before
+    assert canonical_growth_sequence(w.shape) == list(w.shape.boxes())
 
 
 @given(seeds, st.integers(2, 4))

@@ -63,6 +63,36 @@ def test_stream_is_a_pure_function_of_its_keys():
     assert Stream(7).u64() != Stream(7, 0).u64()
 
 
+def test_scalar_stream_known_answers():
+    # exact draws of Stream(7, 3): uniform() writes u64's mixing out inline, and no draw may move
+    rng = Stream(7, 3)
+    assert [rng.u64() for _ in range(8)] == [
+        11578761477630069448, 17655141911201797568, 1153544583841271667, 15960452226342139497,
+        2186497039273536118, 3413151878942902587, 1058080540602090349, 7151737025426548184,
+    ]
+    rng = Stream(7, 3)
+    assert [rng.uniform() for _ in range(8)] == [
+        0.6276859174368996, 0.9570871607832435, 0.0625337771929797, 0.8652178488825627,
+        0.11853024200567464, 0.18502733410864391, 0.05735866103927123, 0.38769644100062417,
+    ]
+    rng = Stream(7, 3)
+    assert [rng.normal() for _ in range(8)] == [
+        0.9302370052910177, -0.2570794666436891, 1.5595347924828613, -1.764071454704868,
+        0.8198761406223031, 1.8955150757442494, -1.820043009474378, 1.5505825665883717,
+    ]
+    known = {
+        0.5: ([0.5370173345192975, 32.08326610448085, 11.176655222062198, 0.8654139648184485], 12),
+        1.5: ([0.4020122109299412, 1.0983742843650814, 0.43569237580680487, 0.2152738010467032], 8),
+        3.0: ([0.22259611268213766, 0.44081948638232077, 0.2357331892446802, 0.14056482759407168], 8),
+    }
+    for shape, (draws, used) in known.items():
+        rng = Stream(7, 3)
+        assert [sample_inv_gamma(shape, 1.0, rng) for _ in range(4)] == draws
+        fresh = Stream(7, 3)
+        # the four draws took `used` outputs of the stream, rejections included
+        assert rng.u64() == [fresh.u64() for _ in range(used + 1)][-1]
+
+
 def test_uniform_range_and_mean():
     xs = [Stream(1, i).uniform() for i in range(4000)]
     assert all(0.0 < x <= 1.0 for x in xs)
