@@ -29,6 +29,7 @@ for the tropical maps on integer inputs).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 
@@ -101,6 +102,10 @@ def inv_tau_at(g, k, l):
         inv_d_at(g, k - s, l - s, k, l)
 
 
+# reused by every scalar-domain _run: a nullcontext holds no state
+_QUIET_NONE = contextlib.nullcontext()
+
+
 def _run(g, kernel, boxes):
     """Apply kernel(g, k, l) at each box (k, l) in turn and return the grid g.
 
@@ -108,13 +113,9 @@ def _run(g, kernel, boxes):
     that overflows raises its DomainError when the grid is handed back, with
     no numpy warning first.  Other domains run no numpy array ops and skip it.
     """
-    if g.domain.holds_arrays:
-        with np.errstate(all="ignore"):
-            for k, l in boxes:
-                kernel(g, k, l)
-        return g
-    for k, l in boxes:
-        kernel(g, k, l)
+    with np.errstate(all="ignore") if g.domain.holds_arrays else _QUIET_NONE:
+        for k, l in boxes:
+            kernel(g, k, l)
     return g
 
 

@@ -77,12 +77,9 @@ class Stream:
         return _mix64(self._base + self._count * _GOLDEN)
 
     def uniform(self) -> float:
-        """Uniform on (0, 1]: the top 53 bits of u64(), with _mix64 written out."""
+        """Uniform on (0, 1]: the top 53 bits of the next u64()."""
         self._count += 1
-        z = (self._base + self._count * _GOLDEN) & _M64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return (((z ^ (z >> 31)) >> 11) + 1) * 2.0**-53
+        return ((_mix64(self._base + self._count * _GOLDEN) >> 11) + 1) * 2.0**-53
 
     def normal(self) -> float:
         if self._spare_normal is not None:

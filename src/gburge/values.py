@@ -127,15 +127,14 @@ class GeometricDomain(ValueDomain):
         Exotic numeric types (dual numbers, mpf) pass through untouched in the
         float domain, so the generic map code can run on them.
         """
-        if type(x) is float and 0.0 < x < _INF and not self.is_exact:
-            return x
         if self.is_exact:
             if isinstance(x, float):
                 raise DomainError(
                     f"rational domain rejects floats (got {x!r}); pass Fraction, int or 'p/q'"
                 )
             x = Fraction(x)
-        elif isinstance(x, (int, Fraction)):
+        elif type(x) is not float and isinstance(x, (int, Fraction)):
+            # a plain float skips the isinstance test, slow on the Fraction ABC
             x = float(x)
         if not 0 < x < _INF:
             raise DomainError(f"geometric interior entries must be positive and finite, got {x!r}")

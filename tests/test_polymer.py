@@ -64,7 +64,8 @@ def test_stream_is_a_pure_function_of_its_keys():
 
 
 def test_scalar_stream_known_answers():
-    # exact draws of Stream(7, 3): uniform() writes u64's mixing out inline, and no draw may move
+    # exact draws of Stream(7, 3): uniform() steps the counter itself, not through u64(),
+    # and no draw may move
     rng = Stream(7, 3)
     assert [rng.u64() for _ in range(8)] == [
         11578761477630069448, 17655141911201797568, 1153544583841271667, 15960452226342139497,
