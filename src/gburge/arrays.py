@@ -3,20 +3,17 @@
 A ShapedArray assigns one value per box of a Shape, over one of the value
 domains.  Everything here is immutable: transformations return new arrays.
 Besides storage and boundary access this module provides the global symmetries
-(transpose, row/column reversal), the splitting of a rectangular matrix into
-its lower and upper trapezoidal parts along the diagonal through the
-bottom-right corner, diagonal products, and the symmetric (self-conjugate)
-restriction used by the fixed-point correspondence.
+(transpose, row/column reversal), diagonal products, and the symmetric
+(self-conjugate) restriction used by the fixed-point correspondence.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .shapes import Shape, ShapeError, rectangle
+from .shapes import Shape, ShapeError
 from .values import DomainError, ValueDomain, domain_by_name
 
 
@@ -159,10 +156,9 @@ class ShapedArray(_ValueArray):
         ]
         return ShapedArray._wrap(conj, rows, self.domain)
 
-    def _require_rectangular(self, what: str) -> tuple[int, int]:
+    def _require_rectangular(self, what: str) -> None:
         if not self.shape.is_rectangular:
             raise ShapeError(f"{what} needs a rectangular shape, got {self.shape.parts}")
-        return self.shape.n_rows, self.shape.n_cols
 
     def reverse_rows(self) -> "ShapedArray":
         """Row reversal w^R_{i,j} = w_{m-i+1,j} (rectangular only)."""
@@ -297,60 +293,6 @@ def symmetrize(upper: UpperArray) -> ShapedArray:
                 row.append(upper.get(j, i))
         rows.append(row)
     return ShapedArray(shape, rows, upper.domain)
-
-
-# -- lower/upper trapezoidal parts of a rectangular matrix ------------------------
-
-
-@dataclass(frozen=True)
-class LowerUpperParts:
-    """The two trapezoidal parts of an m x n matrix t, cut along the diagonal
-    through the bottom-right corner (the (n-m)-th diagonal).
-
-    The defining index relations are
-
-        lower[i][j] = t_{m-j+1, i-j+1}   (1 <= i <= n, 1 <= j <= min(i, m))
-        upper[i][j] = t_{i-j+1, n-j+1}   (1 <= i <= m, 1 <= j <= min(i, n))
-
-    so both parts contain the shared diagonal as their last row.
-    """
-
-    n_rows: int
-    n_cols: int
-    domain: ValueDomain
-    lower: tuple
-    upper: tuple
-
-    def shared_diagonal(self):
-        return self.lower[-1]
-
-
-def split_parts(arr: ShapedArray) -> LowerUpperParts:
-    m, n = arr._require_rectangular("split_parts")
-    lower = tuple(
-        tuple(arr.get(m - j + 1, i - j + 1) for j in range(1, min(i, m) + 1))
-        for i in range(1, n + 1)
-    )
-    upper = tuple(
-        tuple(arr.get(i - j + 1, n - j + 1) for j in range(1, min(i, n) + 1))
-        for i in range(1, m + 1)
-    )
-    return LowerUpperParts(m, n, arr.domain, lower, upper)
-
-
-def glue_parts(parts: LowerUpperParts) -> ShapedArray:
-    """Rebuild the matrix from its parts; inverse of split_parts."""
-    m, n = parts.n_rows, parts.n_cols
-    if parts.lower[-1] != parts.upper[-1]:
-        raise ShapeError("parts disagree on the shared diagonal")
-    rows = [[None] * n for _ in range(m)]
-    for i in range(1, n + 1):
-        for j in range(1, min(i, m) + 1):
-            rows[m - j][i - j] = parts.lower[i - 1][j - 1]
-    for i in range(1, m + 1):
-        for j in range(1, min(i, n) + 1):
-            rows[i - j][n - j] = parts.upper[i - 1][j - 1]
-    return ShapedArray(rectangle(m, n), rows, parts.domain)
 
 
 # -- random inputs for tests and trials ----------------------------------------------

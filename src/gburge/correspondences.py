@@ -323,12 +323,6 @@ def tally(name: str, outcomes, **extra) -> dict:
     return report
 
 
-def _equal(lhs: ShapedArray, rhs: ShapedArray, tol: float) -> bool:
-    if lhs.domain.is_exact:
-        return lhs == rhs
-    return lhs.allclose(rhs, tol)
-
-
 def _cex(inp: ShapedArray, lhs: ShapedArray, rhs: ShapedArray):
     return {"input": inp.to_json_obj(), "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
 
@@ -341,21 +335,21 @@ def _trial_thm34C(rng, max_rows, max_cols, domain, tol):
     w = random_array(_random_rectangle(rng, max_rows, max_cols), domain, rng)
     lhs = gburge(w.reverse_cols())
     rhs = gschutz(grsk(w))
-    return None if _equal(lhs, rhs, tol) else _cex(w, lhs, rhs)
+    return None if lhs.allclose(rhs, tol) else _cex(w, lhs, rhs)
 
 
 def _trial_thm34R(rng, max_rows, max_cols, domain, tol):
     w = random_array(_random_rectangle(rng, max_rows, max_cols), domain, rng)
     lhs = gburge(w.reverse_rows())
     rhs = gschutz_upper(grsk(w))
-    return None if _equal(lhs, rhs, tol) else _cex(w, lhs, rhs)
+    return None if lhs.allclose(rhs, tol) else _cex(w, lhs, rhs)
 
 
 def _trial_thm32(rng, max_rows, max_cols, domain, tol):
     w = random_array(_random_rectangle(rng, max_rows, max_cols), domain, rng)
     lhs = grsk(w.reverse_rows().reverse_cols())
     rhs = gschutz_upper(gschutz(grsk(w)))
-    return None if _equal(lhs, rhs, tol) else _cex(w, lhs, rhs)
+    return None if lhs.allclose(rhs, tol) else _cex(w, lhs, rhs)
 
 
 def _trial_prop33(rng, max_rows, max_cols, domain, tol):
@@ -367,7 +361,7 @@ def _trial_prop33(rng, max_rows, max_cols, domain, tol):
     w = random_array(shape, domain, rng)
     for p, q in admissible_commutation_boxes(shape):
         lhs, rhs = commutation_sides(w, p, q)
-        if not _equal(lhs, rhs, tol):
+        if not lhs.allclose(rhs, tol):
             return _cex(w, lhs, rhs)
     return None
 
@@ -377,7 +371,7 @@ def _trial_appendix(rng, max_rows, max_cols, domain, tol):
     w = random_array(rectangle(n, n), domain, rng)
     for m, q in admissible_composition_params(w.shape):
         out = composition_of_21(w, m, q)
-        if not _equal(out, w, tol):
+        if not out.allclose(w, tol):
             return _cex(w, out, w)
     return None
 
@@ -401,10 +395,10 @@ def _trial_order_independence(rng, max_rows, max_cols, domain, tol):
         seqs = (random_growth_sequence(shape, rng) for _ in range(20))
     for seq in seqs:
         out = grsk(w, seq)
-        if not _equal(out, ref_k, tol):
+        if not out.allclose(ref_k, tol):
             return _cex(w, out, ref_k)
         out = gburge(w, seq)
-        if not _equal(out, ref_b, tol):
+        if not out.allclose(ref_b, tol):
             return _cex(w, out, ref_b)
     return None
 
@@ -418,10 +412,10 @@ def _trial_recursion(rng, max_rows, max_cols, domain, tol):
     for corner in shape.corner_boxes():
         sub_order = canonical_growth_sequence(shape.remove_box(corner))
         out = _run(Grid.of(w), rho_at, [*sub_order, corner]).to_array()
-        if not _equal(out, ref_k, tol):
+        if not out.allclose(ref_k, tol):
             return _cex(w, out, ref_k)
         out = _run(Grid.of(w), tau_at, [*sub_order, corner]).to_array()
-        if not _equal(out, ref_b, tol):
+        if not out.allclose(ref_b, tol):
             return _cex(w, out, ref_b)
     return None
 
@@ -430,11 +424,11 @@ def _trial_transpose(rng, max_rows, max_cols, domain, tol):
     w = random_array(random_shape(rng, max_rows, max_cols), domain, rng)
     lhs = grsk(w.transpose())
     rhs = grsk(w).transpose()
-    if not _equal(lhs, rhs, tol):
+    if not lhs.allclose(rhs, tol):
         return _cex(w, lhs, rhs)
     lhs = gburge(w.transpose())
     rhs = gburge(w).transpose()
-    if not _equal(lhs, rhs, tol):
+    if not lhs.allclose(rhs, tol):
         return _cex(w, lhs, rhs)
     return None
 
@@ -444,10 +438,10 @@ def _trial_symmetric(rng, max_rows, max_cols, domain, tol):
     shape = symmetric_closure(random_shape(rng, bound, bound))
     w = random_symmetric_array(shape, domain, rng)
     t = gburge(w)
-    if not _equal(t, t.transpose(), tol):
+    if not t.allclose(t.transpose(), tol):
         return _cex(w, t, t.transpose())
     via_upper = symmetrize(gburge_up(w.restrict_upper()))
-    if not _equal(via_upper, t, tol):
+    if not via_upper.allclose(t, tol):
         return _cex(w, via_upper, t)
     return None
 
@@ -488,7 +482,6 @@ def verify_identity(
     seed: int = 0,
     tol: float = 1e-12,
     domain: ValueDomain = GEOMETRIC_RATIONAL,
-    threads: int = 1,
     max_rows: int | None = None,
     max_cols: int | None = None,
 ) -> dict:
@@ -497,9 +490,9 @@ def verify_identity(
     max_size bounds matrix sides (or shape rows/columns); for the
     order-independence and recursion checks the shape pool is instead capped
     at 9 boxes, with exhaustive growth-sequence enumeration up to 8 boxes.
-    Trial i is seeded with seed XOR i, so reports are deterministic.  threads
-    is accepted for compatibility and has no effect: trials run on one
-    thread.  Returns the `tally` report, one trial per input.
+    Trial i is seeded with seed XOR i, so reports are deterministic.  An
+    exact domain compares with ==, an inexact one to relative tolerance tol.
+    Returns the `tally` report, one trial per input.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; expected one of {sorted(IDENTITY_NAMES)}")

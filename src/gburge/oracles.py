@@ -154,8 +154,7 @@ def path_sum(weights: ShapedArray, family):
 def _outcome(dom: ValueDomain, arr: ShapedArray, lhs, rhs, tol: float, **where):
     """None when lhs equals rhs (within tol for an inexact domain), else the
     counterexample: the input, the keys of `where`, and both sides."""
-    same = lhs == rhs if dom.is_exact else dom.isclose(lhs, rhs, tol)
-    if same:
+    if dom.isclose(lhs, rhs, tol):
         return None
     return {
         "input": arr.to_json_obj(),

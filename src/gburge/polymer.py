@@ -24,8 +24,7 @@ libm differing in the last ulp.  The Burge map runs on lanes too: an
 environment whose entries are lane arrays lives in the ``GEOMETRIC_LANES``
 value domain, and the unchanged ``gburge`` maps a whole block at once
 (``_burge_diagonals``, which the Whittaker measure check draws on).  Lanes
-run in blocks of ``_CHUNK`` sample indices on one thread: the ``threads``
-keyword of the public checks is accepted and has no effect on their output.
+run in blocks of ``_CHUNK`` sample indices on one thread.
 """
 
 from __future__ import annotations
@@ -421,7 +420,7 @@ def _chunked_accumulate(samples, per_block):
     return out
 
 
-def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int, threads: int = 1):
+def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
     """Monte Carlo E[exp(-r Z_repl)] on the replica environment, one result
     per requested r; sample i is drawn from Stream(seed, i)."""
     r_values = [float(r) for r in r_values]
@@ -479,7 +478,7 @@ def ks_two_sample(xs, ys):
     return float(res.statistic), float(res.pvalue)
 
 
-def check_Z_Zstar(n: int, alpha, samples: int, seed: int, threads: int = 1) -> dict:
+def check_Z_Zstar(n: int, alpha, samples: int, seed: int) -> dict:
     """KS test of Z_{n,n} against Z*_{n,n} on independent symmetric
     environments with beta = 1/2 (the regime where the two are identically
     distributed).  The report's diagnostics count the uniforms drawn and the
@@ -508,7 +507,7 @@ def check_Z_Zstar(n: int, alpha, samples: int, seed: int, threads: int = 1) -> d
     }
 
 
-def check_lukacs(a: float, b: float, samples: int, seed: int, threads: int = 1) -> dict:
+def check_lukacs(a: float, b: float, samples: int, seed: int) -> dict:
     """KS test of (X+Y)Z^2 against XYZ for independent inverse-gamma X, Y, Z
     with parameters a, b, a+b (scale 1); the two have the same law.  The
     report's diagnostics are those of check_Z_Zstar."""

@@ -25,7 +25,6 @@ samples at a time.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,18 +111,6 @@ def _walls(*gaps):
     return sum(np.exp(np.minimum(gap, 700.0)) for gap in gaps)
 
 
-def _psi3_logf(alpha, x):
-    a1, a2, a3 = alpha
-    l1, l2, l3 = (math.log(v) for v in x)
-    lx = l1 + l2 + l3
-
-    def logf(u11, u21, u22):
-        walls = _walls(u22 - u11, u11 - u21, l2 - u21, u21 - l1, l3 - u22, u22 - l2)
-        return a1 * u11 + a2 * (u21 + u22 - u11) + a3 * (lx - u21 - u22) - walls
-
-    return logf, np.array([0.5 * (l1 + l2), 0.5 * (l1 + l2), 0.5 * (l2 + l3)])
-
-
 def _psi3_grid(alpha, x, nodes=16):
     """Rank-3 Psi by Givental's recursion: the integral over the second row
     (u21, u22) of the rank-2 closed form Psi_{(a1, a2)}(e^{u21}, e^{u22})
@@ -146,41 +133,19 @@ def _psi3_grid(alpha, x, nodes=16):
     return float(wd @ np.exp(logf(s, d[:, None]) - peak) @ ws) * math.exp(peak)
 
 
-def _psi3_monte_carlo(alpha, x, samples=400_000, strata=8):
-    """Stratified uniform sampling of the three free entries over their
-    probed box; lower precision than the grid but an independent route."""
-    logf, centers = _psi3_logf(alpha, x)
-    axes, peak = _probe_box(logf, centers)
-    per_cell = max(samples // strata**3, 8)
-    lo = np.array([a for a, _ in axes])
-    width = np.array([b - a for a, b in axes]) / strata
-    rng = np.random.default_rng(0x57A7)
-    total = 0.0
-    for cell in itertools.product(range(strata), repeat=3):
-        u = lo + width * (np.array(cell) + rng.random((per_cell, 3)))
-        total += float(np.mean(np.exp(logf(*u.T) - peak)))
-    return total * math.prod(width) * math.exp(peak)
-
-
-def psi(params: WhittakerParams, method: str = "quadrature") -> float:
+def psi(params: WhittakerParams) -> float:
     """The rank-n Whittaker function at params.x with exponents params.alpha.
 
     Rank 1 is the monomial prod x^alpha; rank 2 is the Bessel closed form
-    (see _log_psi2), for either method; rank 3 integrates the rank-2 closed
-    form over the second row on a 2-D grid (method "quadrature", see
-    _psi3_grid), or the three free entries by stratified Monte Carlo (method
-    "monte-carlo", noticeably less precise).
+    (see _log_psi2); rank 3 integrates the rank-2 closed form over the second
+    row on a 2-D grid (see _psi3_grid).
     """
-    if method not in ("quadrature", "monte-carlo"):
-        raise ValueError(f"unknown method {method!r}")
     if params.n == 1:
         return params.x[0] ** params.alpha[0]
     if params.n == 2:
         u1, u2 = (math.log(v) for v in params.x)
         return math.exp(float(_log_psi2(params.alpha, u1, u2)))
     if params.n == 3:
-        if method == "monte-carlo":
-            return _psi3_monte_carlo(params.alpha, params.x)
         return _psi3_grid(params.alpha, params.x)
     raise ValueError(f"unsupported rank {params.n}; only n <= 3 is implemented")
 
@@ -367,7 +332,6 @@ def whittaker_measure_check(
     seed: int,
     r_values=(0.5, 1.0, 2.0),
     quantiles=(0.1, 0.3, 0.5, 0.7, 0.9),
-    threads: int = 1,
 ) -> dict:
     """End-to-end n = 2 distribution check of the measure on diagonals.
 
@@ -377,8 +341,7 @@ def whittaker_measure_check(
     against quadrature of the density.  Agreement is measured in standard
     errors (binomial for CDF points); three is the pass line.  Sample i is
     the environment of Stream(seed, i), drawn and mapped on numpy lanes one
-    block at a time (polymer._burge_diagonals); threads is accepted and has
-    no effect.  The report's diagnostics count the uniforms drawn and the
+    block at a time (polymer._burge_diagonals), on one thread.  The report's diagnostics count the uniforms drawn and the
     gamma proposals rejected, and give the quadrature nodes per axis.
 
     False-alarm rate about 3%, as all 28 correlated statistics must stay within

@@ -155,7 +155,7 @@ def test_criterion_08_partition_function_law():
     3 binomial SE at 25 grid points, Laplace transforms within 3 SE, < 5 min."""
     t0 = time.monotonic()
     report = whittaker_measure_check(
-        (1.0, 1.5), 1.0, samples=100_000, seed=11, r_values=(0.5, 1.0, 2.0), threads=2
+        (1.0, 1.5), 1.0, samples=100_000, seed=11, r_values=(0.5, 1.0, 2.0)
     )
     assert report["pass"], report
     assert len(report["cdf_points"]) == 25
@@ -170,10 +170,10 @@ def test_criterion_09_distributional_identities():
     and the beta-gamma algebra check holds, < 5 min."""
     t0 = time.monotonic()
     for n, alpha, seed in ((2, (1.0, 1.0), 21), (3, (1.0, 1.5, 2.0), 22)):
-        report = check_Z_Zstar(n, alpha, samples=100_000, seed=seed, threads=2)
+        report = check_Z_Zstar(n, alpha, samples=100_000, seed=seed)
         assert report["pass"] and report["pvalue"] > 0.01, report
     for a, b, seed in ((1.0, 2.0, 23), (0.5, 0.5, 24)):
-        report = check_lukacs(a, b, samples=100_000, seed=seed, threads=2)
+        report = check_lukacs(a, b, samples=100_000, seed=seed)
         assert report["pass"] and report["pvalue"] > 0.01, report
     assert time.monotonic() - t0 < 300.0
 

@@ -1,4 +1,4 @@
-"""Shaped arrays, upper-part arrays and the two-part splitting of a matrix."""
+"""Shaped arrays and upper-part arrays."""
 
 import json
 import math
@@ -9,13 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gburge.arrays import (
-    LowerUpperParts,
     ShapedArray,
     UpperArray,
-    glue_parts,
     random_array,
     random_symmetric_array,
-    split_parts,
     symmetrize,
 )
 from gburge.shapes import Shape, ShapeError, all_shapes, rectangle, symmetric_closure
@@ -189,33 +186,6 @@ def test_symmetrize_restrict_round_trip(shape, seed):
     a = random_symmetric_array(sym, R, random.Random(seed))
     assert a.is_symmetric()
     assert symmetrize(a.restrict_upper()) == a
-
-
-def test_split_parts_shapes_and_values():
-    t = ShapedArray.from_rows([[1, 2, 3], [4, 5, 6]], R)
-    parts = split_parts(t)
-    assert isinstance(parts, LowerUpperParts)
-    assert parts.n_rows == 2 and parts.n_cols == 3
-    # lower part: antidiagonal slices starting from the bottom-left corner
-    assert parts.lower == ((4,), (5, 1), (6, 2))
-    # upper part: antidiagonal slices starting from the top-right corner
-    assert parts.upper == ((3,), (6, 2))
-    # both end with the diagonal through the bottom-right corner
-    assert parts.shared_diagonal() == (6, 2)
-
-
-@given(seeds, st.integers(1, 4), st.integers(1, 4))
-def test_split_glue_round_trip(seed, m, n):
-    t = rand(rectangle(m, n), seed)
-    assert glue_parts(split_parts(t)) == t
-
-
-def test_glue_rejects_mismatched_diagonal():
-    parts = split_parts(ShapedArray.from_rows([[1, 2], [3, 4]], R))
-    bad_upper = parts.upper[:-1] + ((Fraction(99),) + parts.upper[-1][1:],)
-    bad = LowerUpperParts(parts.n_rows, parts.n_cols, parts.domain, parts.lower, bad_upper)
-    with pytest.raises(ShapeError):
-        glue_parts(bad)
 
 
 @given(shapes_to_6, seeds, st.sampled_from(["geom-rational", "geom-float", "tropical"]))

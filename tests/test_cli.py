@@ -7,6 +7,7 @@ import pytest
 
 from gburge import cli
 from gburge.cli import main
+from gburge.correspondences import IDENTITY_NAMES
 
 SQUARE = {"shape": [2, 2], "domain": "geom-rational", "rows": [["2", "1"], ["4", "3"]]}
 ROW = {"shape": [3], "domain": "geom-rational", "rows": [["2", "6", "24"]]}
@@ -183,7 +184,12 @@ def test_verify_trials_or_max_size_below_one_exit_two(capsys, name, flag, value)
 
 @pytest.mark.parametrize(
     "name, flag, value",
-    [("tropical-limit", "--tol", "1e-300"), ("jacobian-symmetric", "--max-size", "1")],
+    [
+        ("tropical-limit", "--tol", "1e-300"),
+        ("jacobian-symmetric", "--max-size", "1"),
+        ("thm3.2", "--tol", "1e-9"),
+        ("replica-decomposition", "--tol", "1e-9"),
+    ],
 )
 def test_verify_flag_the_check_does_not_take_exits_two(capsys, name, flag, value):
     code = main(["verify", "--identity", name, flag, value, "--trials", "1", "--seed", "1"])
@@ -197,9 +203,15 @@ def test_every_check_has_a_default_for_each_flag_it_takes():
         assert callable(run) and trials >= 1, name
         assert max_size is None or max_size >= 1, name
         assert tol is None or tol > 0, name
+    # the checks that compare exact rationals take no --tol
     assert [n for n, entry in cli._CHECKS.items() if None in entry] == [
+        *IDENTITY_NAMES,
+        "prop4.1",
+        "prop4.2",
+        "prop4.3",
         "jacobian-symmetric",
         "tropical-limit",
+        "replica-decomposition",
     ]
 
 
@@ -336,6 +348,21 @@ def test_whittaker_density_check_small_run(capsys):
     assert set(report["diagnostics"]) == {"uniforms", "gamma_rejections", "grid_nodes"}
 
 
+def test_whittaker_eval_takes_no_method(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["whittaker", "--cmd", "eval", "--alpha", "0.5,-0.3,1.2", "--x", "0.7,1.3,2.1",
+              "--method", "monte-carlo"])
+    assert info.value.code == 2
+
+
+def test_a_report_value_json_cannot_hold_raises(capsys, monkeypatch):
+    # no silent str(): a value JSON has no type for is a bug, not output
+    monkeypatch.setattr(cli, "psi", lambda params: object())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(["whittaker", "--cmd", "eval", "--alpha", "1", "--x", "1"])
+    assert capsys.readouterr().out == ""
+
+
 def test_whittaker_eval_needs_x(capsys):
     assert main(["whittaker", "--cmd", "eval", "-n", "2", "--alpha", "1,1"]) == 2
 
@@ -359,7 +386,7 @@ def test_whittaker_corollary_overflowing_constant_exits_two(capsys):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_report_value_exits_two_with_an_error_line(capsys, monkeypatch, bad):
-    monkeypatch.setattr(cli, "psi", lambda params, method: bad)
+    monkeypatch.setattr(cli, "psi", lambda params: bad)
     code = main(["whittaker", "--cmd", "eval", "--alpha", "1", "--x", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -261,12 +261,11 @@ def test_laplace_at_zero_is_exact():
     assert res == [MCResult(0.0, 1.0, 0.0, 500, 3)]
 
 
-def test_laplace_is_deterministic_and_thread_invariant():
+def test_laplace_is_deterministic():
     spec = EnvSpec(2, (1.0, 1.0), 0.5)
-    one = laplace_mc(spec, [0.5, 1.0], samples=9_000, seed=9, threads=1)
-    again = laplace_mc(spec, [0.5, 1.0], samples=9_000, seed=9, threads=1)
-    pooled = laplace_mc(spec, [0.5, 1.0], samples=9_000, seed=9, threads=8)
-    assert one == again == pooled
+    one = laplace_mc(spec, [0.5, 1.0], samples=9_000, seed=9)
+    again = laplace_mc(spec, [0.5, 1.0], samples=9_000, seed=9)
+    assert one == again
 
 
 def test_laplace_decreases_in_r():
@@ -298,7 +297,7 @@ def test_z_zstar_report():
 
 
 def test_z_zstar_three_by_three():
-    rep = check_Z_Zstar(3, (1.0, 1.5, 2.0), samples=4_000, seed=11, threads=2)
+    rep = check_Z_Zstar(3, (1.0, 1.5, 2.0), samples=4_000, seed=11)
     assert rep["pass"]
 
 
@@ -465,7 +464,7 @@ def test_report_diagnostics_count_the_scalar_draws():
                 sample_inv_gamma(p, 1.0, rng)
             uniforms += rng._count
             rejections += rng.normals - 3
-    rep = check_lukacs(0.5, 2.0, samples=samples, seed=seed, threads=2)
+    rep = check_lukacs(0.5, 2.0, samples=samples, seed=seed)
     assert rep["diagnostics"] == {"uniforms": uniforms, "gamma_rejections": rejections}
 
 
