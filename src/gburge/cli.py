@@ -1,10 +1,15 @@
 """Command-line interface over the library.
 
-Four subcommands: `apply` runs a single correspondence on a JSON array file,
-`verify` runs randomized identity checks and emits a JSON report, `polymer`
-runs the Monte Carlo distribution checks (CSV for Laplace estimates, JSON for
-test reports), and `whittaker` evaluates the special functions and their
-integral identities.
+Four subcommands.  `apply` runs one map of `_APPLY_MAPS` on a JSON array
+file.  `verify`, `polymer` and `whittaker` run the commands of one table,
+`_COMMANDS`: the randomized identity checks (a JSON report), the Monte Carlo
+distribution checks (CSV for Laplace estimates, JSON for test reports), and
+the Whittaker functions with their integral identities.  Each command lists
+the optional flags it takes, with their defaults, and one dispatcher serves
+all three subcommands: a flag the command does not take exits 2 (`error:
+lukacs takes no -n`), and so does a needed flag left out (`--x` for `eval`,
+`--seed` for `density-check`).  `-n` defaults to the number of `--alpha`
+values, and any other value exits 2.
 
 Exit codes: 0 when everything asked for holds, 1 when a verified identity or
 statistical check fails (the report still goes to stdout), 2 on usage errors,
@@ -33,15 +38,16 @@ from .correspondences import (
     gschutz_upper,
     inv_gburge,
     inv_grsk,
+    tally,
     tropical_limit_check,
     verify_identity,
 )
 from .oracles import (
     EnumerationLimitError,
-    check_prop4,
-    check_prop43,
-    check_replica_decomposition,
+    prop4_outcomes,
+    prop43_outcomes,
     random_persymmetric_square_weights,
+    replica_decomposition_outcomes,
 )
 from .polymer import EnvSpec, check_lukacs, check_replica_routes, check_Z_Zstar, laplace_mc
 from .shapes import ShapeError, all_shapes, rectangle
@@ -124,43 +130,26 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-# -- verify ---------------------------------------------------------------
+# -- verify, polymer, whittaker: one command table -------------------------
 
 
-def _merge_reports(name: str, reports) -> dict:
-    out = {
-        "identity": name,
-        "trials": sum(r["trials"] for r in reports),
-        "failures": sum(r["failures"] for r in reports),
-    }
-    for report in reports:
-        if report.get("first_counterexample") is not None:
-            out["first_counterexample"] = report["first_counterexample"]
-            break
-    return out
+def _judged(report: dict) -> tuple:
+    """A report and its exit code: 1 when a trial failed or the test did not pass."""
+    ok = report["failures"] == 0 if "failures" in report else report["pass"]
+    return report, 0 if ok else 1
 
 
-def _sampled(name: str, check, draw):
-    """The run function of a check on one input at a time: draw(max_size)
-    gives a sampler, each trial's input is sampler(rng) from one
-    Random(seed), check(input, tol) reports on it, and the reports are
-    merged."""
+def _sampled(name: str, outcomes, pool, draw=partial(random_array, domain=GEOMETRIC_RATIONAL)):
+    """The run of a check on one input at a time: each trial's input is
+    draw(rng.choice(pool(max_size)), rng=rng) from one Random(seed), and
+    `tally` counts the outcomes(input, tol) of all the trials."""
 
-    def run(max_size, trials, seed, tol):
-        rng, sample = random.Random(seed), draw(max_size)
-        return _merge_reports(name, [check(sample(rng), tol) for _ in range(trials)])
+    def run(a):
+        rng, items = random.Random(a.seed), pool(a.max_size)
+        inputs = (draw(rng.choice(items), rng=rng) for _ in range(a.trials))
+        return _judged(tally(name, (o for arr in inputs for o in outcomes(arr, tol=a.tol))))
 
     return run
-
-
-def _on_shapes(pool):
-    """A draw of rational arrays on shapes picked from pool(max_size)."""
-
-    def draw(max_size):
-        shapes = pool(max_size)
-        return lambda rng: random_array(rng.choice(shapes), GEOMETRIC_RATIONAL, rng)
-
-    return draw
 
 
 def _rectangles(k):
@@ -175,135 +164,156 @@ def _up_to_boxes(k):
     return list(all_shapes(k * k))
 
 
-def _persymmetric(max_size):
-    return lambda rng: random_persymmetric_square_weights(rng.randint(2, max(max_size, 2)), rng)
+def _persymmetric_sizes(max_size):
+    if max_size < 2:
+        raise ValueError(
+            f"replica-decomposition draws n x n weights, n >= 2; got max size {max_size}"
+        )
+    return range(2, max_size + 1)
 
 
-def _prop4(which):
-    return lambda arr, tol: check_prop4(arr, which, tol)
+def _identity(name):
+    return lambda a: _judged(verify_identity(name, a.max_size, a.trials, a.seed))
 
 
-# name -> (run(max_size, trials, seed, tol), default max_size, trials, tol);
-# a default of None marks a flag the check does not take
-_CHECKS = {
-    **{name: (partial(verify_identity, name), 4, 50, None) for name in IDENTITY_NAMES},
-    "prop4.1": (_sampled("prop4.1", _prop4("grsk-4.1"), _on_shapes(_rectangles)), 3, 20, None),
-    "prop4.2": (_sampled("prop4.2", _prop4("gburge-4.2"), _on_shapes(_in_square)), 3, 20, None),
-    "prop4.3": (_sampled("prop4.3", check_prop43, _on_shapes(_up_to_boxes)), 4, 50, None),
-    "jacobian": (
-        lambda k, trials, seed, tol: verify_jacobians(False, trials, seed, tol, max_boxes=k * k),
-        3, 10, 1e-6,
-    ),
-    "jacobian-symmetric": (
-        lambda _, trials, seed, tol: verify_jacobians(True, trials, seed, tol),
-        None, 10, 1e-6,
-    ),
-    "tropical-limit": (
-        lambda k, trials, seed, _: tropical_limit_check(k * k, trials, seed),
-        3, 20, None,
-    ),
-    "replica-decomposition": (
-        _sampled("replica-decomposition", check_replica_decomposition, _persymmetric),
-        4, 25, None,
-    ),
+def _laplace(a):
+    results = laplace_mc(EnvSpec(a.n, a.alpha, a.beta), a.r, samples=a.samples, seed=a.seed)
+    lines = ["r,estimate,stderr,samples,seed"]
+    lines += [f"{r.r!r},{r.estimate!r},{r.stderr!r},{r.samples},{r.seed}" for r in results]
+    return "\n".join(lines) + "\n", 0
+
+
+def _lukacs(a):
+    if len(a.alpha) != 2:
+        raise ValueError(f"lukacs takes --alpha a,b: 2 values, got {len(a.alpha)}")
+    return _judged(check_lukacs(*a.alpha, samples=a.samples, seed=a.seed))
+
+
+def _eval(a):
+    value = psi(WhittakerParams(a.n, a.alpha, a.x))
+    return {"n": a.n, "alpha": list(a.alpha), "x": list(a.x), "value": value}, 0
+
+
+def _corollary(a):
+    lhs, rhs, relerr = corollary_check(a.alpha, a.beta)
+    report = {"n": a.n, "alpha": list(a.alpha), "beta": a.beta, "lhs": lhs, "rhs": rhs,
+              "relerr": relerr}
+    return report, 0 if relerr <= a.tol else 1
+
+
+_NEEDED = "needed"  # a flag with no default: leaving it out exits 2
+_ALPHAS = "the number of --alpha values"  # the default of -n, and the only value it takes
+_R = (0.5, 1.0, 2.0)
+
+# subcommand -> name -> (run(args) -> (report or CSV text, exit code),
+#                        {flag: default, for each optional flag the command takes})
+_COMMANDS = {
+    "verify": {
+        **{name: (_identity(name), {"max_size": 4, "trials": 50}) for name in IDENTITY_NAMES},
+        "prop4.1": (
+            _sampled("prop4.1", partial(prop4_outcomes, which="grsk-4.1"), _rectangles),
+            {"max_size": 3, "trials": 20},
+        ),
+        "prop4.2": (
+            _sampled("prop4.2", partial(prop4_outcomes, which="gburge-4.2"), _in_square),
+            {"max_size": 3, "trials": 20},
+        ),
+        "prop4.3": (
+            _sampled("prop4.3", prop43_outcomes, _up_to_boxes),
+            {"max_size": 4, "trials": 50},
+        ),
+        "jacobian": (
+            lambda a: _judged(verify_jacobians(False, a.trials, a.seed, a.tol, a.max_size**2)),
+            {"max_size": 3, "trials": 10, "tol": 1e-6},
+        ),
+        "jacobian-symmetric": (
+            lambda a: _judged(verify_jacobians(True, a.trials, a.seed, a.tol)),
+            {"trials": 10, "tol": 1e-6},
+        ),
+        "tropical-limit": (
+            lambda a: _judged(tropical_limit_check(a.max_size**2, a.trials, a.seed)),
+            {"max_size": 3, "trials": 20},
+        ),
+        "replica-decomposition": (
+            _sampled("replica-decomposition", replica_decomposition_outcomes, _persymmetric_sizes,
+                     random_persymmetric_square_weights),
+            {"max_size": 4, "trials": 25},
+        ),
+    },
+    "polymer": {
+        "laplace": (_laplace, {"n": _ALPHAS, "beta": 1.0, "samples": 10_000, "r": _R}),
+        "ks-zzstar": (
+            lambda a: _judged(check_Z_Zstar(a.n, a.alpha, samples=a.samples, seed=a.seed)),
+            {"n": _ALPHAS, "samples": 10_000},
+        ),
+        "lukacs": (_lukacs, {"samples": 10_000}),
+        "replica": (
+            lambda a: _judged(
+                check_replica_routes(EnvSpec(a.n, a.alpha, a.beta), a.samples, a.seed, a.tol)
+            ),
+            {"n": _ALPHAS, "beta": 1.0, "samples": 10_000, "tol": 1e-10},
+        ),
+    },
+    "whittaker": {
+        "eval": (_eval, {"n": _ALPHAS, "x": _NEEDED}),
+        "corollary": (_corollary, {"n": _ALPHAS, "beta": 1.0, "tol": 1e-4}),
+        "density-check": (
+            lambda a: _judged(
+                whittaker_measure_check(a.alpha, a.beta, samples=a.samples, seed=a.seed, r_values=a.r)
+            ),
+            {"n": _ALPHAS, "beta": 1.0, "samples": 100_000, "seed": _NEEDED, "r": _R},
+        ),
+    },
+}
+
+# flag -> (option, type, help), for every optional flag a command may take
+_OPTIONS = {
+    "max_size": ("--max-size", int, None),
+    "trials": ("--trials", int, None),
+    "n": ("-n", int, "rank; defaults to the number of --alpha values"),
+    "x": ("--x", str, "comma-separated argument vector"),
+    "beta": ("--beta", float, None),
+    "samples": ("--samples", int, None),
+    "seed": ("--seed", int, None),
+    "r": ("-r", str, "comma-separated Laplace parameters"),
+    "tol": ("--tol", float, None),
 }
 
 
-def _cmd_verify(args) -> int:
-    name = args.identity
-    if name not in _CHECKS:
-        raise ValueError(f"unknown identity {name!r}; known: {', '.join(_CHECKS)}")
-    run, *defaults = _CHECKS[name]
-    flags = {"--max-size": args.max_size, "--trials": args.trials, "--tol": args.tol}
-    for (flag, given), default in zip(flags.items(), defaults):
+def _flags(subcommand: str) -> dict:
+    """The optional flags of a subcommand: those some command of it takes."""
+    return dict.fromkeys(flag for _, flags in _COMMANDS[subcommand].values() for flag in flags)
+
+
+def _dispatch(args) -> int:
+    table = _COMMANDS[args.command]
+    if args.name not in table:  # argparse checks the --cmd names, not --identity
+        raise ValueError(f"unknown identity {args.name!r}; known: {', '.join(table)}")
+    run, flags = table[args.name]
+    for flag in _flags(args.command):
+        if flag not in flags and getattr(args, flag) is not None:
+            raise ValueError(f"{args.name} takes no {_OPTIONS[flag][0]}")
+    if hasattr(args, "alpha"):
+        args.alpha = _floats(args.alpha)
+    for flag, default in flags.items():
+        option, given = _OPTIONS[flag][0], getattr(args, flag)
         if given is None:
-            continue
-        if default is None:
-            raise ValueError(f"{name} takes no {flag}")
-        if flag != "--tol" and given < 1:
-            raise ValueError(f"{flag} must be at least 1, got {given}")
-    max_size, trials, tol = (d if g is None else g for g, d in zip(flags.values(), defaults))
-    report = run(max_size, trials, args.seed, tol)
-    _emit_json(report, args.out_path)
-    return 0 if report["failures"] == 0 else 1
-
-
-# -- polymer ---------------------------------------------------------------
-
-
-def _require_n_alphas(alpha, n: int):
-    if len(alpha) != n:
-        raise ValueError(f"--alpha needs {n} comma-separated values, got {len(alpha)}")
-
-
-def _cmd_polymer(args) -> int:
-    alpha = _floats(args.alpha)
-    if args.cmd == "laplace":
-        _require_n_alphas(alpha, args.n)
-        r_values = _floats(args.r) if args.r else (0.5, 1.0, 2.0)
-        results = laplace_mc(
-            EnvSpec(args.n, alpha, args.beta),
-            r_values,
-            samples=args.samples,
-            seed=args.seed,
-        )
-        lines = ["r,estimate,stderr,samples,seed"]
-        lines += [f"{r.r!r},{r.estimate!r},{r.stderr!r},{r.samples},{r.seed}" for r in results]
-        _write("\n".join(lines) + "\n", args.out_path)
-        return 0
-    if args.cmd == "ks-zzstar":
-        _require_n_alphas(alpha, args.n)
-        report = check_Z_Zstar(args.n, alpha, samples=args.samples, seed=args.seed)
-    elif args.cmd == "lukacs":
-        _require_n_alphas(alpha, 2)
-        report = check_lukacs(alpha[0], alpha[1], samples=args.samples, seed=args.seed)
-    else:  # replica: route agreement on sampled environments
-        _require_n_alphas(alpha, args.n)
-        spec = EnvSpec(args.n, alpha, args.beta)
-        report = check_replica_routes(spec, args.samples, args.seed, args.tol)
-    _emit_json(report, args.out_path)
-    return 0 if report["pass"] else 1
-
-
-# -- whittaker ---------------------------------------------------------------
-
-
-def _cmd_whittaker(args) -> int:
-    alpha = _floats(args.alpha)
-    n = len(alpha) if args.n is None else args.n
-    _require_n_alphas(alpha, n)
-    if args.cmd == "eval":
-        if args.x is None:
-            raise ValueError("--cmd eval needs --x (the argument vector)")
-        x = _floats(args.x)
-        value = psi(WhittakerParams(n, alpha, x))
-        _emit_json({"n": n, "alpha": list(alpha), "x": list(x), "value": value}, args.out_path)
-        return 0
-    if args.cmd == "corollary":
-        lhs, rhs, relerr = corollary_check(alpha, args.beta)
-        report = {
-            "n": n,
-            "alpha": list(alpha),
-            "beta": args.beta,
-            "lhs": lhs,
-            "rhs": rhs,
-            "relerr": relerr,
-        }
-        _emit_json(report, args.out_path)
-        return 0 if relerr <= args.tol else 1
-    # density-check: end-to-end sampling against quadrature
-    if args.seed is None:
-        raise ValueError("--cmd density-check draws samples and needs --seed")
-    r_values = _floats(args.r) if args.r else (0.5, 1.0, 2.0)
-    report = whittaker_measure_check(
-        alpha,
-        args.beta,
-        samples=args.samples,
-        seed=args.seed,
-        r_values=r_values,
-    )
-    _emit_json(report, args.out_path)
-    return 0 if report["pass"] else 1
+            if default == _NEEDED:
+                raise ValueError(f"{args.name} needs {option}")
+            given = len(args.alpha) if default == _ALPHAS else default
+        elif flag in ("x", "r"):
+            given = _floats(given)
+        elif flag in ("max_size", "trials") and given < 1:
+            raise ValueError(f"{option} must be at least 1, got {given}")
+        setattr(args, flag, given)
+    if "n" in flags and args.n != len(args.alpha):
+        raise ValueError(f"--alpha needs {args.n} comma-separated values, got {len(args.alpha)}")
+    out, code = run(args)
+    if isinstance(out, str):
+        _write(out, args.out_path)
+    else:
+        _emit_json(out, args.out_path)
+    return code
 
 
 # -- parser ---------------------------------------------------------------
@@ -328,48 +338,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="randomized identity check with a JSON report")
-    p_verify.add_argument("--identity", required=True, metavar="NAME")
-    p_verify.add_argument("--max-size", dest="max_size", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=None)
+    p_verify.add_argument("--identity", dest="name", required=True, metavar="NAME")
     p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    p_verify.add_argument("--out", dest="out_path", default=None, metavar="FILE")
-
     p_poly = sub.add_parser("polymer", help="log-gamma environment Monte Carlo")
-    p_poly.add_argument("--cmd", required=True, choices=("laplace", "ks-zzstar", "lukacs", "replica"))
-    p_poly.add_argument("-n", type=int, default=2)
-    p_poly.add_argument("--alpha", required=True, help="comma-separated parameters")
-    p_poly.add_argument("--beta", type=float, default=1.0)
-    p_poly.add_argument("--samples", type=int, default=10_000)
-    p_poly.add_argument("--seed", type=int, required=True)
-    p_poly.add_argument("-r", default=None, help="comma-separated Laplace parameters")
-    p_poly.add_argument("--tol", type=float, default=1e-10)
-    p_poly.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    p_poly.add_argument("--out", dest="out_path", default=None, metavar="FILE")
-
     p_whit = sub.add_parser("whittaker", help="Whittaker evaluation and measure checks")
-    p_whit.add_argument("--cmd", required=True, choices=("eval", "corollary", "density-check"))
-    p_whit.add_argument("-n", type=int, default=None, help="rank; defaults to the length of --alpha")
-    p_whit.add_argument("--alpha", required=True, help="comma-separated parameters")
-    p_whit.add_argument("--x", default=None, help="comma-separated argument vector")
-    p_whit.add_argument("--beta", type=float, default=1.0)
-    p_whit.add_argument("--samples", type=int, default=100_000)
-    p_whit.add_argument("--seed", type=int, default=None)
-    p_whit.add_argument("-r", default=None, help="comma-separated Laplace parameters")
-    p_whit.add_argument("--tol", type=float, default=1e-4)
-    p_whit.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
-    p_whit.add_argument("--out", dest="out_path", default=None, metavar="FILE")
+    for command, p in (("polymer", p_poly), ("whittaker", p_whit)):
+        p.add_argument("--cmd", dest="name", required=True, choices=_COMMANDS[command])
+        p.add_argument("--alpha", required=True, help="comma-separated parameters")
+    p_poly.add_argument("--seed", type=int, required=True)
+    for command, p in (("verify", p_verify), ("polymer", p_poly), ("whittaker", p_whit)):
+        for flag in _flags(command):
+            option, kind, help_text = _OPTIONS[flag]
+            p.add_argument(option, dest=flag, type=kind, help=help_text)
+        p.add_argument("--threads", type=int, help=_THREADS_HELP)
+        p.add_argument("--out", dest="out_path", metavar="FILE")
 
     return parser
-
-
-_HANDLERS = {
-    "apply": _cmd_apply,
-    "verify": _cmd_verify,
-    "polymer": _cmd_polymer,
-    "whittaker": _cmd_whittaker,
-}
 
 
 _LIST_OPTIONS = ("--alpha", "--x", "-r")  # comma lists of floats
@@ -383,7 +367,7 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return _cmd_apply(args) if args.command == "apply" else _dispatch(args)
     except (
         ShapeError,
         DomainError,

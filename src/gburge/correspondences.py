@@ -367,7 +367,9 @@ def _trial_prop33(rng, max_rows, max_cols, domain, tol):
 
 
 def _trial_appendix(rng, max_rows, max_cols, domain, tol):
-    n = max(4, min(max_rows, max_cols))
+    n = min(max_rows, max_cols)
+    if n < 4:  # below 4x4 no (m, q) is admissible, and the trial would check nothing
+        raise ValueError(f"appendix-C-identity runs on n x n arrays, n >= 4; got max size {n}")
     w = random_array(rectangle(n, n), domain, rng)
     for m, q in admissible_composition_params(w.shape):
         out = composition_of_21(w, m, q)
@@ -487,7 +489,9 @@ def verify_identity(
 ) -> dict:
     """Run one named identity check on random inputs and report the outcome.
 
-    max_size bounds matrix sides (or shape rows/columns); for the
+    max_size bounds matrix sides (or shape rows/columns);
+    appendix-C-identity runs on n x n arrays, n the smaller bound, and
+    raises ValueError for n below 4, where no composition is defined.  For the
     order-independence and recursion checks the shape pool is instead capped
     at 9 boxes, with exhaustive growth-sequence enumeration up to 8 boxes.
     Trial i is seeded with seed XOR i, so reports are deterministic.  An

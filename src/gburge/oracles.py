@@ -172,10 +172,10 @@ def _diag_product(t: ShapedArray, m: int, n: int, k: int):
     return out
 
 
-def check_prop4(arr: ShapedArray, which: str, tol: float = 1e-9) -> dict:
+def prop4_outcomes(arr: ShapedArray, which: str, tol: float = 1e-9) -> list:
     """Compare diagonal products of the correspondence output with the
     non-intersecting path sums, for every k (and, for the column-insertion
-    version, every border box)."""
+    version, every border box): one `tally` outcome per comparison."""
     dom = arr.domain
     if which == "grsk-4.1":
         if not arr.shape.is_rectangular:
@@ -195,14 +195,20 @@ def check_prop4(arr: ShapedArray, which: str, tol: float = 1e-9) -> dict:
             lhs = _diag_product(t, m, n, k)
             rhs = path_sum(arr, enum_nonintersecting(m, n, k, dual))
             outcomes.append(_outcome(dom, arr, lhs, rhs, tol, border_box=[m, n], k=k))
-    return tally("prop4.1" if which == "grsk-4.1" else "prop4.2", outcomes)
+    return outcomes
 
 
-def check_prop43(arr: ShapedArray, tol: float = 1e-9) -> dict:
+def check_prop4(arr: ShapedArray, which: str, tol: float = 1e-9) -> dict:
+    """The report of `prop4_outcomes`, named prop4.1 or prop4.2."""
+    return tally("prop4.1" if which == "grsk-4.1" else "prop4.2", prop4_outcomes(arr, which, tol))
+
+
+def prop43_outcomes(arr: ShapedArray, tol: float = 1e-9) -> list:
     """Check the two inverse-entry sum rules for the column-insertion output:
     1/t_{1,1} equals the sum of 1/w_{i,i} over the diagonal, and the sum over
     all boxes of (t_{i-1,j} + t_{i,j-1})/t_{i,j} equals the sum of all 1/w_{i,j}
-    (output boundary convention: 1/2 next to the origin, 0 further out)."""
+    (output boundary convention: 1/2 next to the origin, 0 further out).
+    One `tally` outcome per rule."""
     dom = arr.domain
     t = gburge(arr)
     one = dom.one
@@ -221,8 +227,12 @@ def check_prop43(arr: ShapedArray, tol: float = 1e-9) -> dict:
         ratio_rhs = dom.oplus(ratio_rhs, dom.odiv(one, arr.get(i, j)))
 
     checks = [("diagonal", diag_lhs, diag_rhs), ("all-boxes", ratio_lhs, ratio_rhs)]
-    outcomes = [_outcome(dom, arr, lhs, rhs, tol, check=label) for label, lhs, rhs in checks]
-    return tally("prop4.3", outcomes)
+    return [_outcome(dom, arr, lhs, rhs, tol, check=label) for label, lhs, rhs in checks]
+
+
+def check_prop43(arr: ShapedArray, tol: float = 1e-9) -> dict:
+    """The report of `prop43_outcomes`."""
+    return tally("prop4.3", prop43_outcomes(arr, tol))
 
 
 # -- replica decomposition -----------------------------------------------------------------
@@ -267,7 +277,7 @@ def random_persymmetric_square_weights(n: int, rng) -> ShapedArray:
     return proto.with_entries(entries)
 
 
-def check_replica_decomposition(weights: ShapedArray, tol: float = 1e-9) -> dict:
+def replica_decomposition_outcomes(weights: ShapedArray, tol: float = 1e-9) -> list:
     """Check that the point-to-point partition function of a persymmetric
     environment splits as the replica sum along the antidiagonal:
 
@@ -275,7 +285,7 @@ def check_replica_decomposition(weights: ShapedArray, tol: float = 1e-9) -> dict
 
     where W' halves the antidiagonal multiplicatively (square roots there,
     untouched elsewhere).  In the exact domain the antidiagonal entries must
-    be perfect rational squares.
+    be perfect rational squares.  One `tally` outcome.
     """
     dom = weights.domain
     if not is_persymmetric(weights):
@@ -295,4 +305,9 @@ def check_replica_decomposition(weights: ShapedArray, tol: float = 1e-9) -> dict
         half = path_sum(modified, _paths_between((1, 1), (a, b)))
         z_repl = dom.oplus(z_repl, dom.otimes(half, half))
 
-    return tally("replica-decomposition", [_outcome(dom, weights, z_full, z_repl, tol)])
+    return [_outcome(dom, weights, z_full, z_repl, tol)]
+
+
+def check_replica_decomposition(weights: ShapedArray, tol: float = 1e-9) -> dict:
+    """The report of `replica_decomposition_outcomes`."""
+    return tally("replica-decomposition", replica_decomposition_outcomes(weights, tol))

@@ -478,26 +478,17 @@ def ks_two_sample(xs, ys):
     return float(res.statistic), float(res.pvalue)
 
 
-def check_Z_Zstar(n: int, alpha, samples: int, seed: int) -> dict:
-    """KS test of Z_{n,n} against Z*_{n,n} on independent symmetric
-    environments with beta = 1/2 (the regime where the two are identically
-    distributed).  The report's diagnostics count the uniforms drawn and the
-    gamma proposals rejected, over both samples."""
-    spec = EnvSpec(n, tuple(alpha), 0.5)
+def _ks_report(test: str, params: dict, samples: int, seed: int, pair) -> dict:
+    """The report of a two-sample KS check: pair(first, second) draws one
+    block of both samples (see _collect_samples), and the check passes at
+    p > 0.01.  Keys: test, the params as given, samples, seed, statistic,
+    pvalue, pass, and the sampler diagnostics."""
     _check_samples(samples)
-
-    def pair(first, second):
-        z = _corner_Z(_symmetric_rows(spec, first.inv_gamma))
-        z_star = _dual_Z(_symmetric_rows(spec, second.inv_gamma))
-        return z, z_star
-
     (xs, ys), diagnostics = _collect_samples(samples, seed, pair)
     stat, pvalue = ks_two_sample(xs, ys)
     return {
-        "test": "ks-zzstar",
-        "n": n,
-        "alpha": list(spec.alpha),
-        "beta": 0.5,
+        "test": test,
+        **params,
         "samples": samples,
         "seed": seed,
         "statistic": stat,
@@ -507,13 +498,28 @@ def check_Z_Zstar(n: int, alpha, samples: int, seed: int) -> dict:
     }
 
 
+def check_Z_Zstar(n: int, alpha, samples: int, seed: int) -> dict:
+    """KS test of Z_{n,n} against Z*_{n,n} on independent symmetric
+    environments with beta = 1/2 (the regime where the two are identically
+    distributed).  The report's diagnostics count the uniforms drawn and the
+    gamma proposals rejected, over both samples."""
+    spec = EnvSpec(n, tuple(alpha), 0.5)
+
+    def pair(first, second):
+        z = _corner_Z(_symmetric_rows(spec, first.inv_gamma))
+        z_star = _dual_Z(_symmetric_rows(spec, second.inv_gamma))
+        return z, z_star
+
+    params = {"n": n, "alpha": list(spec.alpha), "beta": 0.5}
+    return _ks_report("ks-zzstar", params, samples, seed, pair)
+
+
 def check_lukacs(a: float, b: float, samples: int, seed: int) -> dict:
     """KS test of (X+Y)Z^2 against XYZ for independent inverse-gamma X, Y, Z
     with parameters a, b, a+b (scale 1); the two have the same law.  The
     report's diagnostics are those of check_Z_Zstar."""
     if a <= 0 or b <= 0:
         raise ValueError("parameters must be positive")
-    _check_samples(samples)
 
     def draw_triple(lanes):
         return lanes.inv_gamma(a, 1.0), lanes.inv_gamma(b, 1.0), lanes.inv_gamma(a + b, 1.0)
@@ -524,19 +530,7 @@ def check_lukacs(a: float, b: float, samples: int, seed: int) -> dict:
         x, y, z = draw_triple(second)
         return lhs, x * y * z
 
-    (xs, ys), diagnostics = _collect_samples(samples, seed, pair)
-    stat, pvalue = ks_two_sample(xs, ys)
-    return {
-        "test": "lukacs",
-        "a": a,
-        "b": b,
-        "samples": samples,
-        "seed": seed,
-        "statistic": stat,
-        "pvalue": pvalue,
-        "pass": bool(pvalue > 0.01),
-        "diagnostics": diagnostics,
-    }
+    return _ks_report("lukacs", {"a": a, "b": b}, samples, seed, pair)
 
 
 def check_replica_routes(spec: EnvSpec, samples: int, seed: int, tol: float) -> dict:

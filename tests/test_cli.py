@@ -199,20 +199,89 @@ def test_verify_flag_the_check_does_not_take_exits_two(capsys, name, flag, value
 
 
 def test_every_check_has_a_default_for_each_flag_it_takes():
-    for name, (run, max_size, trials, tol) in cli._CHECKS.items():
-        assert callable(run) and trials >= 1, name
-        assert max_size is None or max_size >= 1, name
-        assert tol is None or tol > 0, name
+    for subcommand, table in cli._COMMANDS.items():
+        for name, (run, flags) in table.items():
+            assert callable(run) and set(flags) <= set(cli._OPTIONS), name
+            for flag, default in flags.items():
+                if flag == "n":
+                    assert default == cli._ALPHAS, name
+                elif default == cli._NEEDED:
+                    assert (name, flag) in {("eval", "x"), ("density-check", "seed")}
+                elif flag == "r":
+                    assert default == (0.5, 1.0, 2.0), name
+                else:
+                    assert default > 0 and (flag in ("beta", "tol") or default >= 1), (name, flag)
     # the checks that compare exact rationals take no --tol
-    assert [n for n, entry in cli._CHECKS.items() if None in entry] == [
+    verify = cli._COMMANDS["verify"]
+    assert [n for n, (_, flags) in verify.items() if "tol" not in flags] == [
         *IDENTITY_NAMES,
         "prop4.1",
         "prop4.2",
         "prop4.3",
-        "jacobian-symmetric",
         "tropical-limit",
         "replica-decomposition",
     ]
+    assert [n for n, (_, flags) in verify.items() if "max_size" not in flags] == [
+        "jacobian-symmetric"
+    ]
+    taken = {
+        name: set(flags)
+        for subcommand in ("polymer", "whittaker")
+        for name, (_, flags) in cli._COMMANDS[subcommand].items()
+    }
+    assert taken == {
+        "laplace": {"n", "beta", "samples", "r"},
+        "ks-zzstar": {"n", "samples"},
+        "lukacs": {"samples"},
+        "replica": {"n", "beta", "samples", "tol"},
+        "eval": {"n", "x"},
+        "corollary": {"n", "beta", "tol"},
+        "density-check": {"n", "beta", "samples", "seed", "r"},
+    }
+
+
+# the argv each subcommand needs before any optional flag
+_BASE_ARGV = {
+    "verify": ("--identity", "--seed", "1"),
+    "polymer": ("--cmd", "--alpha", "1,2", "--seed", "1"),
+    "whittaker": ("--cmd", "--alpha", "1,2"),
+}
+_UNTAKEN = [
+    (subcommand, name, flag)
+    for subcommand, table in cli._COMMANDS.items()
+    for name, (_, flags) in table.items()
+    for flag in cli._flags(subcommand)
+    if flag not in flags
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, name, flag", _UNTAKEN, ids=[f"{s}-{n}-{f}" for s, n, f in _UNTAKEN]
+)
+def test_a_flag_the_command_does_not_take_exits_two(capsys, subcommand, name, flag):
+    option, kind, _ = cli._OPTIONS[flag]
+    head, *rest = _BASE_ARGV[subcommand]
+    value = "1,1" if kind is str else "1"
+    code = main([subcommand, head, name, *rest, option, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {name} takes no {option}\n"
+
+
+@pytest.mark.parametrize(
+    "name, floor, message",
+    [
+        ("appendix-C-identity", 4, "runs on n x n arrays, n >= 4; got max size 3"),
+        ("replica-decomposition", 2, "draws n x n weights, n >= 2; got max size 1"),
+    ],
+)
+def test_verify_max_size_below_the_floor_exits_two(capsys, name, floor, message):
+    argv = ["verify", "--identity", name, "--trials", "1", "--seed", "1", "--max-size"]
+    assert main([*argv, str(floor - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {name} {message}\n"
+    code, out = run(capsys, *argv, str(floor))
+    assert code == 0 and json.loads(out)["trials"] >= 1
 
 
 # -- polymer ---------------------------------------------------------------
@@ -270,6 +339,18 @@ def test_polymer_replica_impossible_tolerance_exits_one(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_polymer_rank_defaults_to_the_length_of_alpha(capsys):
+    argv = ["polymer", "--cmd", "laplace", "--alpha", "1,1.5,2", "--samples", "50", "--seed", "1"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "-n", "3")
+
+
+def test_polymer_lukacs_needs_two_alphas(capsys):
+    assert main(["polymer", "--cmd", "lukacs", "--alpha", "1,2,3", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == "error: lukacs takes --alpha a,b: 2 values, got 3\n"
+
+
 def test_polymer_alpha_length_mismatch_exits_two(capsys):
     assert main(["polymer", "--cmd", "laplace", "-n", "2", "--alpha", "1,1,1",
                  "--seed", "0"]) == 2
@@ -282,7 +363,7 @@ def test_polymer_non_numeric_alpha_exits_two(capsys):
 @pytest.mark.parametrize("samples", ["0", "-1"])
 @pytest.mark.parametrize("cmd", ["laplace", "ks-zzstar", "lukacs"])
 def test_polymer_samples_below_one_exit_two(capsys, cmd, samples):
-    code = main(["polymer", "--cmd", cmd, "-n", "2", "--alpha", "1,2",
+    code = main(["polymer", "--cmd", cmd, "--alpha", "1,2",
                  "--samples", samples, "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -400,10 +481,17 @@ def test_whittaker_rank_defaults_to_the_length_of_alpha(capsys):
     assert json.loads(out)["n"] == 1
 
 
-@pytest.mark.parametrize("cmd", ["eval", "corollary", "density-check"])
-def test_whittaker_rank_disagreeing_with_alpha_exits_two(capsys, cmd):
-    argv = ["whittaker", "--cmd", cmd, "-n", "3", "--alpha", "1,1", "--x", "1,1",
-            "--samples", "10", "--seed", "1"]
+@pytest.mark.parametrize(
+    "cmd, flags",
+    [
+        ("eval", ["--x", "1,1"]),
+        ("corollary", []),
+        ("density-check", ["--samples", "10", "--seed", "1"]),
+    ],
+    ids=["eval", "corollary", "density-check"],
+)
+def test_whittaker_rank_disagreeing_with_alpha_exits_two(capsys, cmd, flags):
+    argv = ["whittaker", "--cmd", cmd, "-n", "3", "--alpha", "1,1", *flags]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--alpha needs 3" in captured.err

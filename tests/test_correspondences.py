@@ -284,11 +284,19 @@ def test_verify_identity_passes(name, domain):
         with pytest.raises(DomainError):
             verify_identity(name, max_size=3, trials=5, seed=7, domain=domain)
         return
-    rep = verify_identity(name, max_size=3, trials=5, seed=7, tol=tol, domain=domain)
+    # appendix-C-identity needs 4x4 arrays: below that no composition is defined
+    max_size = 4 if name == "appendix-C-identity" else 3
+    rep = verify_identity(name, max_size=max_size, trials=5, seed=7, tol=tol, domain=domain)
     assert rep["identity"] == name
     assert rep["trials"] == 5
     assert rep["failures"] == 0
     assert "first_counterexample" not in rep
+
+
+@pytest.mark.parametrize("bounds", [dict(max_size=3), dict(max_rows=5, max_cols=3)])
+def test_appendix_identity_below_four_raises(bounds):
+    with pytest.raises(ValueError, match="n >= 4; got max size 3"):
+        verify_identity("appendix-C-identity", trials=1, **bounds)
 
 
 def test_verify_identity_unknown_name():

@@ -1,8 +1,10 @@
 """CLI output pinned byte for byte: every `verify` check at its defaults and
 at one explicit setting, two failing runs that print a counterexample, the
-replica route check, the unknown-identity error, every `apply` map on a
-rational 3x3 and a float 3x2 array (with and without --order), and the
-`whittaker` commands.
+unknown-identity error, every `apply` map on a rational 3x3 and a float 3x2
+array (with and without --order), every `polymer` and `whittaker` command,
+one flag a command does not take in each of `verify`, `polymer` and
+`whittaker`, and `--max-size` below the floors of appendix-C-identity (in
+the explicit setting) and replica-decomposition.
 
 golden_cli.json holds the argv, exit code, stdout and stderr of each run; the
 `apply` inputs are the apply_*.json files beside it, read with this directory
@@ -86,6 +88,17 @@ COMMANDS = (
         ["whittaker", "--cmd", "corollary", "--alpha", "2", "--beta", "3"],
         ["whittaker", "--cmd", "corollary", "--alpha", "0.5"],
         ["whittaker", "--cmd", "corollary", "--alpha", "0.1"],
+        # the Monte Carlo tests at small sizes; laplace takes its rank from --alpha
+        ["polymer", "--cmd", "laplace", "--alpha", "1,1.5,2", "--samples", "200", "--seed", "3"],
+        ["polymer", "--cmd", "ks-zzstar", "-n", "3", "--alpha", "1,1.5,2", "--samples", "500",
+         "--seed", "1"],
+        ["polymer", "--cmd", "lukacs", "--alpha", "1,2", "--samples", "500", "--seed", "1"],
+        # usage errors: a flag the command does not take, and --max-size below a floor
+        ["verify", "--identity", "thm3.2", "--tol", "1e-9", "--seed", "1"],
+        ["polymer", "--cmd", "ks-zzstar", "-n", "3", "--alpha", "1,1.5,2", "--samples", "500",
+         "--seed", "1", "--beta", "2"],
+        ["whittaker", "--cmd", "corollary", "--alpha", "1.5,2.5", "--seed", "1"],
+        ["verify", "--identity", "replica-decomposition", "--max-size", "1", "--seed", "1"],
     ]
 )
 
