@@ -12,7 +12,7 @@ gamma polymer sampling with distributional tests, and quadrature for the
 Whittaker-function integrals the sampled partition functions converge to.
 """
 
-from .arrays import ShapedArray, UpperArray, random_array, symmetrize
+from .arrays import ShapedArray, random_array
 from .calculus import Dual, abs_det, loglog_jacobian, verify_jacobians
 from .correspondences import (
     IDENTITY_NAMES,
@@ -92,7 +92,6 @@ __all__ = [
     "Stream",
     "TriangularPattern",
     "TROPICAL",
-    "UpperArray",
     "ValueDomain",
     "WhittakerParams",
     "abs_det",
@@ -130,7 +129,6 @@ __all__ = [
     "sample_replica_env",
     "sample_symmetric_env",
     "shape_from_boxes",
-    "symmetrize",
     "tropical_limit_check",
     "type_vector",
     "verify_identity",

@@ -3,15 +3,18 @@
 A ShapedArray assigns one value per box of a Shape, over one of the value
 domains.  Everything here is immutable: transformations return new arrays.
 Besides storage and boundary access this module provides the global symmetries
-(transpose, row/column reversal), diagonal products, and the symmetric
-(self-conjugate) restriction used by the fixed-point correspondence.
+(transpose, row/column reversal), diagonal products, and the symmetry check
+of the restricted symmetric correspondence, which maps symmetric arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
+
+import numpy as np
 
 from .shapes import Shape, ShapeError
 from .values import DomainError, ValueDomain, domain_by_name
@@ -36,50 +39,7 @@ def entry_with_boundary(arr, i: int, j: int):
     return arr.domain.zero
 
 
-class _ValueArray:
-    """Comparison and display shared by the immutable array types.
-
-    Arrays of different types never compare equal, even on the same rows.
-    """
-
-    __slots__ = ("shape", "domain", "_rows")
-
-    @property
-    def rows(self):
-        return self._rows
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.shape == other.shape
-            and self.domain.name == other.domain.name
-            and self._rows == other._rows
-        )
-
-    def _scalars_only(self, method: str) -> None:
-        if self.domain.holds_arrays:
-            raise DomainError(f"{method} needs scalar entries; {self.domain.name} holds arrays")
-
-    def __hash__(self):
-        self._scalars_only("hash")
-        return hash((self.shape, self.domain.name, self._rows))
-
-    def allclose(self, other, rel_tol: float = 1e-9) -> bool:
-        self._scalars_only("allclose")
-        if self.shape != other.shape or self.domain.name != other.domain.name:
-            return False
-        return all(
-            self.domain.isclose(x, y, rel_tol)
-            for rx, ry in zip(self._rows, other._rows)
-            for x, y in zip(rx, ry)
-        )
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
-        return f"{type(self).__name__}({self.shape.parts}, {self.domain.name}: {body})"
-
-
-class ShapedArray(_ValueArray):
+class ShapedArray:
     """Immutable array of one value per box of a Young diagram.
 
     Indices are 1-based throughout, matching the box convention of Shape.
@@ -88,7 +48,7 @@ class ShapedArray(_ValueArray):
     ``geom-float`` domain and flow through all maps unchanged.
     """
 
-    __slots__ = ()
+    __slots__ = ("shape", "domain", "_rows")
 
     def __init__(self, shape: Shape, rows, domain: ValueDomain):
         if len(rows) != shape.n_rows:
@@ -115,6 +75,43 @@ class ShapedArray(_ValueArray):
         out.domain = domain
         out._rows = tuple(tuple(r) for r in rows)
         return out
+
+    @property
+    def rows(self):
+        return self._rows
+
+    # -- comparison and display ---------------------------------------------------
+
+    def _scalars_only(self, method: str) -> None:
+        if self.domain.holds_arrays:
+            raise DomainError(f"{method} needs scalar entries; {self.domain.name} holds arrays")
+
+    def __eq__(self, other):
+        self._scalars_only("==")
+        return (
+            type(other) is type(self)
+            and self.shape == other.shape
+            and self.domain.name == other.domain.name
+            and self._rows == other._rows
+        )
+
+    def __hash__(self):
+        self._scalars_only("hash")
+        return hash((self.shape, self.domain.name, self._rows))
+
+    def allclose(self, other, rel_tol: float = 1e-9) -> bool:
+        self._scalars_only("allclose")
+        if self.shape != other.shape or self.domain.name != other.domain.name:
+            return False
+        return all(
+            self.domain.isclose(x, y, rel_tol)
+            for rx, ry in zip(self._rows, other._rows)
+            for x, y in zip(rx, ry)
+        )
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+        return f"{type(self).__name__}({self.shape.parts}, {self.domain.name}: {body})"
 
     # -- access ---------------------------------------------------------------
 
@@ -190,23 +187,31 @@ class ShapedArray(_ValueArray):
 
     # -- symmetric arrays ----------------------------------------------------------
 
+    def _mirror_fault(self):
+        """The first box, in row-major order, whose mirror box is missing or
+        holds another entry, or None for a symmetric array.  Lane entries
+        compare lane by lane; entries without == (dual numbers) by identity."""
+        same = np.array_equal if self.domain.holds_arrays else operator.eq
+        rows = self._rows
+        for i, row in enumerate(rows, start=1):
+            for j, x in enumerate(row, start=1):
+                if j == i:
+                    continue
+                if j > len(rows) or i > len(rows[j - 1]):
+                    return f"box ({i},{j}) has no mirror box ({j},{i}) in shape {self.shape.parts}"
+                if not same(x, rows[j - 1][i - 1]):
+                    return f"box ({i},{j}) differs from its mirror box ({j},{i})"
+        return None
+
     def is_symmetric(self) -> bool:
-        return self.shape.is_self_conjugate() and self == self.transpose()
+        return self._mirror_fault() is None
 
-    def restrict_upper(self) -> "UpperArray":
-        """The entries on the upper part i <= j of a symmetric array.
-
-        Requires value symmetry, not just a self-conjugate shape, so that
-        symmetrize(arr.restrict_upper()) always reproduces arr.
-        """
-        if not self.is_symmetric():
-            raise ShapeError("restrict_upper needs a symmetric array")
-        rows = tuple(
-            tuple(self._rows[i - 1][i - 1 : self.shape.row_length(i)])
-            for i in range(1, self.shape.n_rows + 1)
-            if self.shape.row_length(i) >= i
-        )
-        return UpperArray(self.shape, rows, self.domain)
+    def require_symmetric(self, name: str) -> None:
+        """Raise ShapeError, naming the map name and the first faulty box,
+        unless the array is symmetric: w_{i,j} = w_{j,i} on a self-conjugate shape."""
+        fault = self._mirror_fault()
+        if fault:
+            raise ShapeError(f"{name} needs a symmetric array: {fault}")
 
     # -- serialization ----------------------------------------------------------------
 
@@ -226,73 +231,14 @@ class ShapedArray(_ValueArray):
         try:
             shape = Shape(tuple(obj["shape"]))
             domain = domain_by_name(obj["domain"])
-            raw = obj["rows"]
+            rows = [[domain.scalar_from_json(x) for x in row] for row in obj["rows"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed array object: {exc}") from None
-        rows = [[domain.scalar_from_json(x) for x in row] for row in raw]
         return cls(shape, rows, domain)
 
     @classmethod
     def from_json(cls, text: str) -> "ShapedArray":
         return cls.from_json_obj(json.loads(text))
-
-
-class UpperArray(_ValueArray):
-    """Entries on the upper part i <= j of a self-conjugate shape.
-
-    Row i (1-based) stores the entries for boxes (i,i),...,(i,lam_i), so the
-    rows are ragged and each starts on the main diagonal.  This is the input
-    and output type of the restricted symmetric correspondence; note that the
-    upper part itself is not a Young diagram.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, shape: Shape, rows, domain: ValueDomain):
-        if not shape.is_self_conjugate():
-            raise ShapeError(f"shape {shape.parts} is not self-conjugate")
-        n_diag = sum(1 for i in range(1, shape.n_rows + 1) if shape.row_length(i) >= i)
-        if len(rows) != n_diag:
-            raise ShapeError(f"expected {n_diag} upper rows, got {len(rows)}")
-        coerced = []
-        for i, row in enumerate(rows, start=1):
-            want = shape.row_length(i) - i + 1
-            if len(row) != want:
-                raise ShapeError(f"upper row {i} has {len(row)} entries, shape wants {want}")
-            coerced.append(tuple(domain.coerce(x) for x in row))
-        self.shape = shape
-        self.domain = domain
-        self._rows = tuple(coerced)
-
-    @classmethod
-    def from_rows(cls, rows, domain: ValueDomain) -> "UpperArray":
-        """Build from ragged upper rows alone; the shape is implied by the lengths."""
-        parts = []
-        for i, row in enumerate(rows, start=1):
-            if len(row) == 0:
-                raise ShapeError("upper rows must be nonempty")
-            parts.append(len(row) + i - 1)
-        return cls(Shape(tuple(parts)), rows, domain)
-
-    def get(self, i: int, j: int):
-        if not (1 <= i <= j) or not self.shape.contains((i, j)):
-            raise ShapeError(f"box ({i},{j}) not in the upper part of {self.shape.parts}")
-        return self._rows[i - 1][j - i]
-
-
-def symmetrize(upper: UpperArray) -> ShapedArray:
-    """Extend an upper-part array to the full symmetric array w_{i,j} = w_{j,i}."""
-    shape = upper.shape
-    rows = []
-    for i in range(1, shape.n_rows + 1):
-        row = []
-        for j in range(1, shape.row_length(i) + 1):
-            if j >= i:
-                row.append(upper.get(i, j))
-            else:
-                row.append(upper.get(j, i))
-        rows.append(row)
-    return ShapedArray(shape, rows, upper.domain)
 
 
 # -- random inputs for tests and trials ----------------------------------------------
@@ -319,13 +265,11 @@ def random_array(shape: Shape, domain: ValueDomain, rng) -> ShapedArray:
 
 
 def random_symmetric_array(shape: Shape, domain: ValueDomain, rng) -> ShapedArray:
-    """Random symmetric array on a self-conjugate shape."""
+    """Random symmetric array on a self-conjugate shape: the upper part
+    (i <= j) of a random_array, mirrored below the diagonal."""
     if not shape.is_self_conjugate():
         raise ShapeError(f"shape {shape.parts} is not self-conjugate")
-    proto = random_array(shape, domain, rng)
-    rows = tuple(
-        tuple(proto.get(i, j) for j in range(i, shape.row_length(i) + 1))
-        for i in range(1, shape.n_rows + 1)
-        if shape.row_length(i) >= i
-    )
-    return symmetrize(UpperArray(shape, rows, domain))
+    up = random_array(shape, domain, rng).rows
+    rows = [[up[min(i, j)][max(i, j)] for j in range(p)]
+            for i, p in enumerate(shape.parts)]
+    return ShapedArray._wrap(shape, rows, domain)

@@ -16,9 +16,9 @@ import random
 
 import numpy as np
 
-from .arrays import ShapedArray, UpperArray, random_array, random_symmetric_array
+from .arrays import ShapedArray, random_array, random_symmetric_array
 from .correspondences import gburge, gburge_up, grsk, gschutz, tally
-from .shapes import Shape, ShapeError, all_shapes
+from .shapes import Shape, all_shapes
 from .values import GEOMETRIC_FLOAT, DomainError
 
 MAP_NAMES = ("grsk", "gburge", "gschutz", "gburge_up", "identity")
@@ -101,23 +101,13 @@ class Dual:
         return self.value >= self._cmp_value(other)
 
 
-def _coordinate_boxes(map_name: str, shape: Shape):
-    if map_name == "gburge_up":
-        return shape.upper_part()
-    return list(shape.boxes())
-
-
 def _apply(map_name: str, shape: Shape, entries: dict):
     """Run the named map on entries indexed by box; returns the output as a
-    dict over the same coordinate boxes."""
+    dict over the boxes of the shape.  For the upper-part map, entries cover
+    the boxes on or above the diagonal, and each is also the entry (the same
+    object) at its mirror box."""
     if map_name == "gburge_up":
-        rows = tuple(
-            tuple(entries[(i, j)] for j in range(i, shape.row_length(i) + 1))
-            for i in range(1, shape.n_rows + 1)
-            if shape.row_length(i) >= i
-        )
-        out = gburge_up(UpperArray(shape, rows, GEOMETRIC_FLOAT))
-        return {(i, j): out.get(i, j) for i, j in shape.upper_part()}
+        entries = {(j, i): x for (i, j), x in entries.items()} | entries
     rows = [
         [entries[(i, j)] for j in range(1, shape.row_length(i) + 1)]
         for i in range(1, shape.n_rows + 1)
@@ -126,14 +116,9 @@ def _apply(map_name: str, shape: Shape, entries: dict):
     if map_name == "identity":
         out = arr
     else:
-        out = {"grsk": grsk, "gburge": gburge, "gschutz": gschutz}[map_name](arr)
+        maps = {"grsk": grsk, "gburge": gburge, "gschutz": gschutz, "gburge_up": gburge_up}
+        out = maps[map_name](arr)
     return {(i, j): out.get(i, j) for i, j in shape.boxes()}
-
-
-def _input_values(map_name: str, arr: ShapedArray, boxes):
-    if map_name == "gburge_up" and not arr.is_symmetric():
-        raise ShapeError("the upper-part map needs a symmetric array")
-    return {box: float(arr.get(*box)) for box in boxes}
 
 
 def loglog_jacobian(map_name: str, arr: ShapedArray, mode: str = "forward-dual", h: float = 1e-5):
@@ -148,8 +133,11 @@ def loglog_jacobian(map_name: str, arr: ShapedArray, mode: str = "forward-dual",
         raise ValueError(f"unsupported map {map_name!r}; expected one of {MAP_NAMES}")
     if arr.domain is not GEOMETRIC_FLOAT:
         raise DomainError("jacobians are computed in the float domain")
-    boxes = _coordinate_boxes(map_name, arr.shape)
-    values = _input_values(map_name, arr, boxes)
+    boxes = list(arr.shape.boxes())
+    if map_name == "gburge_up":
+        arr.require_symmetric("gburge_up")
+        boxes = arr.shape.upper_part()
+    values = {box: float(arr.get(*box)) for box in boxes}
     if mode == "forward-dual":
         return _dual_jacobian(map_name, arr.shape, boxes, values)
     if mode == "central-difference":

@@ -27,7 +27,7 @@ import re
 import sys
 from functools import partial
 
-from .arrays import ShapedArray, random_array, symmetrize
+from .arrays import ShapedArray, random_array
 from .calculus import verify_jacobians
 from .correspondences import (
     IDENTITY_NAMES,
@@ -109,7 +109,7 @@ _APPLY_MAPS = {
     "burge": gburge,
     "schutz": _Orderless(gschutz),
     "schutz-upper": _Orderless(gschutz_upper),
-    "burge-up": _Orderless(lambda arr: symmetrize(gburge_up(arr.restrict_upper()))),
+    "burge-up": _Orderless(gburge_up),
     "inv-rsk": inv_grsk,
     "inv-burge": inv_gburge,
     "transpose": _Orderless(ShapedArray.transpose),

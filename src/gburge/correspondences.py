@@ -36,11 +36,11 @@ import random
 import mpmath as mp
 import numpy as np
 
-from .arrays import ShapedArray, UpperArray, random_array, random_symmetric_array, symmetrize
+from .arrays import ShapedArray, random_array, random_symmetric_array
 from .localmaps import (
     Grid,
-    UpperGrid,
     _need,
+    _upper_grid,
     a_at,
     b_at,
     c_at,
@@ -55,7 +55,6 @@ from .shapes import (
     all_growth_sequences,
     all_shapes,
     canonical_growth_sequence,
-    canonical_upper_growth_sequence,
     growth_sequence_error,
     random_growth_sequence,
     random_shape,
@@ -134,9 +133,10 @@ def tau(arr: ShapedArray, k: int, l: int) -> ShapedArray:
     return _run(Grid.of(arr), tau_at, [(k, l)]).to_array()
 
 
-def tau_up(upper: UpperArray, k: int, l: int) -> UpperArray:
-    _need(upper.shape, "upper tau", k, l)
-    return _run(UpperGrid(upper), tau_at, [(k, l)]).to_upper()
+def tau_up(arr: ShapedArray, k: int, l: int) -> ShapedArray:
+    """tau at (k,l) of a symmetric array, with every write mirrored."""
+    _need(arr.shape, "upper tau", k, l)
+    return _run(_upper_grid(arr, "upper tau"), tau_at, [(k, l)]).to_array()
 
 
 # -- the correspondences --------------------------------------------------------------
@@ -205,14 +205,16 @@ def gschutz_upper(arr: ShapedArray) -> ShapedArray:
     return gschutz(arr.transpose()).transpose()
 
 
-def gburge_up(upper: UpperArray) -> UpperArray:
-    """The column-insertion correspondence restricted to upper-part arrays.
+def gburge_up(arr: ShapedArray) -> ShapedArray:
+    """The column-insertion correspondence restricted to symmetric arrays.
 
-    Equals restrict_upper(gburge(symmetrize(.))) but runs entirely on the
-    upper part, one tau per upper box in row-major order on the mirrored grid.
+    Equals gburge on a symmetric array, but runs one tau per box on or above
+    the diagonal, in row-major order, on the mirrored grid.  Symmetrized
+    prefixes of that order are Young diagrams, which is what the restricted
+    map needs.
     """
-    boxes = canonical_upper_growth_sequence(upper.shape)
-    return _run(UpperGrid(upper), tau_at, boxes).to_upper()
+    g = _upper_grid(arr, "gburge_up")
+    return _run(g, tau_at, arr.shape.upper_part()).to_array()
 
 
 # -- the local commutation relation ---------------------------------------------------
@@ -442,7 +444,7 @@ def _trial_symmetric(rng, max_rows, max_cols, domain, tol):
     t = gburge(w)
     if not t.allclose(t.transpose(), tol):
         return _cex(w, t, t.transpose())
-    via_upper = symmetrize(gburge_up(w.restrict_upper()))
+    via_upper = gburge_up(w)
     if not via_upper.allclose(t, tol):
         return _cex(w, via_upper, t)
     return None

@@ -41,10 +41,12 @@ maps, the commutation, the 21-map composition and the growth-sequence check
 in correspondences.  The error names the map, the box and, for an order,
 the step.
 
-UpperGrid is the padded full symmetric grid of an upper-part array; its set
-writes a box and its mirror.  At a diagonal box the two arguments of A and
-of H coincide, so A = x oplus x = 2x and H = hsum(x, x) = x/2: the
-restricted symmetric maps are c and d themselves.
+The restricted symmetric maps take and return symmetric ShapedArrays.  They
+run on an UpperGrid, the padded grid of a symmetric array whose set writes a
+box and its mirror.  At a diagonal box the two arguments of A and of H
+coincide, so A = x oplus x = 2x and H = hsum(x, x) = x/2: the restricted
+symmetric maps are c and d themselves.  _upper_grid checks the symmetry once,
+when the map is entered.
 
 A chain of local maps on one grid costs one array copy.  Handing a grid back
 as an array is the one place a float overflow is caught: every entry goes
@@ -53,7 +55,7 @@ through the domain's check_finite, and no kernel checks its own output.
 
 from __future__ import annotations
 
-from .arrays import ShapedArray, UpperArray
+from .arrays import ShapedArray
 from .shapes import ShapeError
 from .values import DomainError
 
@@ -80,42 +82,30 @@ class Grid:
 
     def to_array(self) -> ShapedArray:
         rows = [row[1:] for row in self.rows[1:]]
-        self.domain.check_finite(rows, self._box)
+        self.domain.check_finite(rows)
         return ShapedArray._wrap(self.shape, rows, self.domain)
-
-    @staticmethod
-    def _box(r, k):
-        """The box of the unpadded rows[r][k]."""
-        return r + 1, k + 1
 
     def set(self, i, j, value):
         self.rows[i][j] = value
 
 
 class UpperGrid(Grid):
-    """Mutable padded scratch copy of the symmetric array of an UpperArray;
-    set writes a box and its mirror, so every kernel runs on it unchanged."""
+    """Mutable padded scratch copy of a symmetric ShapedArray; set writes a
+    box and its mirror, so every kernel runs on it unchanged."""
 
     __slots__ = ()
 
-    def __init__(self, upper: UpperArray):
-        if upper.domain.is_tropical:
-            raise DomainError("the restricted symmetric maps are defined in the geometric domains only")
-        up = upper.rows
-        full = [[up[min(r, k)][abs(k - r)] for k in range(p)] for r, p in enumerate(upper.shape.parts)]
-        super().__init__(upper.shape, upper.domain, full)
-
-    def to_upper(self) -> UpperArray:
-        rows = [self.rows[i][i:] for i in range(1, len(self.rows)) if len(self.rows[i]) > i]
-        self.domain.check_finite(rows, self._box)
-        return UpperArray(self.shape, rows, self.domain)
-
-    @staticmethod
-    def _box(r, k):
-        return r + 1, r + k + 1
-
     def set(self, i, j, value):
         self.rows[i][j] = self.rows[j][i] = value
+
+
+def _upper_grid(arr: ShapedArray, name: str) -> UpperGrid:
+    """The UpperGrid of arr, checked once for the restricted map name: the
+    domain must be geometric and the array symmetric."""
+    if arr.domain.is_tropical:
+        raise DomainError("the restricted symmetric maps are defined in the geometric domains only")
+    arr.require_symmetric(name)
+    return UpperGrid.of(arr)
 
 
 def _need(shape, name, i, j, *more):
@@ -239,17 +229,17 @@ def inv_d(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
     return _once(arr, inv_d_at, *box_ij, *box_kl)
 
 
-def apply_c_up(upper: UpperArray, i: int) -> UpperArray:
+def apply_c_up(arr: ShapedArray, i: int) -> ShapedArray:
     """c at the diagonal box (i,i) of a symmetric array: w_{i,i} -> 2 w_{i-1,i} w_{i,i}."""
-    g = UpperGrid(upper)
-    _need(upper.shape, "upper c", i, i)
+    g = _upper_grid(arr, "upper c")
+    _need(arr.shape, "upper c", i, i)
     c_at(g, i, i)
-    return g.to_upper()
+    return g.to_array()
 
 
-def apply_d_up(upper: UpperArray, i: int, k: int) -> UpperArray:
+def apply_d_up(arr: ShapedArray, i: int, k: int) -> ShapedArray:
     """d between the diagonal boxes (i,i) and (k,k) of a symmetric array."""
-    g = UpperGrid(upper)
-    _need_pair(upper.shape, "upper d", i, i, k, k)
+    g = _upper_grid(arr, "upper d")
+    _need_pair(arr.shape, "upper d", i, i, k, k)
     d_at(g, i, i, k, k)
-    return g.to_upper()
+    return g.to_array()

@@ -23,10 +23,10 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import NamedTuple
 
-from .arrays import ShapedArray
+from .arrays import ShapedArray, random_array
 from .correspondences import gburge, grsk, tally
 from .shapes import rectangle
-from .values import ValueDomain
+from .values import GEOMETRIC_RATIONAL, ValueDomain
 
 ENUMERATION_LIMIT = 10**7
 
@@ -261,9 +261,6 @@ def random_persymmetric_square_weights(n: int, rng) -> ShapedArray:
     """Random rational persymmetric n x n weights whose antidiagonal entries
     are perfect squares, so the replica decomposition stays in exact
     arithmetic."""
-    from .arrays import random_array
-    from .values import GEOMETRIC_RATIONAL
-
     proto = random_array(rectangle(n, n), GEOMETRIC_RATIONAL, rng)
     entries = {}
     for i in range(1, n + 1):

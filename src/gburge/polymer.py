@@ -39,6 +39,7 @@ from scipy.stats import ks_2samp
 
 from .arrays import ShapedArray
 from .correspondences import gburge
+from .oracles import enum_paths, path_sum
 from .shapes import Shape
 from .values import GEOMETRIC_FLOAT, GEOMETRIC_LANES
 
@@ -337,8 +338,6 @@ def replica_Z(weights: ShapedArray, via: str = "persymmetric-burge"):
         raise ValueError(f"weights must live on the staircase (n..1), got {weights.shape.parts}")
     dom = weights.domain
     if via == "oracle":
-        from .oracles import enum_paths, path_sum
-
         total = dom.zero
         for a in range(1, n + 1):
             half = path_sum(weights, enum_paths(a, n + 1 - a))

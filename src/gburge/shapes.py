@@ -237,16 +237,6 @@ def random_growth_sequence(shape: Shape, rng) -> list[Box]:
     return seq
 
 
-def canonical_upper_growth_sequence(shape: Shape) -> list[Box]:
-    """Row-major boxes of the upper part of a self-conjugate shape.
-
-    Symmetrized prefixes (adding the mirror box (j, i) alongside each (i, j))
-    are Young diagrams, which is the validity condition the symmetric Burge
-    map needs.
-    """
-    return [b for b in canonical_growth_sequence(shape) if b.row <= b.col]
-
-
 # -- shape generation (for randomized and exhaustive tests) -----------------------
 
 

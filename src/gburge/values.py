@@ -32,12 +32,14 @@ entries can still overflow, and that raises instead of returning inf or nan.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Real
 from typing import Any
 
 import numpy as np
 
 _INF = float("inf")
 _NEG_INF = -_INF
+_NAN = float("nan")
 _LOG_HINT = "entries of this size need a log-space domain, which is not implemented yet"
 
 
@@ -45,8 +47,8 @@ class DomainError(ValueError):
     """Raised when a value is outside its domain or an operation is undefined there."""
 
 
-def _where(box, r, k) -> str:
-    return "box ({},{}) of the map's output".format(*box(r, k))
+def _where(r, k) -> str:
+    return f"box ({r + 1},{k + 1}) of the map's output"
 
 
 class ValueDomain:
@@ -69,15 +71,15 @@ class ValueDomain:
     def __repr__(self) -> str:
         return f"ValueDomain({self.name!r})"
 
-    def check_finite(self, rows, box) -> None:
-        """Reject a map's output rows holding a float nan or +inf, naming
-        box(r, k), the box of rows[r][k].  Exact, mpf and dual-number entries
+    def check_finite(self, rows) -> None:
+        """Reject a map's output rows holding a float nan or +inf, naming the
+        box (r+1, k+1) of rows[r][k].  Exact, mpf and dual-number entries
         pass untouched."""
         for r, row in enumerate(rows):
             for x in row:
                 if type(x) is float and not x < _INF:
                     k = next(k for k, y in enumerate(row) if y is x)
-                    raise DomainError(f"float overflow at {_where(box, r, k)}: {x!r}; {_LOG_HINT}")
+                    raise DomainError(f"float overflow at {_where(r, k)}: {x!r}; {_LOG_HINT}")
 
     def isclose(self, x, y, rel_tol=1e-12) -> bool:
         """Equality for exact domains, relative tolerance otherwise."""
@@ -132,11 +134,18 @@ class GeometricDomain(ValueDomain):
                 raise DomainError(
                     f"rational domain rejects floats (got {x!r}); pass Fraction, int or 'p/q'"
                 )
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except (TypeError, ValueError):
+                raise DomainError(f"rational entries must be Fraction, int or 'p/q', got {x!r}") from None
         elif type(x) is not float and isinstance(x, (int, Fraction)):
             # a plain float skips the isinstance test, slow on the Fraction ABC
             x = float(x)
-        if not 0 < x < _INF:
+        try:
+            positive = 0 < x < _INF
+        except TypeError:  # a str, None or complex: no order with numbers
+            raise DomainError(f"geometric interior entries must be real numbers, got {x!r}") from None
+        if not positive:
             raise DomainError(f"geometric interior entries must be positive and finite, got {x!r}")
         return x
 
@@ -147,7 +156,7 @@ class GeometricDomain(ValueDomain):
         if self.is_exact:
             if isinstance(obj, float):
                 raise DomainError(f"rational entries must be strings or ints, got {obj!r}")
-            return self.coerce(Fraction(obj))
+            return self.coerce(obj)
         return self.coerce(float(obj))
 
 
@@ -204,14 +213,14 @@ class GeometricLanes(GeometricDomain):
             )
         return x
 
-    def check_finite(self, rows, box) -> None:
+    def check_finite(self, rows) -> None:
         for r, row in enumerate(rows):
             for k, x in enumerate(row):
                 bad = ~np.isfinite(x)
                 if bad.any():
                     lane = _first(bad)
                     raise DomainError(
-                        f"float overflow at {_where(box, r, k)}: {_lane(x, lane)!r} "
+                        f"float overflow at {_where(r, k)}: {_lane(x, lane)!r} "
                         f"in lane {lane}; {_LOG_HINT}"
                     )
 
@@ -240,12 +249,12 @@ class TropicalDomain(ValueDomain):
         return x if x <= y else y
 
     def coerce(self, x) -> Any:
-        """Normalize an interior entry, which must be real or -inf."""
-        if isinstance(x, (int, float)):
-            x = float(x)
-            if x != x or x == _INF:
-                raise DomainError(f"tropical entry must be real or -inf, got {x!r}")
-        return x
+        """Normalize an interior entry, a real number (int, float, Fraction,
+        stored as float) or -inf."""
+        y = x if type(x) is float else float(x) if isinstance(x, Real) else _NAN
+        if y != y or y == _INF:
+            raise DomainError(f"tropical entry must be real or -inf, got {x!r}")
+        return y
 
     def isclose(self, x, y, rel_tol=1e-12) -> bool:
         if x == _NEG_INF or y == _NEG_INF:

@@ -281,10 +281,8 @@ def whittaker_density(n: int, alpha, beta: float, x) -> float:
     (1/c) e^{-beta/x_n} Psi_{-alpha}(x) / prod(x)."""
     alpha = tuple(float(a) for a in alpha)
     x = tuple(float(v) for v in x)
-    if any(a <= 0 for a in alpha) or beta <= 0:
-        raise ValueError("parameters must be positive")
-    params = WhittakerParams(n, tuple(-a for a in alpha), x)
     c = normalization_c(alpha, beta)
+    params = WhittakerParams(n, tuple(-a for a in alpha), x)
     return math.exp(-beta / x[-1]) * psi(params) / (c * math.prod(x))
 
 
@@ -306,8 +304,6 @@ def corollary_check(alpha, beta: float):
     alpha = (0.3, 0.4) and 1.9e-3 at (0.2, 0.2), as the box is cut from axis
     profiles through the peak and misses mass along the u1 axis."""
     alpha = tuple(float(a) for a in alpha)
-    if any(a <= 0 for a in alpha) or beta <= 0:
-        raise ValueError("parameters must be positive")
     rhs = normalization_c(alpha, beta)
     if len(alpha) == 1:
         a = alpha[0]

@@ -1,22 +1,18 @@
-"""Shaped arrays and upper-part arrays."""
+"""Shaped arrays."""
 
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gburge.arrays import (
-    ShapedArray,
-    UpperArray,
-    random_array,
-    random_symmetric_array,
-    symmetrize,
-)
+from gburge.arrays import ShapedArray, random_array, random_symmetric_array
 from gburge.shapes import Shape, ShapeError, all_shapes, rectangle, symmetric_closure
-from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, TROPICAL, DomainError
+from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_LANES, GEOMETRIC_RATIONAL, TROPICAL, DomainError
 
 R = GEOMETRIC_RATIONAL
 
@@ -43,13 +39,6 @@ def test_float_entries_must_be_finite():
         ShapedArray.from_rows([[math.inf, 1.0], [1.0, 1.0]], GEOMETRIC_FLOAT)
     with pytest.raises(DomainError):
         ShapedArray.from_rows([[math.nan]], GEOMETRIC_FLOAT)
-
-
-def test_shaped_and_upper_arrays_never_compare_equal():
-    full = ShapedArray.from_rows([[1]], R)
-    up = UpperArray.from_rows([[1]], R)
-    assert full.rows == up.rows
-    assert full != up and up != full
 
 
 def test_get_and_indexing():
@@ -154,38 +143,44 @@ def test_map_entries_domain_change():
     assert b.to_lists() == [[0.5, 2.0]]
 
 
-def test_symmetry_and_upper_restriction():
+def test_symmetry():
     a = ShapedArray.from_rows([[1, 2, 3], [2, 4, 5], [3, 5, 6]], R)
     assert a.is_symmetric()
-    up = a.restrict_upper()
-    assert isinstance(up, UpperArray)
-    assert up.get(1, 3) == 3
-    assert up.get(2, 2) == 4
-    assert symmetrize(up) == a
-    with pytest.raises(ShapeError):
-        up.get(2, 1)
+    a.require_symmetric("m")
+    assert not a.with_entries({(3, 2): 7}).is_symmetric()
+    assert not ShapedArray.from_rows([[1, 2], [2]], R).with_entries({(1, 2): 3}).is_symmetric()
 
 
-def test_upper_array_validation():
-    UpperArray.from_rows([[1, 2], [3]], R)
-    with pytest.raises(ShapeError):
-        UpperArray(Shape((3, 2)), [[1, 2, 3], [4]], R)
-    with pytest.raises(ShapeError):
-        UpperArray(Shape((2, 2)), [[1, 2], [3, 4]], R)
+@pytest.mark.parametrize("rows, fault", [
+    ([[1, 2], [3, 4]], "box (1,2) differs from its mirror box (2,1)"),
+    ([[1, 2, 3], [2, 4, 5], [3, 6, 6]], "box (2,3) differs from its mirror box (3,2)"),
+    ([[1, 2], [2], [3]], "box (3,1) has no mirror box (1,3) in shape (2, 1, 1)"),
+    ([[1, 2, 3]], "box (1,2) has no mirror box (2,1) in shape (3,)"),
+])
+def test_require_symmetric_names_the_map_and_the_first_faulty_box(rows, fault):
+    a = ShapedArray.from_rows(rows, R)
+    assert not a.is_symmetric()
+    with pytest.raises(ShapeError, match=f"^{re.escape(f'm needs a symmetric array: {fault}')}$"):
+        a.require_symmetric("m")
 
 
-def test_restrict_upper_requires_symmetry():
-    a = ShapedArray.from_rows([[1, 2], [3, 4]], R)
-    with pytest.raises(ShapeError):
-        a.restrict_upper()
+def test_lane_symmetry_compares_lane_by_lane():
+    big = np.array([1.0, 1e200])
+    sym = ShapedArray.from_rows([[big, np.ones(2)], [np.ones(2), big]], GEOMETRIC_LANES)
+    assert sym.is_symmetric()
+    skew = sym.with_entries({(2, 1): np.array([1.0, 2.0])})
+    assert not skew.is_symmetric()
+    with pytest.raises(ShapeError, match=r"box \(1,2\) differs from its mirror box \(2,1\)"):
+        skew.require_symmetric("m")
 
 
 @given(shapes_to_6, seeds)
-def test_symmetrize_restrict_round_trip(shape, seed):
+def test_random_symmetric_array_mirrors_the_upper_part_of_random_array(shape, seed):
     sym = symmetric_closure(shape)
     a = random_symmetric_array(sym, R, random.Random(seed))
+    full = random_array(sym, R, random.Random(seed))
     assert a.is_symmetric()
-    assert symmetrize(a.restrict_upper()) == a
+    assert all(a.get(i, j) == full.get(i, j) for i, j in sym.upper_part())
 
 
 @given(shapes_to_6, seeds, st.sampled_from(["geom-rational", "geom-float", "tropical"]))

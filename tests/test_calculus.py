@@ -83,7 +83,7 @@ def test_unsupported_map_and_domain():
 
 def test_gburge_up_needs_symmetry():
     arr = rand(rectangle(2, 2), 3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^gburge_up needs a symmetric array: box \(1,2\) differs"):
         loglog_jacobian("gburge_up", arr)
 
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gburge.arrays import ShapedArray, UpperArray, random_array, random_symmetric_array, symmetrize
+from gburge.arrays import ShapedArray, random_array, random_symmetric_array
+from gburge.calculus import Dual
 from gburge.correspondences import (
     IDENTITY_NAMES,
     admissible_commutation_boxes,
@@ -28,6 +29,7 @@ from gburge.correspondences import (
     sigma,
     tally,
     tau,
+    tau_up,
     tropical_limit_check,
     tropical_limit_errors,
     verify_identity,
@@ -115,11 +117,39 @@ def test_all_ones_output():
 
 
 def test_gburge_up_all_ones():
-    up = UpperArray.from_rows([[1, 1], [1]], R)
-    out = gburge_up(up)
+    ones = ShapedArray.from_rows([[1, 1], [1, 1]], R)
+    out = gburge_up(ones)
     assert out.get(1, 1) == Fraction(1, 2)
-    assert out.get(1, 2) == 1
+    assert out.get(1, 2) == out.get(2, 1) == 1
     assert out.get(2, 2) == 2
+
+
+def _skew(domain, entry):
+    """A 2x2 array over domain, symmetric but for a different entry at (2,1)."""
+    return ShapedArray.from_rows([[entry(1.0), entry(2.0)], [entry(3.0), entry(1.0)]], domain)
+
+
+@pytest.mark.parametrize("domain, entry", [
+    (R, Fraction),
+    (GEOMETRIC_FLOAT, float),
+    (GEOMETRIC_LANES, lambda v: np.full(2, v)),
+    (GEOMETRIC_FLOAT, lambda v: Dual(v, [1.0])),
+], ids=["fraction", "float", "lanes", "dual"])
+def test_gburge_up_rejects_an_asymmetric_array(domain, entry):
+    w = _skew(domain, entry)
+    message = r"^gburge_up needs a symmetric array: box \(1,2\) differs from its mirror box \(2,1\)$"
+    with pytest.raises(ShapeError, match=message):
+        gburge_up(w)
+    with pytest.raises(ShapeError, match=r"^upper tau needs a symmetric array: box \(1,2\)"):
+        tau_up(w, 1, 2)
+
+
+def test_gburge_up_rejects_a_shape_that_is_not_self_conjugate():
+    w = ShapedArray.from_rows([[1, 1], [1, 1], [1, 1]], R)
+    message = (r"^gburge_up needs a symmetric array: "
+               r"box \(3,1\) has no mirror box \(1,3\) in shape \(2, 2, 2\)$")
+    with pytest.raises(ShapeError, match=message):
+        gburge_up(w)
 
 
 # -- structural properties -------------------------------------------------------------
@@ -199,7 +229,7 @@ def test_symmetric_route_agrees(seed, n):
     w = random_symmetric_array(shape, R, rng)
     t = gburge(w)
     assert t.is_symmetric()
-    assert symmetrize(gburge_up(w.restrict_upper())) == t
+    assert gburge_up(w) == t
 
 
 def test_single_diagonal_maps_match_whole_map_on_one_box():
@@ -366,7 +396,7 @@ def test_float_overflow_from_finite_entries_raises():
         with pytest.raises(DomainError, match=r"float overflow at box \(\d,\d\).*log-space"):
             f(huge)
     with pytest.raises(DomainError, match=r"float overflow at box \(1,1\)"):
-        gburge_up(huge.restrict_upper())
+        gburge_up(huge)
     # the same entries in exact or high-precision arithmetic map without error
     exact = ShapedArray.from_rows([[10**200, 10**200], [10**200, 10**200]], R)
     assert gburge(exact).get(2, 2) > 0
@@ -389,14 +419,13 @@ def test_lane_overflow_names_the_box_and_the_lane():
 def test_lane_overflow_raises_without_numpy_warnings():
     big = np.array([1.0, 1e200])
     lanes = ShapedArray.from_rows([[big, np.ones(2)], [np.ones(2), big]], GEOMETRIC_LANES)
-    upper = UpperArray.from_rows([[big, np.ones(2)], [big]], GEOMETRIC_LANES)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for f in (gburge, grsk, inv_gburge):
             with pytest.raises(DomainError, match=r"box \(\d,\d\).*in lane 1;"):
                 f(lanes)
         with pytest.raises(DomainError, match=r"box \(\d,\d\).*in lane 1;"):
-            gburge_up(upper)
+            gburge_up(lanes)
     # the lane errstate does not leak out of the map call
     with pytest.warns(RuntimeWarning, match="overflow"):
         np.array([1e200]) * np.array([1e200])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gburge.arrays import ShapedArray, UpperArray, random_array
+from gburge.arrays import ShapedArray, random_array
 from gburge.localmaps import (
     apply_a,
     apply_b,
@@ -119,26 +119,34 @@ def test_c_uses_corner_convention_at_the_origin():
 
 
 def test_upper_maps_need_a_geometric_domain():
-    up = UpperArray.from_rows([[1.0, 1.0], [1.0]], TROPICAL)
+    up = ShapedArray.from_rows([[1.0, 1.0], [1.0, 1.0]], TROPICAL)
     with pytest.raises(DomainError):
         apply_c_up(up, 1)
 
 
 def test_c_up_first_diagonal_box():
-    up = UpperArray.from_rows([[Fraction(3), 1], [1]], R)
+    up = ShapedArray.from_rows([[Fraction(3), 1], [1, 1]], R)
     # the entry above the first diagonal box counts as 1/2
     assert apply_c_up(up, 1).get(1, 1) == 3
 
 
 def test_c_up_uses_the_entry_above():
-    up = UpperArray.from_rows([[1, Fraction(5)], [Fraction(7)]], R)
+    up = ShapedArray.from_rows([[1, Fraction(5)], [Fraction(5), Fraction(7)]], R)
     assert apply_c_up(up, 2).get(2, 2) == 2 * 5 * 7
 
 
 def test_d_up_example():
-    up = UpperArray.from_rows([[1, 1], [1]], R)
+    up = ShapedArray.from_rows([[1, 1], [1, 1]], R)
     out = apply_d_up(up, 1, 2)
     # z*A = 2 * (1/2) * 1 = 1; new w_11 = hsum(1, 1) = 1/2
     assert out.get(1, 1) == Fraction(1, 2)
     # new w_22 = (1/1 + 1/1) * (1/2) = 1
     assert out.get(2, 2) == 1
+    assert out.is_symmetric()
+
+
+def test_upper_maps_need_a_symmetric_array():
+    w = ShapedArray.from_rows([[1, 2], [3, 4]], R)
+    for call, name in ((lambda: apply_c_up(w, 1), "upper c"), (lambda: apply_d_up(w, 1, 2), "upper d")):
+        with pytest.raises(ShapeError, match=rf"^{name} needs a symmetric array: box \(1,2\) differs"):
+            call()

@@ -12,7 +12,6 @@ from gburge.shapes import (
     all_growth_sequences,
     all_shapes,
     canonical_growth_sequence,
-    canonical_upper_growth_sequence,
     is_valid_growth_sequence,
     random_growth_sequence,
     random_shape,
@@ -149,7 +148,12 @@ def test_upper_part_and_diagonal():
     assert s.diagonal(-2) == [(3, 1)]
 
 
-def test_canonical_upper_growth_sequence():
-    s = Shape((3, 2, 1))
-    seq = canonical_upper_growth_sequence(s)
-    assert seq == [(1, 1), (1, 2), (1, 3), (2, 2)]
+@given(shapes_to_6)
+def test_upper_part_is_an_order_of_symmetric_diagrams(shape):
+    """Each prefix of the upper part, with its mirror boxes, is a Young
+    diagram: the growth order of the restricted symmetric map."""
+    sym = symmetric_closure(shape)
+    seq = sym.upper_part()
+    for k in range(1, len(seq) + 1):
+        shape_from_boxes({b for (i, j) in seq[:k] for b in ((i, j), (j, i))})
+    assert Shape((3, 2, 1)).upper_part() == [(1, 1), (1, 2), (1, 3), (2, 2)]

@@ -1,6 +1,7 @@
 """The three value domains and their semiring-like operations."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -113,6 +114,37 @@ def test_coerce_tropical():
         TROPICAL.coerce(math.nan)
 
 
+def test_coerce_tropical_stores_real_numbers_as_floats():
+    for x, want in ((Fraction(2, 4), 0.5), (np.float64(1.5), 1.5), (True, 1.0)):
+        got = TROPICAL.coerce(x)
+        assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("bad", ["x", "2", None, 1 + 0j, [1.0]], ids=repr)
+@pytest.mark.parametrize("dom", [TROPICAL, GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL], ids=lambda d: d.name)
+def test_coerce_rejects_what_is_not_a_real_number(dom, bad):
+    if dom is GEOMETRIC_RATIONAL and bad == "2":
+        assert dom.coerce(bad) == 2  # 'p/q' strings are rational entries
+        return
+    with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+        dom.coerce(bad)
+
+
+@pytest.mark.parametrize("dom", [TROPICAL, GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL], ids=lambda d: d.name)
+def test_a_json_entry_that_is_not_a_number_raises_a_value_error(dom):
+    # the CLI reports a ValueError (DomainError is one) on one line and exits 2
+    for bad in (None, "x", [1]):
+        with pytest.raises(ValueError):
+            ShapedArray.from_json_obj({"shape": [1], "domain": dom.name, "rows": [[bad]]})
+    with pytest.raises(DomainError):
+        ShapedArray.from_json_obj({"shape": [1], "domain": dom.name, "rows": [[None]]})
+
+
+def test_a_bad_tropical_entry_fails_when_the_array_is_built():
+    with pytest.raises(DomainError, match="tropical entry must be real or -inf, got 'x'"):
+        ShapedArray.from_rows([[1.0, "x"]], TROPICAL)
+
+
 def test_isclose_semantics():
     assert GEOMETRIC_RATIONAL.isclose(Fraction(1, 3), Fraction(1, 3))
     assert not GEOMETRIC_RATIONAL.isclose(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))
@@ -176,20 +208,17 @@ def test_lane_coerce_names_the_first_bad_lane(bad):
 
 
 def test_check_finite_rejects_float_overflow_only():
-    def box(r, k):
-        return r + 1, k + 2
-
     for bad in (math.inf, math.nan):
-        with pytest.raises(DomainError, match=r"box \(2,3\).*log-space"):
-            GEOMETRIC_FLOAT.check_finite([[1.0, 2.0], [3.0, bad]], box)
+        with pytest.raises(DomainError, match=r"box \(2,2\).*log-space"):
+            GEOMETRIC_FLOAT.check_finite([[1.0, 2.0], [3.0, bad]])
     lanes = np.array([1.0, math.inf, math.nan])
-    with pytest.raises(DomainError, match=r"box \(1,3\).*lane 1.*log-space"):
-        GEOMETRIC_LANES.check_finite([[np.ones(3), lanes]], box)
+    with pytest.raises(DomainError, match=r"box \(1,2\).*lane 1.*log-space"):
+        GEOMETRIC_LANES.check_finite([[np.ones(3), lanes]])
     # exact, high-precision and finite values pass untouched
-    GEOMETRIC_FLOAT.check_finite([[1e300, mp.mpf("1e400")]], box)
-    GEOMETRIC_RATIONAL.check_finite([[Fraction(10) ** 400]], box)
-    TROPICAL.check_finite([[-math.inf, 0.0]], box)
-    GEOMETRIC_LANES.check_finite([[np.array([1e300, 1e-300])]], box)
+    GEOMETRIC_FLOAT.check_finite([[1e300, mp.mpf("1e400")]])
+    GEOMETRIC_RATIONAL.check_finite([[Fraction(10) ** 400]])
+    TROPICAL.check_finite([[-math.inf, 0.0]])
+    GEOMETRIC_LANES.check_finite([[np.array([1e300, 1e-300])]])
 
 
 # -- lane arrays refuse what needs scalar entries -----------------------------------
@@ -202,6 +231,12 @@ def _lane_array():
 def test_lane_array_hash_raises_a_domain_error():
     with pytest.raises(DomainError, match="hash needs scalar entries; geom-lanes holds arrays"):
         hash(_lane_array())
+
+
+def test_lane_array_equality_raises_a_domain_error():
+    for compare in (lambda a, b: a == b, lambda a, b: a != b):
+        with pytest.raises(DomainError, match="== needs scalar entries; geom-lanes holds arrays"):
+            compare(_lane_array(), _lane_array())
 
 
 def test_lane_array_to_json_raises_a_domain_error():

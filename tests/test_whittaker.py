@@ -345,6 +345,14 @@ def test_density_rank2_point_value():
         whittaker_density(2, (1.0, -1.0), beta, x)
 
 
+@pytest.mark.parametrize("alpha, beta", [((1.0, 0.0), 1.0), ((1.0,), -1.0)])
+def test_nonpositive_parameters_fail_before_any_quadrature(alpha, beta):
+    for call in (lambda: corollary_check(alpha, beta),
+                 lambda: whittaker_density(len(alpha), alpha, beta, (1.0,) * len(alpha))):
+        with pytest.raises(ValueError, match="^all parameters must be positive$"):
+            call()
+
+
 def test_corollary_rank1_is_exact():
     lhs, rhs, relerr = corollary_check((2.0,), 3.0)
     assert rhs == pytest.approx(1.0 / 9.0, rel=1e-14)
