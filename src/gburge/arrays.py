@@ -228,12 +228,19 @@ class ShapedArray:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ShapedArray":
+        """The array of a JSON object; a bad entry raises DomainError naming its box."""
         try:
             shape = Shape(tuple(obj["shape"]))
             domain = domain_by_name(obj["domain"])
-            rows = [[domain.scalar_from_json(x) for x in row] for row in obj["rows"]]
+            rows = [list(row) for row in obj["rows"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed array object: {exc}") from None
+        for i, row in enumerate(rows, start=1):
+            for j, x in enumerate(row, start=1):
+                try:
+                    row[j - 1] = domain.scalar_from_json(x)
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise DomainError(f"box ({i},{j}): {exc}") from None
         return cls(shape, rows, domain)
 
     @classmethod

@@ -11,13 +11,13 @@ in either.
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 
 import numpy as np
 
 from .arrays import ShapedArray, random_array, random_symmetric_array
-from .correspondences import gburge, gburge_up, grsk, gschutz, tally
+from .correspondences import gburge, gburge_up, grsk, gschutz, run_trials, tally
 from .shapes import Shape, all_shapes
 from .values import GEOMETRIC_FLOAT, DomainError
 
@@ -183,6 +183,10 @@ def abs_det(jac) -> float:
     return abs(float(np.linalg.det(jac)))
 
 
+def _outcome(ok, arr, map_name, **detail):
+    return None if ok else {"input": arr.to_json_obj(), "map": map_name, **detail}
+
+
 def verify_jacobians(
     symmetric: bool = False,
     points: int = 10,
@@ -192,40 +196,34 @@ def verify_jacobians(
     fd_tol: float = 1e-6,
     h: float = 1e-5,
 ) -> dict:
-    """Unimodularity sweep: |det| = 1 within tol at random points of every
-    shape (entries log-uniform on [1/e, e]).
+    """Unimodularity sweep: |det| = 1 within tol at `points` random points,
+    each on every shape (entries log-uniform on [1/e, e]).
 
     The plain sweep covers the full correspondences on all shapes with at
     most max_boxes boxes; the symmetric sweep covers the upper-part map on
-    all self-conjugate shapes fitting in a 4x4 square.  At the first point
-    of each shape the dual and central-difference Jacobians are also
-    compared entrywise (within fd_tol).
+    all self-conjugate shapes fitting in a 4x4 square.  Point p is trial p of
+    `run_trials`, so the report counts points; at point 0 the dual and
+    central-difference Jacobians are also compared entrywise (within fd_tol).
     """
-    rng = random.Random(seed)
-    outcomes = []
-
-    def record(ok, arr, map_name, detail):
-        outcomes.append(None if ok else {"input": arr.to_json_obj(), "map": map_name, **detail})
-
     if symmetric:
         shapes = [s for s in all_shapes(16) if s.is_self_conjugate() and s.n_rows <= 4]
-        map_names = ["gburge_up"]
+        map_names, draw = ["gburge_up"], random_symmetric_array
     else:
         shapes = list(all_shapes(max_boxes))
-        map_names = ["grsk", "gburge"]
-    for shape in shapes:
-        for p in range(points):
-            arr = (
-                random_symmetric_array(shape, GEOMETRIC_FLOAT, rng)
-                if symmetric
-                else random_array(shape, GEOMETRIC_FLOAT, rng)
-            )
+        map_names, draw = ["grsk", "gburge"], random_array
+    point = itertools.count()
+
+    def trial(rng):
+        first = next(point) == 0
+        for shape in shapes:
+            arr = draw(shape, GEOMETRIC_FLOAT, rng)
             for map_name in map_names:
                 jac = loglog_jacobian(map_name, arr)
                 d = abs_det(jac)
-                record(abs(d - 1.0) <= tol, arr, map_name, {"abs_det": d})
-                if p == 0:
+                yield _outcome(abs(d - 1.0) <= tol, arr, map_name, abs_det=d)
+                if first:
                     fd = loglog_jacobian(map_name, arr, mode="central-difference", h=h)
                     gap = float(np.max(np.abs(jac - fd)))
-                    record(gap <= fd_tol, arr, map_name, {"dual_vs_fd_gap": gap})
-    return tally("jacobian-symmetric" if symmetric else "jacobian", outcomes)
+                    yield _outcome(gap <= fd_tol, arr, map_name, dual_vs_fd_gap=gap)
+
+    return tally("jacobian-symmetric" if symmetric else "jacobian", run_trials(trial, points, seed))

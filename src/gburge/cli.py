@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 from functools import partial
@@ -38,6 +37,7 @@ from .correspondences import (
     gschutz_upper,
     inv_gburge,
     inv_grsk,
+    run_trials,
     tally,
     tropical_limit_check,
     verify_identity,
@@ -140,14 +140,15 @@ def _judged(report: dict) -> tuple:
 
 
 def _sampled(name: str, outcomes, pool, draw=partial(random_array, domain=GEOMETRIC_RATIONAL)):
-    """The run of a check on one input at a time: each trial's input is
-    draw(rng.choice(pool(max_size)), rng=rng) from one Random(seed), and
-    `tally` counts the outcomes(input, tol) of all the trials."""
+    """The run of a check on one input per trial: each `run_trials` trial
+    draws draw(rng.choice(pool(max_size)), rng=rng) and compares
+    outcomes(input, tol)."""
 
     def run(a):
-        rng, items = random.Random(a.seed), pool(a.max_size)
-        inputs = (draw(rng.choice(items), rng=rng) for _ in range(a.trials))
-        return _judged(tally(name, (o for arr in inputs for o in outcomes(arr, tol=a.tol))))
+        items = pool(a.max_size)
+        draws = run_trials(lambda rng: outcomes(draw(rng.choice(items), rng=rng), tol=a.tol),
+                           a.trials, a.seed)
+        return _judged(tally(name, draws))
 
     return run
 

@@ -310,8 +310,10 @@ def composition_of_21(arr: ShapedArray, m: int, q: int) -> ShapedArray:
 
 
 def tally(name: str, outcomes, **extra) -> dict:
-    """The report of an identity check, one trial per outcome: None for a
-    pass, a JSON-ready counterexample for a failure.
+    """The report of a check, one outcome per trial: None for a pass, a
+    JSON-ready counterexample for a failure.  Every `verify` check makes its
+    outcomes with `run_trials`, where a trial is one input, failed when any
+    of its comparisons failed.
 
     Keys, in order: identity (the name), trials, failures, then the extra
     keys as given, then first_counterexample (the first failing outcome)
@@ -325,7 +327,28 @@ def tally(name: str, outcomes, **extra) -> dict:
     return report
 
 
-def _cex(inp: ShapedArray, lhs: ShapedArray, rhs: ShapedArray):
+def run_trials(trial, trials: int, seed: int) -> list:
+    """The outcomes of `trials` random inputs, for `tally`.
+
+    Trial i calls trial(Random(seed ^ i)), which draws one input and
+    returns or yields the outcomes of its comparisons (None for a pass, a
+    counterexample for a failure).  The outcome of the trial is its first
+    counterexample, or None when every comparison passed; a generator is
+    not resumed after its first counterexample, so a trial that must run
+    every comparison returns a list.  Seeding with seed ^ i makes nearby
+    seeds rerun the same inputs: at 50 trials seeds 0 and 1 share all 50
+    generators, and Random(-s) equals Random(s).
+    """
+    return [
+        next((o for o in trial(random.Random(seed ^ i)) if o is not None), None)
+        for i in range(trials)
+    ]
+
+
+def _compare(inp: ShapedArray, lhs: ShapedArray, rhs: ShapedArray, tol):
+    """None when lhs equals rhs (within tol for an inexact domain), else the counterexample."""
+    if lhs.allclose(rhs, tol):
+        return None
     return {"input": inp.to_json_obj(), "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
 
 
@@ -335,26 +358,23 @@ def _random_rectangle(rng, max_rows, max_cols):
 
 def _trial_thm34C(rng, max_rows, max_cols, domain, tol):
     w = random_array(_random_rectangle(rng, max_rows, max_cols), domain, rng)
-    lhs = gburge(w.reverse_cols())
-    rhs = gschutz(grsk(w))
-    return None if lhs.allclose(rhs, tol) else _cex(w, lhs, rhs)
+    yield _compare(w, gburge(w.reverse_cols()), gschutz(grsk(w)), tol)
 
 
 def _trial_thm34R(rng, max_rows, max_cols, domain, tol):
     w = random_array(_random_rectangle(rng, max_rows, max_cols), domain, rng)
-    lhs = gburge(w.reverse_rows())
-    rhs = gschutz_upper(grsk(w))
-    return None if lhs.allclose(rhs, tol) else _cex(w, lhs, rhs)
+    yield _compare(w, gburge(w.reverse_rows()), gschutz_upper(grsk(w)), tol)
 
 
 def _trial_thm32(rng, max_rows, max_cols, domain, tol):
     w = random_array(_random_rectangle(rng, max_rows, max_cols), domain, rng)
-    lhs = grsk(w.reverse_rows().reverse_cols())
-    rhs = gschutz_upper(gschutz(grsk(w)))
-    return None if lhs.allclose(rhs, tol) else _cex(w, lhs, rhs)
+    yield _compare(w, grsk(w.reverse_rows().reverse_cols()), gschutz_upper(gschutz(grsk(w))), tol)
 
 
 def _trial_prop33(rng, max_rows, max_cols, domain, tol):
+    if max_rows < 2 or max_cols < 2:  # no narrower shape has a commutation box
+        raise ValueError("prop3.3 needs 2 rows and 2 columns, the smallest shape with a "
+                         f"commutation box; got max size {max_rows}x{max_cols}")
     shape = random_shape(rng, max_rows, max_cols)
     for _ in range(100):
         if admissible_commutation_boxes(shape):
@@ -362,10 +382,7 @@ def _trial_prop33(rng, max_rows, max_cols, domain, tol):
         shape = random_shape(rng, max_rows, max_cols)
     w = random_array(shape, domain, rng)
     for p, q in admissible_commutation_boxes(shape):
-        lhs, rhs = commutation_sides(w, p, q)
-        if not lhs.allclose(rhs, tol):
-            return _cex(w, lhs, rhs)
-    return None
+        yield _compare(w, *commutation_sides(w, p, q), tol)
 
 
 def _trial_appendix(rng, max_rows, max_cols, domain, tol):
@@ -374,10 +391,7 @@ def _trial_appendix(rng, max_rows, max_cols, domain, tol):
         raise ValueError(f"appendix-C-identity runs on n x n arrays, n >= 4; got max size {n}")
     w = random_array(rectangle(n, n), domain, rng)
     for m, q in admissible_composition_params(w.shape):
-        out = composition_of_21(w, m, q)
-        if not out.allclose(w, tol):
-            return _cex(w, out, w)
-    return None
+        yield _compare(w, composition_of_21(w, m, q), w, tol)
 
 
 _EXHAUSTIVE_SEQUENCE_CAP = 8  # sizes up to this get every growth sequence
@@ -398,13 +412,8 @@ def _trial_order_independence(rng, max_rows, max_cols, domain, tol):
     else:
         seqs = (random_growth_sequence(shape, rng) for _ in range(20))
     for seq in seqs:
-        out = grsk(w, seq)
-        if not out.allclose(ref_k, tol):
-            return _cex(w, out, ref_k)
-        out = gburge(w, seq)
-        if not out.allclose(ref_b, tol):
-            return _cex(w, out, ref_b)
-    return None
+        yield _compare(w, grsk(w, seq), ref_k, tol)
+        yield _compare(w, gburge(w, seq), ref_b, tol)
 
 
 def _trial_recursion(rng, max_rows, max_cols, domain, tol):
@@ -415,26 +424,14 @@ def _trial_recursion(rng, max_rows, max_cols, domain, tol):
     ref_b = gburge(w)
     for corner in shape.corner_boxes():
         sub_order = canonical_growth_sequence(shape.remove_box(corner))
-        out = _run(Grid.of(w), rho_at, [*sub_order, corner]).to_array()
-        if not out.allclose(ref_k, tol):
-            return _cex(w, out, ref_k)
-        out = _run(Grid.of(w), tau_at, [*sub_order, corner]).to_array()
-        if not out.allclose(ref_b, tol):
-            return _cex(w, out, ref_b)
-    return None
+        yield _compare(w, _run(Grid.of(w), rho_at, [*sub_order, corner]).to_array(), ref_k, tol)
+        yield _compare(w, _run(Grid.of(w), tau_at, [*sub_order, corner]).to_array(), ref_b, tol)
 
 
 def _trial_transpose(rng, max_rows, max_cols, domain, tol):
     w = random_array(random_shape(rng, max_rows, max_cols), domain, rng)
-    lhs = grsk(w.transpose())
-    rhs = grsk(w).transpose()
-    if not lhs.allclose(rhs, tol):
-        return _cex(w, lhs, rhs)
-    lhs = gburge(w.transpose())
-    rhs = gburge(w).transpose()
-    if not lhs.allclose(rhs, tol):
-        return _cex(w, lhs, rhs)
-    return None
+    yield _compare(w, grsk(w.transpose()), grsk(w).transpose(), tol)
+    yield _compare(w, gburge(w.transpose()), gburge(w).transpose(), tol)
 
 
 def _trial_symmetric(rng, max_rows, max_cols, domain, tol):
@@ -442,12 +439,8 @@ def _trial_symmetric(rng, max_rows, max_cols, domain, tol):
     shape = symmetric_closure(random_shape(rng, bound, bound))
     w = random_symmetric_array(shape, domain, rng)
     t = gburge(w)
-    if not t.allclose(t.transpose(), tol):
-        return _cex(w, t, t.transpose())
-    via_upper = gburge_up(w)
-    if not via_upper.allclose(t, tol):
-        return _cex(w, via_upper, t)
-    return None
+    yield _compare(w, t, t.transpose(), tol)
+    yield _compare(w, gburge_up(w), t, tol)
 
 
 _TRIALS = {
@@ -493,20 +486,20 @@ def verify_identity(
 
     max_size bounds matrix sides (or shape rows/columns);
     appendix-C-identity runs on n x n arrays, n the smaller bound, and
-    raises ValueError for n below 4, where no composition is defined.  For the
-    order-independence and recursion checks the shape pool is instead capped
-    at 9 boxes, with exhaustive growth-sequence enumeration up to 8 boxes.
-    Trial i is seeded with seed XOR i, so reports are deterministic.  An
-    exact domain compares with ==, an inexact one to relative tolerance tol.
-    Returns the `tally` report, one trial per input.
+    raises ValueError for n below 4, where no composition is defined, and
+    prop3.3 raises it below 2 rows or 2 columns, where no commutation box
+    is.  For the order-independence and recursion checks the shape pool is
+    instead capped at 9 boxes, with exhaustive growth-sequence enumeration
+    up to 8 boxes.  Each of the `trials` inputs is one `run_trials` trial,
+    so reports are deterministic.  An exact domain compares with ==, an
+    inexact one to relative tolerance tol.  Returns the `tally` report.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; expected one of {sorted(IDENTITY_NAMES)}")
-    rows_bound = max_rows if max_rows is not None else max_size
-    cols_bound = max_cols if max_cols is not None else max_size
+    rows = max_rows if max_rows is not None else max_size
+    cols = max_cols if max_cols is not None else max_size
     fn = _TRIALS[name]
-    rngs = (random.Random(seed ^ i) for i in range(trials))
-    return tally(name, [fn(rng, rows_bound, cols_bound, domain, tol) for rng in rngs])
+    return tally(name, run_trials(lambda rng: fn(rng, rows, cols, domain, tol), trials, seed))
 
 
 # -- degeneration of the geometric maps to the piecewise-linear ones ---------------------
@@ -548,31 +541,29 @@ def tropical_limit_check(
     eps*log(map(exp(x/eps))) must lie within bound_constant*eps of the
     tropical image, with the gap shrinking as eps does.  The constant is a
     generous budget: every oplus/hsum contributes at most eps*log(2) and a
-    map on at most 9 boxes performs well under a hundred of them.
+    map on at most 9 boxes performs well under a hundred of them.  Each
+    trial draws one input and runs every map on it, failing if any map
+    does; max_error_by_eps is the worst gap over all trials and maps.
     """
     epsilons = tuple(sorted(epsilons, reverse=True))
     pool = _shape_pool(max_boxes)
     worst = {eps: 0.0 for eps in epsilons}
-    outcomes = []
-    for idx in range(trials):
-        rng = random.Random(seed ^ idx)
+
+    def trial(rng):
         shape = pool[rng.randrange(len(pool))]
         trop_in = random_array(shape, TROPICAL, rng)
-        kinds = ["rsk", "burge"] + (["schutz"] if shape.is_rectangular else [])
-        for kind in kinds:
+        outcomes = []  # a list, so every map runs and max_error_by_eps sees it
+        for kind in ["rsk", "burge"] + (["schutz"] if shape.is_rectangular else []):
             errs = [tropical_limit_errors(trop_in, kind, eps) for eps in epsilons]
             for eps, err in zip(epsilons, errs):
                 worst[eps] = max(worst[eps], err)
             ok = all(err <= bound_constant * eps for eps, err in zip(epsilons, errs)) and all(
                 errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1)
             )
-            outcomes.append(
-                None
-                if ok
-                else {
-                    "input": trop_in.to_json_obj(),
-                    "map": kind,
-                    "errors": {str(e): err for e, err in zip(epsilons, errs)},
-                }
-            )
+            errors = {str(e): err for e, err in zip(epsilons, errs)}
+            outcomes.append(None if ok else {"input": trop_in.to_json_obj(), "map": kind,
+                                             "errors": errors})
+        return outcomes
+
+    outcomes = run_trials(trial, trials, seed)
     return tally("tropical-limit", outcomes, max_error_by_eps={str(e): worst[e] for e in epsilons})

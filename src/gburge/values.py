@@ -136,7 +136,7 @@ class GeometricDomain(ValueDomain):
                 )
             try:
                 x = Fraction(x)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ZeroDivisionError):  # '1/0' is a ZeroDivisionError
                 raise DomainError(f"rational entries must be Fraction, int or 'p/q', got {x!r}") from None
         elif type(x) is not float and isinstance(x, (int, Fraction)):
             # a plain float skips the isinstance test, slow on the Fraction ABC

@@ -94,6 +94,24 @@ def test_apply_malformed_array_object_exits_two(tmp_path, capsys):
     assert main(["apply", "--map", "burge", "--in", write_array(tmp_path, {"rows": []})]) == 2
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"shape": [1], "domain": "geom-float", "rows": [["x"]]},
+         "box (1,1): could not convert string to float: 'x'"),
+        ({"shape": [2], "domain": "tropical", "rows": [[1, None]]}, "box (1,2): float() argument"),
+        ({"shape": [1, 1], "domain": "geom-rational", "rows": [["1"], ["1/0"]]},
+         "box (2,1): rational entries must be Fraction, int or 'p/q', got '1/0'"),
+    ],
+    ids=["float-x", "tropical-null", "rational-1/0"],
+)
+def test_apply_bad_entry_exits_two_naming_its_box(tmp_path, capsys, obj, message):
+    assert main(["apply", "--map", "rsk", "--in", write_array(tmp_path, obj)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_apply_infinite_entry_exits_two(tmp_path, capsys):
     src = tmp_path / "inf.json"
     src.write_text(
@@ -160,6 +178,16 @@ def test_verify_extra_identities_pass(capsys, argv):
     assert code == 0
     report = json.loads(out)
     assert report["failures"] == 0 and report["trials"] > 0
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS["verify"])
+def test_verify_reports_trials_as_the_number_of_inputs(capsys, name):
+    argv = ["verify", "--identity", name, "--trials", "2", "--seed", "1"]
+    if "max_size" in cli._COMMANDS["verify"][name][1]:
+        argv += ["--max-size", "4" if name == "appendix-C-identity" else "2"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["trials"] == 2
 
 
 def test_verify_unknown_identity_exits_two(capsys):

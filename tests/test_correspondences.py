@@ -323,10 +323,21 @@ def test_verify_identity_passes(name, domain):
     assert "first_counterexample" not in rep
 
 
-@pytest.mark.parametrize("bounds", [dict(max_size=3), dict(max_rows=5, max_cols=3)])
-def test_appendix_identity_below_four_raises(bounds):
-    with pytest.raises(ValueError, match="n >= 4; got max size 3"):
-        verify_identity("appendix-C-identity", trials=1, **bounds)
+# below its floor a check would compare nothing: no (m, q) is admissible below
+# 4x4, and no shape of one row or one column has a commutation box
+@pytest.mark.parametrize(
+    "name, bounds, message",
+    [
+        ("appendix-C-identity", dict(max_size=3), "n >= 4; got max size 3"),
+        ("appendix-C-identity", dict(max_rows=5, max_cols=3), "n >= 4; got max size 3"),
+        ("prop3.3", dict(max_size=1), "got max size 1x1"),
+        ("prop3.3", dict(max_rows=5, max_cols=1), "got max size 5x1"),
+        ("prop3.3", dict(max_rows=1), "got max size 1x4"),
+    ],
+)
+def test_verify_identity_below_its_floor_raises(name, bounds, message):
+    with pytest.raises(ValueError, match=message):
+        verify_identity(name, trials=1, **bounds)
 
 
 def test_verify_identity_unknown_name():

@@ -4,7 +4,7 @@ unknown-identity error, every `apply` map on a rational 3x3 and a float 3x2
 array (with and without --order), every `polymer` and `whittaker` command,
 one flag a command does not take in each of `verify`, `polymer` and
 `whittaker`, and `--max-size` below the floors of appendix-C-identity (in
-the explicit setting) and replica-decomposition.
+the explicit setting), replica-decomposition and prop3.3.
 
 golden_cli.json holds the argv, exit code, stdout and stderr of each run; the
 `apply` inputs are the apply_*.json files beside it, read with this directory
@@ -99,6 +99,7 @@ COMMANDS = (
          "--seed", "1", "--beta", "2"],
         ["whittaker", "--cmd", "corollary", "--alpha", "1.5,2.5", "--seed", "1"],
         ["verify", "--identity", "replica-decomposition", "--max-size", "1", "--seed", "1"],
+        ["verify", "--identity", "prop3.3", "--max-size", "1", "--seed", "1"],
     ]
 )
 
