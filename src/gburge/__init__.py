@@ -28,9 +28,6 @@ from .correspondences import (
 )
 from .oracles import (
     EnumerationLimitError,
-    check_prop4,
-    check_prop43,
-    check_replica_decomposition,
     enum_nonintersecting,
     enum_paths,
     path_sum,
@@ -99,9 +96,6 @@ __all__ = [
     "burge_partition_vector",
     "check_Z_Zstar",
     "check_lukacs",
-    "check_prop4",
-    "check_prop43",
-    "check_replica_decomposition",
     "check_replica_routes",
     "corollary_check",
     "domain_by_name",

@@ -33,7 +33,6 @@ import contextlib
 import functools
 import random
 
-import mpmath as mp
 import numpy as np
 
 from .arrays import ShapedArray, random_array, random_symmetric_array
@@ -515,6 +514,9 @@ def _map_by_kind(kind: str):
 def tropical_limit_errors(trop_in: ShapedArray, kind: str, eps: float) -> float:
     """Max entrywise gap between eps*log(geometric map at exp(./eps)) and the
     tropical map, for one input array."""
+    # mpmath costs about 0.03 s and 4 MB to import, so only this limit pays for it
+    import mpmath as mp
+
     apply_map = _map_by_kind(kind)
     trop_out = apply_map(trop_in)
     with mp.workprec(150):

@@ -24,7 +24,7 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .arrays import ShapedArray, random_array
-from .correspondences import gburge, grsk, tally
+from .correspondences import gburge, grsk
 from .shapes import rectangle
 from .values import GEOMETRIC_RATIONAL, ValueDomain
 
@@ -198,11 +198,6 @@ def prop4_outcomes(arr: ShapedArray, which: str, tol: float = 1e-9) -> list:
     return outcomes
 
 
-def check_prop4(arr: ShapedArray, which: str, tol: float = 1e-9) -> dict:
-    """The report of `prop4_outcomes`, named prop4.1 or prop4.2."""
-    return tally("prop4.1" if which == "grsk-4.1" else "prop4.2", prop4_outcomes(arr, which, tol))
-
-
 def prop43_outcomes(arr: ShapedArray, tol: float = 1e-9) -> list:
     """Check the two inverse-entry sum rules for the column-insertion output:
     1/t_{1,1} equals the sum of 1/w_{i,i} over the diagonal, and the sum over
@@ -228,11 +223,6 @@ def prop43_outcomes(arr: ShapedArray, tol: float = 1e-9) -> list:
 
     checks = [("diagonal", diag_lhs, diag_rhs), ("all-boxes", ratio_lhs, ratio_rhs)]
     return [_outcome(dom, arr, lhs, rhs, tol, check=label) for label, lhs, rhs in checks]
-
-
-def check_prop43(arr: ShapedArray, tol: float = 1e-9) -> dict:
-    """The report of `prop43_outcomes`."""
-    return tally("prop4.3", prop43_outcomes(arr, tol))
 
 
 # -- replica decomposition -----------------------------------------------------------------
@@ -303,8 +293,3 @@ def replica_decomposition_outcomes(weights: ShapedArray, tol: float = 1e-9) -> l
         z_repl = dom.oplus(z_repl, dom.otimes(half, half))
 
     return [_outcome(dom, weights, z_full, z_repl, tol)]
-
-
-def check_replica_decomposition(weights: ShapedArray, tol: float = 1e-9) -> dict:
-    """The report of `replica_decomposition_outcomes`."""
-    return tally("replica-decomposition", replica_decomposition_outcomes(weights, tol))

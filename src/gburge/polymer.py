@@ -16,15 +16,16 @@ quadrature lives in the whittaker module.
 All sampling uses a counter-based splittable generator, so sample i is a pure
 function of (seed, i) and every estimate is a fixed function of the seed.
 The scalar ``Stream`` and the ``sample_*`` functions draw one sample at a
-time in pure Python; they are the per-sample API and the test oracle.  The
-Monte Carlo checks draw on numpy lanes instead (``_Lanes``): lane k is
+time in pure Python; they are the per-sample API and the test oracle.  Every
+Monte Carlo check draws on numpy lanes instead (``_Lanes``): lane k is
 sample index k, holds that index's stream state, and takes the same uniforms
 as the scalar stream, so its values match the scalar ones up to numpy and
 libm differing in the last ulp.  The Burge map runs on lanes too: an
 environment whose entries are lane arrays lives in the ``GEOMETRIC_LANES``
-value domain, and the unchanged ``gburge`` maps a whole block at once
-(``_burge_diagonals``, which the Whittaker measure check draws on).  Lanes
-run in blocks of ``_CHUNK`` sample indices on one thread.
+value domain, and the unchanged ``gburge`` and ``replica_Z`` map a whole
+block at once (``_burge_diagonals``, which the Whittaker measure check draws
+on, and ``check_replica_routes``).  Lanes run in blocks of ``_CHUNK`` sample
+indices on one thread.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .arrays import ShapedArray
 from .correspondences import gburge
@@ -473,6 +473,9 @@ def ks_two_sample(xs, ys):
     """Kolmogorov-Smirnov statistic and asymptotic p-value."""
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("both samples must be nonempty")
+    # scipy.stats costs about 1 s and 70 MB to import, so only a KS test pays for it
+    from scipy.stats import ks_2samp
+
     res = ks_2samp(xs, ys, method="asymp")
     return float(res.statistic), float(res.pvalue)
 
@@ -534,15 +537,21 @@ def check_lukacs(a: float, b: float, samples: int, seed: int) -> dict:
 
 def check_replica_routes(spec: EnvSpec, samples: int, seed: int, tol: float) -> dict:
     """Route agreement of replica_Z on sampled replica environments: the
-    oracle path sums against the persymmetric Burge route, sample i drawn
-    from Stream(seed, i).  Passes when the worst relative gap is within tol."""
+    oracle path sums against the persymmetric Burge route on
+    sample_replica_env(spec, Stream(seed, i)), i < samples, for a whole block
+    of indices at once on lane arrays.  Passes when the worst relative gap is
+    within tol."""
     _check_samples(samples)
-    worst = 0.0
-    for i in range(samples):
-        env = sample_replica_env(spec, Stream(seed, i))
+
+    def draw(lanes):
+        rows = _replica_rows(spec, lanes.inv_gamma, np.sqrt)
+        env = ShapedArray.from_rows(rows, GEOMETRIC_LANES)
         oracle = replica_Z(env, via="oracle")
         folded = replica_Z(env, via="persymmetric-burge")
-        worst = max(worst, abs(oracle - folded) / abs(oracle))
+        return (np.abs(oracle - folded) / np.abs(oracle),)
+
+    (gaps,), _ = _collect_samples(samples, seed, draw, streams=((),))
+    worst = float(gaps.max())
     return {
         "test": "replica-routes",
         "n": spec.n,

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kve
 
 from .polymer import EnvSpec, _burge_diagonals, _check_samples, normalization_c
 
@@ -163,6 +162,9 @@ def _log_bessel_k(nu, log_half_z):
     small-argument leading term, Gamma(nu)/2 (z/2)^{-nu}, or -log(z/2) - gamma
     at nu = 0.  So the result is never nan or +inf.
     """
+    # scipy.special costs about 0.3 s and 25 MB to import, so only a quadrature pays for it
+    from scipy.special import kve
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z = 2.0 * np.exp(log_half_z)
         log_k = np.log(kve(nu, z)) - z

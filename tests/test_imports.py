@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in it, and every
-private name a module defines is used somewhere in the package.
+"""Every name a module of the package imports is used in it, every private
+name a module defines is used somewhere in the package, and importing the
+package loads neither scipy nor mpmath.
 
 An imported name counts as used when the module reads it anywhere in its
 code (annotations included) or lists it in `__all__`.  A module-level private
@@ -8,6 +9,10 @@ reads it, imports it or reads it as an attribute.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +107,25 @@ def test_the_scan_sees_a_dead_private_name():
         "b.py": ast.parse("from .a import _f\n"),
     }
     assert _dead(trees) == ["a.py:1 _LIMIT", "a.py:5 _C"]
+
+
+_COLD_START = """
+import json, sys
+import gburge, gburge.cli
+code = gburge.cli.main(["verify", "--identity", "thm3.2", "--trials", "2", "--seed", "1"])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(("scipy", "mpmath")))]))
+"""
+
+
+def test_maps_and_verify_load_neither_scipy_nor_mpmath():
+    """scipy loads on the first KS test or Whittaker quadrature and mpmath on
+    the first tropical limit, not on import.  This runs in a fresh
+    interpreter, because the test modules themselves import scipy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gburge.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert loaded == [], f"loaded without being used: {', '.join(loaded[:10])}"
