@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in it, every private
-name a module defines is used somewhere in the package, and importing the
-package loads neither scipy nor mpmath.
+name a module defines is used somewhere in the package, and neither importing
+the package nor running its maps, exact checks or KS tests loads scipy or
+mpmath; a Whittaker quadrature loads scipy.special, and nothing loads
+scipy.stats.
 
 An imported name counts as used when the module reads it anywhere in its
 code (annotations included) or lists it in `__all__`.  A module-level private
@@ -112,20 +114,39 @@ def test_the_scan_sees_a_dead_private_name():
 _COLD_START = """
 import json, sys
 import gburge, gburge.cli
-code = gburge.cli.main(["verify", "--identity", "thm3.2", "--trials", "2", "--seed", "1"])
+code = gburge.cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(("scipy", "mpmath")))]))
 """
 
 
-def test_maps_and_verify_load_neither_scipy_nor_mpmath():
-    """scipy loads on the first KS test or Whittaker quadrature and mpmath on
-    the first tropical limit, not on import.  This runs in a fresh
-    interpreter, because the test modules themselves import scipy."""
+def _loaded_by(args):
+    """The scipy and mpmath modules that gburge.cli.main(args) loads, run in a
+    fresh interpreter, because the test modules themselves import scipy."""
     env = {**os.environ, "PYTHONPATH": str(Path(gburge.__file__).parent.parent)}
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _COLD_START, *args],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert code == 0
+    return loaded
+
+
+def test_maps_and_verify_load_neither_scipy_nor_mpmath():
+    """mpmath loads on the first tropical limit, not on import."""
+    loaded = _loaded_by(["verify", "--identity", "thm3.2", "--trials", "2", "--seed", "1"])
     assert loaded == [], f"loaded without being used: {', '.join(loaded[:10])}"
+
+
+@pytest.mark.parametrize("cmd", ["ks-zzstar", "lukacs"])
+def test_ks_tests_load_no_scipy(cmd):
+    loaded = _loaded_by(["polymer", "--cmd", cmd, "--alpha", "1,2", "--samples", "200", "--seed", "1"])
+    assert loaded == [], f"loaded without being used: {', '.join(loaded[:10])}"
+
+
+def test_quadrature_loads_scipy_special_but_not_scipy_stats():
+    loaded = _loaded_by(["whittaker", "--cmd", "corollary", "--alpha", "1,1.5"])
+    assert "scipy.special" in loaded
+    stray = [m for m in loaded if m.startswith(("scipy.stats", "mpmath"))]
+    assert not stray, f"loaded without being used: {', '.join(stray[:10])}"

@@ -30,6 +30,7 @@ from gburge.polymer import (
     _burge_diagonals,
     _corner_Z,
     _dual_Z,
+    _kolmogorov_sf,
     _Lanes,
     _replica_rows,
     _sample_gamma,
@@ -287,6 +288,45 @@ def test_ks_two_sample_calibration():
     assert p_shifted < 1e-10
     with pytest.raises(ValueError):
         ks_two_sample([], xs)
+
+
+def _ks_pairs():
+    """Seeded sample pairs: equal and unequal sizes, continuous and tied."""
+    rng = np.random.default_rng(17)
+    for m, n in [(2, 2), (1, 7), (25, 25), (40, 13), (300, 301), (500, 64)]:
+        yield rng.standard_normal(m), rng.standard_normal(n) + 0.2
+        yield rng.integers(0, 4, m).astype(float), rng.integers(0, 5, n).astype(float)
+
+
+@pytest.mark.parametrize("xs, ys", list(_ks_pairs()))
+def test_ks_statistic_is_scipys(xs, ys):
+    from scipy.stats import ks_2samp
+
+    stat, _ = ks_two_sample(xs, ys)
+    assert stat == ks_2samp(xs, ys, method="asymp").statistic
+
+
+def test_ks_pvalue_is_the_kolmogorov_law():
+    from scipy.stats import kstwobign
+
+    # lam < 1 runs the theta series, lam >= 1 the alternating one
+    for lam in [-1.0, 0.0, *np.linspace(0.01, 5, 500)]:
+        assert abs(_kolmogorov_sf(lam) - kstwobign.sf(lam)) <= 1e-12, lam
+    for xs, ys in _ks_pairs():
+        stat, p = ks_two_sample(xs, ys)
+        en = len(xs) * len(ys) / (len(xs) + len(ys))
+        assert abs(p - kstwobign.sf(stat * math.sqrt(en))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [25, 50, 250])
+def test_ks_pvalue_is_close_to_the_exact_law(n):
+    from scipy.stats import ks_2samp
+
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        xs, ys = rng.standard_normal(n), rng.standard_normal(n)
+        exact = ks_2samp(xs, ys, method="exact").pvalue
+        assert abs(ks_two_sample(xs, ys)[1] - exact) <= 0.012
 
 
 def test_z_zstar_report():
