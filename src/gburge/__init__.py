@@ -55,6 +55,7 @@ from .values import (
     GEOMETRIC_RATIONAL,
     TROPICAL,
     DomainError,
+    LogDomain,
     ValueDomain,
     domain_by_name,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "GEOMETRIC_FLOAT",
     "GEOMETRIC_RATIONAL",
     "IDENTITY_NAMES",
+    "LogDomain",
     "MCResult",
     "NonconvergentQuadratureError",
     "Shape",

@@ -16,9 +16,13 @@ eps*log(.(exp(x/eps))) is a tested property, not an assumption.
 
 The geometric arithmetic is written with plain Python operators, so any
 value type supporting +, *, / and ordering flows through unchanged: exact
-``fractions.Fraction`` (the reference domain for identity checks), ``float``,
-``mpmath.mpf`` (for tropicalization limits, where exp(x/eps) overflows
-doubles) and the dual numbers used for Jacobians.  ``GEOMETRIC_LANES`` runs
+``fractions.Fraction`` (the reference domain for identity checks, whose
+hsum normalizes once), ``float``, high-precision floats and the dual numbers
+used for Jacobians.  ``LogDomain(eps)`` runs the geometric maps in eps*log
+coordinates on floats, an entry v standing for exp(v/eps): its oplus and
+hsum are eps*logaddexp(x/eps, y/eps) and -eps*logaddexp(-x/eps, -y/eps)
+(Maslov dequantization), so the tropicalization limits, where exp(x/eps)
+overflows doubles, run in doubles.  ``GEOMETRIC_LANES`` runs
 the same arithmetic on 1-D float arrays, one element per lane (a block of
 Monte Carlo samples), so every map runs on a whole block at once; it checks
 its preconditions with ``np.all`` and names the first failing lane.  It
@@ -31,6 +35,7 @@ entries can still overflow, and that raises instead of returning inf or nan.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Real
 from typing import Any
@@ -52,18 +57,18 @@ def _where(r, k) -> str:
 
 
 class ValueDomain:
-    """One of the three value domains; use the module-level singletons.
+    """A value domain; use the module-level singletons or LogDomain(eps).
 
-    The subclasses GeometricDomain and TropicalDomain each carry one operation
-    table, so no operation branches on the kind of domain.
+    Each subclass carries one operation table, so no operation branches on
+    the kind of domain.
     """
 
     is_tropical = False
+    is_exact = False  # True where entries compare with ==
     holds_arrays = False  # True where an entry is a 1-D array of lanes
 
-    def __init__(self, name: str, exact: bool, corner, zero, one):
+    def __init__(self, name: str, corner, zero, one):
         self.name = name
-        self.is_exact = exact
         self.corner = corner
         self.zero = zero
         self.one = one
@@ -82,9 +87,7 @@ class ValueDomain:
                     raise DomainError(f"float overflow at {_where(r, k)}: {x!r}; {_LOG_HINT}")
 
     def isclose(self, x, y, rel_tol=1e-12) -> bool:
-        """Equality for exact domains, relative tolerance otherwise."""
-        if self.is_exact:
-            return x == y
+        """Equality to relative tolerance rel_tol."""
         if x == y:
             return True
         scale = max(abs(x), abs(y), 1e-300)
@@ -92,7 +95,7 @@ class ValueDomain:
 
 
 class GeometricDomain(ValueDomain):
-    """The positive reals (or rationals) under +, *, / and the harmonic sum.
+    """The positive reals under +, *, / and the harmonic sum.
 
     The arithmetic is written with plain operators, so Fraction, float, mpf
     and dual-number entries all flow through the same code.
@@ -126,19 +129,10 @@ class GeometricDomain(ValueDomain):
     def coerce(self, x) -> Any:
         """Normalize an interior entry, which must be positive and finite.
 
-        Exotic numeric types (dual numbers, mpf) pass through untouched in the
-        float domain, so the generic map code can run on them.
+        Exotic numeric types (dual numbers, mpf) pass through untouched, so
+        the generic map code can run on them.
         """
-        if self.is_exact:
-            if isinstance(x, float):
-                raise DomainError(
-                    f"rational domain rejects floats (got {x!r}); pass Fraction, int or 'p/q'"
-                )
-            try:
-                x = Fraction(x)
-            except (TypeError, ValueError, ZeroDivisionError):  # '1/0' is a ZeroDivisionError
-                raise DomainError(f"rational entries must be Fraction, int or 'p/q', got {x!r}") from None
-        elif type(x) is not float and isinstance(x, (int, Fraction)):
+        if type(x) is not float and isinstance(x, (int, Fraction)):
             # a plain float skips the isinstance test, slow on the Fraction ABC
             x = float(x)
         try:
@@ -150,14 +144,52 @@ class GeometricDomain(ValueDomain):
         return x
 
     def scalar_to_json(self, x):
-        return str(x) if self.is_exact else float(x)
+        return float(x)
 
     def scalar_from_json(self, obj):
-        if self.is_exact:
-            if isinstance(obj, float):
-                raise DomainError(f"rational entries must be strings or ints, got {obj!r}")
-            return self.coerce(obj)
         return self.coerce(float(obj))
+
+
+class RationalDomain(GeometricDomain):
+    """The positive rationals: exact Fraction entries, compared with ==."""
+
+    is_exact = True
+
+    def hsum(self, x, y):
+        """Harmonic sum ac/(ad+bc) of x = a/b and y = c/d, normalized once.
+
+        Denominators are positive, so the numerators carry the sign test.
+        """
+        a, c = x.numerator, y.numerator
+        if not (a > 0 and c > 0):
+            raise DomainError(f"hsum needs positive arguments, got {x!r}, {y!r}")
+        return Fraction(a * c, a * y.denominator + x.denominator * c)
+
+    def coerce(self, x) -> Fraction:
+        """Normalize an interior entry to a positive Fraction; floats are refused."""
+        if isinstance(x, float):
+            raise DomainError(
+                f"rational domain rejects floats (got {x!r}); pass Fraction, int or 'p/q'"
+            )
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError, ZeroDivisionError):  # '1/0' is a ZeroDivisionError
+            raise DomainError(f"rational entries must be Fraction, int or 'p/q', got {x!r}") from None
+        if not x > 0:
+            raise DomainError(f"geometric interior entries must be positive and finite, got {x!r}")
+        return x
+
+    def isclose(self, x, y, rel_tol=1e-12) -> bool:
+        """Exact equality; rel_tol is ignored."""
+        return x == y
+
+    def scalar_to_json(self, x):
+        return str(x)
+
+    def scalar_from_json(self, obj):
+        if isinstance(obj, float):
+            raise DomainError(f"rational entries must be strings or ints, got {obj!r}")
+        return self.coerce(obj)
 
 
 def _first(bad) -> int:
@@ -270,11 +302,74 @@ class TropicalDomain(ValueDomain):
         return self.coerce(float(obj))
 
 
-GEOMETRIC_RATIONAL = GeometricDomain("geom-rational", True, Fraction(1, 2), Fraction(0), Fraction(1))
-GEOMETRIC_FLOAT = GeometricDomain("geom-float", False, 0.5, 0.0, 1.0)
-TROPICAL = TropicalDomain("tropical", False, 0.0, _NEG_INF, 0.0)
+class LogDomain(ValueDomain):
+    """The positive reals in eps*log coordinates: the entry v stands for exp(v/eps).
+
+    Maslov dequantization at temperature eps: oplus is
+    eps*logaddexp(x/eps, y/eps), otimes and odiv are + and -, and hsum is
+    -eps*logaddexp(-x/eps, -y/eps).  The constants are the logs of 1/2, 0
+    and 1: corner -eps*log(2), zero -inf, one 0.  Entries are finite floats
+    at every eps, where the geometric values exp(v/eps) overflow doubles.
+    As eps -> 0 the table tends to the tropical one.  Not one of the named
+    DOMAINS: it is built for a temperature, and has no JSON form.
+    """
+
+    def __init__(self, eps: float):
+        if not 0 < eps < _INF:
+            raise DomainError(f"the temperature eps must be positive and finite, got {eps!r}")
+        super().__init__(f"log-{eps!r}", -eps * math.log(2), _NEG_INF, 0.0)
+        self.eps = eps
+
+    def oplus(self, x, y):
+        """eps*log(exp(x/eps) + exp(y/eps)).  The zero element -inf is its identity."""
+        hi, lo = (x, y) if x >= y else (y, x)
+        if lo == _NEG_INF:
+            return hi
+        return hi + self.eps * math.log1p(math.exp((lo - hi) / self.eps))
+
+    def otimes(self, x, y):
+        """Log of a product."""
+        return x + y
+
+    def odiv(self, x, y):
+        """Log of a quotient; the zero element -inf may not divide."""
+        if y == _NEG_INF:
+            raise DomainError("geometric division by zero")
+        return x - y
+
+    def hsum(self, x, y):
+        """-eps*log(exp(-x/eps) + exp(-y/eps)), the log of the harmonic sum.
+
+        Neither argument may be the zero element -inf, as in the geometric domains.
+        """
+        if x == _NEG_INF or y == _NEG_INF:
+            raise DomainError(f"hsum needs positive arguments, got log-domain {x!r}, {y!r}")
+        lo, hi = (x, y) if x <= y else (y, x)
+        return lo - self.eps * math.log1p(math.exp((lo - hi) / self.eps))
+
+    def coerce(self, x) -> float:
+        """Normalize an interior entry, a finite real number stored as float."""
+        try:
+            y = x if type(x) is float else float(x) if isinstance(x, Real) else _NAN
+        except OverflowError:  # an int or Fraction beyond the double range
+            y = _INF
+        if not -_INF < y < _INF:
+            raise DomainError(f"log-domain interior entries must be finite real numbers, got {x!r}")
+        return y
+
+    def check_finite(self, rows) -> None:
+        """Reject a map's output rows holding nan or +-inf, naming the box."""
+        for r, row in enumerate(rows):
+            for k, x in enumerate(row):
+                if not -_INF < x < _INF:
+                    raise DomainError(f"log-domain entry {x!r} at {_where(r, k)}")
+
+
+GEOMETRIC_RATIONAL = RationalDomain("geom-rational", Fraction(1, 2), Fraction(0), Fraction(1))
+GEOMETRIC_FLOAT = GeometricDomain("geom-float", 0.5, 0.0, 1.0)
+TROPICAL = TropicalDomain("tropical", 0.0, _NEG_INF, 0.0)
 # Not in DOMAINS: lane arrays are built by the samplers, never parsed by name.
-GEOMETRIC_LANES = GeometricLanes("geom-lanes", False, 0.5, 0.0, 1.0)
+GEOMETRIC_LANES = GeometricLanes("geom-lanes", 0.5, 0.0, 1.0)
 
 DOMAINS = {d.name: d for d in (GEOMETRIC_RATIONAL, GEOMETRIC_FLOAT, TROPICAL)}
 

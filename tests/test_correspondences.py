@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gburge import correspondences
 from gburge.arrays import ShapedArray, random_array, random_symmetric_array
 from gburge.calculus import Dual
 from gburge.correspondences import (
@@ -34,6 +35,7 @@ from gburge.correspondences import (
     tropical_limit_errors,
     verify_identity,
 )
+from gburge.polymer import EnvSpec, Stream, sample_symmetric_env
 from gburge.shapes import (
     Shape,
     ShapeError,
@@ -48,6 +50,7 @@ from gburge.values import (
     GEOMETRIC_RATIONAL,
     TROPICAL,
     DomainError,
+    LogDomain,
 )
 
 R = GEOMETRIC_RATIONAL
@@ -385,8 +388,9 @@ def test_tropical_limit_check_passes():
 
 
 def test_tropical_limit_check_reports_a_counterexample_after_its_errors():
-    # at eps = 1 the gaps are above zero, so a zero budget fails some trials
-    rep = tropical_limit_check(max_boxes=4, trials=2, seed=0, epsilons=(1.0,), bound_constant=0.0)
+    # a gap is never negative, so a negative budget fails every trial; a zero
+    # budget would not, as some inputs have an exact gap of zero
+    rep = tropical_limit_check(max_boxes=4, trials=2, seed=0, epsilons=(1.0,), bound_constant=-1.0)
     assert list(rep) == ["identity", "trials", "failures", "max_error_by_eps", "first_counterexample"]
     assert 0 < rep["failures"] <= rep["trials"]
     assert set(rep["first_counterexample"]) == {"input", "map", "errors"}
@@ -396,6 +400,94 @@ def test_tropical_limit_unknown_map():
     w = ShapedArray.from_rows([[0.0]], TROPICAL)
     with pytest.raises(ValueError):
         tropical_limit_errors(w, "shuffle", 0.1)
+
+
+_KINDS = {"rsk": grsk, "burge": gburge, "schutz": gschutz}
+
+
+def _oracle_gap(trop_in, kind, eps):
+    """tropical_limit_errors computed the direct way: the geometric map on
+    exp(x/eps) in 150-bit mpmath, then eps*log of its output."""
+    apply_map = _KINDS[kind]
+    trop_out = apply_map(trop_in)
+    with mp.workprec(150):
+        geom_out = apply_map(trop_in.map_entries(lambda x: mp.exp(mp.mpf(x) / eps), GEOMETRIC_FLOAT))
+        scaled = geom_out.map_entries(lambda v: float(eps * mp.log(v)), TROPICAL)
+    return max(abs(x - y) for rx, ry in zip(scaled.rows, trop_out.rows) for x, y in zip(rx, ry))
+
+
+def _shape_sweep(max_boxes=9):
+    """One random integer tropical input per shape, with the maps each one takes."""
+    for i, shape in enumerate(all_shapes(max_boxes)):
+        kinds = ["rsk", "burge"] + (["schutz"] if shape.is_rectangular else [])
+        yield random_array(shape, TROPICAL, random.Random(i)), kinds
+
+
+def test_tropical_limit_gaps_match_the_mpmath_oracle_on_every_shape_to_9_boxes():
+    worst = 0.0
+    for trop_in, kinds in _shape_sweep():
+        for kind in kinds:
+            for eps in (0.1, 0.01, 0.001):
+                got = tropical_limit_errors(trop_in, kind, eps)
+                worst = max(worst, abs(got - _oracle_gap(trop_in, kind, eps)))
+    assert worst <= 1e-12
+
+
+def test_criterion_05_report_matches_the_mpmath_oracle(monkeypatch):
+    args = dict(max_boxes=9, trials=20, seed=50)
+    rep = tropical_limit_check(**args)
+    monkeypatch.setattr(correspondences, "tropical_limit_errors", _oracle_gap)
+    oracle = tropical_limit_check(**args)
+    assert rep["failures"] == oracle["failures"] == 0
+    for eps, err in oracle["max_error_by_eps"].items():
+        assert abs(rep["max_error_by_eps"][eps] - err) <= 1e-12, eps
+
+
+def test_a_planted_log_corner_fails_the_oracle_comparison(monkeypatch):
+    class Planted(LogDomain):
+        """The geometric corner 1 in place of 1/2."""
+
+        def __init__(self, eps):
+            super().__init__(eps)
+            self.corner = 0.0
+
+    monkeypatch.setattr(correspondences, "LogDomain", Planted)
+    # on one box, A = corner oplus corner moves from 0 to eps*log(2)
+    trop_in, _ = next(_shape_sweep())
+    for eps in (0.1, 0.01, 0.001):
+        assert abs(tropical_limit_errors(trop_in, "rsk", eps) - _oracle_gap(trop_in, "rsk", eps)) > 1e-12
+    # and most inputs on up to 4 boxes move too
+    moved = [
+        abs(tropical_limit_errors(t, kind, 0.01) - _oracle_gap(t, kind, 0.01)) > 1e-12
+        for t, kinds in _shape_sweep(4) for kind in kinds
+    ]
+    assert sum(moved) > len(moved) / 2
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_log_domain_gburge_is_the_log_of_float_gburge(n):
+    rng = random.Random(n)
+    log = LogDomain(1.0)
+    for _ in range(5):
+        w = random_array(rectangle(n, n), GEOMETRIC_FLOAT, rng)
+        want = gburge(w)
+        got = gburge(w.map_entries(math.log, log))
+        assert got.domain is log
+        for rg, rw in zip(got.rows, want.rows):
+            for x, y in zip(rg, rw):
+                assert math.isclose(math.exp(x), y, rel_tol=1e-12), (x, y)
+
+
+def test_log_domain_stays_finite_where_float_gburge_raises():
+    """The n = 60, alpha = 0.3 environment, where the float map meets a nan."""
+    env = sample_symmetric_env(EnvSpec(n=60, alpha=(0.3,) * 60, beta=1.0), Stream(60, 0))
+    with pytest.raises(DomainError, match="hsum needs positive arguments"):
+        gburge(env)
+    out = gburge(env.map_entries(math.log, LogDomain(1.0)))
+    assert all(math.isfinite(x) for row in out.rows for x in row)
+    # 1/t_11 is the sum of 1/w_ii over the diagonal
+    want = -math.log(math.fsum(1 / env.get(i, i) for i in range(1, 61)))
+    assert math.isclose(out.get(1, 1), want, rel_tol=1e-12)
 
 
 # -- float overflow is caught where the map hands back its output -------------------------

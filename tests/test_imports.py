@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in it, every private
 name a module defines is used somewhere in the package, and neither importing
-the package nor running its maps, exact checks or KS tests loads scipy or
-mpmath; a Whittaker quadrature loads scipy.special, and nothing loads
-scipy.stats.
+the package nor running its maps, exact checks, tropical limits or KS tests
+loads scipy or mpmath; a Whittaker quadrature loads scipy.special, and
+nothing loads scipy.stats or mpmath.
 
 An imported name counts as used when the module reads it anywhere in its
 code (annotations included) or lists it in `__all__`.  A module-level private
@@ -134,9 +134,10 @@ def _loaded_by(args):
 
 
 def test_maps_and_verify_load_neither_scipy_nor_mpmath():
-    """mpmath loads on the first tropical limit, not on import."""
-    loaded = _loaded_by(["verify", "--identity", "thm3.2", "--trials", "2", "--seed", "1"])
-    assert loaded == [], f"loaded without being used: {', '.join(loaded[:10])}"
+    """The tropical limit runs in the float log domain, so it loads neither."""
+    for identity in ("thm3.2", "tropical-limit"):
+        loaded = _loaded_by(["verify", "--identity", identity, "--trials", "2", "--seed", "1"])
+        assert loaded == [], f"{identity} loaded without being used: {', '.join(loaded[:10])}"
 
 
 @pytest.mark.parametrize("cmd", ["ks-zzstar", "lukacs"])

@@ -17,6 +17,7 @@ from gburge.values import (
     GEOMETRIC_RATIONAL,
     TROPICAL,
     DomainError,
+    LogDomain,
     domain_by_name,
 )
 
@@ -59,6 +60,27 @@ def test_tropical_ops():
 @given(positive_rationals, positive_rationals)
 def test_hsum_is_a_harmonic_sum(x, y):
     assert GEOMETRIC_RATIONAL.hsum(x, y) == 1 / (1 / x + 1 / y)
+
+
+@given(
+    st.one_of(st.integers(1, 10**6), st.fractions(min_value=Fraction(1, 10**6))),
+    st.one_of(st.integers(1, 10**6), st.fractions(min_value=Fraction(1, 10**6))),
+)
+def test_rational_hsum_is_the_fraction_xy_over_x_plus_y(x, y):
+    got = GEOMETRIC_RATIONAL.hsum(x, y)
+    want = Fraction(x) * y / (x + y)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(Fraction(0), Fraction(1, 3)), (Fraction(2, 5), 0), (Fraction(-1, 2), 3), (4, Fraction(-7, 3)), (0, 0)],
+    ids=repr,
+)
+def test_rational_hsum_of_a_nonpositive_argument_names_both(x, y):
+    with pytest.raises(DomainError, match=re.escape(f"got {x!r}, {y!r}")):
+        GEOMETRIC_RATIONAL.hsum(x, y)
 
 
 @given(positive_rationals, positive_rationals, positive_rationals)
@@ -121,7 +143,9 @@ def test_coerce_tropical_stores_real_numbers_as_floats():
 
 
 @pytest.mark.parametrize("bad", ["x", "2", None, 1 + 0j, [1.0]], ids=repr)
-@pytest.mark.parametrize("dom", [TROPICAL, GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL], ids=lambda d: d.name)
+@pytest.mark.parametrize(
+    "dom", [TROPICAL, GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, LogDomain(0.1)], ids=lambda d: d.name
+)
 def test_coerce_rejects_what_is_not_a_real_number(dom, bad):
     if dom is GEOMETRIC_RATIONAL and bad == "2":
         assert dom.coerce(bad) == 2  # 'p/q' strings are rational entries
@@ -163,6 +187,76 @@ def test_scalar_json_round_trip():
     assert TROPICAL.scalar_to_json(-math.inf) == "-inf"
     assert TROPICAL.scalar_from_json("-inf") == -math.inf
     assert GEOMETRIC_FLOAT.scalar_from_json(1.5) == 1.5
+
+
+# -- the log domain --------------------------------------------------------------
+
+
+def _mp_log_sum(eps, *terms):
+    """eps * log(sum of exp(t/eps)) at 100 bits."""
+    with mp.workprec(100):
+        return float(eps * mp.log(mp.fsum(mp.exp(mp.mpf(t) / eps) for t in terms)))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.001])
+def test_log_ops_are_the_geometric_ops_in_eps_log_coordinates(eps):
+    dom = LogDomain(eps)
+    rng = np.random.default_rng(7)
+    for x, y in rng.uniform(-20, 20, (200, 2)).tolist():
+        assert math.isclose(dom.oplus(x, y), _mp_log_sum(eps, x, y), rel_tol=1e-14, abs_tol=1e-14)
+        assert math.isclose(dom.hsum(x, y), -_mp_log_sum(eps, -x, -y), rel_tol=1e-14, abs_tol=1e-14)
+        assert dom.oplus(x, y) == dom.oplus(y, x) and dom.hsum(x, y) == dom.hsum(y, x)
+        assert dom.otimes(x, y) == x + y and dom.odiv(x, y) == x - y
+    assert math.isclose(dom.corner, eps * math.log(0.5))
+    assert dom.zero == -math.inf and dom.one == 0.0
+    assert dom.oplus(dom.corner, dom.corner) == dom.one
+    assert dom.oplus(dom.zero, 3.0) == dom.oplus(3.0, dom.zero) == 3.0
+    assert dom.otimes(dom.zero, 3.0) == dom.zero
+
+
+def test_log_ops_tend_to_the_tropical_ops():
+    for x, y in ((1.0, 3.0), (-2.5, 4.0), (2.0, 2.0)):
+        for op in ("oplus", "hsum"):
+            gap = abs(getattr(LogDomain(1e-3), op)(x, y) - getattr(TROPICAL, op)(x, y))
+            assert gap <= 1e-3 * math.log(2) + 1e-15
+
+
+def test_log_hsum_and_odiv_reject_the_zero_element():
+    dom = LogDomain(0.5)
+    for x, y in ((-math.inf, 1.0), (1.0, -math.inf), (-math.inf, -math.inf)):
+        with pytest.raises(DomainError, match="hsum needs positive arguments"):
+            dom.hsum(x, y)
+    with pytest.raises(DomainError, match="division by zero"):
+        dom.odiv(1.0, -math.inf)
+
+
+def test_log_coerce_takes_finite_reals_only():
+    dom = LogDomain(0.1)
+    for x, want in ((3, 3.0), (Fraction(-1, 4), -0.25), (np.float64(1.5), 1.5), (-2.0, -2.0)):
+        got = dom.coerce(x)
+        assert type(got) is float and got == want
+    for bad in (math.inf, -math.inf, math.nan, 10**400, Fraction(-(10**400), 3)):
+        with pytest.raises(DomainError, match="finite real numbers"):
+            dom.coerce(bad)
+
+
+def test_log_check_finite_names_the_box():
+    dom = LogDomain(1.0)
+    dom.check_finite([[-1e300, 0.0], [1e300]])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"box \(2,1\)"):
+            dom.check_finite([[0.0, 1.0], [bad]])
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+def test_log_domain_needs_a_positive_finite_temperature(eps):
+    with pytest.raises(DomainError, match="temperature"):
+        LogDomain(eps)
+
+
+def test_log_domains_are_not_named_domains():
+    assert LogDomain(0.1).name == "log-0.1"
+    assert not any(isinstance(d, LogDomain) for d in DOMAINS.values())
 
 
 # -- the lane domain -------------------------------------------------------------
