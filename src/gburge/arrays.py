@@ -9,6 +9,7 @@ of the restricted symmetric correspondence, which maps symmetric arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -18,6 +19,9 @@ import numpy as np
 
 from .shapes import Shape, ShapeError
 from .values import DomainError, ValueDomain, domain_by_name
+
+# from_rows builds one Shape per tuple of row lengths and reuses it
+_shape_of = functools.lru_cache(maxsize=128)(Shape)
 
 
 def entry_with_boundary(arr, i: int, j: int):
@@ -65,15 +69,15 @@ class ShapedArray:
     @classmethod
     def from_rows(cls, rows, domain: ValueDomain) -> "ShapedArray":
         """Build an array inferring the shape from the (ragged) row lengths."""
-        return cls(Shape(tuple(len(r) for r in rows)), rows, domain)
+        return cls(_shape_of(tuple(map(len, rows))), rows, domain)
 
     @classmethod
-    def _wrap(cls, shape: Shape, rows, domain: ValueDomain) -> "ShapedArray":
-        # internal fast path: rows already validated/coerced, row-major tuples
+    def _wrap(cls, shape: Shape, rows: tuple, domain: ValueDomain) -> "ShapedArray":
+        # internal fast path: rows already validated/coerced, a tuple of row tuples
         out = object.__new__(cls)
         out.shape = shape
         out.domain = domain
-        out._rows = tuple(tuple(r) for r in rows)
+        out._rows = rows
         return out
 
     @property
@@ -133,7 +137,7 @@ class ShapedArray:
             if not self.shape.contains((i, j)):
                 raise ShapeError(f"box ({i},{j}) not in shape {self.shape.parts}")
             rows[i - 1][j - 1] = self.domain.coerce(val)
-        return ShapedArray._wrap(self.shape, rows, self.domain)
+        return ShapedArray._wrap(self.shape, tuple(map(tuple, rows)), self.domain)
 
     def to_lists(self):
         return [list(r) for r in self._rows]
@@ -147,10 +151,10 @@ class ShapedArray:
 
     def transpose(self) -> "ShapedArray":
         conj = self.shape.conjugate()
-        rows = [
-            [self._rows[j - 1][i - 1] for j in range(1, conj.row_length(i) + 1)]
+        rows = tuple(
+            tuple([self._rows[j - 1][i - 1] for j in range(1, conj.row_length(i) + 1)])
             for i in range(1, conj.n_rows + 1)
-        ]
+        )
         return ShapedArray._wrap(conj, rows, self.domain)
 
     def _require_rectangular(self, what: str) -> None:
@@ -165,7 +169,7 @@ class ShapedArray:
     def reverse_cols(self) -> "ShapedArray":
         """Column reversal w^C_{i,j} = w_{i,n-j+1} (rectangular only)."""
         self._require_rectangular("reverse_cols")
-        return ShapedArray._wrap(self.shape, [r[::-1] for r in self._rows], self.domain)
+        return ShapedArray._wrap(self.shape, tuple(r[::-1] for r in self._rows), self.domain)
 
     # -- diagonals ---------------------------------------------------------------
 
@@ -173,7 +177,7 @@ class ShapedArray:
         """Entries on diagonal j - i = k, in increasing i."""
         c0 = max(0, k)
         rows = self._rows[max(0, -k):]
-        return tuple(row[c0 + r] for r, row in enumerate(rows) if len(row) > c0 + r)
+        return tuple([row[c0 + r] for r, row in enumerate(rows) if len(row) > c0 + r])
 
     def diagonal_product(self, k: int):
         """The otimes-product over diagonal j - i = k."""
@@ -277,6 +281,6 @@ def random_symmetric_array(shape: Shape, domain: ValueDomain, rng) -> ShapedArra
     if not shape.is_self_conjugate():
         raise ShapeError(f"shape {shape.parts} is not self-conjugate")
     up = random_array(shape, domain, rng).rows
-    rows = [[up[min(i, j)][max(i, j)] for j in range(p)]
-            for i, p in enumerate(shape.parts)]
+    rows = tuple(tuple([up[min(i, j)][max(i, j)] for j in range(p)])
+                 for i, p in enumerate(shape.parts))
     return ShapedArray._wrap(shape, rows, domain)

@@ -88,6 +88,16 @@ def tau_at(g, k, l):
     c_at(g, k, l)
 
 
+def tau_up_at(g, k, l):
+    """tau at (k,l) of a symmetric grid, then the boxes (k-s,l-s) it changed
+    copied to their mirrors.  Off the diagonal, tau reads no box on the far
+    side of the diagonal; on it, tau writes diagonal boxes only."""
+    tau_at(g, k, l)
+    r = g.rows
+    for s in range(min(k, l)):
+        r[l - s][k - s] = r[k - s][l - s]
+
+
 def inv_rho_at(g, k, l):
     for s in range(min(k, l) - 1, 0, -1):
         a_at(g, k - s, l - s)
@@ -133,9 +143,9 @@ def tau(arr: ShapedArray, k: int, l: int) -> ShapedArray:
 
 
 def tau_up(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    """tau at (k,l) of a symmetric array, with every write mirrored."""
+    """tau at (k,l) of a symmetric array, with every box it changes mirrored."""
     _need(arr.shape, "upper tau", k, l)
-    return _run(_upper_grid(arr, "upper tau"), tau_at, [(k, l)]).to_array()
+    return _run(_upper_grid(arr, "upper tau"), tau_up_at, [(k, l)]).to_array()
 
 
 # -- the correspondences --------------------------------------------------------------
@@ -208,12 +218,11 @@ def gburge_up(arr: ShapedArray) -> ShapedArray:
     """The column-insertion correspondence restricted to symmetric arrays.
 
     Equals gburge on a symmetric array, but runs one tau per box on or above
-    the diagonal, in row-major order, on the mirrored grid.  Symmetrized
+    the diagonal, in row-major order, each mirrored (tau_up_at).  Symmetrized
     prefixes of that order are Young diagrams, which is what the restricted
     map needs.
     """
-    g = _upper_grid(arr, "gburge_up")
-    return _run(g, tau_at, arr.shape.upper_part()).to_array()
+    return _run(_upper_grid(arr, "gburge_up"), tau_up_at, arr.shape.upper_part()).to_array()
 
 
 # -- the local commutation relation ---------------------------------------------------

@@ -32,21 +32,20 @@ commutation proof uses shifted variants whose A is the left neighbour alone.
 
 The kernels run on a padded scratch Grid: row 0 and column 0 hold the
 boundary (the corner value at (0,1) and (1,0), the zero element elsewhere),
-so rows[i][j] is box (i,j) and A is read without a branch.  Every read
-indexes g.rows, and every write goes through g.set, which on an UpperGrid
-also writes the mirror box.  Kernels check no box.  A diagonal map at (k,l)
-touches only boxes of the order ideal below (k,l), so each public entry
-point checks its boxes once: apply_*, inv_c and inv_d here; the diagonal
-maps, the commutation, the 21-map composition and the growth-sequence check
-in correspondences.  The error names the map, the box and, for an order,
-the step.
+so r[i][j] of r = g.rows is box (i,j), A is read without a branch, and each
+kernel writes r[i][j] = ... directly.  Kernels check no box.  A diagonal map
+at (k,l) touches only boxes of the order ideal below (k,l), so each public
+entry point checks its boxes once: apply_*, inv_c and inv_d here; the
+diagonal maps, the commutation, the 21-map composition and the
+growth-sequence check in correspondences.  The error names the map, the
+box and, for an order, the step.
 
-The restricted symmetric maps take and return symmetric ShapedArrays.  They
-run on an UpperGrid, the padded grid of a symmetric array whose set writes a
-box and its mirror.  At a diagonal box the two arguments of A and of H
-coincide, so A = x oplus x = 2x and H = hsum(x, x) = x/2: the restricted
-symmetric maps are c and d themselves.  _upper_grid checks the symmetry once,
-when the map is entered.
+The restricted symmetric maps take and return symmetric ShapedArrays;
+_upper_grid checks the symmetry once, when the map is entered.  At a
+diagonal box the two arguments of A and of H coincide, so A = x oplus x = 2x
+and H = hsum(x, x) = x/2: there the restricted maps are c and d themselves,
+which write diagonal boxes only.  Off the diagonal, correspondences.tau_up_at
+runs tau and copies the boxes it changed to their mirror boxes.
 
 A chain of local maps on one grid costs one array copy.  Handing a grid back
 as an array is the one place a float overflow is caught: every entry goes
@@ -81,31 +80,18 @@ class Grid:
         return cls(arr.shape, arr.domain, arr.rows)
 
     def to_array(self) -> ShapedArray:
-        rows = [row[1:] for row in self.rows[1:]]
+        rows = tuple([tuple(row[1:]) for row in self.rows[1:]])
         self.domain.check_finite(rows)
         return ShapedArray._wrap(self.shape, rows, self.domain)
 
-    def set(self, i, j, value):
-        self.rows[i][j] = value
 
-
-class UpperGrid(Grid):
-    """Mutable padded scratch copy of a symmetric ShapedArray; set writes a
-    box and its mirror, so every kernel runs on it unchanged."""
-
-    __slots__ = ()
-
-    def set(self, i, j, value):
-        self.rows[i][j] = self.rows[j][i] = value
-
-
-def _upper_grid(arr: ShapedArray, name: str) -> UpperGrid:
-    """The UpperGrid of arr, checked once for the restricted map name: the
+def _upper_grid(arr: ShapedArray, name: str) -> Grid:
+    """The Grid of arr, checked once for the restricted map name: the
     domain must be geometric and the array symmetric."""
     if arr.domain.is_tropical:
         raise DomainError("the restricted symmetric maps are defined in the geometric domains only")
     arr.require_symmetric(name)
-    return UpperGrid.of(arr)
+    return Grid.of(arr)
 
 
 def _need(shape, name, i, j, *more):
@@ -133,25 +119,25 @@ def a_at(g, i, j, A=None):
     if A is None:
         A = dom.oplus(r[i - 1][j], r[i][j - 1])
     H = dom.hsum(r[i + 1][j], r[i][j + 1])
-    g.set(i, j, dom.odiv(dom.otimes(A, H), r[i][j]))
+    r[i][j] = dom.odiv(dom.otimes(A, H), r[i][j])
 
 
 def b_at(g, i, j):
     dom, r = g.domain, g.rows
     A = dom.oplus(r[i - 1][j], r[i][j - 1])
-    g.set(i, j, dom.odiv(dom.otimes(A, r[i][j + 1]), r[i][j]))
+    r[i][j] = dom.odiv(dom.otimes(A, r[i][j + 1]), r[i][j])
 
 
 def c_at(g, i, j):
     dom, r = g.domain, g.rows
     A = dom.oplus(r[i - 1][j], r[i][j - 1])
-    g.set(i, j, dom.otimes(r[i][j], A))
+    r[i][j] = dom.otimes(r[i][j], A)
 
 
 def inv_c_at(g, i, j):
     dom, r = g.domain, g.rows
     A = dom.oplus(r[i - 1][j], r[i][j - 1])
-    g.set(i, j, dom.odiv(r[i][j], A))
+    r[i][j] = dom.odiv(r[i][j], A)
 
 
 def d_at(g, i, j, k, l, A=None):
@@ -159,10 +145,9 @@ def d_at(g, i, j, k, l, A=None):
     if A is None:
         A = dom.oplus(r[i - 1][j], r[i][j - 1])
     H = dom.hsum(r[i + 1][j], r[i][j + 1])
-    w = r[i][j]
-    zA = dom.otimes(r[k][l], A)
-    g.set(i, j, dom.hsum(w, zA))
-    g.set(k, l, dom.otimes(dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)), H))
+    w, zA = r[i][j], dom.otimes(r[k][l], A)
+    r[i][j] = dom.hsum(w, zA)
+    r[k][l] = dom.otimes(dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)), H)
 
 
 def inv_d_at(g, i, j, k, l, A=None):
@@ -170,19 +155,14 @@ def inv_d_at(g, i, j, k, l, A=None):
     if A is None:
         A = dom.oplus(r[i - 1][j], r[i][j - 1])
     H = dom.hsum(r[i + 1][j], r[i][j + 1])
-    wp = r[i][j]
-    zp = r[k][l]
-    w = dom.oplus(wp, dom.odiv(H, zp))
-    z = dom.odiv(dom.otimes(dom.otimes(wp, zp), w), dom.otimes(A, H))
-    g.set(i, j, w)
-    g.set(k, l, z)
+    wp, zp = r[i][j], r[k][l]
+    r[i][j] = w = dom.oplus(wp, dom.odiv(H, zp))
+    r[k][l] = dom.odiv(dom.otimes(dom.otimes(wp, zp), w), dom.otimes(A, H))
 
 
 def e_at(g, i, j, k, l):
     r = g.rows
-    w = r[i][j]
-    g.set(i, j, r[k][l])
-    g.set(k, l, w)
+    r[i][j], r[k][l] = r[k][l], r[i][j]
 
 
 # -- public one-shot applications (the box checks live here) -------------------------

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -263,13 +262,13 @@ def _replica_rows(spec: EnvSpec, draw, sqrt=math.sqrt):
 
 def sample_symmetric_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
     return ShapedArray.from_rows(
-        _symmetric_rows(spec, partial(sample_inv_gamma, rng=rng)), GEOMETRIC_FLOAT
+        _symmetric_rows(spec, lambda a, b: sample_inv_gamma(a, b, rng)), GEOMETRIC_FLOAT
     )
 
 
 def sample_replica_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
     return ShapedArray.from_rows(
-        _replica_rows(spec, partial(sample_inv_gamma, rng=rng)), GEOMETRIC_FLOAT
+        _replica_rows(spec, lambda a, b: sample_inv_gamma(a, b, rng)), GEOMETRIC_FLOAT
     )
 
 
@@ -313,7 +312,7 @@ def burge_partition_vector(env: ShapedArray):
     function Z*^{(k)}; in particular t_{n,n} alone is the dual point-to-point
     partition function of the environment.
     """
-    if not env.shape.is_rectangular or env.shape.n_rows != env.shape.n_cols:
+    if env.shape.parts != (env.shape.n_rows,) * env.shape.n_rows:
         raise ValueError(f"need a square environment, got shape {env.shape.parts}")
     return gburge(env).diagonal(0)
 

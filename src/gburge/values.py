@@ -45,7 +45,7 @@ import numpy as np
 _INF = float("inf")
 _NEG_INF = -_INF
 _NAN = float("nan")
-_LOG_HINT = "entries of this size need a log-space domain, which is not implemented yet"
+_LOG_HINT = "entries this large need a log-space domain, LogDomain(eps) for scalars (none for lanes yet)"
 
 
 class DomainError(ValueError):
@@ -134,7 +134,10 @@ class GeometricDomain(ValueDomain):
         """
         if type(x) is not float and isinstance(x, (int, Fraction)):
             # a plain float skips the isinstance test, slow on the Fraction ABC
-            x = float(x)
+            try:
+                x = float(x)
+            except OverflowError:  # an int or Fraction beyond the double range
+                raise DomainError(f"geometric interior entries must be finite, got {x!r}") from None
         try:
             positive = 0 < x < _INF
         except TypeError:  # a str, None or complex: no order with numbers
@@ -283,7 +286,12 @@ class TropicalDomain(ValueDomain):
     def coerce(self, x) -> Any:
         """Normalize an interior entry, a real number (int, float, Fraction,
         stored as float) or -inf."""
-        y = x if type(x) is float else float(x) if isinstance(x, Real) else _NAN
+        y = x
+        if type(x) is not float:
+            try:
+                y = float(x) if isinstance(x, Real) else _NAN
+            except OverflowError:  # an int or Fraction beyond the double range
+                y = _NAN
         if y != y or y == _INF:
             raise DomainError(f"tropical entry must be real or -inf, got {x!r}")
         return y

@@ -113,7 +113,7 @@ def test_diagonals():
 
 def test_diagonal_matches_the_box_scan_on_every_small_shape():
     for shape in all_shapes(8):
-        rows = [[(i, j) for j in range(1, p + 1)] for i, p in enumerate(shape.parts, 1)]
+        rows = tuple(tuple((i, j) for j in range(1, p + 1)) for i, p in enumerate(shape.parts, 1))
         a = ShapedArray._wrap(shape, rows, R)
         for k in range(-shape.n_rows - 2, shape.n_cols + 3):
             assert a.diagonal(k) == tuple(a.get(i, j) for i, j in shape.boxes() if j - i == k)

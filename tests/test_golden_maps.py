@@ -61,10 +61,10 @@ def _rows(domain, arr, upper=False):
 
 def _lanes(shape, rng, n_lanes=3):
     draws = [random_array(shape, GEOMETRIC_FLOAT, rng) for _ in range(n_lanes)]
-    rows = [
-        [np.array([d.rows[r][k] for d in draws]) for k in range(len(row))]
+    rows = tuple(
+        tuple(np.array([d.rows[r][k] for d in draws]) for k in range(len(row)))
         for r, row in enumerate(draws[0].rows)
-    ]
+    )
     return ShapedArray._wrap(shape, rows, GEOMETRIC_LANES)
 
 
@@ -117,7 +117,7 @@ def _input(case):
     shape = Shape(case["shape"])
     if case["map"] == "gburge_up":  # mirror the stored upper rows
         rows = [[rows[min(i, j)][abs(j - i)] for j in range(p)] for i, p in enumerate(shape.parts)]
-    return ShapedArray._wrap(shape, rows, dom)
+    return ShapedArray._wrap(shape, tuple(map(tuple, rows)), dom)
 
 
 CASES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []

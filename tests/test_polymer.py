@@ -95,6 +95,42 @@ def test_scalar_stream_known_answers():
         assert rng.u64() == [fresh.u64() for _ in range(used + 1)][-1]
 
 
+# burge_partition_vector(sample_symmetric_env(spec, Stream(s, i))) and the rows of
+# sample_replica_env(spec, Stream(s, i)) for spec = EnvSpec(3, (1, 1.5, 2), 1.0),
+# as float.hex: the whole scalar path, from the stream to the Burge diagonal
+SCALAR_PATH = {
+    (7, 3): (
+        ["0x1.157ed2c4819e6p-3", "0x1.b5b05751715dbp-7", "0x1.02d7d3ac65e5bp-6"],
+        [["0x1.e2c8151319f83p-3", "0x1.1ae522cef7117p-1", "0x1.82e83487dbd8fp-1"],
+         ["0x1.dbb91e87b5613p-4", "0x1.db1c8b863843dp-2"], ["0x1.0216499caeed3p+0"]],
+    ),
+    (1, 0): (
+        ["0x1.04a9ec004a8b4p-2", "0x1.59e30ccb7ffb8p-4", "0x1.9c5026b6c4a37p+4"],
+        [["0x1.597366f345662p-1", "0x1.666ee5b541828p+0", "0x1.5429f77a933ddp+2"],
+         ["0x1.1f2cd1e968019p-2", "0x1.4a34b4e557405p-1"], ["0x1.a39c570c49e78p-1"]],
+    ),
+    (2, 41): (
+        ["0x1.957fa0216201bp-3", "0x1.3cc7cceb1ce11p-6", "0x1.24b043200dbbbp-5"],
+        [["0x1.5cf6f3ebc28bbp-3", "0x1.86db8c7eae039p-1", "0x1.044734ccda238p+0"],
+         ["0x1.600df62e4d308p-3", "0x1.ae06fcb21c4b6p-1"], ["0x1.399900fe85908p-1"]],
+    ),
+    (20, 999): (
+        ["0x1.0951d339098b1p-3", "0x1.10ab5a60cb939p-4", "0x1.8a3ef7bbc037fp-5"],
+        [["0x1.6739dbb8a22b8p-3", "0x1.9ad858aa84ec8p-1", "0x1.0961788bf0f41p-1"],
+         ["0x1.0ffcd65528317p-1", "0x1.b2dfec02d506ep-1"], ["0x1.3ce1d119957e7p-1"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(SCALAR_PATH), ids=str)
+def test_scalar_path_known_answers(key):
+    spec = EnvSpec(3, (1, 1.5, 2), 1.0)
+    diag, replica = SCALAR_PATH[key]
+    got = burge_partition_vector(sample_symmetric_env(spec, Stream(*key)))
+    assert [x.hex() for x in got] == diag
+    assert [[x.hex() for x in row] for row in sample_replica_env(spec, Stream(*key)).rows] == replica
+
+
 def test_uniform_range_and_mean():
     xs = [Stream(1, i).uniform() for i in range(4000)]
     assert all(0.0 < x <= 1.0 for x in xs)

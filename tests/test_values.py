@@ -142,6 +142,16 @@ def test_coerce_tropical_stores_real_numbers_as_floats():
         assert type(got) is float and got == want
 
 
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400), -(10**400)], ids=["int", "Fraction", "neg"])
+@pytest.mark.parametrize("dom", [GEOMETRIC_FLOAT, TROPICAL], ids=lambda d: d.name)
+def test_coerce_beyond_the_double_range_is_a_domain_error(dom, big):
+    # float() of these raises OverflowError; coerce turns it into a DomainError
+    with pytest.raises(DomainError):
+        dom.coerce(big)
+    with pytest.raises(DomainError):
+        ShapedArray.from_rows([[1, big]], dom)
+
+
 @pytest.mark.parametrize("bad", ["x", "2", None, 1 + 0j, [1.0]], ids=repr)
 @pytest.mark.parametrize(
     "dom", [TROPICAL, GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, LogDomain(0.1)], ids=lambda d: d.name
