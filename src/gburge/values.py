@@ -15,18 +15,22 @@ the convergence of the geometric maps to the tropical ones under
 eps*log(.(exp(x/eps))) is a tested property, not an assumption.
 
 The geometric arithmetic is written with plain Python operators, so any
-value type supporting +, *, / and ordering flows through unchanged: exact
-``fractions.Fraction`` (the reference domain for identity checks, whose
-hsum normalizes once), ``float``, high-precision floats and the dual numbers
-used for Jacobians.  ``LogDomain(eps)`` runs the geometric maps in eps*log
-coordinates on floats, an entry v standing for exp(v/eps): its oplus and
-hsum are eps*logaddexp(x/eps, y/eps) and -eps*logaddexp(-x/eps, -y/eps)
-(Maslov dequantization), so the tropicalization limits, where exp(x/eps)
-overflows doubles, run in doubles.  ``GEOMETRIC_LANES`` runs
-the same arithmetic on 1-D float arrays, one element per lane (a block of
-Monte Carlo samples), so every map runs on a whole block at once; it checks
-its preconditions with ``np.all`` and names the first failing lane.  It
-holds no serializable values and is not one of the named ``DOMAINS``.
+value type supporting +, *, / and ordering flows through unchanged:
+``float``, high-precision floats and the dual numbers used for Jacobians.
+Exact ``fractions.Fraction``, the reference domain for identity checks, has
+its own op table (``RationalDomain``): each op works on the numerators and
+denominators with the gcd tricks of Knuth, TAOCP vol. 2, 4.5.1, and builds
+its reduced result through ``_coprime``, which sets Fraction's two slots
+without a second gcd or Fraction's type dispatch.  ``LogDomain(eps)``
+runs the geometric maps in eps*log coordinates on floats, an entry v
+standing for exp(v/eps): its oplus and hsum are eps*logaddexp(x/eps, y/eps)
+and -eps*logaddexp(-x/eps, -y/eps) (Maslov dequantization), so the
+tropicalization limits, where exp(x/eps) overflows doubles, run in doubles.
+``GEOMETRIC_LANES`` runs the same arithmetic on 1-D float arrays, one
+element per lane (a block of Monte Carlo samples), so every map runs on a
+whole block at once; it checks its preconditions with ``np.all`` and names
+the first failing lane.  It holds no serializable values and is not one of
+the named ``DOMAINS``.
 
 Float outputs are checked once, when a map hands back its result
 (``check_finite``), not inside the operations: a float map fed finite
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd as _gcd
 from numbers import Real
 from typing import Any
 
@@ -153,23 +158,94 @@ class GeometricDomain(ValueDomain):
         return self.coerce(float(obj))
 
 
+_new_object = object.__new__
+
+
+def _coprime(n: int, d: int) -> Fraction:
+    """The Fraction n/d of a coprime pair with d > 0, built without a gcd.
+
+    Sets the two slots as Fraction._from_coprime_ints does on Python 3.12+,
+    skipping Fraction.__new__'s type dispatch and its normalizing gcd.  An
+    unreduced pair would break == and hash, so every caller reduces first.
+    """
+    f = _new_object(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
 class RationalDomain(GeometricDomain):
-    """The positive rationals: exact Fraction entries, compared with ==."""
+    """The positive rationals: exact Fraction entries, compared with ==.
+
+    Its op table works on numerators and denominators directly, with the
+    gcd tricks of Knuth, TAOCP vol. 2, 4.5.1, and builds every result through
+    _coprime.  Int operands work too, through their numerator and denominator.
+    """
 
     is_exact = True
 
-    def hsum(self, x, y):
-        """Harmonic sum ac/(ad+bc) of x = a/b and y = c/d, normalized once.
+    def oplus(self, x, y):
+        """a/b + c/d through g = gcd(b, d), then gcd(t, g), as Fraction's own +."""
+        a, b = x.numerator, x.denominator
+        c, d = y.numerator, y.denominator
+        g = _gcd(b, d)
+        if g == 1:
+            return _coprime(a * d + b * c, b * d)
+        s = b // g
+        t = a * (d // g) + c * s
+        g2 = _gcd(t, g)
+        if g2 == 1:
+            return _coprime(t, s * d)
+        return _coprime(t // g2, s * (d // g2))
 
-        Denominators are positive, so the numerators carry the sign test.
+    def otimes(self, x, y):
+        """(a/b)(c/d), cross-cancelled by gcd(a, d) and gcd(c, b)."""
+        a, b = x.numerator, x.denominator
+        c, d = y.numerator, y.denominator
+        g1 = _gcd(a, d)
+        g2 = _gcd(c, b)
+        return _coprime((a // g1) * (c // g2), (b // g2) * (d // g1))
+
+    def odiv(self, x, y):
+        """(a/b)/(c/d) = (a/b)(d/c), cross-cancelled; the zero element may not divide."""
+        a, b = x.numerator, x.denominator
+        c, d = y.numerator, y.denominator
+        if c <= 0:
+            if not c:
+                raise DomainError("geometric division by zero")
+            a, c = -a, -c  # keep the denominator positive
+        g1 = _gcd(a, c)
+        g2 = _gcd(d, b)
+        return _coprime((a // g1) * (d // g2), (b // g2) * (c // g1))
+
+    def hsum(self, x, y):
+        """Harmonic sum 1/(b/a + d/c) of x = a/b and y = c/d.
+
+        The reciprocals are added as in oplus, through g = gcd(a, c) and then
+        gcd(t, g), so no gcd runs on the products.  Denominators are positive,
+        so the numerators carry the sign test.
         """
         a, c = x.numerator, y.numerator
         if not (a > 0 and c > 0):
             raise DomainError(f"hsum needs positive arguments, got {x!r}, {y!r}")
-        return Fraction(a * c, a * y.denominator + x.denominator * c)
+        b, d = x.denominator, y.denominator
+        g = _gcd(a, c)
+        if g == 1:
+            return _coprime(a * c, b * c + a * d)
+        s = a // g
+        t = b * (c // g) + d * s
+        g2 = _gcd(t, g)
+        if g2 == 1:
+            return _coprime(s * c, t)
+        return _coprime(s * (c // g2), t // g2)
 
     def coerce(self, x) -> Fraction:
-        """Normalize an interior entry to a positive Fraction; floats are refused."""
+        """Normalize an interior entry to a positive Fraction; floats are refused.
+
+        A positive Fraction is returned as it is; ints and 'p/q' strings are parsed.
+        """
+        if type(x) is Fraction and x._numerator > 0:
+            return x
         if isinstance(x, float):
             raise DomainError(
                 f"rational domain rejects floats (got {x!r}); pass Fraction, int or 'p/q'"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gburge.arrays import ShapedArray
 from gburge.values import (
@@ -18,6 +18,7 @@ from gburge.values import (
     TROPICAL,
     DomainError,
     LogDomain,
+    _coprime,
     domain_by_name,
 )
 
@@ -113,6 +114,95 @@ def test_coerce_rational_rejects_floats():
         dom.coerce(0.5)
     with pytest.raises(DomainError):
         dom.coerce(Fraction(-1, 2))
+
+
+# The rational op table builds its results without Fraction's own
+# normalization, and an unreduced result breaks == against the reduced
+# Fraction, and hash.  So every op is pinned to the fractions operator
+# (numerator, denominator, hash and str) on operands well past 2**200, on
+# operands sharing large factors and on the domain's constants.
+_big = st.integers(1, 2**260)
+_constants = st.sampled_from([Fraction(1, 2), Fraction(1)])  # the corner and the one
+rationals = st.one_of(
+    _constants,
+    st.builds(Fraction, _big, _big),
+    st.builds(Fraction, st.integers(1, 30), st.integers(1, 30)),
+    st.builds(lambda n, d, k: Fraction(n * k, d * k**2), _big, _big, st.integers(2, 2**70)),
+)
+rationals_or_zero = st.one_of(st.just(Fraction(0)), rationals)
+
+_RATIONAL_OPS = {
+    "oplus": (rationals_or_zero, rationals_or_zero, lambda x, y: x + y),
+    "otimes": (rationals_or_zero, rationals_or_zero, lambda x, y: x * y),
+    "odiv": (rationals_or_zero, rationals, lambda x, y: x / y),
+    "hsum": (rationals, rationals, lambda x, y: x * y / (x + y)),
+}
+
+
+def _exactly(got, want):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want) and str(got) == str(want) and got == want
+
+
+@pytest.mark.parametrize("op", sorted(_RATIONAL_OPS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_rational_ops_are_the_fraction_operators(op, data):
+    xs, ys, want = _RATIONAL_OPS[op]
+    x, y = data.draw(xs, label="x"), data.draw(ys, label="y")
+    _exactly(getattr(GEOMETRIC_RATIONAL, op)(x, y), want(x, y))
+
+
+@pytest.mark.parametrize("op", sorted(_RATIONAL_OPS))
+def test_rational_ops_take_the_constants_on_either_side(op):
+    dom = GEOMETRIC_RATIONAL
+    want = _RATIONAL_OPS[op][2]
+    big = Fraction(2**201 + 1, 3**130)
+    consts = [dom.corner, dom.one] + ([dom.zero] if op != "hsum" else [])
+    for c in consts:
+        _exactly(getattr(dom, op)(c, big), want(c, big))
+        if op != "odiv" or c != 0:
+            _exactly(getattr(dom, op)(big, c), want(big, c))
+        for d in consts:
+            if op != "odiv" or d != 0:
+                _exactly(getattr(dom, op)(c, d), want(c, d))
+
+
+@pytest.mark.parametrize("op", sorted(_RATIONAL_OPS))
+@given(x=st.integers(1, 2**210), y=st.one_of(st.integers(1, 2**210), rationals))
+def test_rational_ops_take_int_operands(op, x, y):
+    want = _RATIONAL_OPS[op][2]
+    _exactly(getattr(GEOMETRIC_RATIONAL, op)(x, y), want(Fraction(x), y))
+    _exactly(getattr(GEOMETRIC_RATIONAL, op)(y, x), want(Fraction(y), x))
+
+
+@pytest.mark.parametrize("zero", [Fraction(0), 0], ids=repr)
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 2), Fraction(2**205 + 3, 7), 5], ids=repr)
+def test_rational_odiv_by_zero_is_a_domain_error(x, zero):
+    with pytest.raises(DomainError, match="geometric division by zero"):
+        GEOMETRIC_RATIONAL.odiv(x, zero)
+
+
+@given(st.integers(0, 2**260), st.integers(1, 2**260))
+def test_coprime_is_the_reduced_fraction(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    _exactly(_coprime(n, d), Fraction(n, d))
+
+
+def test_rational_coerce_keeps_a_positive_fraction_and_parses_the_rest():
+    dom = GEOMETRIC_RATIONAL
+    x = Fraction(2**201 + 1, 3)
+    assert dom.coerce(x) is x
+    for raw, want in ((3, Fraction(3)), ("6/4", Fraction(3, 2)), (True, Fraction(1))):
+        got = dom.coerce(raw)
+        assert type(got) is Fraction and got == want
+    for bad in (Fraction(0), Fraction(-1, 3), 0, "-1/2"):
+        with pytest.raises(DomainError, match="positive"):
+            dom.coerce(bad)
+    with pytest.raises(DomainError, match="rejects floats"):
+        dom.coerce(1.5)
 
 
 def test_coerce_float_domain():
