@@ -61,7 +61,6 @@ from .values import (
 )
 from .whittaker import (
     NonconvergentQuadratureError,
-    TriangularPattern,
     WhittakerParams,
     corollary_check,
     energy,
@@ -89,7 +88,6 @@ __all__ = [
     "ShapeError",
     "ShapedArray",
     "Stream",
-    "TriangularPattern",
     "TROPICAL",
     "ValueDomain",
     "WhittakerParams",

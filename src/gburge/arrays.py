@@ -179,16 +179,6 @@ class ShapedArray:
         rows = self._rows[max(0, -k):]
         return tuple([row[c0 + r] for r, row in enumerate(rows) if len(row) > c0 + r])
 
-    def diagonal_product(self, k: int):
-        """The otimes-product over diagonal j - i = k."""
-        diag = self.diagonal(k)
-        if not diag:
-            raise ShapeError(f"diagonal {k} is empty in shape {self.shape.parts}")
-        prod = self.domain.one
-        for x in diag:
-            prod = self.domain.otimes(prod, x)
-        return prod
-
     # -- symmetric arrays ----------------------------------------------------------
 
     def _mirror_fault(self):

@@ -194,7 +194,6 @@ def verify_jacobians(
     tol: float = 1e-6,
     max_boxes: int = 12,
     fd_tol: float = 1e-6,
-    h: float = 1e-5,
 ) -> dict:
     """Unimodularity sweep: |det| = 1 within tol at `points` random points,
     each on every shape (entries log-uniform on [1/e, e]).
@@ -203,7 +202,8 @@ def verify_jacobians(
     most max_boxes boxes; the symmetric sweep covers the upper-part map on
     all self-conjugate shapes fitting in a 4x4 square.  Point p is trial p of
     `run_trials`, so the report counts points; at point 0 the dual and
-    central-difference Jacobians are also compared entrywise (within fd_tol).
+    central-difference Jacobians (loglog_jacobian's default step) are also
+    compared entrywise (within fd_tol).
     """
     if symmetric:
         shapes = [s for s in all_shapes(16) if s.is_self_conjugate() and s.n_rows <= 4]
@@ -222,7 +222,7 @@ def verify_jacobians(
                 d = abs_det(jac)
                 yield _outcome(abs(d - 1.0) <= tol, arr, map_name, abs_det=d)
                 if first:
-                    fd = loglog_jacobian(map_name, arr, mode="central-difference", h=h)
+                    fd = loglog_jacobian(map_name, arr, mode="central-difference")
                     gap = float(np.max(np.abs(jac - fd)))
                     yield _outcome(gap <= fd_tol, arr, map_name, dual_vs_fd_gap=gap)
 

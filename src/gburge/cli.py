@@ -142,11 +142,11 @@ def _judged(report: dict) -> tuple:
 def _sampled(name: str, outcomes, pool, draw=partial(random_array, domain=GEOMETRIC_RATIONAL)):
     """The run of a check on one input per trial: each `run_trials` trial
     draws draw(rng.choice(pool(max_size)), rng=rng) and compares
-    outcomes(input, tol)."""
+    outcomes(input)."""
 
     def run(a):
         items = pool(a.max_size)
-        draws = run_trials(lambda rng: outcomes(draw(rng.choice(items), rng=rng), tol=a.tol),
+        draws = run_trials(lambda rng: outcomes(draw(rng.choice(items), rng=rng)),
                            a.trials, a.seed)
         return _judged(tally(name, draws))
 

@@ -63,7 +63,7 @@ from .shapes import (
 from .values import GEOMETRIC_RATIONAL, TROPICAL, LogDomain, ValueDomain
 
 
-# -- diagonal maps (grid kernels + one-shot wrappers) --------------------------------
+# -- diagonal maps (grid kernels) ----------------------------------------------------
 
 
 def rho_at(g, k, l):
@@ -125,27 +125,6 @@ def _run(g, kernel, boxes):
         for k, l in boxes:
             kernel(g, k, l)
     return g
-
-
-def rho(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    _need(arr.shape, "rho", k, l)
-    return _run(Grid.of(arr), rho_at, [(k, l)]).to_array()
-
-
-def sigma(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    _need(arr.shape, "sigma", k, l, (k, l + 1))
-    return _run(Grid.of(arr), sigma_at, [(k, l)]).to_array()
-
-
-def tau(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    _need(arr.shape, "tau", k, l)
-    return _run(Grid.of(arr), tau_at, [(k, l)]).to_array()
-
-
-def tau_up(arr: ShapedArray, k: int, l: int) -> ShapedArray:
-    """tau at (k,l) of a symmetric array, with every box it changes mirrored."""
-    _need(arr.shape, "upper tau", k, l)
-    return _run(_upper_grid(arr, "upper tau"), tau_up_at, [(k, l)]).to_array()
 
 
 # -- the correspondences --------------------------------------------------------------

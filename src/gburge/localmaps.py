@@ -35,17 +35,18 @@ boundary (the corner value at (0,1) and (1,0), the zero element elsewhere),
 so r[i][j] of r = g.rows is box (i,j), A is read without a branch, and each
 kernel writes r[i][j] = ... directly.  Kernels check no box.  A diagonal map
 at (k,l) touches only boxes of the order ideal below (k,l), so each public
-entry point checks its boxes once: apply_*, inv_c and inv_d here; the
-diagonal maps, the commutation, the 21-map composition and the
-growth-sequence check in correspondences.  The error names the map, the
-box and, for an order, the step.
+entry point, all of them in correspondences, checks its boxes once: the
+correspondences through the growth-sequence or rectangle check, gburge_up
+through _upper_grid, the commutation through _need, and the 21-map
+composition through its own box test.  The error names the map, the box
+and, for an order, the step.
 
-The restricted symmetric maps take and return symmetric ShapedArrays;
-_upper_grid checks the symmetry once, when the map is entered.  At a
-diagonal box the two arguments of A and of H coincide, so A = x oplus x = 2x
-and H = hsum(x, x) = x/2: there the restricted maps are c and d themselves,
-which write diagonal boxes only.  Off the diagonal, correspondences.tau_up_at
-runs tau and copies the boxes it changed to their mirror boxes.
+The restricted symmetric map gburge_up takes and returns a symmetric
+ShapedArray; _upper_grid checks the symmetry once, when the map is entered.
+At a diagonal box the two arguments of A and of H coincide, so
+A = x oplus x = 2x and H = hsum(x, x) = x/2: there c and d write diagonal
+boxes only.  Off the diagonal, correspondences.tau_up_at runs tau and copies
+the boxes it changed to their mirror boxes.
 
 A chain of local maps on one grid costs one array copy.  Handing a grid back
 as an array is the one place a float overflow is caught: every entry goes
@@ -104,13 +105,6 @@ def _need(shape, name, i, j, *more):
             raise ShapeError(f"{where} needs box ({k},{l}), missing from shape {parts}")
 
 
-def _need_pair(shape, name, i, j, k, l, forward=True):
-    """_need for a two-point map; d and d^{-1} also read the forward neighbours of (i,j)."""
-    if (i, j) == (k, l):
-        raise ShapeError(f"{name} at ({i},{j}) needs two distinct boxes, got ({i},{j}) twice")
-    _need(shape, name, i, j, *([(i + 1, j), (i, j + 1)] if forward else []), (k, l))
-
-
 # -- kernels (mutate a grid in place; boxes checked by the caller) ---------------------
 
 
@@ -163,63 +157,3 @@ def inv_d_at(g, i, j, k, l, A=None):
 def e_at(g, i, j, k, l):
     r = g.rows
     r[i][j], r[k][l] = r[k][l], r[i][j]
-
-
-# -- public one-shot applications (the box checks live here) -------------------------
-
-
-def _once(arr, kernel, *args):
-    g = Grid.of(arr)
-    kernel(g, *args)
-    return g.to_array()
-
-
-def apply_a(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    _need(arr.shape, "a", i, j, (i + 1, j), (i, j + 1))
-    return _once(arr, a_at, i, j)
-
-
-def apply_b(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    _need(arr.shape, "b", i, j, (i, j + 1))
-    return _once(arr, b_at, i, j)
-
-
-def apply_c(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    _need(arr.shape, "c", i, j)
-    return _once(arr, c_at, i, j)
-
-
-def apply_d(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
-    _need_pair(arr.shape, "d", *box_ij, *box_kl)
-    return _once(arr, d_at, *box_ij, *box_kl)
-
-
-def apply_e(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
-    _need_pair(arr.shape, "e", *box_ij, *box_kl, forward=False)
-    return _once(arr, e_at, *box_ij, *box_kl)
-
-
-def inv_c(arr: ShapedArray, i: int, j: int) -> ShapedArray:
-    _need(arr.shape, "inverse c", i, j)
-    return _once(arr, inv_c_at, i, j)
-
-
-def inv_d(arr: ShapedArray, box_ij, box_kl) -> ShapedArray:
-    _need_pair(arr.shape, "inverse d", *box_ij, *box_kl)
-    return _once(arr, inv_d_at, *box_ij, *box_kl)
-
-
-def apply_c_up(arr: ShapedArray, i: int) -> ShapedArray:
-    """c at the diagonal box (i,i) of a symmetric array: w_{i,i} -> 2 w_{i-1,i} w_{i,i}."""
-    g = _upper_grid(arr, "upper c")
-    _need(arr.shape, "upper c", i, i)
-    c_at(g, i, i)
-    return g.to_array()
-
-
-def apply_d_up(arr: ShapedArray, i: int, k: int) -> ShapedArray:
-    """d between the diagonal boxes (i,i) and (k,k) of a symmetric array."""
-    g = _upper_grid(arr, "upper d")
-    _need_pair(arr.shape, "upper d", i, i, k, k)
-    d_at(g, i, i, k, k)
-    return g.to_array()

@@ -151,10 +151,10 @@ def path_sum(weights: ShapedArray, family):
 # -- identity checks against the correspondences ------------------------------------------
 
 
-def _outcome(dom: ValueDomain, arr: ShapedArray, lhs, rhs, tol: float, **where):
-    """None when lhs equals rhs (within tol for an inexact domain), else the
-    counterexample: the input, the keys of `where`, and both sides."""
-    if dom.isclose(lhs, rhs, tol):
+def _outcome(dom: ValueDomain, arr: ShapedArray, lhs, rhs, **where):
+    """None when lhs equals rhs (to relative 1e-9 in an inexact domain), else
+    the counterexample: the input, the keys of `where`, and both sides."""
+    if dom.isclose(lhs, rhs, 1e-9):
         return None
     return {
         "input": arr.to_json_obj(),
@@ -172,7 +172,7 @@ def _diag_product(t: ShapedArray, m: int, n: int, k: int):
     return out
 
 
-def prop4_outcomes(arr: ShapedArray, which: str, tol: float = 1e-9) -> list:
+def prop4_outcomes(arr: ShapedArray, which: str) -> list:
     """Compare diagonal products of the correspondence output with the
     non-intersecting path sums, for every k (and, for the column-insertion
     version, every border box): one `tally` outcome per comparison."""
@@ -194,11 +194,11 @@ def prop4_outcomes(arr: ShapedArray, which: str, tol: float = 1e-9) -> list:
         for k in range(1, min(m, n) + 1):
             lhs = _diag_product(t, m, n, k)
             rhs = path_sum(arr, enum_nonintersecting(m, n, k, dual))
-            outcomes.append(_outcome(dom, arr, lhs, rhs, tol, border_box=[m, n], k=k))
+            outcomes.append(_outcome(dom, arr, lhs, rhs, border_box=[m, n], k=k))
     return outcomes
 
 
-def prop43_outcomes(arr: ShapedArray, tol: float = 1e-9) -> list:
+def prop43_outcomes(arr: ShapedArray) -> list:
     """Check the two inverse-entry sum rules for the column-insertion output:
     1/t_{1,1} equals the sum of 1/w_{i,i} over the diagonal, and the sum over
     all boxes of (t_{i-1,j} + t_{i,j-1})/t_{i,j} equals the sum of all 1/w_{i,j}
@@ -222,7 +222,7 @@ def prop43_outcomes(arr: ShapedArray, tol: float = 1e-9) -> list:
         ratio_rhs = dom.oplus(ratio_rhs, dom.odiv(one, arr.get(i, j)))
 
     checks = [("diagonal", diag_lhs, diag_rhs), ("all-boxes", ratio_lhs, ratio_rhs)]
-    return [_outcome(dom, arr, lhs, rhs, tol, check=label) for label, lhs, rhs in checks]
+    return [_outcome(dom, arr, lhs, rhs, check=label) for label, lhs, rhs in checks]
 
 
 # -- replica decomposition -----------------------------------------------------------------
@@ -264,7 +264,7 @@ def random_persymmetric_square_weights(n: int, rng) -> ShapedArray:
     return proto.with_entries(entries)
 
 
-def replica_decomposition_outcomes(weights: ShapedArray, tol: float = 1e-9) -> list:
+def replica_decomposition_outcomes(weights: ShapedArray) -> list:
     """Check that the point-to-point partition function of a persymmetric
     environment splits as the replica sum along the antidiagonal:
 
@@ -292,4 +292,4 @@ def replica_decomposition_outcomes(weights: ShapedArray, tol: float = 1e-9) -> l
         half = path_sum(modified, _paths_between((1, 1), (a, b)))
         z_repl = dom.oplus(z_repl, dom.otimes(half, half))
 
-    return [_outcome(dom, weights, z_full, z_repl, tol)]
+    return [_outcome(dom, weights, z_full, z_repl)]

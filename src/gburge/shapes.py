@@ -127,12 +127,6 @@ class Shape:
             raise ShapeError(f"shape {list(self.parts)} is not self-conjugate")
         return [b for b in self.boxes() if b.row <= b.col]
 
-    # -- diagonals -----------------------------------------------------------
-
-    def diagonal(self, k: int) -> list[Box]:
-        """Boxes with col - row = k, ordered by increasing row."""
-        return [b for b in self.boxes() if b.col - b.row == k]
-
 
 def rectangle(m: int, n: int) -> Shape:
     """The m x n rectangular shape."""
@@ -159,11 +153,6 @@ def shape_from_boxes(boxes: Sequence[tuple[int, int]]) -> Shape:
 
 
 # -- growth sequences ---------------------------------------------------------
-
-
-def is_valid_growth_sequence(shape: Shape, boxes: Sequence[tuple[int, int]]) -> bool:
-    """True iff boxes lists each box of shape exactly once and every prefix is a diagram."""
-    return growth_sequence_error(shape, boxes) is None
 
 
 def growth_sequence_error(shape: Shape, boxes: Sequence[tuple[int, int]]) -> str | None:

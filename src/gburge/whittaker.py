@@ -33,6 +33,8 @@ import numpy as np
 from .polymer import EnvSpec, _burge_diagonals, _check_samples, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
+_PANEL_WIDTH = 2.5  # widest Gauss panel of every grid, in log units
+_QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)  # the measure check's CDF grid, on each axis
 
 
 class NonconvergentQuadratureError(RuntimeError):
@@ -40,45 +42,35 @@ class NonconvergentQuadratureError(RuntimeError):
     the probe's reach, or the integral leaves double range."""
 
 
-@dataclass(frozen=True)
-class TriangularPattern:
-    """Positive entries z_{i,j} for 1 <= j <= i <= n; row n is the argument."""
-
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(rows, start=1):
-            if len(row) != i:
-                raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
-            if any(v <= 0 for v in row):
-                raise ValueError(f"row {i} has a nonpositive entry")
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
-    def bottom(self) -> tuple:
-        return self.rows[-1]
+def _check_pattern(z):
+    """Raise ValueError unless z is a triangular pattern: row i holds the i
+    positive entries z_{i,1..i}, and row n is the argument."""
+    for i, row in enumerate(z, start=1):
+        if len(row) != i:
+            raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
+        if any(v <= 0 for v in row):
+            raise ValueError(f"row {i} has a nonpositive entry")
 
 
-def energy(z: TriangularPattern) -> float:
-    """Sum of z_{i+1,j+1}/z_{i,j} + z_{i,j}/z_{i+1,j} over rows i < n."""
-    total = 0.0
-    for i in range(z.n - 1):
+def energy(z):
+    """Sum of z_{i+1,j+1}/z_{i,j} + z_{i,j}/z_{i+1,j} over rows i < n of the
+    pattern z, given as its rows; exact on Fraction rows."""
+    _check_pattern(z)
+    total = 0
+    for i in range(len(z) - 1):
         for j in range(i + 1):
-            total += z.rows[i + 1][j + 1] / z.rows[i][j]
-            total += z.rows[i][j] / z.rows[i + 1][j]
+            total += z[i + 1][j + 1] / z[i][j]
+            total += z[i][j] / z[i + 1][j]
     return total
 
 
-def type_vector(z: TriangularPattern) -> tuple:
-    """Row-product ratios (row i over row i-1, the empty row counting as 1)."""
+def type_vector(z) -> tuple:
+    """Row-product ratios of the pattern z, given as its rows (row i over
+    row i-1, the empty row counting as 1); exact on Fraction rows."""
+    _check_pattern(z)
     out = []
-    previous = 1.0
-    for row in z.rows:
+    previous = 1
+    for row in z:
         current = math.prod(row)
         out.append(current / previous)
         previous = current
@@ -225,13 +217,13 @@ def _gauss(nodes: int):
     return _GL_CACHE[nodes]
 
 
-def _panel_nodes(lo, hi, cuts=(), nodes=16, panel_width=2.5):
-    """Gauss nodes and weights on [lo, hi], in panels at most panel_width
+def _panel_nodes(lo, hi, cuts=(), nodes=16):
+    """Gauss nodes and weights on [lo, hi], in panels at most _PANEL_WIDTH
     wide, with a panel boundary at every cut inside the interval."""
     edges = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
     b = []
     for a, c in zip(edges, edges[1:]):
-        pieces = max(int(math.ceil((c - a) / panel_width)), 1)
+        pieces = max(int(math.ceil((c - a) / _PANEL_WIDTH)), 1)
         b.extend(a + (c - a) * k / pieces for k in range(pieces))
     b = np.array(b + [hi])
     base, weights = _gauss(nodes)
@@ -329,18 +321,18 @@ def whittaker_measure_check(
     samples: int,
     seed: int,
     r_values=(0.5, 1.0, 2.0),
-    quantiles=(0.1, 0.3, 0.5, 0.7, 0.9),
 ) -> dict:
     """End-to-end n = 2 distribution check of the measure on diagonals.
 
     Draws the diagonal (read corner-first: x1 is the dual partition function)
     of the column-insertion image of sampled environments, then compares the
-    empirical joint CDF on the quantile grid, and the Laplace transform of x1,
-    against quadrature of the density.  Agreement is measured in standard
-    errors (binomial for CDF points); three is the pass line.  Sample i is
-    the environment of Stream(seed, i), drawn and mapped on numpy lanes one
-    block at a time (polymer._burge_diagonals), on one thread.  The report's diagnostics count the uniforms drawn and the
-    gamma proposals rejected, and give the quadrature nodes per axis.
+    empirical joint CDF on the grid of sample quantiles at _QUANTILES, and
+    the Laplace transform of x1, against quadrature of the density.  Agreement is
+    measured in standard errors (binomial for CDF points); three is the pass
+    line.  Sample i is the environment of Stream(seed, i), drawn and mapped
+    on numpy lanes one block at a time (polymer._burge_diagonals), on one
+    thread.  The report's diagnostics count the uniforms drawn and the gamma
+    proposals rejected, and give the quadrature nodes per axis.
 
     False-alarm rate about 3%, as all 28 correlated statistics must stay within
     3 sigma: at alpha = (1, 1.5), beta = 1, samples = 5000 it failed 6 of seeds
@@ -351,14 +343,14 @@ def whittaker_measure_check(
     if len(alpha) != 2:
         raise ValueError("the end-to-end check is implemented for n = 2")
     (t11, t22), diagnostics = _burge_diagonals(EnvSpec(2, alpha, beta), samples, seed)
-    return _measure_report(alpha, beta, seed, t22, t11, r_values, quantiles, diagnostics)
+    return _measure_report(alpha, beta, seed, t22, t11, r_values, diagnostics)
 
 
-def _measure_report(alpha, beta, seed, xs1, xs2, r_values, quantiles, diagnostics):
+def _measure_report(alpha, beta, seed, xs1, xs2, r_values, diagnostics):
     """The whittaker-measure report on the sampled diagonals (xs1, xs2)."""
     samples = len(xs1)
-    s_cuts = [float(np.quantile(xs1, q)) for q in quantiles]
-    t_cuts = [float(np.quantile(xs2, q)) for q in quantiles]
+    s_cuts = [float(np.quantile(xs1, q)) for q in _QUANTILES]
+    t_cuts = [float(np.quantile(xs2, q)) for q in _QUANTILES]
     grid = _MeasureGrid(
         alpha, beta, cuts1=[math.log(s) for s in s_cuts], cuts2=[math.log(t) for t in t_cuts]
     )

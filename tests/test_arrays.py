@@ -106,9 +106,6 @@ def test_diagonals():
     a = ShapedArray.from_rows([[1, 2, 3], [4, 5, 6]], R)
     assert a.diagonal(0) == (1, 5)
     assert a.diagonal(1) == (2, 6)
-    assert a.diagonal_product(2) == 3
-    with pytest.raises(ShapeError):
-        a.diagonal_product(3)
 
 
 def test_diagonal_matches_the_box_scan_on_every_small_shape():

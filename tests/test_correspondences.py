@@ -26,15 +26,17 @@ from gburge.correspondences import (
     gschutz_upper,
     inv_gburge,
     inv_grsk,
-    rho,
-    sigma,
+    inv_rho_at,
+    inv_tau_at,
+    rho_at,
+    sigma_at,
     tally,
-    tau,
-    tau_up,
+    tau_at,
     tropical_limit_check,
     tropical_limit_errors,
     verify_identity,
 )
+from gburge.localmaps import Grid
 from gburge.polymer import EnvSpec, Stream, sample_symmetric_env
 from gburge.shapes import (
     Shape,
@@ -143,8 +145,6 @@ def test_gburge_up_rejects_an_asymmetric_array(domain, entry):
     message = r"^gburge_up needs a symmetric array: box \(1,2\) differs from its mirror box \(2,1\)$"
     with pytest.raises(ShapeError, match=message):
         gburge_up(w)
-    with pytest.raises(ShapeError, match=r"^upper tau needs a symmetric array: box \(1,2\)"):
-        tau_up(w, 1, 2)
 
 
 def test_gburge_up_rejects_a_shape_that_is_not_self_conjugate():
@@ -237,9 +237,26 @@ def test_symmetric_route_agrees(seed, n):
 
 def test_single_diagonal_maps_match_whole_map_on_one_box():
     w = ShapedArray.from_rows([[Fraction(5, 3)]], R)
-    assert rho(w, 1, 1) == grsk(w)
-    assert tau(w, 1, 1) == gburge(w)
-    assert sigma(ShapedArray.from_rows([[2, 6]], R), 1, 1).to_lists() == [[3, 6]]
+    for kernel, whole in ((rho_at, grsk), (tau_at, gburge)):
+        g = Grid.of(w)
+        kernel(g, 1, 1)
+        assert g.to_array() == whole(w)
+    g = Grid.of(ShapedArray.from_rows([[2, 6]], R))
+    sigma_at(g, 1, 1)
+    assert g.to_array().to_lists() == [[3, 6]]
+
+
+@pytest.mark.parametrize("dom", [R, TROPICAL], ids=lambda d: d.name)
+@pytest.mark.parametrize("step, inverse", [(rho_at, inv_rho_at), (tau_at, inv_tau_at)], ids=["rho", "tau"])
+def test_a_diagonal_step_and_its_inverse_undo_each_other_at_every_box(step, inverse, dom):
+    shape = Shape((4, 4, 3, 1))
+    w = rand(shape, 12, dom)
+    for box in shape.boxes():
+        for first, then in ((step, inverse), (inverse, step)):
+            g = Grid.of(w)
+            first(g, *box)
+            then(g, *box)
+            assert g.to_array() == w, (first.__name__, box)
 
 
 # -- admissibility bookkeeping ----------------------------------------------------------

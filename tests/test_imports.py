@@ -7,7 +7,11 @@ nothing loads scipy.stats or mpmath.
 An imported name counts as used when the module reads it anywhere in its
 code (annotations included) or lists it in `__all__`.  A module-level private
 function, class or constant counts as used when any module of the package
-reads it, imports it or reads it as an attribute.
+reads it, imports it or reads it as an attribute.  A module-level public one
+counts as used when another module imports it by name (the re-export in
+`__init__` counts), its own module reads it outside its own definition, or
+any module reads it as an attribute; a local variable of the same spelling
+in another module does not count.
 """
 
 import ast
@@ -57,8 +61,8 @@ def test_the_scan_sees_an_unused_import():
     assert [name for name, _ in _imported(tree) if name not in _used(tree)] == ["math", "path"]
 
 
-def _private_definitions(tree):
-    """Module-level private functions, classes and constants, with their lines."""
+def _definitions(tree):
+    """Module-level functions, classes and constants, with their defining nodes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -71,8 +75,15 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            if not name.startswith("__"):
+                yield name, node
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants, with their lines."""
+    for name, node in _definitions(tree):
+        if name.startswith("_"):
+            yield name, node.lineno
 
 
 def _references(tree):
@@ -109,6 +120,55 @@ def test_the_scan_sees_a_dead_private_name():
         "b.py": ast.parse("from .a import _f\n"),
     }
     assert _dead(trees) == ["a.py:1 _LIMIT", "a.py:5 _C"]
+
+
+def _public_dead(trees):
+    imported = {  # by a relative import, from within the package
+        alias.name
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level for alias in node.names
+    }
+    attributes = {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    dead = []
+    for module, tree in trees.items():
+        for name, node in _definitions(tree):
+            if name.startswith("_") or name in imported or name in attributes:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(
+                isinstance(n, ast.Name) and n.id == name and not isinstance(n.ctx, ast.Store)
+                and id(n) not in own
+                for n in ast.walk(tree)
+            ):
+                dead.append(f"{module}:{node.lineno} {name}")
+    return dead
+
+
+def test_every_public_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    dead = _public_dead(trees)
+    assert not dead, f"public names nothing in the package uses: {', '.join(dead)}"
+
+
+def test_the_scan_sees_a_dead_public_name():
+    """A local of the same spelling in another module, a keyword argument or
+    a self-reference in the name's own definition does not make a public name
+    used; an import by name, a read in its own module or an attribute read
+    anywhere does."""
+    trees = {
+        "a.py": ast.parse(
+            "LIMIT = 3\nTABLE = {}\ndef f():\n    return f\ndef sigma():\n    pass\n"
+            "def g():\n    return TABLE\nclass C: pass\nclass D: pass\n"
+        ),
+        "b.py": ast.parse(
+            "from .a import LIMIT\nfrom . import a\ndef k(sigma):\n    return sigma + a.C\n"
+            "k(D=1)\n"
+        ),
+    }
+    assert _public_dead(trees) == ["a.py:3 f", "a.py:5 sigma", "a.py:7 g", "a.py:10 D"]
 
 
 _COLD_START = """

@@ -1,4 +1,6 @@
-"""Local birational maps and their piecewise-linear shadows."""
+"""Local birational maps and their piecewise-linear shadows, run as kernels on
+a padded grid: the kernels check no box, so each test picks boxes the map
+finds."""
 
 import random
 from fractions import Fraction
@@ -7,19 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gburge.arrays import ShapedArray, random_array
-from gburge.localmaps import (
-    apply_a,
-    apply_b,
-    apply_c,
-    apply_c_up,
-    apply_d,
-    apply_d_up,
-    apply_e,
-    inv_c,
-    inv_d,
-)
+from gburge.correspondences import gburge_up
+from gburge.localmaps import Grid, a_at, b_at, c_at, d_at, e_at, inv_c_at, inv_d_at
 from gburge.shapes import ShapeError, rectangle
-from gburge.values import GEOMETRIC_RATIONAL, TROPICAL, DomainError
+from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, TROPICAL, DomainError
 
 R = GEOMETRIC_RATIONAL
 seeds = st.integers(0, 10_000)
@@ -30,71 +23,112 @@ def rand(shape, seed, domain=R):
     return random_array(shape, domain, random.Random(seed))
 
 
+def run(w, *steps):
+    """w after the kernel steps (kernel, *args), in order, on one grid."""
+    g = Grid.of(w)
+    for kernel, *args in steps:
+        kernel(g, *args)
+    return g.to_array()
+
+
 @given(seeds, domains)
 def test_a_is_an_involution(seed, dom):
     w = rand(rectangle(3, 3), seed, dom)
     for box in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        assert apply_a(apply_a(w, *box), *box) == w
+        assert run(w, (a_at, *box), (a_at, *box)) == w
 
 
 @given(seeds, domains)
 def test_b_is_an_involution(seed, dom):
     w = rand(rectangle(3, 3), seed, dom)
     for box in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]:
-        assert apply_b(apply_b(w, *box), *box) == w
+        assert run(w, (b_at, *box), (b_at, *box)) == w
 
 
 @given(seeds, domains)
 def test_c_inverts(seed, dom):
     w = rand(rectangle(3, 3), seed, dom)
     for box in [(1, 1), (2, 2), (3, 3), (1, 3)]:
-        assert inv_c(apply_c(w, *box), *box) == w
-        assert apply_c(inv_c(w, *box), *box) == w
+        assert run(w, (c_at, *box), (inv_c_at, *box)) == w
+        assert run(w, (inv_c_at, *box), (c_at, *box)) == w
 
 
 @given(seeds, domains)
 def test_d_inverts(seed, dom):
     w = rand(rectangle(3, 3), seed, dom)
     for ij, kl in [((1, 1), (3, 3)), ((1, 1), (2, 2)), ((2, 1), (3, 3)), ((1, 2), (3, 3))]:
-        assert inv_d(apply_d(w, ij, kl), ij, kl) == w
-        assert apply_d(inv_d(w, ij, kl), ij, kl) == w
+        assert run(w, (d_at, *ij, *kl), (inv_d_at, *ij, *kl)) == w
+        assert run(w, (inv_d_at, *ij, *kl), (d_at, *ij, *kl)) == w
+
+
+def _moves(w, kernel, *args):
+    """The boxes around (2,2) of w whose raised value changes the new value
+    kernel writes at (2,2)."""
+    base = run(w, (kernel, 2, 2, *args)).get(2, 2)
+    rows = w.to_lists()
+    moved = set()
+    for i, j in [(1, 2), (2, 1), (3, 2), (2, 3), (3, 3), (1, 1)]:
+        bumped = [list(row) for row in rows]
+        bumped[i - 1][j - 1] *= 3
+        out = run(ShapedArray.from_rows(bumped, w.domain), (kernel, 2, 2, *args))
+        if out.get(2, 2) != base:
+            moved.add((i, j))
+    return moved
 
 
 def test_a_needs_both_forward_neighbours():
-    w = rand(rectangle(2, 2), 0)
-    with pytest.raises(ShapeError):
-        apply_a(w, 2, 2)
-    with pytest.raises(ShapeError):
-        apply_a(w, 1, 2)
+    # a reads A from the two boxes behind (i,j) and H from the two ahead of it
+    w = rand(rectangle(3, 3), 0)
+    assert _moves(w, a_at) == {(1, 2), (2, 1), (3, 2), (2, 3)}
 
 
 def test_b_needs_the_right_neighbour():
-    w = rand(rectangle(2, 2), 0)
-    apply_b(w, 2, 1)
-    with pytest.raises(ShapeError):
-        apply_b(w, 2, 2)
-
-
-def test_d_needs_distinct_boxes():
+    # b reads the box to the right of (i,j), never the one below it
     w = rand(rectangle(3, 3), 0)
-    with pytest.raises(ShapeError):
-        apply_d(w, (1, 1), (1, 1))
+    assert _moves(w, b_at) == {(1, 2), (2, 1), (2, 3)}
+
+
+DOMAINS = [R, GEOMETRIC_FLOAT, TROPICAL]
+KERNEL_STEPS = [
+    # (kernel, its arguments on a 3x3 square, the boxes it writes)
+    (a_at, (2, 2), {(2, 2)}),
+    (b_at, (3, 2), {(3, 2)}),
+    (c_at, (2, 3), {(2, 3)}),
+    (inv_c_at, (3, 1), {(3, 1)}),
+    (d_at, (1, 2, 2, 3), {(1, 2), (2, 3)}),
+    (inv_d_at, (1, 1, 3, 3), {(1, 1), (3, 3)}),
+    (e_at, (1, 3, 3, 1), {(1, 3), (3, 1)}),
+]
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.name)
+@pytest.mark.parametrize("kernel, args, written", [pytest.param(*step, id=step[0].__name__) for step in KERNEL_STEPS])
+def test_a_kernel_writes_its_own_boxes_and_no_other_cell(kernel, args, written, dom):
+    g = Grid.of(rand(rectangle(3, 3), 8, dom))
+    before = [list(row) for row in g.rows]
+    kernel(g, *args)
+    changed = {(i, j) for i, row in enumerate(g.rows) for j, x in enumerate(row) if x != before[i][j]}
+    assert changed <= written
+    if not dom.is_tropical:
+        # a generic geometric input moves every box the kernel writes;
+        # a piecewise-linear map may fix one
+        assert changed == written
 
 
 def test_a_tropical_example():
     w = ShapedArray.from_rows([[0.0, 1.0], [2.0, 3.0]], TROPICAL)
     # A = max(0, 0) = 0, H = min(2, 1) = 1, new value = 0 + 1 - 0
-    assert apply_a(w, 1, 1).get(1, 1) == 1.0
+    assert run(w, (a_at, 1, 1)).get(1, 1) == 1.0
 
 
 def test_c_tropical_example():
     w = ShapedArray.from_rows([[0.0, 1.0], [2.0, 3.0]], TROPICAL)
-    assert apply_c(w, 2, 2).get(2, 2) == 5.0
+    assert run(w, (c_at, 2, 2)).get(2, 2) == 5.0
 
 
 def test_d_rational_example():
     w = ShapedArray.from_rows([[2, 1], [4, 3]], R)
-    out = apply_d(w, (1, 1), (2, 2))
+    out = run(w, (d_at, 1, 1, 2, 2))
     assert out.get(1, 1) == Fraction(6, 5)
     assert out.get(2, 2) == 1
     assert out.get(1, 2) == 1 and out.get(2, 1) == 4
@@ -102,51 +136,54 @@ def test_d_rational_example():
 
 def test_d_tropical_zeros_are_fixed():
     w = ShapedArray.from_rows([[0.0, 0.0], [0.0, 0.0]], TROPICAL)
-    assert apply_d(w, (1, 1), (2, 2)) == w
+    assert run(w, (d_at, 1, 1, 2, 2)) == w
 
 
 def test_e_swaps():
     w = ShapedArray.from_rows([[1, 2], [3, 4]], R)
-    out = apply_e(w, (1, 1), (2, 2))
+    out = run(w, (e_at, 1, 1, 2, 2))
     assert out.get(1, 1) == 4 and out.get(2, 2) == 1
-    assert apply_e(out, (1, 1), (2, 2)) == w
+    assert run(out, (e_at, 1, 1, 2, 2)) == w
 
 
 def test_c_uses_corner_convention_at_the_origin():
     w = ShapedArray.from_rows([[3]], R)
     # A = 1/2 + 1/2 = 1
-    assert apply_c(w, 1, 1).get(1, 1) == 3
+    assert run(w, (c_at, 1, 1)).get(1, 1) == 3
 
 
 def test_upper_maps_need_a_geometric_domain():
     up = ShapedArray.from_rows([[1.0, 1.0], [1.0, 1.0]], TROPICAL)
     with pytest.raises(DomainError):
-        apply_c_up(up, 1)
+        gburge_up(up)
+
+
+def test_upper_maps_need_a_symmetric_array():
+    w = ShapedArray.from_rows([[1, 2], [3, 4]], R)
+    with pytest.raises(ShapeError, match=r"^gburge_up needs a symmetric array: box \(1,2\) differs"):
+        gburge_up(w)
 
 
 def test_c_up_first_diagonal_box():
     up = ShapedArray.from_rows([[Fraction(3), 1], [1, 1]], R)
     # the entry above the first diagonal box counts as 1/2
-    assert apply_c_up(up, 1).get(1, 1) == 3
+    out = run(up, (c_at, 1, 1))
+    assert out.get(1, 1) == 3
+    assert out.is_symmetric()
 
 
 def test_c_up_uses_the_entry_above():
     up = ShapedArray.from_rows([[1, Fraction(5)], [Fraction(5), Fraction(7)]], R)
-    assert apply_c_up(up, 2).get(2, 2) == 2 * 5 * 7
+    out = run(up, (c_at, 2, 2))
+    assert out.get(2, 2) == 2 * 5 * 7
+    assert out.is_symmetric()
 
 
 def test_d_up_example():
     up = ShapedArray.from_rows([[1, 1], [1, 1]], R)
-    out = apply_d_up(up, 1, 2)
+    out = run(up, (d_at, 1, 1, 2, 2))
     # z*A = 2 * (1/2) * 1 = 1; new w_11 = hsum(1, 1) = 1/2
     assert out.get(1, 1) == Fraction(1, 2)
     # new w_22 = (1/1 + 1/1) * (1/2) = 1
     assert out.get(2, 2) == 1
     assert out.is_symmetric()
-
-
-def test_upper_maps_need_a_symmetric_array():
-    w = ShapedArray.from_rows([[1, 2], [3, 4]], R)
-    for call, name in ((lambda: apply_c_up(w, 1), "upper c"), (lambda: apply_d_up(w, 1, 2), "upper d")):
-        with pytest.raises(ShapeError, match=rf"^{name} needs a symmetric array: box \(1,2\) differs"):
-            call()

@@ -12,7 +12,7 @@ from gburge.shapes import (
     all_growth_sequences,
     all_shapes,
     canonical_growth_sequence,
-    is_valid_growth_sequence,
+    growth_sequence_error,
     random_growth_sequence,
     random_shape,
     rectangle,
@@ -97,15 +97,15 @@ def test_shape_from_boxes():
 def test_canonical_growth_sequence_is_valid():
     s = Shape((3, 2))
     seq = canonical_growth_sequence(s)
-    assert is_valid_growth_sequence(s, seq)
+    assert growth_sequence_error(s, seq) is None
     assert seq == list(s.boxes())
 
 
 def test_invalid_growth_sequences_rejected():
     s = Shape((2, 2))
-    assert not is_valid_growth_sequence(s, [(1, 1), (2, 2), (1, 2), (2, 1)])
-    assert not is_valid_growth_sequence(s, [(1, 1), (1, 2), (2, 1)])
-    assert not is_valid_growth_sequence(s, [(1, 1), (1, 2), (2, 1), (2, 1)])
+    assert growth_sequence_error(s, [(1, 1), (2, 2), (1, 2), (2, 1)]) is not None
+    assert growth_sequence_error(s, [(1, 1), (1, 2), (2, 1)]) is not None
+    assert growth_sequence_error(s, [(1, 1), (1, 2), (2, 1), (2, 1)]) is not None
 
 
 def test_growth_sequence_counts_match_standard_tableaux():
@@ -137,15 +137,12 @@ def test_random_growth_sequence_is_valid(seed):
     s = random_shape(rng, 4, 4)
     assert 1 <= s.n_rows <= 4 and 1 <= s.n_cols <= 4
     seq = random_growth_sequence(s, rng)
-    assert is_valid_growth_sequence(s, seq)
+    assert growth_sequence_error(s, seq) is None
 
 
 def test_upper_part_and_diagonal():
     s = Shape((3, 3, 3))
     assert s.upper_part() == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-    assert s.diagonal(0) == [(1, 1), (2, 2), (3, 3)]
-    assert s.diagonal(1) == [(1, 2), (2, 3)]
-    assert s.diagonal(-2) == [(3, 1)]
 
 
 @given(shapes_to_6)

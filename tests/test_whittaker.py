@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,7 +19,6 @@ from gburge.polymer import (
 )
 from gburge.whittaker import (
     NonconvergentQuadratureError,
-    TriangularPattern,
     WhittakerParams,
     _log_psi2,
     _measure_report,
@@ -69,29 +69,36 @@ def rank2_pattern_integral(alpha, u1, u2):
 
 
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        TriangularPattern(((1.0, 2.0),))
-    with pytest.raises(ValueError):
-        TriangularPattern(((1.0,), (0.0, 2.0)))
-    z = TriangularPattern(((2.0,), (3.0, 5.0)))
-    assert z.n == 2 and z.bottom == (3.0, 5.0)
+    for fn in (energy, type_vector):
+        with pytest.raises(ValueError, match="row 1 must have 1 entries, got 2"):
+            fn(((1.0, 2.0),))
+        with pytest.raises(ValueError, match="row 2 has a nonpositive entry"):
+            fn(((1.0,), (0.0, 2.0)))
+        fn(((2.0,), (3.0, 5.0)))
 
 
 def test_energy_examples():
-    assert energy(TriangularPattern(((4.0,),))) == 0.0
-    z = TriangularPattern(((2.0,), (3.0, 5.0)))
+    assert energy(((4.0,),)) == 0.0
+    z = ((2.0,), (3.0, 5.0))
     assert energy(z) == pytest.approx(5.0 / 2.0 + 2.0 / 3.0)
-    ones3 = TriangularPattern(((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0)))
+    ones3 = ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0))
     assert energy(ones3) == 6.0
+    # exact on Fractions: 5/2 over 1/3, plus 1/3 over 2/7
+    exact = energy(((Fraction(1, 3),), (Fraction(2, 7), Fraction(5, 2))))
+    assert type(exact) is Fraction and exact == Fraction(15, 2) + Fraction(7, 6)
 
 
 def test_type_vector_examples():
-    z = TriangularPattern(((2.0,), (3.0, 5.0)))
+    z = ((2.0,), (3.0, 5.0))
     assert type_vector(z) == (2.0, 7.5)
-    ones3 = TriangularPattern(((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0)))
+    ones3 = ((1.0,), (1.0, 1.0), (1.0, 1.0, 1.0))
     assert type_vector(ones3) == (1.0, 1.0, 1.0)
-    z3 = TriangularPattern(((2.0,), (0.5, 3.0), (1.0, 4.0, 0.25)))
-    assert math.prod(type_vector(z3)) == pytest.approx(math.prod(z3.bottom))
+    z3 = ((2.0,), (0.5, 3.0), (1.0, 4.0, 0.25))
+    assert math.prod(type_vector(z3)) == pytest.approx(math.prod(z3[-1]))
+    # exact on Fractions: 1/3, then 2/7 * 5/2 over 1/3
+    exact = type_vector(((Fraction(1, 3),), (Fraction(2, 7), Fraction(5, 2))))
+    assert exact == (Fraction(1, 3), Fraction(15, 7))
+    assert all(type(v) is Fraction for v in exact)
 
 
 def test_params_validation():
@@ -292,7 +299,7 @@ def test_integrand_fast_path_matches_pattern_definitions():
     alpha = (-0.5, -1.25, -2.0)
     x = (1.3, 0.6, 2.2)
     logf, _ = _psi3_logf(alpha, x)
-    z = TriangularPattern(((0.8,), (1.7, 0.4), x))
+    z = ((0.8,), (1.7, 0.4), x)
     direct = sum(a * math.log(t) for a, t in zip(alpha, type_vector(z))) - energy(z)
     via_fast_path = float(
         logf(
@@ -451,7 +458,7 @@ def test_measure_check_matches_a_report_on_scalar_draws(alpha, samples, seed):
         rejections += rng.normals - 3  # three entries, each one accepted proposal
     want = _measure_report(
         alpha, 1.0, seed, np.asarray(t22), np.asarray(t11), (0.5, 1.0, 2.0),
-        (0.1, 0.3, 0.5, 0.7, 0.9), {"uniforms": uniforms, "gamma_rejections": rejections},
+        {"uniforms": uniforms, "gamma_rejections": rejections},
     )
     got = whittaker_measure_check(alpha, 1.0, samples=samples, seed=seed)
     assert got == want
