@@ -4,7 +4,7 @@ The library works with positive-valued arrays of Young-diagram shape and the
 birational maps between them: row and column insertion built from local
 diagonal moves, their inverses, and the involutions that intertwine them.
 Everything is written once over an abstract semifield so the same code runs
-exactly over rationals, numerically over floats, and min-plus tropically.
+exactly over rationals, numerically over floats, and max-plus tropically.
 
 On top of the maps sit the checks: lattice-path enumeration oracles for the
 border-sum identities, forward-mode volume (Jacobian) verification, inverse

@@ -54,14 +54,6 @@ class Dual:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.grad - other.grad)
-        return Dual(self.value - other, self.grad)
-
-    def __rsub__(self, other):
-        return Dual(other - self.value, -self.grad)
-
     def __mul__(self, other):
         if isinstance(other, Dual):
             return Dual(
@@ -81,9 +73,6 @@ class Dual:
     def __rtruediv__(self, other):
         v = other / self.value
         return Dual(v, -v * self.grad / self.value)
-
-    def __neg__(self):
-        return Dual(-self.value, -self.grad)
 
     def _cmp_value(self, other):
         return other.value if isinstance(other, Dual) else other

@@ -93,29 +93,21 @@ def _parse_order(text: str):
         ) from None
 
 
-class _Orderless:
-    """A map f(arr) that takes no growth sequence, called as f(arr, order)."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __call__(self, arr, order):
-        return self.f(arr)
-
-
-# name -> f(arr, order), in the order --help lists them; order is None without --order
+# name -> f(arr), in the order --help lists them
 _APPLY_MAPS = {
     "rsk": grsk,
     "burge": gburge,
-    "schutz": _Orderless(gschutz),
-    "schutz-upper": _Orderless(gschutz_upper),
-    "burge-up": _Orderless(gburge_up),
+    "schutz": gschutz,
+    "schutz-upper": gschutz_upper,
+    "burge-up": gburge_up,
     "inv-rsk": inv_grsk,
     "inv-burge": inv_gburge,
-    "transpose": _Orderless(ShapedArray.transpose),
-    "reverse-rows": _Orderless(ShapedArray.reverse_rows),
-    "reverse-cols": _Orderless(ShapedArray.reverse_cols),
+    "transpose": ShapedArray.transpose,
+    "reverse-rows": ShapedArray.reverse_rows,
+    "reverse-cols": ShapedArray.reverse_cols,
 }
+# the maps that also take a growth sequence, as f(arr, order)
+_ORDERED_MAPS = ("rsk", "burge", "inv-rsk", "inv-burge")
 
 
 def _cmd_apply(args) -> int:
@@ -123,10 +115,13 @@ def _cmd_apply(args) -> int:
         arr = ShapedArray.from_json(handle.read())
     order = _parse_order(args.order) if args.order else None
     apply = _APPLY_MAPS[args.map]
-    if order is not None and isinstance(apply, _Orderless):
-        ordered = sorted(name for name, f in _APPLY_MAPS.items() if not isinstance(f, _Orderless))
-        raise ValueError(f"--order applies to {ordered}, not {args.map!r}")
-    _write(apply(arr, order).to_json(indent=2) + "\n", args.out_path)
+    if order is None:
+        result = apply(arr)
+    elif args.map in _ORDERED_MAPS:
+        result = apply(arr, order)
+    else:
+        raise ValueError(f"--order applies to {sorted(_ORDERED_MAPS)}, not {args.map!r}")
+    _write(result.to_json(indent=2) + "\n", args.out_path)
     return 0
 
 

@@ -181,8 +181,7 @@ def gschutz(arr: ShapedArray) -> ShapedArray:
     It modifies only the lower trapezoidal part and fixes the diagonal
     through the bottom-right corner.
     """
-    if not arr.shape.is_rectangular:
-        raise ShapeError(f"the involution needs a rectangular shape, got {arr.shape.parts}")
+    arr._require_rectangular("the involution")
     m, n = arr.shape.n_rows, arr.shape.n_cols
     boxes = [(m, l) for r in range(n - 1, 0, -1) for l in range(1, r + 1)]
     return _run(Grid.of(arr), sigma_at, boxes).to_array()
@@ -190,6 +189,7 @@ def gschutz(arr: ShapedArray) -> ShapedArray:
 
 def gschutz_upper(arr: ShapedArray) -> ShapedArray:
     """Conjugate of gschutz by transposition; modifies only the upper part."""
+    arr._require_rectangular("the involution")
     return gschutz(arr.transpose()).transpose()
 
 

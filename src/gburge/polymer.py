@@ -24,8 +24,10 @@ libm differing in the last ulp.  The Burge map runs on lanes too: an
 environment whose entries are lane arrays lives in the ``GEOMETRIC_LANES``
 value domain, and the unchanged ``gburge`` and ``replica_Z`` map a whole
 block at once (``_burge_diagonals``, which the Whittaker measure check draws
-on, and ``check_replica_routes``).  Lanes run in blocks of ``_CHUNK`` sample
-indices on one thread.
+on, and ``check_replica_routes``).  One driver, ``_collect_samples``, serves
+every check: it checks the sample count, builds the lanes for blocks of
+``_CHUNK`` sample indices in index order on one thread, and counts the draws;
+``_report`` builds the report of every check that returns one.
 """
 
 from __future__ import annotations
@@ -381,78 +383,70 @@ def _kahan_total(terms):
     return total
 
 
-def _check_samples(samples: int) -> None:
+def _collect_samples(samples, seed, draw, streams=((0,), (1,))):
+    """The one lane driver of the Monte Carlo checks: per-sample values over
+    indices 0..samples-1, and the sampler diagnostics.
+
+    The indices are split, in index order, into blocks of at most _CHUNK
+    lanes, which keeps memory flat in the sample count.  For each block of
+    indices i, draw(*lanes) gets the lanes of Stream(seed, i, *tags) for each
+    tags tuple of streams, and returns a tuple of arrays whose first axis runs
+    over the block (or holds one row per block, for a statistic the block
+    sums itself); the result holds each of them concatenated over the blocks.
+    """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-
-
-def _blocks(samples: int):
-    """Sample indices 0..samples-1 as uint64 arrays of at most _CHUNK lanes,
-    in index order: the one way the Monte Carlo checks split their work, which
-    keeps memory flat in the sample count."""
-    for lo in range(0, samples, _CHUNK):
-        yield np.arange(lo, min(samples, lo + _CHUNK), dtype=np.uint64)
-
-
-def _chunked_accumulate(samples, per_block):
-    """Deterministic mean/stderr of statistics over `samples` draws.
-
-    per_block(index) returns one array per statistic, with the values of the
-    sample indices of the block.  Each block sum is a left fold in index order
-    (np.cumsum, not pairwise np.sum), and the block sums are combined in index
-    order with compensated addition, which fixes the digits of the result.
-    """
-    parts = []
-    for index in _blocks(samples):
-        stats = per_block(index)
-        parts.append(
-            ([float(np.cumsum(v)[-1]) for v in stats], [float(np.cumsum(v * v)[-1]) for v in stats])
-        )
-    out = []
-    for k in range(len(parts[0][0])):
-        total = _kahan_total(p[0][k] for p in parts)
-        total_sq = _kahan_total(p[1][k] for p in parts)
-        mean = total / samples
-        var = max(total_sq - samples * mean * mean, 0.0) / max(samples - 1, 1)
-        out.append((mean, math.sqrt(var / samples)))
-    return out
-
-
-def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
-    """Monte Carlo E[exp(-r Z_repl)] on the replica environment, one result
-    per requested r; sample i is drawn from Stream(seed, i)."""
-    r_values = [float(r) for r in r_values]
-    if any(r < 0 for r in r_values):
-        raise ValueError("Laplace parameters must be nonnegative")
-    _check_samples(samples)
-
-    def per_block(index):
-        z = _staircase_Z_replica(_replica_rows(spec, _Lanes(seed, index).inv_gamma, np.sqrt))
-        return [np.exp(-r * z) for r in r_values]
-
-    stats = _chunked_accumulate(samples, per_block)
-    return [
-        MCResult(r, mean, err, samples, seed) for r, (mean, err) in zip(r_values, stats)
-    ]
-
-
-def _collect_samples(samples, seed, draw, streams=((0,), (1,))):
-    """Per-sample values over indices 0..samples-1, and the sampler diagnostics.
-
-    For each block of indices i, draw(*lanes) gets the lanes of
-    Stream(seed, i, *tags) for each tags tuple of streams, and returns a
-    tuple of arrays over the block; the result holds each of them
-    concatenated over the blocks.
-    """
     parts = []
     uniforms = rejections = 0
-    for index in _blocks(samples):
+    for lo in range(0, samples, _CHUNK):
+        index = np.arange(lo, min(samples, lo + _CHUNK), dtype=np.uint64)
         lanes = [_Lanes(seed, index, *tags) for tags in streams]
         parts.append(draw(*lanes))
         uniforms += sum(lane.uniforms for lane in lanes)
         rejections += sum(lane.rejections for lane in lanes)
     diagnostics = {"uniforms": uniforms, "gamma_rejections": rejections}
     return [np.concatenate(values) for values in zip(*parts)], diagnostics
+
+
+def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
+    """Monte Carlo E[exp(-r Z_repl)] on the replica environment, one result
+    per requested r; sample i is drawn from Stream(seed, i).
+
+    Each block keeps only its sums of the values and of their squares, as a
+    left fold in index order (np.cumsum, not pairwise np.sum), and the block
+    sums are combined in index order with compensated addition, which fixes
+    the digits of the result.
+    """
+    r_values = [float(r) for r in r_values]
+    if any(r < 0 for r in r_values):
+        raise ValueError("Laplace parameters must be nonnegative")
+
+    def draw(lanes):
+        z = _staircase_Z_replica(_replica_rows(spec, lanes.inv_gamma, np.sqrt))
+        values = [np.exp(-r * z) for r in r_values]
+        return [[np.cumsum(v)[-1] for v in values]], [[np.cumsum(v * v)[-1] for v in values]]
+
+    (sums, squares), _ = _collect_samples(samples, seed, draw, streams=((),))
+    results = []
+    for r, block_sums, block_squares in zip(r_values, sums.T, squares.T):
+        mean = _kahan_total(block_sums.tolist()) / samples
+        total_sq = _kahan_total(block_squares.tolist())
+        var = max(total_sq - samples * mean * mean, 0.0) / max(samples - 1, 1)
+        results.append(MCResult(r, mean, math.sqrt(var / samples), samples, seed))
+    return results
+
+
+def _report(
+    test: str, params: dict, samples: int, seed: int, stats: dict, passed, diagnostics=None
+) -> dict:
+    """The report of a Monte Carlo check, keys in this order: test, the params
+    as given, samples, seed, the stats as given, pass, and the diagnostics
+    when there are any."""
+    report = {"test": test, **params, "samples": samples, "seed": seed, **stats}
+    report["pass"] = bool(passed)
+    if diagnostics is not None:
+        report["diagnostics"] = diagnostics
+    return report
 
 
 def _burge_diagonals(spec: EnvSpec, samples: int, seed: int):
@@ -503,21 +497,12 @@ def ks_two_sample(xs, ys):
 def _ks_report(test: str, params: dict, samples: int, seed: int, pair) -> dict:
     """The report of a two-sample KS check: pair(first, second) draws one
     block of both samples (see _collect_samples), and the check passes at
-    p > 0.01.  Keys: test, the params as given, samples, seed, statistic,
-    pvalue, pass, and the sampler diagnostics."""
-    _check_samples(samples)
+    p > 0.01.  Its stats are the statistic and the pvalue, and its
+    diagnostics those of the sampler."""
     (xs, ys), diagnostics = _collect_samples(samples, seed, pair)
     stat, pvalue = ks_two_sample(xs, ys)
-    return {
-        "test": test,
-        **params,
-        "samples": samples,
-        "seed": seed,
-        "statistic": stat,
-        "pvalue": pvalue,
-        "pass": bool(pvalue > 0.01),
-        "diagnostics": diagnostics,
-    }
+    stats = {"statistic": stat, "pvalue": pvalue}
+    return _report(test, params, samples, seed, stats, pvalue > 0.01, diagnostics)
 
 
 def check_Z_Zstar(n: int, alpha, samples: int, seed: int) -> dict:
@@ -561,7 +546,6 @@ def check_replica_routes(spec: EnvSpec, samples: int, seed: int, tol: float) -> 
     sample_replica_env(spec, Stream(seed, i)), i < samples, for a whole block
     of indices at once on lane arrays.  Passes when the worst relative gap is
     within tol."""
-    _check_samples(samples)
 
     def draw(lanes):
         rows = _replica_rows(spec, lanes.inv_gamma, np.sqrt)
@@ -572,16 +556,8 @@ def check_replica_routes(spec: EnvSpec, samples: int, seed: int, tol: float) -> 
 
     (gaps,), _ = _collect_samples(samples, seed, draw, streams=((),))
     worst = float(gaps.max())
-    return {
-        "test": "replica-routes",
-        "n": spec.n,
-        "alpha": list(spec.alpha),
-        "beta": spec.beta,
-        "samples": samples,
-        "seed": seed,
-        "max_relerr": worst,
-        "pass": bool(worst <= tol),
-    }
+    params = {"n": spec.n, "alpha": list(spec.alpha), "beta": spec.beta}
+    return _report("replica-routes", params, samples, seed, {"max_relerr": worst}, worst <= tol)
 
 
 def normalization_c(alpha, beta: float, log: bool = False) -> float:

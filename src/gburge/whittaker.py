@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymer import EnvSpec, _burge_diagonals, _check_samples, normalization_c
+from .polymer import EnvSpec, _burge_diagonals, _report, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
 _PANEL_WIDTH = 2.5  # widest Gauss panel of every grid, in log units
@@ -338,7 +338,6 @@ def whittaker_measure_check(
     3 sigma: at alpha = (1, 1.5), beta = 1, samples = 5000 it failed 6 of seeds
     1-200 (3, 79, 98, 108, 111, 139; 95% interval 1.4-6.4%).
     """
-    _check_samples(samples)
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != 2:
         raise ValueError("the end-to-end check is implemented for n = 2")
@@ -380,17 +379,12 @@ def _measure_report(alpha, beta, seed, xs1, xs2, r_values, diagnostics):
             {"r": r, "estimate": mc, "stderr": stderr, "predicted": predicted, "sigma": sigma}
         )
     passed = worst <= 3.0 and all(row["sigma"] <= 3.0 for row in laplace)
-    return {
-        "test": "whittaker-measure",
-        "n": 2,
-        "alpha": list(alpha),
-        "beta": beta,
-        "samples": samples,
-        "seed": seed,
+    params = {"n": 2, "alpha": list(alpha), "beta": beta}
+    stats = {
         "total_mass": grid.total / c,
         "cdf_points": cdf_points,
         "cdf_max_sigma": worst,
         "laplace": laplace,
-        "pass": bool(passed),
-        "diagnostics": {**diagnostics, "grid_nodes": list(grid._mass.shape)},
     }
+    diagnostics = {**diagnostics, "grid_nodes": list(grid._mass.shape)}
+    return _report("whittaker-measure", params, samples, seed, stats, passed, diagnostics)

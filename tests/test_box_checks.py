@@ -65,6 +65,11 @@ ARRAY_CASES = [
     (lambda: commutation_sides(RAGGED, 2, -1), "commutation at (2,-1): box (2,-1) missing from shape (3, 2, 2)"),
     (lambda: gschutz(RAGGED), "the involution needs a rectangular shape, got (3, 2, 2)"),
     (lambda: gschutz_upper(CORNER), "the involution needs a rectangular shape, got (2, 1)"),
+    # its own id: the text is gschutz's, and a repeated id would rename that case
+    pytest.param(
+        lambda: gschutz_upper(RAGGED), "the involution needs a rectangular shape, got (3, 2, 2)",
+        id="gschutz_upper-ragged",
+    ),
 ]
 
 

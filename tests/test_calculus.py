@@ -38,9 +38,6 @@ def test_dual_arithmetic():
     assert r.value == 0.5 and r.grad[0] == pytest.approx(-0.25)
     assert (x + 1).value == 3.0
     assert (2 * x).value == 4.0
-    assert (x - y).value == -1.0
-    assert (5 - x).value == 3.0
-    assert (-x).value == -2.0
 
 
 def test_dual_comparisons():

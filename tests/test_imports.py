@@ -2,7 +2,8 @@
 name a module defines is used somewhere in the package, and neither importing
 the package nor running its maps, exact checks, tropical limits or KS tests
 loads scipy or mpmath; a Whittaker quadrature loads scipy.special, and
-nothing loads scipy.stats or mpmath.
+nothing loads scipy.stats or mpmath.  One function, polymer._collect_samples,
+builds the lanes of every Monte Carlo check.
 
 An imported name counts as used when the module reads it anywhere in its
 code (annotations included) or lists it in `__all__`.  A module-level private
@@ -169,6 +170,46 @@ def test_the_scan_sees_a_dead_public_name():
         ),
     }
     assert _public_dead(trees) == ["a.py:3 f", "a.py:5 sigma", "a.py:7 g", "a.py:10 D"]
+
+
+def _callers(trees, name):
+    """Where the package calls name(...), directly or as an attribute: one
+    entry per call, the module and the chain of definitions around it."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    for module, tree in trees.items():
+        visit(tree, [module.removesuffix(".py")])
+    return found
+
+
+def test_lanes_are_built_by_the_one_lane_driver():
+    """Every Monte Carlo check splits its samples into blocks of lanes in one
+    place, so one function of the package builds _Lanes."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert sorted(set(_callers(trees, "_Lanes"))) == ["polymer._collect_samples"]
+
+
+def test_the_scan_sees_a_second_lane_driver():
+    trees = {
+        "a.py": ast.parse(
+            "def drive():\n    return [_Lanes(1, i) for i in range(2)]\n"
+            "def laplace():\n    def draw():\n        return m._Lanes(0, 1)\n    return draw\n"
+            "class K:\n    def f(self):\n        return _Lanes\n"
+        ),
+        "b.py": ast.parse("LANES = _Lanes(0, 0)\n"),
+    }
+    assert _callers(trees, "_Lanes") == ["a.drive", "a.laplace.draw", "b"]
 
 
 _COLD_START = """

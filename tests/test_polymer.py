@@ -506,6 +506,71 @@ def test_monte_carlo_checks_match_the_scalar_path():
     assert (rep["statistic"], rep["pvalue"]) == ks_two_sample(lhs, rhs)
 
 
+def _hexed(value):
+    """value with every float written as float.hex, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def test_laplace_known_answers_across_blocks():
+    # three blocks, the last one short: the per-block left folds and their
+    # compensated total in index order fix every bit
+    spec = EnvSpec(3, (1.0, 1.5, 2.0), 1.0)
+    results = laplace_mc(spec, [0.5, 1.0, 2.0], samples=2 * _CHUNK + 7, seed=41)
+    assert [(res.estimate.hex(), res.stderr.hex()) for res in results] == [
+        ("0x1.7b355d54769afp-1", "0x1.b705fcca569f7p-9"),
+        ("0x1.47f2b1fea7667p-1", "0x1.e9cf1ed860dd7p-9"),
+        ("0x1.0cac7e982326ep-1", "0x1.00d64cbffc993p-8"),
+    ]
+
+
+ALPHA3_HEX = ["0x1.0000000000000p+0", "0x1.8000000000000p+0", "0x1.0000000000000p+1"]
+
+
+@pytest.mark.parametrize(
+    "check, want",
+    [
+        (
+            lambda: check_Z_Zstar(3, (1.0, 1.5, 2.0), samples=_CHUNK + 9, seed=42),
+            {
+                "test": "ks-zzstar", "n": 3, "alpha": ALPHA3_HEX, "beta": "0x1.0000000000000p-1",
+                "samples": 4105, "seed": 42, "statistic": "0x1.8f1f7e48f6f40p-7",
+                "pvalue": "0x1.d78a28b74e64cp-1", "pass": True,
+                "diagnostics": {"uniforms": 101582, "gamma_rejections": 1099},
+            },
+        ),
+        (
+            lambda: check_lukacs(0.5, 2.0, samples=_CHUNK + 9, seed=43),
+            {
+                "test": "lukacs", "a": "0x1.0000000000000p-1", "b": "0x1.0000000000000p+1",
+                "samples": 4105, "seed": 43, "statistic": "0x1.971b00cf8b420p-6",
+                "pvalue": "0x1.44aa82ba95123p-3", "pass": True,
+                "diagnostics": {"uniforms": 66222, "gamma_rejections": 500},
+            },
+        ),
+        (
+            lambda: check_replica_routes(
+                EnvSpec(3, (1.0, 1.5, 2.0), 1.0), samples=_CHUNK + 9, seed=44, tol=1e-10
+            ),
+            {
+                "test": "replica-routes", "n": 3, "alpha": ALPHA3_HEX,
+                "beta": "0x1.0000000000000p+0", "samples": 4105, "seed": 44,
+                "max_relerr": "0x1.71ae13a2f8016p-50", "pass": True,
+            },
+        ),
+    ],
+    ids=["ks-zzstar", "lukacs", "replica-routes"],
+)
+def test_report_known_answers_across_blocks(check, want):
+    # _CHUNK + 9 samples: a full block and a short one; the keys keep their order
+    assert list(_hexed(check()).items()) == list(want.items())
+
+
 class CountingStream(Stream):
     """A scalar Stream that counts its normals: one per gamma proposal."""
 
