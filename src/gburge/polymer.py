@@ -116,8 +116,10 @@ def _sample_gamma(shape: float, rng: Stream) -> float:
 def sample_inv_gamma(alpha: float, beta: float, rng: Stream) -> float:
     """One draw with density (beta^alpha / Gamma(alpha)) y^{-alpha} e^{-beta/y} dy/y,
     sampled as beta over a unit-rate gamma variate."""
-    if alpha <= 0 or beta <= 0:
-        raise ValueError(f"inverse-gamma parameters must be positive, got ({alpha}, {beta})")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):  # nan fails too
+        raise ValueError(
+            f"inverse-gamma alpha and beta must be positive and finite, got ({alpha}, {beta})"
+        )
     return beta / _sample_gamma(alpha, rng)
 
 
@@ -211,6 +213,29 @@ class _Lanes:
         return beta / self.gamma(alpha)
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError naming the parameter unless 0 < value < inf (nan fails)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_parameters(alpha, beta) -> None:
+    """_check_positive on each alpha[i], then on beta."""
+    for i, a in enumerate(alpha):
+        _check_positive(f"alpha[{i}]", a)
+    _check_positive("beta", beta)
+
+
+def _check_laplace_r(r_values) -> list:
+    """The Laplace parameters as floats; ValueError naming the first one
+    outside 0 <= r < inf (nan included)."""
+    r_values = [float(r) for r in r_values]
+    for i, r in enumerate(r_values):
+        if not 0 <= r < math.inf:
+            raise ValueError(f"Laplace parameter r[{i}] must be nonnegative and finite, got {r!r}")
+    return r_values
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Size and parameters of a symmetric log-gamma environment."""
@@ -223,8 +248,7 @@ class EnvSpec:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if self.n < 1 or len(self.alpha) != self.n:
             raise ValueError(f"need n positive parameters, got n={self.n}, alpha={self.alpha}")
-        if any(a <= 0 for a in self.alpha) or self.beta <= 0:
-            raise ValueError("all parameters must be positive")
+        _check_parameters(self.alpha, self.beta)
 
 
 def _symmetric_rows(spec: EnvSpec, draw):
@@ -417,9 +441,7 @@ def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
     sums are combined in index order with compensated addition, which fixes
     the digits of the result.
     """
-    r_values = [float(r) for r in r_values]
-    if any(r < 0 for r in r_values):
-        raise ValueError("Laplace parameters must be nonnegative")
+    r_values = _check_laplace_r(r_values)
 
     def draw(lanes):
         z = _staircase_Z_replica(_replica_rows(spec, lanes.inv_gamma, np.sqrt))
@@ -525,8 +547,8 @@ def check_lukacs(a: float, b: float, samples: int, seed: int) -> dict:
     """KS test of (X+Y)Z^2 against XYZ for independent inverse-gamma X, Y, Z
     with parameters a, b, a+b (scale 1); the two have the same law.  The
     report's diagnostics are those of check_Z_Zstar."""
-    if a <= 0 or b <= 0:
-        raise ValueError("parameters must be positive")
+    _check_positive("a", a)
+    _check_positive("b", b)
 
     def draw_triple(lanes):
         return lanes.inv_gamma(a, 1.0), lanes.inv_gamma(b, 1.0), lanes.inv_gamma(a + b, 1.0)
@@ -565,8 +587,7 @@ def normalization_c(alpha, beta: float, log: bool = False) -> float:
     beta^(-sum alpha) * prod Gamma(alpha_i) * prod_{i<j} Gamma(alpha_i+alpha_j),
     computed in log space (pass log=True to keep it there)."""
     alpha = [float(a) for a in alpha]
-    if any(a <= 0 for a in alpha) or beta <= 0:
-        raise ValueError("all parameters must be positive")
+    _check_parameters(alpha, beta)
     total = -sum(alpha) * math.log(beta)
     total += sum(math.lgamma(a) for a in alpha)
     total += sum(

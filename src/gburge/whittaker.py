@@ -30,9 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymer import EnvSpec, _burge_diagonals, _report, normalization_c
+from .polymer import EnvSpec, _burge_diagonals, _check_laplace_r, _report, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
+# the last unit step of each chunk the box probe's tail walk evaluates at once:
+# rank-3 tails end within 8 steps, rank-2 ones within 48, slow ones reach 400
+_TAIL_CHUNKS = (16, 64, 400)
 _PANEL_WIDTH = 2.5  # widest Gauss panel of every grid, in log units
 _QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)  # the measure check's CDF grid, on each axis
 
@@ -90,8 +93,11 @@ class WhittakerParams:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         if self.n < 1 or len(self.alpha) != self.n or len(self.x) != self.n:
             raise ValueError(f"need n = len(alpha) = len(x), got {self.n}")
-        if any(v <= 0 for v in self.x):
-            raise ValueError("the argument must be positive")
+        for i, (a, v) in enumerate(zip(self.alpha, self.x)):
+            if not math.isfinite(a):
+                raise ValueError(f"alpha[{i}] must be finite, got {a!r}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"x[{i}] must be positive and finite, got {v!r}")
 
 
 # -- integrands in log coordinates ----------------------------------------------
@@ -121,7 +127,25 @@ def _psi3_grid(alpha, x, nodes=16):
     (s_box, d_box), peak = _probe_box(logf, (0.5 * (l1 + l3) + l2, 0.5 * (l3 - l1)))
     s, ws = _panel_nodes(*s_box, nodes=nodes)
     d, wd = _panel_nodes(*d_box, nodes=nodes)
-    return float(wd @ np.exp(logf(s, d[:, None]) - peak) @ ws) * math.exp(peak)
+    total = float(wd @ np.exp(logf(s, d[:, None]) - peak) @ ws)
+    return _times_exp(total, peak, 3, alpha, x)
+
+
+def _times_exp(mantissa, log_scale, n, alpha, x):
+    """mantissa e^log_scale, the value of the rank-n Psi_alpha(x); an
+    OverflowError naming the rank, alpha, x and log Psi when that leaves
+    double range."""
+    try:
+        value = mantissa * math.exp(log_scale)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        log_psi = math.log(mantissa) + log_scale
+        raise OverflowError(
+            f"Psi of rank {n} at alpha={tuple(alpha)}, x={tuple(x)} = exp({log_psi!r}) "
+            "overflows a float"
+        )
+    return value
 
 
 def psi(params: WhittakerParams) -> float:
@@ -131,14 +155,18 @@ def psi(params: WhittakerParams) -> float:
     (see _log_psi2); rank 3 integrates the rank-2 closed form over the second
     row on a 2-D grid (see _psi3_grid).
     """
-    if params.n == 1:
-        return params.x[0] ** params.alpha[0]
-    if params.n == 2:
-        u1, u2 = (math.log(v) for v in params.x)
-        return math.exp(float(_log_psi2(params.alpha, u1, u2)))
-    if params.n == 3:
-        return _psi3_grid(params.alpha, params.x)
-    raise ValueError(f"unsupported rank {params.n}; only n <= 3 is implemented")
+    n, alpha, x = params.n, params.alpha, params.x
+    if n == 1:
+        try:
+            return x[0] ** alpha[0]
+        except OverflowError:
+            return _times_exp(1.0, alpha[0] * math.log(x[0]), n, alpha, x)
+    if n == 2:
+        u1, u2 = (math.log(v) for v in x)
+        return _times_exp(1.0, float(_log_psi2(alpha, u1, u2)), n, alpha, x)
+    if n == 3:
+        return _psi3_grid(alpha, x)
+    raise ValueError(f"unsupported rank {n}; only n <= 3 is implemented")
 
 
 # -- grids from the rank-2 closed form ------------------------------------------------------
@@ -177,35 +205,54 @@ def _log_psi2(a, u1, u2):
 
 
 def _probe_box(logf, start):
-    """Coordinate ascent over +-40 unit steps from start, then on each axis
-    the first unit step out to +-400 where the profile falls the tail drop
-    below the peak, padded by 2; slow power-law tails (small parameters)
-    need long walks.  logf takes one coordinate per axis and broadcasts
-    them; a profile passes its other axes as scalars.  Returns the box and
-    the peak."""
+    """Coordinate ascent over +-40 unit steps from start, in at most 3
+    sweeps over the axes, stopping after a sweep that moves no axis (the
+    next would repeat its profiles); then on each axis the first unit step
+    out to +-400 where the profile falls the tail drop below the peak,
+    padded by 2.  Slow power-law tails (small parameters) need long walks,
+    but most tails end within a few steps, so the walk evaluates its unit
+    steps in the growing chunks that end at _TAIL_CHUNKS, one logf call per
+    chunk on every (axis, side) direction still walking, and a direction
+    stops at the first chunk that holds its end.  logf takes one coordinate
+    per axis and broadcasts them elementwise; an ascent profile passes its
+    other axes as scalars.  Returns the box and the peak."""
     u = np.array(start, dtype=float)
+    dims = len(u)
 
     def profile(axis, offsets):
-        return logf(*(u[k] + offsets if k == axis else u[k] for k in range(len(u))))
+        return logf(*(u[k] + offsets if k == axis else u[k] for k in range(dims)))
 
     steps = np.arange(-40.0, 41.0)
     for _ in range(3):
-        for axis in range(len(u)):
-            u[axis] += steps[int(np.argmax(profile(axis, steps)))]
+        moved = False
+        for axis in range(dims):
+            step = steps[int(np.argmax(profile(axis, steps)))]
+            u[axis] += step
+            moved = moved or step != 0.0
+        if not moved:
+            break
     peak = float(logf(*u))
     if not math.isfinite(peak):
         raise NonconvergentQuadratureError("integrand has no finite peak")
-    steps = np.arange(1.0, 401.0)
-    axes = []
-    for axis in range(len(u)):
-        ends = []
-        for sign in (-1.0, 1.0):
-            below = profile(axis, sign * steps) < peak - _TAIL_LOG_DROP
-            if not below.any():
-                raise NonconvergentQuadratureError(f"axis {axis} mass did not localize")
-            ends.append(u[axis] + sign * steps[int(np.argmax(below))])
-        axes.append((ends[0] - 2.0, ends[1] + 2.0))
-    return axes, peak
+    walking = [(axis, sign) for axis in range(dims) for sign in (-1.0, 1.0)]
+    ends = {}
+    first = 1.0
+    for last in _TAIL_CHUNKS:
+        steps = np.arange(first, last + 1.0)
+        coords = [
+            np.concatenate([u[k] + sign * steps if k == axis else np.full(steps.size, u[k])
+                            for axis, sign in walking])
+            for k in range(dims)
+        ]
+        below = (logf(*coords) < peak - _TAIL_LOG_DROP).reshape(len(walking), steps.size)
+        for (axis, sign), row in zip(walking, below):
+            if row.any():
+                ends[axis, sign] = u[axis] + sign * steps[int(np.argmax(row))]
+        walking = [direction for direction in walking if direction not in ends]
+        if not walking:
+            return [(ends[axis, -1.0] - 2.0, ends[axis, 1.0] + 2.0) for axis in range(dims)], peak
+        first = last + 1.0
+    raise NonconvergentQuadratureError(f"axis {walking[0][0]} mass did not localize")
 
 
 _GL_CACHE: dict = {}
@@ -341,6 +388,7 @@ def whittaker_measure_check(
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != 2:
         raise ValueError("the end-to-end check is implemented for n = 2")
+    r_values = _check_laplace_r(r_values)
     (t11, t22), diagnostics = _burge_diagonals(EnvSpec(2, alpha, beta), samples, seed)
     return _measure_report(alpha, beta, seed, t22, t11, r_values, diagnostics)
 
@@ -369,7 +417,6 @@ def _measure_report(alpha, beta, seed, xs1, xs2, r_values, diagnostics):
             )
     laplace = []
     for r in r_values:
-        r = float(r)
         values = np.exp(-r * xs1)
         mc = float(np.mean(values))
         stderr = float(np.std(values, ddof=1) / math.sqrt(samples))

@@ -283,6 +283,43 @@ _UNTAKEN = [
 ]
 
 
+# every polymer and whittaker command with --alpha nan,1, and with --beta inf
+# where it takes --beta
+_NON_FINITE = [
+    (subcommand, name, bad)
+    for subcommand in ("polymer", "whittaker")
+    for name, (_, flags) in cli._COMMANDS[subcommand].items()
+    for bad in ("alpha", "beta")
+    if bad == "alpha" or bad in flags
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, name, bad", _NON_FINITE, ids=[f"{s}-{n}-{b}" for s, n, b in _NON_FINITE]
+)
+def test_a_non_finite_parameter_exits_two_naming_it(capsys, subcommand, name, bad):
+    # on nan the gamma sampler's rejection loop never ended, and inf passed
+    flags = cli._COMMANDS[subcommand][name][1]
+    argv = [subcommand, "--cmd", name, "--alpha", "nan,1" if bad == "alpha" else "1,1"]
+    if bad == "beta":
+        argv += ["--beta", "inf"]
+    for flag, value in (("seed", "1"), ("samples", "100"), ("x", "1,2")):
+        if flag in flags or (flag == "seed" and subcommand == "polymer"):
+            argv += [cli._OPTIONS[flag][0], value]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    if bad == "beta":
+        want = "beta must be positive and finite, got inf"
+    elif name == "lukacs":
+        want = "a must be positive and finite, got nan"
+    elif name == "eval":
+        want = "alpha[0] must be finite, got nan"
+    else:
+        want = "alpha[0] must be positive and finite, got nan"
+    assert captured.err == f"error: {want}\n"
+
+
 @pytest.mark.parametrize(
     "subcommand, name, flag", _UNTAKEN, ids=[f"{s}-{n}-{f}" for s, n, f in _UNTAKEN]
 )
@@ -491,6 +528,26 @@ def test_whittaker_corollary_overflowing_constant_exits_two(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: normalization constant c(alpha=(5.0, 8.0), beta=1e-30)")
     assert "overflows a float" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rank, alpha, x, log_psi",
+    [
+        ("3", "1,2,3", "1e300,1,1", "1739.53603"),
+        ("2", "400,1", "1e300,1", "278298.73143"),
+        ("1", "400", "1e300", "276310.21115"),
+    ],
+)
+def test_whittaker_eval_overflow_exits_two_naming_it(capsys, rank, alpha, x, log_psi):
+    code = main(["whittaker", "--cmd", "eval", "-n", rank, "--alpha", alpha, "--x", x])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    alpha_t = tuple(float(a) for a in alpha.split(","))
+    x_t = tuple(float(v) for v in x.split(","))
+    assert captured.err.startswith(
+        f"error: Psi of rank {rank} at alpha={alpha_t}, x={x_t} = exp({log_psi}"
+    )
+    assert captured.err.endswith(") overflows a float\n")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

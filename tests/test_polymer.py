@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,15 @@ def test_inv_gamma_rejects_bad_parameters():
         sample_inv_gamma(1.0, -2.0, rng)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_inv_gamma_rejects_non_finite_parameters(bad):
+    # the rejection loop never accepted a proposal at a nan shape
+    rng = Stream(0)
+    for alpha, beta in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="alpha and beta must be positive and finite"):
+            sample_inv_gamma(alpha, beta, rng)
+
+
 # -- environments ---------------------------------------------------------------
 
 
@@ -199,6 +209,34 @@ def test_env_spec_validation():
     with pytest.raises(ValueError):
         EnvSpec(2, (1.0, 1.0), 0.0)
     assert EnvSpec(2, [1, 2], 1.0).alpha == (1.0, 2.0)
+
+
+# (call, message): each boundary that takes a positive parameter, at nan and inf
+NON_FINITE_PARAMETERS = {
+    "EnvSpec-alpha": (lambda v: EnvSpec(2, (1.0, v), 1.0), "alpha[1] must be positive and finite"),
+    "EnvSpec-beta": (lambda v: EnvSpec(2, (1.0, 1.0), v), "beta must be positive and finite"),
+    "normalization_c-alpha": (
+        lambda v: normalization_c((v, 1.0), 1.0), "alpha[0] must be positive and finite"
+    ),
+    "normalization_c-beta": (
+        lambda v: normalization_c((1.0, 1.0), v), "beta must be positive and finite"
+    ),
+    "check_lukacs-b": (
+        lambda v: check_lukacs(1.0, v, samples=10, seed=0), "b must be positive and finite"
+    ),
+    "laplace_mc-r": (
+        lambda v: laplace_mc(EnvSpec(2, (1.0, 1.0), 1.0), [0.5, v], samples=10, seed=0),
+        "Laplace parameter r[1] must be nonnegative and finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("boundary", NON_FINITE_PARAMETERS)
+def test_non_finite_parameters_raise_naming_the_parameter(boundary, bad):
+    call, message = NON_FINITE_PARAMETERS[boundary]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {bad!r}$"):
+        call(bad)
 
 
 def test_symmetric_env_shape_and_symmetry():

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
+from gburge import whittaker
 from gburge.polymer import (
     EnvSpec,
     Stream,
@@ -104,8 +107,13 @@ def test_type_vector_examples():
 def test_params_validation():
     with pytest.raises(ValueError):
         WhittakerParams(2, (1.0,), (1.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x\[1\] must be positive and finite, got -1.0$"):
         WhittakerParams(2, (1.0, 1.0), (1.0, -1.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^alpha\[1\] must be finite, got {bad!r}$"):
+            WhittakerParams(2, (1.0, bad), (1.0, 1.0))
+        with pytest.raises(ValueError, match=rf"^x\[0\] must be positive and finite, got {bad!r}$"):
+            WhittakerParams(2, (1.0, 1.0), (bad, 1.0))
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -287,6 +295,27 @@ def test_rank3_monte_carlo_route():
     assert mc == pytest.approx(psi(params), rel=0.03)
 
 
+@pytest.mark.parametrize(
+    "alpha, x, log_psi",
+    [
+        ((400.0,), (1e300,), 400.0 * math.log(1e300)),
+        ((400.0, 1.0), (1e300, 1.0), float(_log_psi2((400.0, 1.0), math.log(1e300), 0.0))),
+        ((1.0, 2.0, 3.0), (1e300, 1.0, 1.0), None),  # a grid value: only its range is known
+    ],
+)
+def test_psi_overflow_names_rank_alpha_x_and_log_psi(alpha, x, log_psi):
+    n = len(alpha)
+    head, tail = f"Psi of rank {n} at alpha={alpha}, x={x} = exp(", ") overflows a float"
+    with pytest.raises(OverflowError) as raised:
+        psi(WhittakerParams(n, alpha, x))
+    message = str(raised.value)
+    assert message.startswith(head) and message.endswith(tail)
+    logged = float(message[len(head):-len(tail)])
+    assert logged > math.log(sys.float_info.max)
+    if log_psi is not None:
+        assert logged == pytest.approx(log_psi, rel=1e-12)
+
+
 def test_unsupported_rank():
     params = WhittakerParams(4, (-1.0,) * 4, (1.0,) * 4)
     with pytest.raises(ValueError):
@@ -314,6 +343,121 @@ def test_integrand_fast_path_matches_pattern_definitions():
 def test_probe_box_reports_nonconvergence():
     with pytest.raises(NonconvergentQuadratureError):
         _probe_box(lambda u: np.zeros_like(u), (0.0,))
+
+
+def unit_step_probe_box(logf, start):
+    """The box probe as one unit step at a time: three full ascent sweeps,
+    then one logf call per (axis, side) over all 400 tail steps.  The chunked
+    _probe_box must return exactly its box and peak."""
+    u = np.array(start, dtype=float)
+
+    def profile(axis, offsets):
+        return logf(*(u[k] + offsets if k == axis else u[k] for k in range(len(u))))
+
+    steps = np.arange(-40.0, 41.0)
+    for _ in range(3):
+        for axis in range(len(u)):
+            u[axis] += steps[int(np.argmax(profile(axis, steps)))]
+    peak = float(logf(*u))
+    if not math.isfinite(peak):
+        raise NonconvergentQuadratureError("integrand has no finite peak")
+    steps = np.arange(1.0, 401.0)
+    axes = []
+    for axis in range(len(u)):
+        ends = []
+        for sign in (-1.0, 1.0):
+            below = profile(axis, sign * steps) < peak - 46.0
+            if not below.any():
+                raise NonconvergentQuadratureError(f"axis {axis} mass did not localize")
+            ends.append(u[axis] + sign * steps[int(np.argmax(below))])
+        axes.append((ends[0] - 2.0, ends[1] + 2.0))
+    return axes, peak
+
+
+def probed_integrands(monkeypatch, run):
+    """The (logf, start) of every _probe_box call that run() makes."""
+    probes = []
+    real = whittaker._probe_box
+
+    def recording(logf, start):
+        probes.append((logf, start))
+        return real(logf, start)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(whittaker, "_probe_box", recording)
+        run()
+    return probes
+
+
+# the integrands of every caller: rank-1 corollaries (the tail at alpha = 0.12
+# ends at step 385, in the last chunk), the measure grids at ((1.5, 2.5), 0.5)
+# and ((1, 1.5), 1) (tails ending at steps 33 and 48, past the first chunk),
+# and the rank-3 grids
+PROBED_CALLERS = {
+    "rank1-2-3": lambda: corollary_check((2.0,), 3.0),
+    "rank1-0.12-1": lambda: corollary_check((0.12,), 1.0),
+    "measure-1.5,2.5-0.5": lambda: _MeasureGrid((1.5, 2.5), 0.5),
+    "measure-1,1.5-1": lambda: _MeasureGrid((1.0, 1.5), 1.0),
+    **{f"psi3-{i}": (lambda a=alpha, x=x: psi(WhittakerParams(3, a, x)))
+       for i, (alpha, x) in enumerate(RANK3_POINTS)},
+}
+
+
+@pytest.mark.parametrize("caller", PROBED_CALLERS)
+def test_probe_box_matches_the_unit_step_walk(monkeypatch, caller):
+    (logf, start), = probed_integrands(monkeypatch, PROBED_CALLERS[caller])
+    assert _probe_box(logf, start) == unit_step_probe_box(logf, start)
+
+
+@pytest.mark.parametrize("alpha, x", RANK3_POINTS)
+def test_probe_box_matches_the_unit_step_walk_in_three_dimensions(alpha, x):
+    logf, start = _psi3_logf(alpha, x)
+    assert _probe_box(logf, start) == unit_step_probe_box(logf, start)
+
+
+def _slopes(left, right):
+    """A 1-D log-integrand peaked at 0 whose two sides fall 46 below the peak
+    first at unit steps left and right."""
+    return lambda u: np.where(u < 0, 46.0 / (left - 0.5) * u, -46.0 / (right - 0.5) * u)
+
+
+def test_probe_box_walks_its_tails_to_step_400():
+    logf = _slopes(1, 400)
+    assert _probe_box(logf, (0.0,)) == unit_step_probe_box(logf, (0.0,)) == ([(-3.0, 402.0)], 0.0)
+    logf = _slopes(17, 65)  # each end the first step of a later chunk
+    assert _probe_box(logf, (0.0,)) == ([(-19.0, 67.0)], 0.0)
+
+
+@pytest.mark.parametrize(
+    "logf, axis",
+    [
+        (_slopes(1, 401), 0),
+        (_slopes(401, 1), 0),
+        (lambda u, v: _slopes(3, 5)(u) + _slopes(2, 401)(v), 1),
+        (lambda u, v: _slopes(401, 5)(u) + _slopes(401, 2)(v), 0),
+    ],
+)
+def test_probe_box_names_the_first_direction_that_did_not_localize(logf, axis):
+    start = (0.0,) * logf.__code__.co_argcount
+    message = f"^axis {axis} mass did not localize$"
+    for probe in (_probe_box, unit_step_probe_box):
+        with pytest.raises(NonconvergentQuadratureError, match=message):
+            probe(logf, start)
+
+
+def test_a_rank3_probe_evaluates_under_a_thousand_points(monkeypatch):
+    # the unit-step walk evaluates about 2,100: three 81-point sweeps of two
+    # axes and 400 steps on each of four sides
+    alpha, x = RANK3_POINTS[0]
+    (logf, start), = probed_integrands(monkeypatch, lambda: psi(WhittakerParams(3, alpha, x)))
+    points = []
+
+    def counting(*coords):
+        points.append(np.broadcast(*coords).size)
+        return logf(*coords)
+
+    assert _probe_box(counting, start) == unit_step_probe_box(logf, start)
+    assert sum(points) < 1000
 
 
 # -- the measure ---------------------------------------------------------------
@@ -352,11 +496,22 @@ def test_density_rank2_point_value():
         whittaker_density(2, (1.0, -1.0), beta, x)
 
 
-@pytest.mark.parametrize("alpha, beta", [((1.0, 0.0), 1.0), ((1.0,), -1.0)])
-def test_nonpositive_parameters_fail_before_any_quadrature(alpha, beta):
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        pytest.param((1.0, 0.0), 1.0, "alpha[1] must be positive and finite, got 0.0",
+                     id="alpha0-1.0"),
+        pytest.param((1.0,), -1.0, "beta must be positive and finite, got -1.0", id="alpha1--1.0"),
+        pytest.param((math.nan, 1.0), 1.0, "alpha[0] must be positive and finite, got nan",
+                     id="nan-alpha"),
+        pytest.param((1.0, 1.0), math.inf, "beta must be positive and finite, got inf",
+                     id="inf-beta"),
+    ],
+)
+def test_nonpositive_parameters_fail_before_any_quadrature(alpha, beta, message):
     for call in (lambda: corollary_check(alpha, beta),
                  lambda: whittaker_density(len(alpha), alpha, beta, (1.0,) * len(alpha))):
-        with pytest.raises(ValueError, match="^all parameters must be positive$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
 
