@@ -2,11 +2,13 @@
 
 The correspondences, viewed in logarithmic coordinates (log w) -> (log t),
 have Jacobian determinant +-1; the same holds for the upper-part map in the
-coordinates given by the boxes on or above the diagonal.  Two independent
-differentiation routes are provided: forward-mode dual numbers pushed through
-the exact arithmetic of the maps (default), and central differences in
-log-coordinates.  Agreement between the two guards against a systematic error
-in either.
+coordinates given by the boxes on or above the diagonal.  One table, _MAPS,
+names the maps that can be differentiated, and one route, _apply, runs each
+of them on entries placed at the boxes of the input.  The Jacobian comes
+from forward-mode dual numbers pushed through the exact arithmetic of the
+maps (default); central differences in log-coordinates are the cross-check
+of that route, and agreement between the two guards against a systematic
+error in either.
 """
 
 from __future__ import annotations
@@ -17,19 +19,27 @@ import math
 import numpy as np
 
 from .arrays import ShapedArray, random_array, random_symmetric_array
-from .correspondences import gburge, gburge_up, grsk, gschutz, run_trials, tally
-from .shapes import Shape, all_shapes
+from .correspondences import counterexample, gburge, gburge_up, grsk, gschutz, run_trials, tally
+from .shapes import all_shapes
 from .values import GEOMETRIC_FLOAT, DomainError
 
-MAP_NAMES = ("grsk", "gburge", "gschutz", "gburge_up", "identity")
+# every map loglog_jacobian differentiates, by name; identity is the baseline
+_MAPS = {
+    "grsk": grsk,
+    "gburge": gburge,
+    "gschutz": gschutz,
+    "gburge_up": gburge_up,
+    "identity": lambda arr: arr,
+}
+MAP_NAMES = tuple(_MAPS)
 
 
 class Dual:
     """First-order dual number: a value plus a gradient vector.
 
     Supports exactly the arithmetic the geometric maps use (+, *, /, and
-    order comparisons on the value), so it can be stored in a float-domain
-    array and pushed through any of the correspondences.
+    < and > on the value), so it can be stored in a float-domain array and
+    pushed through any of the correspondences.
     """
 
     __slots__ = ("value", "grad")
@@ -80,34 +90,22 @@ class Dual:
     def __lt__(self, other):
         return self.value < self._cmp_value(other)
 
-    def __le__(self, other):
-        return self.value <= self._cmp_value(other)
-
     def __gt__(self, other):
         return self.value > self._cmp_value(other)
 
-    def __ge__(self, other):
-        return self.value >= self._cmp_value(other)
 
-
-def _apply(map_name: str, shape: Shape, entries: dict):
-    """Run the named map on entries indexed by box; returns the output as a
-    dict over the boxes of the shape.  For the upper-part map, entries cover
-    the boxes on or above the diagonal, and each is also the entry (the same
-    object) at its mirror box."""
-    if map_name == "gburge_up":
-        entries = {(j, i): x for (i, j), x in entries.items()} | entries
-    rows = [
-        [entries[(i, j)] for j in range(1, shape.row_length(i) + 1)]
-        for i in range(1, shape.n_rows + 1)
-    ]
-    arr = ShapedArray(shape, rows, GEOMETRIC_FLOAT)
-    if map_name == "identity":
-        out = arr
-    else:
-        maps = {"grsk": grsk, "gburge": gburge, "gschutz": gschutz, "gburge_up": gburge_up}
-        out = maps[map_name](arr)
-    return {(i, j): out.get(i, j) for i, j in shape.boxes()}
+def _apply(map_name: str, arr: ShapedArray, boxes, entries) -> list:
+    """Run the named map on arr with entries[b] placed at boxes[b], and return
+    the map's outputs at the boxes, in their order.  For the upper-part map
+    the boxes are those on or above the diagonal, and each entry is also
+    placed (the same object) at its mirror box."""
+    rows = [list(row) for row in arr.rows]
+    for (i, j), x in zip(boxes, entries):
+        rows[i - 1][j - 1] = x
+        if map_name == "gburge_up":
+            rows[j - 1][i - 1] = x
+    out = _MAPS[map_name](ShapedArray(arr.shape, rows, GEOMETRIC_FLOAT))
+    return [out.get(i, j) for i, j in boxes]
 
 
 def loglog_jacobian(map_name: str, arr: ShapedArray, mode: str = "forward-dual", h: float = 1e-5):
@@ -118,7 +116,7 @@ def loglog_jacobian(map_name: str, arr: ShapedArray, mode: str = "forward-dual",
     forward-dual mode is exact to rounding; central-difference perturbs each
     log-coordinate by +-h and is kept as an independent cross-check.
     """
-    if map_name not in MAP_NAMES:
+    if map_name not in _MAPS:
         raise ValueError(f"unsupported map {map_name!r}; expected one of {MAP_NAMES}")
     if arr.domain is not GEOMETRIC_FLOAT:
         raise DomainError("jacobians are computed in the float domain")
@@ -126,42 +124,23 @@ def loglog_jacobian(map_name: str, arr: ShapedArray, mode: str = "forward-dual",
     if map_name == "gburge_up":
         arr.require_symmetric("gburge_up")
         boxes = arr.shape.upper_part()
-    values = {box: float(arr.get(*box)) for box in boxes}
+    w = [float(arr.get(*box)) for box in boxes]
+    dim = len(boxes)
     if mode == "forward-dual":
-        return _dual_jacobian(map_name, arr.shape, boxes, values)
+        out = _apply(map_name, arr, boxes, [Dual.seed(x, dim, b) for b, x in enumerate(w)])
+        # d log t_a / d log w_b = (w_b / t_a) dt_a/dw_b
+        return np.array([t.grad / t.value for t in out]).reshape(dim, dim) * w
     if mode == "central-difference":
-        return _central_difference_jacobian(map_name, arr.shape, boxes, values, h)
+        jac = np.empty((dim, dim))
+        for b in range(dim):
+            logs = []
+            for sign in (1.0, -1.0):
+                bumped = list(w)
+                bumped[b] = w[b] * math.exp(sign * h)
+                logs.append(np.array([math.log(t) for t in _apply(map_name, arr, boxes, bumped)]))
+            jac[:, b] = (logs[0] - logs[1]) / (2.0 * h)
+        return jac
     raise ValueError(f"unknown mode {mode!r}; expected forward-dual or central-difference")
-
-
-def _dual_jacobian(map_name, shape, boxes, values):
-    dim = len(boxes)
-    seeded = {
-        box: Dual.seed(values[box], dim, b) for b, box in enumerate(boxes)
-    }
-    out = _apply(map_name, shape, seeded)
-    jac = np.empty((dim, dim))
-    for a, out_box in enumerate(boxes):
-        t = out[out_box]
-        # d log t / d log w_b = (w_b / t) dt/dw_b
-        jac[a, :] = t.grad / t.value
-    for b, in_box in enumerate(boxes):
-        jac[:, b] *= values[in_box]
-    return jac
-
-
-def _central_difference_jacobian(map_name, shape, boxes, values, h):
-    dim = len(boxes)
-    jac = np.empty((dim, dim))
-    for b, box in enumerate(boxes):
-        logs = {}
-        for sign in (1.0, -1.0):
-            bumped = dict(values)
-            bumped[box] = values[box] * math.exp(sign * h)
-            out = _apply(map_name, shape, bumped)
-            logs[sign] = np.array([math.log(out[ob]) for ob in boxes])
-        jac[:, b] = (logs[1.0] - logs[-1.0]) / (2.0 * h)
-    return jac
 
 
 def abs_det(jac) -> float:
@@ -170,10 +149,6 @@ def abs_det(jac) -> float:
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
         raise ValueError(f"determinant needs a square matrix, got shape {jac.shape}")
     return abs(float(np.linalg.det(jac)))
-
-
-def _outcome(ok, arr, map_name, **detail):
-    return None if ok else {"input": arr.to_json_obj(), "map": map_name, **detail}
 
 
 def verify_jacobians(
@@ -209,10 +184,12 @@ def verify_jacobians(
             for map_name in map_names:
                 jac = loglog_jacobian(map_name, arr)
                 d = abs_det(jac)
-                yield _outcome(abs(d - 1.0) <= tol, arr, map_name, abs_det=d)
+                if not abs(d - 1.0) <= tol:  # so a nan fails
+                    yield counterexample(arr, map=map_name, abs_det=d)
                 if first:
                     fd = loglog_jacobian(map_name, arr, mode="central-difference")
                     gap = float(np.max(np.abs(jac - fd)))
-                    yield _outcome(gap <= fd_tol, arr, map_name, dual_vs_fd_gap=gap)
+                    if not gap <= fd_tol:
+                        yield counterexample(arr, map=map_name, dual_vs_fd_gap=gap)
 
     return tally("jacobian-symmetric" if symmetric else "jacobian", run_trials(trial, points, seed))

@@ -53,7 +53,6 @@ from .shapes import (
     ShapeError,
     all_growth_sequences,
     all_shapes,
-    canonical_growth_sequence,
     growth_sequence_error,
     random_growth_sequence,
     random_shape,
@@ -133,7 +132,7 @@ def _run(g, kernel, boxes):
 @functools.lru_cache(maxsize=128)
 def _row_major(shape: Shape) -> tuple:
     """The row-major growth sequence of shape, built once per shape."""
-    return tuple(canonical_growth_sequence(shape))
+    return tuple(shape.boxes())
 
 
 def _resolve_order(shape: Shape, order, name):
@@ -314,6 +313,12 @@ def tally(name: str, outcomes, **extra) -> dict:
     return report
 
 
+def counterexample(inp: ShapedArray, **detail) -> dict:
+    """The outcome of a failed comparison, for `tally`: the input's JSON
+    under "input", then the detail as given."""
+    return {"input": inp.to_json_obj(), **detail}
+
+
 def run_trials(trial, trials: int, seed: int) -> list:
     """The outcomes of `trials` random inputs, for `tally`.
 
@@ -336,7 +341,7 @@ def _compare(inp: ShapedArray, lhs: ShapedArray, rhs: ShapedArray, tol):
     """None when lhs equals rhs (within tol for an inexact domain), else the counterexample."""
     if lhs.allclose(rhs, tol):
         return None
-    return {"input": inp.to_json_obj(), "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
+    return counterexample(inp, lhs=lhs.to_json_obj(), rhs=rhs.to_json_obj())
 
 
 def _random_rectangle(rng, max_rows, max_cols):
@@ -410,9 +415,9 @@ def _trial_recursion(rng, max_rows, max_cols, domain, tol):
     ref_k = grsk(w)
     ref_b = gburge(w)
     for corner in shape.corner_boxes():
-        sub_order = canonical_growth_sequence(shape.remove_box(corner))
-        yield _compare(w, _run(Grid.of(w), rho_at, [*sub_order, corner]).to_array(), ref_k, tol)
-        yield _compare(w, _run(Grid.of(w), tau_at, [*sub_order, corner]).to_array(), ref_b, tol)
+        order = [*shape.remove_box(corner).boxes(), corner]  # a list: both maps read it
+        yield _compare(w, _run(Grid.of(w), rho_at, order).to_array(), ref_k, tol)
+        yield _compare(w, _run(Grid.of(w), tau_at, order).to_array(), ref_b, tol)
 
 
 def _trial_transpose(rng, max_rows, max_cols, domain, tol):
@@ -550,8 +555,7 @@ def tropical_limit_check(
                 errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1)
             )
             errors = {str(e): err for e, err in zip(epsilons, errs)}
-            outcomes.append(None if ok else {"input": trop_in.to_json_obj(), "map": kind,
-                                             "errors": errors})
+            outcomes.append(None if ok else counterexample(trop_in, map=kind, errors=errors))
         return outcomes
 
     outcomes = run_trials(trial, trials, seed)

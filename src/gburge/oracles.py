@@ -24,7 +24,7 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .arrays import ShapedArray, random_array
-from .correspondences import gburge, grsk
+from .correspondences import counterexample, gburge, grsk
 from .shapes import rectangle
 from .values import GEOMETRIC_RATIONAL, ValueDomain
 
@@ -156,12 +156,7 @@ def _outcome(dom: ValueDomain, arr: ShapedArray, lhs, rhs, **where):
     the counterexample: the input, the keys of `where`, and both sides."""
     if dom.isclose(lhs, rhs, 1e-9):
         return None
-    return {
-        "input": arr.to_json_obj(),
-        **where,
-        "lhs": dom.scalar_to_json(lhs),
-        "rhs": dom.scalar_to_json(rhs),
-    }
+    return counterexample(arr, **where, lhs=dom.scalar_to_json(lhs), rhs=dom.scalar_to_json(rhs))
 
 
 def _diag_product(t: ShapedArray, m: int, n: int, k: int):

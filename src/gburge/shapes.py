@@ -176,50 +176,50 @@ def growth_sequence_error(shape: Shape, boxes: Sequence[tuple[int, int]]) -> str
     return None
 
 
-def canonical_growth_sequence(shape: Shape) -> list[Box]:
-    """Row-major order; every prefix of it is a Young diagram."""
-    return list(shape.boxes())
+def _addable(shape: Shape, row_len: list[int]) -> list[Box]:
+    """The boxes of shape that extend the diagram with row lengths
+    row_len[1:] to a diagram, by row: row i's next box, where row i-1 is longer."""
+    return [
+        Box(i, row_len[i] + 1)
+        for i in range(1, shape.n_rows + 1)
+        if row_len[i] < shape.row_length(i) and (i == 1 or row_len[i - 1] > row_len[i])
+    ]
 
 
 def all_growth_sequences(shape: Shape) -> Iterator[list[Box]]:
-    """All growth sequences of shape (the standard-tableau orderings).
+    """All growth sequences of shape (the standard-tableau orderings), in
+    lexicographic order of the rows their steps add to.
 
     Exponentially many; intended for exhaustive order-independence tests on
-    small shapes only.
+    small shapes only.  Shape.boxes() is the row-major one.
     """
     n = shape.size
-    row_len = [0] * (shape.n_rows + 2)
+    row_len = [0] * (shape.n_rows + 1)
     seq: list[Box] = []
 
     def extend() -> Iterator[list[Box]]:
         if len(seq) == n:
             yield list(seq)
             return
-        for i in range(1, shape.n_rows + 1):
-            j = row_len[i] + 1
-            if j <= shape.row_length(i) and (i == 1 or row_len[i - 1] >= j):
-                row_len[i] = j
-                seq.append(Box(i, j))
-                yield from extend()
-                seq.pop()
-                row_len[i] = j - 1
+        for box in _addable(shape, row_len):
+            row_len[box.row] = box.col
+            seq.append(box)
+            yield from extend()
+            seq.pop()
+            row_len[box.row] = box.col - 1
 
     return extend()
 
 
 def random_growth_sequence(shape: Shape, rng) -> list[Box]:
-    """A uniformly-chosen-at-each-step valid growth sequence.
-
-    rng needs only a .randrange(n) method (random.Random works).
+    """A growth sequence that adds, at each step, one of the addable boxes
+    (in row order) chosen uniformly by rng.randrange, which is all rng needs
+    (random.Random works).
     """
-    row_len = [0] * (shape.n_rows + 2)
+    row_len = [0] * (shape.n_rows + 1)
     seq: list[Box] = []
     while len(seq) < shape.size:
-        candidates = [
-            Box(i, row_len[i] + 1)
-            for i in range(1, shape.n_rows + 1)
-            if row_len[i] + 1 <= shape.row_length(i) and (i == 1 or row_len[i - 1] >= row_len[i] + 1)
-        ]
+        candidates = _addable(shape, row_len)
         pick = candidates[rng.randrange(len(candidates))]
         row_len[pick.row] = pick.col
         seq.append(pick)

@@ -26,6 +26,7 @@ samples at a time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
 # rank-3 tails end within 8 steps, rank-2 ones within 48, slow ones reach 400
 _TAIL_CHUNKS = (16, 64, 400)
 _PANEL_WIDTH = 2.5  # widest Gauss panel of every grid, in log units
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
 _QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)  # the measure check's CDF grid, on each axis
 
 
@@ -127,7 +129,12 @@ def _psi3_grid(alpha, x, nodes=16):
     (s_box, d_box), peak = _probe_box(logf, (0.5 * (l1 + l3) + l2, 0.5 * (l3 - l1)))
     s, ws = _panel_nodes(*s_box, nodes=nodes)
     d, wd = _panel_nodes(*d_box, nodes=nodes)
-    total = float(wd @ np.exp(logf(s, d[:, None]) - peak) @ ws)
+    logs = logf(s, d[:, None]) - peak
+    top = float(logs.max())
+    if top > _LOG_FLOAT_MAX:  # the grid rises past the probe's peak further than exp holds
+        logs -= top
+        peak += top
+    total = float(wd @ np.exp(logs) @ ws)
     return _times_exp(total, peak, 3, alpha, x)
 
 
@@ -396,12 +403,12 @@ def whittaker_measure_check(
 def _measure_report(alpha, beta, seed, xs1, xs2, r_values, diagnostics):
     """The whittaker-measure report on the sampled diagonals (xs1, xs2)."""
     samples = len(xs1)
+    c = normalization_c(alpha, beta)  # first, so an overflow names the constant
     s_cuts = [float(np.quantile(xs1, q)) for q in _QUANTILES]
     t_cuts = [float(np.quantile(xs2, q)) for q in _QUANTILES]
     grid = _MeasureGrid(
         alpha, beta, cuts1=[math.log(s) for s in s_cuts], cuts2=[math.log(t) for t in t_cuts]
     )
-    c = normalization_c(alpha, beta)
     cdf_points = []
     worst = 0.0
     for s in s_cuts:

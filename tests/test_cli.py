@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -492,6 +493,20 @@ def test_whittaker_density_check_small_run(capsys):
     report = json.loads(out)
     assert report["pass"] is True and len(report["cdf_points"]) == 25
     assert set(report["diagnostics"]) == {"uniforms", "gamma_rejections", "grid_nodes"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the rank-3 grid rises about 74,000 above the probe's peak
+    (["eval", "-n", "3", "--alpha", "1e6,1,1", "--x", "1,1,1"],
+     r"Psi of rank 3 at alpha=\(1000000\.0, 1\.0, 1\.0\), x=\(1\.0, 1\.0, 1\.0\) = exp\(2562\d{4}\."),
+    (["density-check", "--alpha", "100,100", "--samples", "2000", "--seed", "1"],
+     r"normalization constant c\(alpha=\(100\.0, 100\.0\), beta=1\.0\) = exp\(1576\."),
+], ids=["eval-rank3", "density-check"])
+def test_whittaker_overflow_exits_two_naming_it_without_a_warning(capsys, argv, message):
+    # pytest turns a RuntimeWarning into an error (pyproject.toml), so a numpy
+    # overflow before the error would fail this test
+    assert main(["whittaker", "--cmd", *argv]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def test_whittaker_eval_takes_no_method(capsys):

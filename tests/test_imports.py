@@ -3,7 +3,9 @@ name a module defines is used somewhere in the package, and neither importing
 the package nor running its maps, exact checks, tropical limits or KS tests
 loads scipy or mpmath; a Whittaker quadrature loads scipy.special, and
 nothing loads scipy.stats or mpmath.  One function, polymer._collect_samples,
-builds the lanes of every Monte Carlo check.
+builds the lanes of every Monte Carlo check, and one,
+correspondences.counterexample, builds the counterexample of every exact
+check.
 
 An imported name counts as used when the module reads it anywhere in its
 code (annotations included) or lists it in `__all__`.  A module-level private
@@ -172,9 +174,9 @@ def test_the_scan_sees_a_dead_public_name():
     assert _public_dead(trees) == ["a.py:3 f", "a.py:5 sigma", "a.py:7 g", "a.py:10 D"]
 
 
-def _callers(trees, name):
-    """Where the package calls name(...), directly or as an attribute: one
-    entry per call, the module and the chain of definitions around it."""
+def _sites(trees, hit):
+    """Where the package has a node for which hit(node) holds: one entry per
+    node, the module and the chain of definitions around it."""
     found = []
 
     def visit(node, scope):
@@ -182,15 +184,20 @@ def _callers(trees, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and name in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+            if hit(child):
                 found.append(".".join(scope))
             visit(child, scope)
 
     for module, tree in trees.items():
         visit(tree, [module.removesuffix(".py")])
     return found
+
+
+def _callers(trees, name):
+    """Where the package calls name(...), directly or as an attribute."""
+    return _sites(trees, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    ))
 
 
 def test_lanes_are_built_by_the_one_lane_driver():
@@ -210,6 +217,32 @@ def test_the_scan_sees_a_second_lane_driver():
         "b.py": ast.parse("LANES = _Lanes(0, 0)\n"),
     }
     assert _callers(trees, "_Lanes") == ["a.drive", "a.laplace.draw", "b"]
+
+
+def _input_dicts(trees):
+    """Where the package writes a dict display with an "input" key."""
+    return _sites(trees, lambda node: isinstance(node, ast.Dict) and any(
+        isinstance(key, ast.Constant) and key.value == "input" for key in node.keys
+    ))
+
+
+def test_counterexamples_are_built_by_the_one_builder():
+    """Every exact check reports a failure as the input and its detail, so
+    one function of the package writes the "input" key."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _input_dicts(trees) == ["correspondences.counterexample"]
+
+
+def test_the_scan_sees_a_second_counterexample_builder():
+    trees = {
+        "a.py": ast.parse(
+            "def counterexample(w, **d):\n    return {'input': w, **d}\n"
+            "def check(w):\n    def fail():\n        return [{'map': 1, 'input': w}]\n"
+            "    return fail, {'inputs': w, **{'lhs': 1}}\n"
+        ),
+        "b.py": ast.parse("EMPTY = {'input': None}\n"),
+    }
+    assert _input_dicts(trees) == ["a.counterexample", "a.check.fail", "b"]
 
 
 _COLD_START = """

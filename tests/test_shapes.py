@@ -11,7 +11,6 @@ from gburge.shapes import (
     ShapeError,
     all_growth_sequences,
     all_shapes,
-    canonical_growth_sequence,
     growth_sequence_error,
     random_growth_sequence,
     random_shape,
@@ -96,7 +95,7 @@ def test_shape_from_boxes():
 
 def test_canonical_growth_sequence_is_valid():
     s = Shape((3, 2))
-    seq = canonical_growth_sequence(s)
+    seq = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
     assert growth_sequence_error(s, seq) is None
     assert seq == list(s.boxes())
 
@@ -122,6 +121,34 @@ def test_growth_sequence_totals_by_size():
     for s in all_shapes(7):
         totals[s.size] = totals.get(s.size, 0) + len(list(all_growth_sequences(s)))
     assert [totals[n] for n in range(1, 8)] == [1, 2, 4, 10, 26, 76, 232]
+
+
+def _boxes(digits):
+    """'1112 21' -> [(1, 1), (1, 2), (2, 1)]: one box per pair of digits."""
+    digits = digits.replace(" ", "")
+    return [(int(digits[k]), int(digits[k + 1])) for k in range(0, len(digits), 2)]
+
+
+def test_all_growth_sequences_order_is_pinned():
+    # the enumeration order fixes the order of the order-independence comparisons
+    assert list(all_growth_sequences(Shape((3, 2, 1)))) == [_boxes(s) for s in (
+        "11 12 13 21 22 31", "11 12 13 21 31 22", "11 12 21 13 22 31", "11 12 21 13 31 22",
+        "11 12 21 22 13 31", "11 12 21 22 31 13", "11 12 21 31 13 22", "11 12 21 31 22 13",
+        "11 21 12 13 22 31", "11 21 12 13 31 22", "11 21 12 22 13 31", "11 21 12 22 31 13",
+        "11 21 12 31 13 22", "11 21 12 31 22 13", "11 21 31 12 13 22", "11 21 31 12 22 13",
+    )]
+    assert list(all_growth_sequences(Shape((2, 2, 1)))) == [_boxes(s) for s in (
+        "11 12 21 22 31", "11 12 21 31 22", "11 21 12 22 31", "11 21 12 31 22", "11 21 31 12 22",
+    )]
+
+
+@pytest.mark.parametrize("parts, seed, want", [
+    ((3, 2, 1), 0, "11 21 12 22 31 13"),
+    ((4, 4, 2), 7, "11 12 21 31 13 14 22 32 23 24"),
+    ((5, 3, 3, 1), 42, "11 12 21 13 14 15 22 23 31 32 33 41"),
+])
+def test_random_growth_sequence_draws_are_pinned(parts, seed, want):
+    assert random_growth_sequence(Shape(parts), random.Random(seed)) == _boxes(want)
 
 
 def test_all_shapes_counts_partitions():

@@ -316,6 +316,16 @@ def test_psi_overflow_names_rank_alpha_x_and_log_psi(alpha, x, log_psi):
         assert logged == pytest.approx(log_psi, rel=1e-12)
 
 
+def test_psi3_rescales_a_grid_that_rises_past_the_probe_peak():
+    # at alpha_1 = 1e6 the grid's largest log-integrand is about 74,000 above
+    # the probe's peak: the grid is rescaled by its own maximum, so no numpy
+    # overflow comes first and the error names a finite log Psi
+    with pytest.raises(OverflowError, match=r"= exp\(([0-9.e+]+)\) overflows") as raised:
+        psi(WhittakerParams(3, (1e6, 1.0, 1.0), (1.0, 1.0, 1.0)))
+    logged = float(re.search(r"exp\(([^)]*)\)", str(raised.value)).group(1))
+    assert logged == pytest.approx(2.5627e7, rel=1e-4)
+
+
 def test_unsupported_rank():
     params = WhittakerParams(4, (-1.0,) * 4, (1.0,) * 4)
     with pytest.raises(ValueError):
