@@ -35,6 +35,7 @@ from .oracles import (
 )
 from .polymer import (
     EnvSpec,
+    InverseGammaOverflowError,
     MCResult,
     Stream,
     burge_partition_vector,
@@ -81,6 +82,7 @@ __all__ = [
     "GEOMETRIC_FLOAT",
     "GEOMETRIC_RATIONAL",
     "IDENTITY_NAMES",
+    "InverseGammaOverflowError",
     "LogDomain",
     "MCResult",
     "NonconvergentQuadratureError",

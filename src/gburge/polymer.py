@@ -63,9 +63,10 @@ class Stream:
     which worker consumes it.
     """
 
-    __slots__ = ("_base", "_count", "_spare_normal")
+    __slots__ = ("_keys", "_base", "_count", "_spare_normal")
 
     def __init__(self, *keys: int):
+        self._keys = keys
         acc = 0x243F6A8885A308D3
         for k in keys:
             acc = _mix64((acc + _GOLDEN) ^ (k & _M64))
@@ -113,14 +114,31 @@ def _sample_gamma(shape: float, rng: Stream) -> float:
             return d * v
 
 
+class InverseGammaOverflowError(ValueError):
+    """An inverse-gamma draw beta/G left double range: at small alpha the
+    boost u^(1/alpha) of the gamma variate G can underflow."""
+
+
+def _inv_gamma_overflow(alpha, beta, keys, gamma, where=""):
+    return InverseGammaOverflowError(
+        f"inverse-gamma draw at alpha={alpha}, beta={beta} overflows a float on {where}"
+        f"Stream({', '.join(map(str, keys))}): its gamma variate is {gamma!r}"
+    )
+
+
 def sample_inv_gamma(alpha: float, beta: float, rng: Stream) -> float:
     """One draw with density (beta^alpha / Gamma(alpha)) y^{-alpha} e^{-beta/y} dy/y,
-    sampled as beta over a unit-rate gamma variate."""
+    sampled as beta over a unit-rate gamma variate; InverseGammaOverflowError
+    when that quotient leaves double range."""
     if not (0 < alpha < math.inf and 0 < beta < math.inf):  # nan fails too
         raise ValueError(
             f"inverse-gamma alpha and beta must be positive and finite, got ({alpha}, {beta})"
         )
-    return beta / _sample_gamma(alpha, rng)
+    gamma = _sample_gamma(alpha, rng)
+    value = beta / gamma if gamma else math.inf
+    if value == math.inf:
+        raise _inv_gamma_overflow(alpha, beta, rng._keys, gamma)
+    return value
 
 
 # uint64 constants of the lanes are explicit, so that no NumPy version
@@ -150,6 +168,7 @@ class _Lanes:
     """
 
     def __init__(self, seed: int, index, *tags: int):
+        self.seed, self.index, self.tags = seed, index, tags
         keys = np.uint64((Stream(seed)._base + _GOLDEN) & _M64) ^ index.astype(np.uint64)
         keys = _mix64_lanes(keys)
         for tag in tags:
@@ -209,8 +228,16 @@ class _Lanes:
         return out
 
     def inv_gamma(self, alpha: float, beta: float):
-        """sample_inv_gamma(alpha, beta, .) on every lane."""
-        return beta / self.gamma(alpha)
+        """sample_inv_gamma(alpha, beta, .) on every lane, with its error on
+        the first lane that overflows."""
+        gamma = self.gamma(alpha)
+        with np.errstate(divide="ignore", over="ignore"):
+            value = beta / gamma
+        if value.max() == np.inf:
+            lane = int(np.argmax(value))
+            keys = (self.seed, int(self.index[lane]), *self.tags)
+            raise _inv_gamma_overflow(alpha, beta, keys, float(gamma[lane]), f"lane {lane}, ")
+        return value
 
 
 def _check_positive(name: str, value) -> None:

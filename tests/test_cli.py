@@ -480,10 +480,23 @@ def test_whittaker_corollary_rank_one_is_exact(capsys):
 
 
 def test_whittaker_corollary_untight_tolerance_exits_one(capsys):
+    # the (1, 1) corollary reaches relerr 6.7e-16, so a tolerance below it fails
     code, out = run(capsys, "whittaker", "--cmd", "corollary", "--alpha", "1,1",
-                    "--beta", "1", "--tol", "1e-15")
+                    "--beta", "1", "--tol", "1e-17")
     assert code == 1
-    assert json.loads(out)["relerr"] > 1e-15
+    assert json.loads(out)["relerr"] > 1e-17
+
+
+def test_polymer_inverse_gamma_overflow_exits_two(capsys):
+    # at alpha = 0.01 the gamma variate of Stream(1, 75) underflows (see test_polymer)
+    code = main(["polymer", "--cmd", "laplace", "--alpha", "0.01,0.01", "--samples", "20000",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: inverse-gamma draw at alpha=0.01, beta=1.0 overflows a float on lane 75, "
+        "Stream(1, 75): its gamma variate is 2.964e-321\n"
+    )
 
 
 def test_whittaker_density_check_small_run(capsys):

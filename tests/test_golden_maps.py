@@ -120,7 +120,8 @@ def _input(case):
     return ShapedArray._wrap(shape, tuple(map(tuple, rows)), dom)
 
 
-CASES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+# not read when regenerating: the shell has emptied the file by then
+CASES = [] if __name__ == "__main__" else json.loads(GOLDEN.read_text())
 
 
 def _id(case):

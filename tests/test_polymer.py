@@ -1,5 +1,6 @@
 """Environment sampling, partition functions and Monte Carlo checks."""
 
+import hashlib
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from gburge.arrays import ShapedArray, random_array
 from gburge.oracles import enum_nonintersecting, path_sum
 from gburge.polymer import (
     EnvSpec,
+    InverseGammaOverflowError,
     MCResult,
     Stream,
     burge_partition_vector,
@@ -196,6 +198,54 @@ def test_inv_gamma_rejects_non_finite_parameters(bad):
     for alpha, beta in ((bad, 1.0), (1.0, bad)):
         with pytest.raises(ValueError, match="alpha and beta must be positive and finite"):
             sample_inv_gamma(alpha, beta, rng)
+
+
+# at alpha = 0.01 the boost u^(1/alpha) of the gamma variate underflows on
+# about 1 stream in 1000: on Stream(1, 75) to the subnormal 2.964e-321, whose
+# reciprocal overflows, and on Stream(1, 150) to 0.0
+SMALL_SHAPE_UNDERFLOWS = [(75, "2.964e-321"), (150, "0.0")]
+
+
+@pytest.mark.parametrize("index, gamma", SMALL_SHAPE_UNDERFLOWS)
+def test_inv_gamma_overflow_names_alpha_beta_and_the_stream(index, gamma):
+    message = (f"inverse-gamma draw at alpha=0.01, beta=2.0 overflows a float on "
+               f"Stream(1, {index}): its gamma variate is {gamma}")
+    with pytest.raises(InverseGammaOverflowError, match=f"^{re.escape(message)}$"):
+        sample_inv_gamma(0.01, 2.0, Stream(1, index))
+    assert issubclass(InverseGammaOverflowError, ValueError)  # so the CLI exits 2
+
+
+@pytest.mark.parametrize("index, gamma", SMALL_SHAPE_UNDERFLOWS)
+def test_lane_inv_gamma_overflow_names_the_first_lane(index, gamma):
+    # pytest turns numpy's divide and overflow warnings into errors, so the
+    # lanes must raise without one; lane 3 holds the stream of the index
+    lanes = _Lanes(1, np.arange(index - 3, index + 200))
+    message = (f"inverse-gamma draw at alpha=0.01, beta=2.0 overflows a float on "
+               f"lane 3, Stream(1, {index}): its gamma variate is {gamma}")
+    with pytest.raises(InverseGammaOverflowError, match=f"^{re.escape(message)}$"):
+        lanes.inv_gamma(0.01, 2.0)
+
+
+@pytest.mark.parametrize(
+    "beta, lane_digest, scalar_digest",
+    [
+        (1.0, "548c9fa0e71b96acf89c6c9dae571c689c78f8fcb27d4318294e4607c4e7472e",
+         "c52fad657ad42d68ad83a03be6ac4e3622da3c6cc47ea73b56b1a1b291ccbe1f"),
+        (0.5, "a27a27779c0ca3eddd9de4417478ac539e1f37210a0aa85b31c2357ee27de8ec",
+         "8ccd41395ec08d315505a353dcba857f7509cf94ec5e079bbf339d5408557a4e"),
+    ],
+)
+def test_draws_at_the_benchmark_parameters_are_pinned(beta, lane_digest, scalar_digest):
+    # the symmetric environments of the Monte Carlo benchmark, alpha = (1, 1.5, 2),
+    # on 1000 lanes and 200 scalar streams: the overflow test leaves every draw as it was
+    spec = EnvSpec(3, (1.0, 1.5, 2.0), beta)
+    lanes = _symmetric_rows(spec, _Lanes(5, np.arange(1000)).inv_gamma)
+    scalar = [
+        _symmetric_rows(spec, lambda a, b, rng=Stream(5, i): sample_inv_gamma(a, b, rng))
+        for i in range(200)
+    ]
+    for rows, want in ((lanes, lane_digest), (scalar, scalar_digest)):
+        assert hashlib.sha256(np.asarray(rows, dtype="<f8").tobytes()).hexdigest() == want
 
 
 # -- environments ---------------------------------------------------------------

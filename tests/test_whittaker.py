@@ -26,8 +26,10 @@ from gburge.whittaker import (
     _log_psi2,
     _measure_report,
     _MeasureGrid,
+    _panel_nodes,
     _probe_box,
     _psi3_grid,
+    _times_exp,
     _walls,
     corollary_check,
     energy,
@@ -571,6 +573,107 @@ def test_corollary_rank2():
 def test_corollary_rank2_sweep(alpha, beta):
     _, _, relerr = corollary_check(alpha, beta)
     assert relerr < 1e-6
+
+
+# the rank-2 corollary pairs of the quadrature benchmark
+BENCHMARK_PAIRS = [((2.0, 3.0), 1.0), ((2.0, 2.0), 2.0), ((1.5, 2.5), 0.5)]
+
+
+@pytest.mark.parametrize("alpha, beta", BENCHMARK_PAIRS)
+def test_corollary_rank2_is_the_tensor_rule_on_the_product_box(monkeypatch, alpha, beta):
+    # the two line rules multiply to the 2-D tensor rule of the rank-2
+    # integrand itself, Psi_{-alpha}(e^{u1}, e^{u2}) e^{-beta e^{-u2}}, on the
+    # product of their grids in u2 and d = u2 - u1
+    lhs = corollary_check(alpha, beta)[0]
+    (gamma_side, start2), (bessel_side, start_d) = probed_integrands(
+        monkeypatch, lambda: corollary_check(alpha, beta)
+    )
+    (((lo2, hi2),), _), (((lo_d, hi_d),), _) = (
+        _probe_box(gamma_side, start2), _probe_box(bessel_side, start_d)
+    )
+    u2, w2 = _panel_nodes(lo2, hi2, nodes=20)
+    d, wd = _panel_nodes(lo_d, hi_d, nodes=20)
+    u2, d = u2[:, None], d[None, :]
+    neg = tuple(-a for a in alpha)
+    tensor = float(w2 @ np.exp(_log_psi2(neg, u2 - d, u2) - beta * np.exp(-u2)) @ wd)
+    assert lhs == pytest.approx(tensor, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, tol",
+    [
+        *[(alpha, beta, 1e-12) for alpha, beta in BENCHMARK_PAIRS],
+        ((1.0, 1.0), 1.0, 1e-12),
+        ((0.5, 1.5), 1.0, 1e-12),
+        ((0.5, 1.5), 2.0, 1e-12),
+        ((0.3, 0.4), 1.0, 1e-12),
+        ((0.2, 0.2), 1.0, 1e-12),
+        ((5.0, 8.0), 0.1, 1e-8),
+        ((6.0, 9.0), 10.0, 1e-8),
+        ((20.0, 30.0), 1.0, 1e-8),
+    ],
+)
+def test_corollary_rank2_accuracy(alpha, beta, tol):
+    # measured: at most 3.4e-15 at the 1e-12 pairs; 8.1e-11, 2.2e-11 and
+    # 2.6e-9 at the three narrow peaks
+    _, _, relerr = corollary_check(alpha, beta)
+    assert relerr <= tol
+
+
+def test_corollary_rank2_narrow_peak_stays_finite():
+    # a peak narrower than a panel costs accuracy (relerr 2e-2), but the
+    # scales e^-530 and e^718 of the two lines meet in one exponent
+    lhs, rhs, relerr = corollary_check((100.0, 100.0), 1000.0)
+    assert math.isfinite(lhs) and relerr < 0.05
+
+
+def test_corollary_value_near_the_double_range_is_finite():
+    # c = e^709.5: the two peaks add to 709.86, past exp's range, while the
+    # integral itself is a double
+    alpha = (20.0, 30.0)
+    beta = math.exp((normalization_c(alpha, 1.0, log=True) - 709.5) / 50.0)
+    lhs, rhs, relerr = corollary_check(alpha, beta)
+    assert math.isfinite(lhs) and relerr < 1e-8
+
+
+def test_times_exp_names_a_value_beyond_double_range():
+    # e^710 alone overflows a float, but e^710 / 2 is one
+    assert _times_exp(0.5, 710.0, "v", a=1) == pytest.approx(0.5 * math.exp(10.0) * math.exp(700.0))
+    message = r"^v at a=1, b=\(2, 3\) = exp\(710\.19\d*\) overflows a float$"
+    with pytest.raises(OverflowError, match=message):
+        _times_exp(2.0, 709.5, "v", a=1, b=(2, 3))
+
+
+@pytest.mark.parametrize(
+    "alpha, want",
+    [
+        (2.0, "0x1.0000000000002p+0"),
+        (0.5, "0x1.c5bf891b4ef6ap+0"),
+        (0.12, "0x1.f73f836a69c09p+2"),
+        (47.0, "0x1.c0d37e36c6eb6p+191"),
+    ],
+)
+def test_corollary_rank1_known_answers(alpha, want):
+    assert corollary_check((alpha,), 1.0)[0].hex() == want
+
+
+@pytest.mark.parametrize("alpha", [(0.115, 1.0), (1.0, 0.115), (0.05, 0.06)])
+def test_corollary_rank2_floor(alpha):
+    # the e^{min(alpha) d} tail of the Bessel side needs 46/min(alpha) of the
+    # probe's 400 steps, as the gamma side's needs 46/(a1 + a2)
+    with pytest.raises(NonconvergentQuadratureError, match="^axis 0 mass did not localize$"):
+        corollary_check(alpha, 1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [((2.0, 3.0), 1.0), ((2.0, 2.0), 2.0), ((1.5, 2.5), 0.5), ((0.5, 1.5), 1.0),
+     ((5.0, 8.0), 0.1), ((6.0, 9.0), 10.0), ((1.0, 1.5), 1.0)],
+)
+def test_measure_grid_total_is_c(alpha, beta):
+    # measured: at most 1.8e-7, at ((6, 9), 10)
+    total = _MeasureGrid(alpha, beta).total
+    assert total == pytest.approx(normalization_c(alpha, beta), rel=2e-7)
 
 
 def test_measure_grid_cdf_is_monotone():
