@@ -505,7 +505,20 @@ def test_whittaker_density_check_small_run(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and len(report["cdf_points"]) == 25
-    assert set(report["diagnostics"]) == {"uniforms", "gamma_rejections", "grid_nodes"}
+    assert set(report["diagnostics"]) == {"uniforms", "gamma_rejections", "d_nodes"}
+    assert report["diagnostics"]["d_nodes"] % 20 == 0  # 20 Gauss nodes a panel
+
+
+def test_whittaker_density_check_below_the_floor_names_the_d_line(capsys):
+    # the d line's e^{0.05 d} tail needs 920 of the probe's 400 steps
+    code = main(["whittaker", "--cmd", "density-check", "--alpha", "0.05,0.06", "--beta", "1",
+                 "--samples", "200", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: the d line Psi_{-alpha}(e^{-d}, 1) at alpha=(0.05, 0.06): "
+        "axis 0 mass did not localize\n"
+    )
 
 
 @pytest.mark.parametrize("argv, message", [

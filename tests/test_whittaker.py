@@ -23,9 +23,10 @@ from gburge.polymer import (
 from gburge.whittaker import (
     NonconvergentQuadratureError,
     WhittakerParams,
+    _log_bessel_k,
     _log_psi2,
+    _measure_predictions,
     _measure_report,
-    _MeasureGrid,
     _panel_nodes,
     _probe_box,
     _psi3_grid,
@@ -183,7 +184,7 @@ def test_rank2_closed_form_stays_in_range_at_extreme_bessel_arguments():
     # and K_nu overflows at tiny z once |nu| >= 1.5
     big_z = [(0.0, 2 * math.log(1e9)), (-300.0, 300.0), (0.0, 2000.0)]
     small_z = [(2 * math.log(1e201), 0.0), (0.0, -1000.0), (1000.0, -1000.0)]
-    for alpha in ((-1.0, -3.0), (-5.0, -8.0), (2.0, -0.5), (-1.0, -1.0)):
+    for alpha in ((-1.0, -3.0), (-5.0, -8.0), (2.0, -0.5), (-1.0, -1.0), (-100.0, -300.0)):
         for u1, u2 in big_z + small_z:
             value = float(_log_psi2(alpha, u1, u2))
             assert not math.isnan(value) and value != math.inf
@@ -402,14 +403,15 @@ def probed_integrands(monkeypatch, run):
 
 
 # the integrands of every caller: rank-1 corollaries (the tail at alpha = 0.12
-# ends at step 385, in the last chunk), the measure grids at ((1.5, 2.5), 0.5)
-# and ((1, 1.5), 1) (tails ending at steps 33 and 48, past the first chunk),
-# and the rank-3 grids
+# ends at step 385, in the last chunk), the d lines of the measure predictions,
+# cut at every log(t/s), at ((1.5, 2.5), 0.5) and ((1, 1.5), 1) (tails ending
+# at steps 33 and 48, past the first chunk), and the rank-3 grids
 PROBED_CALLERS = {
     "rank1-2-3": lambda: corollary_check((2.0,), 3.0),
     "rank1-0.12-1": lambda: corollary_check((0.12,), 1.0),
-    "measure-1.5,2.5-0.5": lambda: _MeasureGrid((1.5, 2.5), 0.5),
-    "measure-1,1.5-1": lambda: _MeasureGrid((1.0, 1.5), 1.0),
+    **{f"measure-{a1},{a2}-{beta}": (
+        lambda a=(a1, a2), b=beta: _measure_predictions(a, b, (0.5, 2.0), (0.3, 4.0), (1.0,)))
+       for a1, a2, beta in [(1.5, 2.5, 0.5), (1, 1.5, 1)]},
     **{f"psi3-{i}": (lambda a=alpha, x=x: psi(WhittakerParams(3, a, x)))
        for i, (alpha, x) in enumerate(RANK3_POINTS)},
 }
@@ -657,12 +659,33 @@ def test_corollary_rank1_known_answers(alpha, want):
     assert corollary_check((alpha,), 1.0)[0].hex() == want
 
 
-@pytest.mark.parametrize("alpha", [(0.115, 1.0), (1.0, 0.115), (0.05, 0.06)])
-def test_corollary_rank2_floor(alpha):
+D_LINE = "the d line Psi_{-alpha}(e^{-d}, 1)"
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        ((0.115, 1.0), f"{D_LINE} at alpha=(0.115, 1.0)"),
+        ((1.0, 0.115), f"{D_LINE} at alpha=(1.0, 0.115)"),
+        ((0.05, 0.06), "the gamma line e^{-a u - beta e^{-u}} at a=0.11, beta=1.0"),
+    ],
+)
+def test_corollary_rank2_floor(alpha, message):
     # the e^{min(alpha) d} tail of the Bessel side needs 46/min(alpha) of the
-    # probe's 400 steps, as the gamma side's needs 46/(a1 + a2)
-    with pytest.raises(NonconvergentQuadratureError, match="^axis 0 mass did not localize$"):
+    # probe's 400 steps, as the gamma side's needs 46/(a1 + a2); the error
+    # names the line that did not localize and its parameters
+    message = f"^{re.escape(message)}: axis 0 mass did not localize$"
+    with pytest.raises(NonconvergentQuadratureError, match=message):
         corollary_check(alpha, 1.0)
+
+
+def test_rank3_nonconvergence_names_psi():
+    # at alpha = 0 the walls leave the second row flat on a square of side
+    # 690, farther from its centre in s than the probe's 400 steps
+    message = (r"^Psi of rank 3 at alpha=\(0\.0, 0\.0, 0\.0\), x=\(1e\+300, 1\.0, 1e-300\): "
+               "axis 0 mass did not localize$")
+    with pytest.raises(NonconvergentQuadratureError, match=message):
+        psi(WhittakerParams(3, (0.0, 0.0, 0.0), (1e300, 1.0, 1e-300)))
 
 
 @pytest.mark.parametrize(
@@ -670,19 +693,109 @@ def test_corollary_rank2_floor(alpha):
     [((2.0, 3.0), 1.0), ((2.0, 2.0), 2.0), ((1.5, 2.5), 0.5), ((0.5, 1.5), 1.0),
      ((5.0, 8.0), 0.1), ((6.0, 9.0), 10.0), ((1.0, 1.5), 1.0)],
 )
-def test_measure_grid_total_is_c(alpha, beta):
-    # measured: at most 1.8e-7, at ((6, 9), 10)
-    total = _MeasureGrid(alpha, beta).total
-    assert total == pytest.approx(normalization_c(alpha, beta), rel=2e-7)
+def test_measure_total_is_c(alpha, beta):
+    # Gamma(a) beta^{-a} times the d-line total, over c; measured: at most
+    # 2.2e-15 (the 2-D grid this replaced read up to 1.8e-7)
+    total_mass = _measure_predictions(alpha, beta, (), (), ())[0]
+    assert total_mass == pytest.approx(1.0, rel=1e-12)
 
 
-def test_measure_grid_cdf_is_monotone():
-    grid = _MeasureGrid((1.0, 1.0), 0.5, cuts1=(0.0,), cuts2=(0.0,))
-    values = [grid.cdf(s, t) for s in (0.5, 1.0, 4.0) for t in (0.5, 1.0, 4.0)]
-    assert all(0 <= v <= grid.total * (1 + 1e-12) for v in values)
-    assert grid.cdf(1.0, 1.0) <= grid.cdf(4.0, 1.0) <= grid.cdf(4.0, 4.0)
+def test_measure_total_at_small_alpha_is_one():
+    # the 2-D grid's box, cut from axis profiles through the peak, missed
+    # 1.9e-3 of the mass along u1 here and reported total_mass 0.99813
+    report = whittaker_measure_check((0.2, 0.2), 1.0, samples=2000, seed=1)
+    assert report["pass"]
+    assert abs(report["total_mass"] - 1.0) <= 1e-12
+
+
+def test_measure_cdf_is_monotone():
+    cuts = (0.5, 1.0, 4.0)
+    _, cdf, _, _ = _measure_predictions((1.0, 1.0), 0.5, cuts, cuts, ())
+    values = dict(zip(itertools.product(cuts, cuts), cdf))
+    assert all(0 <= v <= 1 for v in cdf)
+    assert values[1.0, 1.0] <= values[4.0, 1.0] <= values[4.0, 4.0]
+    assert values[1.0, 1.0] <= values[1.0, 4.0] <= values[4.0, 4.0]
     # the tail above 1e9 really does carry ~1e-8 of the mass
-    assert grid.cdf(1e9, 1e9) == pytest.approx(grid.total, rel=1e-6)
+    _, (far,), _, _ = _measure_predictions((1.0, 1.0), 0.5, (1e9,), (1e9,), ())
+    assert far == pytest.approx(1.0, rel=1e-6)
+
+
+def fine_panels(lo, hi, cuts, width=0.5, nodes=20):
+    """Gauss nodes and weights on [lo, hi] in panels of at most width, with a
+    boundary at every cut, without _panel_nodes."""
+    edges = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+    base, weights = np.polynomial.legendre.leggauss(nodes)
+    u, w = [], []
+    for a, b in zip(edges, edges[1:]):
+        pieces = max(math.ceil((b - a) / width), 1)
+        for k in range(pieces):
+            left, right = a + (b - a) * k / pieces, a + (b - a) * (k + 1) / pieces
+            u.append(0.5 * (right - left) * base + 0.5 * (right + left))
+            w.append(0.5 * (right - left) * weights)
+    return np.concatenate(u), np.concatenate(w)
+
+
+def test_measure_predictions_match_a_tensor_rule_on_the_quadrant():
+    # the unsplit integrand e^{-beta e^{-u2}} Psi_{-alpha}(e^{u1}, e^{u2}) on
+    # the 2-D probe box widened by 8 per side, 0.5-wide panels cut at every
+    # log s and log t: no homogeneity split and no closed-form Q or L;
+    # measured: at most 1.7e-15
+    alpha, beta, r = (1.0, 1.5), 1.0, 1.0
+    points = [(0.3, 0.5), (1.0, 1.2), (3.0, 2.5)]
+    neg = tuple(-a for a in alpha)
+
+    def logf(u1, u2):
+        return _log_psi2(neg, u1, u2) - beta * np.exp(np.minimum(-u2, 700.0))
+
+    ((lo1, hi1), (lo2, hi2)), peak = _probe_box(logf, (0.0, 0.0))
+    u1, w1 = fine_panels(lo1 - 8.0, hi1 + 8.0, [math.log(s) for s, _ in points])
+    u2, w2 = fine_panels(lo2 - 8.0, hi2 + 8.0, [math.log(t) for _, t in points])
+    mass = np.zeros((u1.size, u2.size))
+    for block in range(0, u2.size, 200):  # in column blocks, to keep the arrays small
+        cols = slice(block, block + 200)
+        mass[:, cols] = np.exp(logf(u1[:, None], u2[None, cols]) - peak) * np.outer(w1, w2[cols])
+    total = mass.sum()
+    assert total * math.exp(peak) == pytest.approx(normalization_c(alpha, beta), rel=1e-12)
+    for (s, t), got in zip(points, [_measure_predictions(alpha, beta, (s,), (t,), ())[1][0]
+                                    for s, t in points]):
+        want = mass[np.ix_(u1 < math.log(s), u2 < math.log(t))].sum() / total
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    want = np.exp(-r * np.exp(u1)) @ mass.sum(axis=1) / total
+    assert _measure_predictions(alpha, beta, (), (), (r,))[2][0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [((20.0, 30.0), 1.0), ((100.0, 100.0), 1000.0)])
+def test_measure_predictions_at_narrow_peaks_match_fine_panels(monkeypatch, alpha, beta):
+    # the report's 28 predictions against the same d line on 0.1-wide panels;
+    # measured: 2.1e-12 and 6.3e-9 (the 2-D grid was 3.8e-9 and 1.2e-6 off)
+    report = whittaker_measure_check(alpha, beta, samples=2000, seed=1)
+    s_cuts = sorted({p["s"] for p in report["cdf_points"]})
+    t_cuts = sorted({p["t"] for p in report["cdf_points"]})
+    monkeypatch.setattr(whittaker, "_PANEL_WIDTH", 0.1)
+    _, cdf, laplace, _ = _measure_predictions(alpha, beta, s_cuts, t_cuts, (0.5, 1.0, 2.0))
+    got = [p["predicted"] for p in report["cdf_points"] + report["laplace"]]
+    assert np.max(np.abs(np.subtract(got, cdf + laplace))) <= 2e-8
+
+
+@pytest.mark.parametrize("nu", [50.0, 80.0, 200.0, 1000.0])
+def test_log_bessel_k_where_kve_overflows_at_large_order(nu):
+    # at order 200 kve overflows up to z/2 = 2.1, where the small-argument
+    # leading term is 2% off; Debye's expansion is not
+    from scipy.special import kve
+
+    edge = (math.lgamma(nu) - 709.0) / nu  # about where kve overflows
+    for log_half_z in (edge - 3.0, edge, edge + 1.0):
+        if math.isfinite(kve(nu, 2.0 * math.exp(log_half_z))):
+            continue
+        with mpmath.workdps(30):
+            want = float(mpmath.log(mpmath.besselk(nu, 2 * mpmath.exp(log_half_z))))
+        assert float(_log_bessel_k(nu, log_half_z)) == pytest.approx(want, rel=1e-14, abs=1e-11)
+
+
+def test_rank2_psi_where_kve_overflows_at_large_order():
+    # K_200(2) = e^{857.9}: the small-argument leading term read 0.5% low
+    alpha, x = (-100.0, -300.0), (math.exp(2.0), math.exp(2.0))
+    assert psi(WhittakerParams(2, alpha, x)) == pytest.approx(rank2_besselk(alpha, x), rel=1e-12)
 
 
 def test_measure_check_end_to_end():
@@ -711,7 +824,7 @@ class CountingStream(Stream):
 @pytest.mark.parametrize(
     "alpha, samples, seed", [((1.0, 1.5), 5000, 11), ((1.0, 1.0), 4000, 7)]
 )
-def test_measure_check_matches_a_report_on_scalar_draws(alpha, samples, seed):
+def test_measure_check_matches_a_report_on_scalar_draws(monkeypatch, alpha, samples, seed):
     # the lane route against sample_symmetric_env and burge_partition_vector
     # one sample at a time, sampler diagnostics included
     spec = EnvSpec(2, alpha, 1.0)
@@ -731,9 +844,13 @@ def test_measure_check_matches_a_report_on_scalar_draws(alpha, samples, seed):
     got = whittaker_measure_check(alpha, 1.0, samples=samples, seed=seed)
     assert got == want
     assert got["diagnostics"]["gamma_rejections"] > 0
-    cuts = [sorted({math.log(p[key]) for p in got["cdf_points"]}) for key in ("s", "t")]
-    grid = _MeasureGrid(alpha, 1.0, *cuts)
-    assert got["diagnostics"]["grid_nodes"] == [len(grid._u1), len(grid._u2)]
+    # d_nodes counts the nodes of the d line, cut at every log(t/s)
+    (logf, start), = probed_integrands(
+        monkeypatch, lambda: _measure_predictions(alpha, 1.0, (1.0,), (1.0,), ())
+    )
+    ((lo, hi),), _ = _probe_box(logf, start)
+    cuts = [math.log(p["t"] / p["s"]) for p in got["cdf_points"]]
+    assert got["diagnostics"]["d_nodes"] == len(_panel_nodes(lo, hi, cuts, nodes=20)[0])
 
 
 @pytest.mark.parametrize("samples", [0, -1])
@@ -747,7 +864,5 @@ def test_replica_laplace_matches_the_quadrature():
     # coordinate, so its Laplace transform must match the quadrature
     spec = EnvSpec(2, (1.0, 1.0), 0.5)
     result = laplace_mc(spec, [1.0], samples=30_000, seed=99)[0]
-    grid = _MeasureGrid((1.0, 1.0), 0.5)
-    c = normalization_c((1.0, 1.0), 0.5)
-    predicted = grid.expect_of_first(lambda x: np.exp(-x)) / c
+    predicted = _measure_predictions((1.0, 1.0), 0.5, (), (), (1.0,))[2][0]
     assert abs(result.estimate - predicted) <= 3 * result.stderr
