@@ -6,10 +6,11 @@ to the given parameters, damped by the exponential of its energy.  Ranks 1 to
 3 are supported, always in logarithmic coordinates where the integrand decays
 double-exponentially: rank 1 by exact formula, rank 2 by its Bessel closed
 form Psi_a(x) = 2 (x1 x2)^{(a1+a2)/2} K_{a1-a2}(2 sqrt(x2/x1)) (see
-_log_psi2), and rank 3 by Givental's recursion, a 2-D grid over the second
-row of the rank-2 closed form (see _psi3_grid).  One peak search
-(_probe_box) and one panel rule (_panel_nodes) serve the rank-3 grid and the
-one line rule (_line_integral).
+_log_psi2), and rank 3 by Givental's recursion over the second row of the
+rank-2 closed form, whose sum integrates to a second Bessel K and whose
+difference is left on one line (see _psi3_line).  Every quadrature is one
+line rule (_line_integral): one peak search (_probe_box) and one panel rule
+(_panel_nodes).
 
 The diagonal (read corner-first, so the dual partition function comes first)
 of the column-insertion image of a symmetric inverse-gamma environment is
@@ -34,10 +35,10 @@ import numpy as np
 from .polymer import EnvSpec, _burge_diagonals, _check_laplace_r, _report, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
-# the last unit step of each chunk the box probe's tail walk evaluates at once:
-# rank-3 tails end within 8 steps, rank-2 ones within 48, slow ones reach 400
+# the last unit step of each chunk the box probe's tail walk evaluates at once: rank-3
+# tails end within 7 steps near x = 1 (48 at x1 = 1e30), rank-2 ones within 48, slow ones 400
 _TAIL_CHUNKS = (16, 64, 400)
-_PANEL_WIDTH = 2.5  # widest Gauss panel of every grid, in log units
+_PANEL_WIDTH = 2.5  # widest Gauss panel of every line, in log units
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
 _QUANTILES = (0.1, 0.3, 0.5, 0.7, 0.9)  # the measure check's CDF grid, on each axis
 # Debye's U_k(p) / p^k, k = 1..4, in p^2 (highest power first) over a denominator (DLMF 10.41.10)
@@ -108,39 +109,28 @@ class WhittakerParams:
 # -- integrands in log coordinates ----------------------------------------------
 
 
-def _walls(*gaps):
-    """Sum of e^gap over the gaps, each exponent clipped at 700 to stay finite."""
-    return sum(np.exp(np.minimum(gap, 700.0)) for gap in gaps)
-
-
-def _psi3_grid(alpha, x, nodes=16):
+def _psi3_line(alpha, x):
     """Rank-3 Psi by Givental's recursion: the integral over the second row
     (u21, u22) of the rank-2 closed form Psi_{(a1, a2)}(e^{u21}, e^{u22})
-    times the bottom row's factors, on a panel grid in s = u21 + u22 and
-    d = u22 - u21.  The Bessel factor depends on d alone, so log K is
-    evaluated once per d node, and the Jacobian 1/2 cancels the closed
-    form's factor 2."""
+    times the bottom row's factors, in s = u21 + u22 and d = u22 - u21 (the
+    Jacobian 1/2 cancels the closed form's factor 2).  At fixed d the walls
+    are p e^{s/2} + q e^{-s/2}, with p = e^{-d/2-l1} + e^{d/2-l2} and
+    q = e^{l2+d/2} + e^{l3-d/2}, so the s integral of e^{c s} e^{-walls} is
+    4 (q/p)^c K_{2c}(2 sqrt(pq)), c = (a1 + a2)/2 - a3 (DLMF 10.32.10), and
+    one line in d is left, times e^{a3 (l1 + l2 + l3)}."""
     a1, a2, a3 = alpha
     l1, l2, l3 = (math.log(v) for v in x)
-    nu = abs(a1 - a2)
+    nu, c = abs(a1 - a2), 0.5 * (a1 + a2) - a3
 
-    def logf(s, d):
-        u21, u22 = 0.5 * (s - d), 0.5 * (s + d)
-        walls = _walls(l2 - u21, u21 - l1, l3 - u22, u22 - l2)
-        return 0.5 * (a1 + a2) * s + a3 * (l1 + l2 + l3 - s) + _log_bessel_k(nu, 0.5 * d) - walls
+    def logf(d):
+        log_p = np.logaddexp(-0.5 * d - l1, 0.5 * d - l2)
+        log_q = np.logaddexp(l2 + 0.5 * d, l3 - 0.5 * d)
+        return (_log_bessel_k(nu, 0.5 * d) + math.log(4.0) + c * (log_q - log_p)
+                + _log_bessel_k(abs(2.0 * c), 0.5 * (log_p + log_q)))
 
-    at = {"alpha": tuple(alpha), "x": tuple(x)}
-    (s_box, d_box), peak = _probe_box_of(logf, (0.5 * (l1 + l3) + l2, 0.5 * (l3 - l1)),
-                                         "Psi of rank 3", **at)
-    s, ws = _panel_nodes(*s_box, nodes=nodes)
-    d, wd = _panel_nodes(*d_box, nodes=nodes)
-    logs = logf(s, d[:, None]) - peak
-    top = float(logs.max())
-    if top > _LOG_FLOAT_MAX:  # the grid rises past the probe's peak further than exp holds
-        logs -= top
-        peak += top
-    total = float(wd @ np.exp(logs) @ ws)
-    return _times_exp(total, peak, "Psi of rank 3", **at)
+    at = {"alpha": alpha, "x": x}
+    total, peak, _ = _line_integral(logf, 0.5 * (l3 - l1), "Psi of rank 3", **at)
+    return _times_exp(float(total), peak + a3 * (l1 + l2 + l3), "Psi of rank 3", **at)
 
 
 def _named(name, at):
@@ -167,7 +157,8 @@ def psi(params: WhittakerParams) -> float:
 
     Rank 1 is the monomial prod x^alpha; rank 2 is the Bessel closed form
     (see _log_psi2); rank 3 integrates the rank-2 closed form over the second
-    row on a 2-D grid (see _psi3_grid).
+    row, the sum of its entries in closed form and their difference on one
+    line (see _psi3_line).
     """
     n, alpha, x = params.n, params.alpha, params.x
     if n == 1:
@@ -179,11 +170,11 @@ def psi(params: WhittakerParams) -> float:
         u1, u2 = (math.log(v) for v in x)
         return _times_exp(1.0, float(_log_psi2(alpha, u1, u2)), "Psi of rank 2", alpha=alpha, x=x)
     if n == 3:
-        return _psi3_grid(alpha, x)
+        return _psi3_line(alpha, x)
     raise ValueError(f"unsupported rank {n}; only n <= 3 is implemented")
 
 
-# -- grids from the rank-2 closed form ------------------------------------------------------
+# -- lines from the rank-2 closed form ------------------------------------------------------
 
 
 def _log_bessel_k(nu, log_half_z):
@@ -227,79 +218,54 @@ def _log_psi2(a, u1, u2):
 
 
 def _probe_box(logf, start):
-    """Coordinate ascent over +-40 unit steps from start, in at most 3
-    sweeps over the axes, stopping after a sweep that moves no axis (the
-    next would repeat its profiles); then on each axis the first unit step
-    out to +-400 where the profile falls the tail drop below the peak,
-    padded by 2.  Slow power-law tails (small parameters) need long walks,
-    but most tails end within a few steps, so the walk evaluates its unit
-    steps in the growing chunks that end at _TAIL_CHUNKS, one logf call per
-    chunk on every (axis, side) direction still walking, and a direction
-    stops at the first chunk that holds its end.  logf takes one coordinate
-    per axis and broadcasts them elementwise; an ascent profile passes its
-    other axes as scalars.  Returns the box and the peak."""
-    u = np.array(start, dtype=float)
-    dims = len(u)
-
-    def profile(axis, offsets):
-        return logf(*(u[k] + offsets if k == axis else u[k] for k in range(dims)))
-
+    """Ascent over +-40 unit steps from start, at most 3 times, stopping at
+    a step of 0; then on each side the first unit step out to 400 where logf
+    falls the tail drop below the peak, padded by 2.  Slow power-law tails
+    (small parameters) need long walks, but most tails end within a few
+    steps, so the walk evaluates its unit steps in the growing chunks that
+    end at _TAIL_CHUNKS, one logf call per chunk on the sides still walking,
+    and a side stops at the first chunk that holds its end.  logf broadcasts
+    over an array of points.  Returns ((lo, hi), peak)."""
+    u = float(start)
     steps = np.arange(-40.0, 41.0)
     for _ in range(3):
-        moved = False
-        for axis in range(dims):
-            step = steps[int(np.argmax(profile(axis, steps)))]
-            u[axis] += step
-            moved = moved or step != 0.0
-        if not moved:
+        step = steps[int(np.argmax(logf(u + steps)))]
+        u += step
+        if step == 0.0:
             break
-    peak = float(logf(*u))
+    peak = float(logf(u))
     if not math.isfinite(peak):
         raise NonconvergentQuadratureError("integrand has no finite peak")
-    walking = [(axis, sign) for axis in range(dims) for sign in (-1.0, 1.0)]
     ends = {}
     first = 1.0
     for last in _TAIL_CHUNKS:
         steps = np.arange(first, last + 1.0)
-        coords = [
-            np.concatenate([u[k] + sign * steps if k == axis else np.full(steps.size, u[k])
-                            for axis, sign in walking])
-            for k in range(dims)
-        ]
-        below = (logf(*coords) < peak - _TAIL_LOG_DROP).reshape(len(walking), steps.size)
-        for (axis, sign), row in zip(walking, below):
+        walking = [sign for sign in (-1.0, 1.0) if sign not in ends]
+        below = logf(np.concatenate([u + sign * steps for sign in walking])) < peak - _TAIL_LOG_DROP
+        for sign, row in zip(walking, below.reshape(len(walking), steps.size)):
             if row.any():
-                ends[axis, sign] = u[axis] + sign * steps[int(np.argmax(row))]
-        walking = [direction for direction in walking if direction not in ends]
-        if not walking:
-            return [(ends[axis, -1.0] - 2.0, ends[axis, 1.0] + 2.0) for axis in range(dims)], peak
+                ends[sign] = u + sign * steps[int(np.argmax(row))]
+        if len(ends) == 2:
+            return (ends[-1.0] - 2.0, ends[1.0] + 2.0), peak
         first = last + 1.0
-    raise NonconvergentQuadratureError(f"axis {walking[0][0]} mass did not localize")
-
-
-def _probe_box_of(logf, start, name, **at):
-    """_probe_box, its errors naming the integral name at the parameters at."""
-    try:
-        return _probe_box(logf, start)
-    except NonconvergentQuadratureError as error:
-        raise NonconvergentQuadratureError(f"{_named(name, at)}: {error}") from None
+    raise NonconvergentQuadratureError("mass did not localize")
 
 
 @functools.cache
-def _gauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
+def _gauss():
+    return np.polynomial.legendre.leggauss(20)
 
 
-def _panel_nodes(lo, hi, cuts=(), nodes=16):
-    """Gauss nodes and weights on [lo, hi], in panels at most _PANEL_WIDTH
-    wide, with a panel boundary at every cut inside the interval."""
+def _panel_nodes(lo, hi, cuts=()):
+    """20 Gauss nodes and weights a panel on [lo, hi], in panels at most
+    _PANEL_WIDTH wide, with a panel boundary at every cut inside the interval."""
     edges = [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
     b = []
     for a, c in zip(edges, edges[1:]):
         pieces = max(int(math.ceil((c - a) / _PANEL_WIDTH)), 1)
         b.extend(a + (c - a) * k / pieces for k in range(pieces))
     b = np.array(b + [hi])
-    base, weights = _gauss(nodes)
+    base, weights = _gauss()
     half = 0.5 * (b[1:] - b[:-1])
     mid = 0.5 * (b[1:] + b[:-1])
     return (half[:, None] * base + mid[:, None]).ravel(), (half[:, None] * weights).ravel()
@@ -321,14 +287,29 @@ def whittaker_density(n: int, alpha, beta: float, x) -> float:
 
 def _line_integral(logf, start, name, cuts=(), rows=None, **at):
     """The integral of e^logf, named name at the parameters at, over the box
-    _probe_box finds from start, in panels of 20 Gauss nodes cut at every cut,
-    as (mantissa, log scale, nodes) of value mantissa e^scale.  rows maps the
-    nodes to k rows of factors, to get the k integrals of each times e^logf."""
-    ((lo, hi),), peak = _probe_box_of(logf, (start,), name, **at)
-    u, w = _panel_nodes(lo, hi, cuts, nodes=20)
+    _probe_box finds from start, in 20-node Gauss panels cut at every cut, as
+    (mantissa, log scale, nodes) of value mantissa e^scale.  rows maps the
+    nodes to k rows of factors, to get the k integrals of each times e^logf.
+    Nodes that rise past the probe's peak further than exp holds rescale the
+    line by their own maximum; a line whose every node underflows against the
+    peak raises, as do the probe's errors, naming the integral."""
+    try:
+        (lo, hi), peak = _probe_box(logf, start)
+    except NonconvergentQuadratureError as error:
+        raise NonconvergentQuadratureError(f"{_named(name, at)}: {error}") from None
+    u, w = _panel_nodes(lo, hi, cuts)
+    logs = logf(u) - peak
+    top = float(logs.max())
+    if top > _LOG_FLOAT_MAX:
+        logs -= top
+        peak += top
+    mass = np.exp(logs)
+    if mass.sum() == 0.0:  # only the unweighted sum: a row of factors may be 0
+        raise NonconvergentQuadratureError(
+            f"{_named(name, at)}: every node underflows against the probe's peak")
     if rows is not None:
         w = rows(u) * w
-    return w @ np.exp(logf(u) - peak), peak, u.size
+    return w @ mass, peak, u.size
 
 
 def _d_line(alpha, cuts=(), rows=None):

@@ -517,22 +517,36 @@ def test_whittaker_density_check_below_the_floor_names_the_d_line(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == (
         "error: the d line Psi_{-alpha}(e^{-d}, 1) at alpha=(0.05, 0.06): "
-        "axis 0 mass did not localize\n"
+        "mass did not localize\n"
     )
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the rank-3 grid rises about 74,000 above the probe's peak
+    # a node of the rank-3 d line rises past the probe's peak further than exp holds
     (["eval", "-n", "3", "--alpha", "1e6,1,1", "--x", "1,1,1"],
-     r"Psi of rank 3 at alpha=\(1000000\.0, 1\.0, 1\.0\), x=\(1\.0, 1\.0, 1\.0\) = exp\(2562\d{4}\."),
+     r"Psi of rank 3 at alpha=\(1000000\.0, 1\.0, 1\.0\), x=\(1\.0, 1\.0, 1\.0\) "
+     r"= exp\(2563098\d\.\d+\) overflows a float"),
     (["density-check", "--alpha", "100,100", "--samples", "2000", "--seed", "1"],
-     r"normalization constant c\(alpha=\(100\.0, 100\.0\), beta=1\.0\) = exp\(1576\."),
+     r"normalization constant c\(alpha=\(100\.0, 100\.0\), beta=1\.0\) "
+     r"= exp\(1576\.\d+\) overflows a float"),
 ], ids=["eval-rank3", "density-check"])
 def test_whittaker_overflow_exits_two_naming_it_without_a_warning(capsys, argv, message):
     # pytest turns a RuntimeWarning into an error (pyproject.toml), so a numpy
     # overflow before the error would fail this test
     assert main(["whittaker", "--cmd", *argv]) == 2
-    assert re.search(message, capsys.readouterr().err)
+    assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+
+
+def test_whittaker_eval_rank3_line_that_misses_its_peak_exits_two(capsys):
+    # every node of the d line underflows against the probe's peak; summed
+    # unchecked, the zero line reached math.log(0) and printed only
+    # "math domain error"
+    code = main(["whittaker", "--cmd", "eval", "-n", "3", "--alpha", "1,1,1e6", "--x", "1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(
+        "error: Psi of rank 3 at alpha=(1.0, 1.0, 1000000.0), x=(1.0, 1.0, 1.0): "
+    )
 
 
 def test_whittaker_eval_takes_no_method(capsys):
@@ -574,7 +588,7 @@ def test_whittaker_corollary_overflowing_constant_exits_two(capsys):
 @pytest.mark.parametrize(
     "rank, alpha, x, log_psi",
     [
-        ("3", "1,2,3", "1e300,1,1", "1739.53603"),
+        ("3", "1,2,3", "1e300,1,1", "2071.05265"),
         ("2", "400,1", "1e300,1", "278298.73143"),
         ("1", "400", "1e300", "276310.21115"),
     ],

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -29,9 +30,7 @@ from gburge.whittaker import (
     _measure_report,
     _panel_nodes,
     _probe_box,
-    _psi3_grid,
     _times_exp,
-    _walls,
     corollary_check,
     energy,
     psi,
@@ -201,12 +200,16 @@ def test_rank2_closed_form_stays_in_range_at_extreme_bessel_arguments():
             assert float(_log_psi2(alpha, u1, u2)) == pytest.approx(expected, rel=1e-12)
 
 
-def test_rank3_node_count_is_converged():
+def test_rank3_node_count_is_converged(monkeypatch):
+    # the d line against the same line on 0.1-wide panels
     alpha = (-1.0, -2.0, -3.0)
     x = (2.0, 0.7, 1.3)
-    assert psi(WhittakerParams(3, alpha, x)) == pytest.approx(
-        _psi3_grid(alpha, x, nodes=24), rel=1e-12
-    )
+    got = psi(WhittakerParams(3, alpha, x))
+    (logf, start), = probed_integrands(monkeypatch, lambda: psi(WhittakerParams(3, alpha, x)))
+    (lo, hi), peak = _probe_box(logf, start)
+    d, w = fine_panels(lo, hi, (), width=0.1)
+    scale = peak + alpha[2] * sum(math.log(v) for v in x)
+    assert got == pytest.approx(float(w @ np.exp(logf(d) - peak)) * math.exp(scale), rel=1e-12)
 
 
 # (alpha, x) points for rank 3: small mixed-sign parameters near the unit
@@ -218,12 +221,20 @@ RANK3_POINTS = [
     ((-0.47, -0.03, 0.44), (math.exp(-0.7), math.exp(0.7), math.exp(0.2))),
     ((-0.5, 0.5, -0.25), (math.exp(0.7), math.exp(0.7), math.exp(-0.7))),
 ]
+# wide arguments, where the 2-D grid this line replaced read log Psi 173.18 to
+# 186.11 (true 205.958734) and 27.630908 (true 27.630993793409)
+WIDE_RANK3_POINTS = [((1.0, 2.0, 3.0), (1e30, 1.0, 1.0)), ((1.0, 2.0, 3.0), (1e6, 1.0, 1e-6))]
 
 
 def test_rank3_parameter_permutation_symmetry():
-    for alpha, x in RANK3_POINTS:
+    for alpha, x in RANK3_POINTS + WIDE_RANK3_POINTS:
         values = [psi(WhittakerParams(3, perm, x)) for perm in itertools.permutations(alpha)]
         assert max(values) == pytest.approx(min(values), rel=1e-12), alpha
+
+
+def _walls(*gaps):
+    """Sum of e^gap over the gaps, each exponent clipped at 700 to stay finite."""
+    return sum(np.exp(np.minimum(gap, 700.0)) for gap in gaps)
 
 
 def _psi3_logf(alpha, x):
@@ -244,7 +255,7 @@ def rank3_monte_carlo_oracle(alpha, x, samples=400_000, strata=8):
     """Independent route: stratified uniform sampling of the three free
     entries over their probed box; lower precision than the grid."""
     logf, centers = _psi3_logf(alpha, x)
-    axes, peak = _probe_box(logf, centers)
+    axes, peak = unit_step_probe_box(logf, centers)
     per_cell = max(samples // strata**3, 8)
     lo = np.array([a for a, _ in axes])
     width = np.array([b - a for a, b in axes]) / strata
@@ -259,13 +270,13 @@ def rank3_monte_carlo_oracle(alpha, x, samples=400_000, strata=8):
 def rank3_tensor_oracle(alpha, x, nodes=192, pad=6.0):
     """Independent route: a 3-D Gauss tensor rule over the three free entries,
     on the probed box widened by pad units on every side, summed one u11
-    slice at a time.  At these points 192 nodes agree with 256 nodes and a
-    10-unit pad to 4e-14."""
+    slice at a time; nodes is one count for every axis, or one per axis.  At
+    RANK3_POINTS 192 nodes agree with 256 nodes and a 10-unit pad to 4e-14."""
     logf, centers = _psi3_logf(alpha, x)
-    axes, peak = _probe_box(logf, centers)
-    base, weights = np.polynomial.legendre.leggauss(nodes)
+    axes, peak = unit_step_probe_box(logf, centers)
     points, rules = [], []
-    for lo, hi in axes:
+    for (lo, hi), count in zip(axes, np.broadcast_to(nodes, 3)):
+        base, weights = np.polynomial.legendre.leggauss(int(count))
         lo, hi = lo - pad, hi + pad
         points.append(0.5 * (hi - lo) * base + 0.5 * (hi + lo))
         rules.append(0.5 * (hi - lo) * weights)
@@ -281,6 +292,25 @@ def rank3_tensor_oracle(alpha, x, nodes=192, pad=6.0):
 def test_rank3_matches_a_widened_tensor_rule(alpha, x):
     expected = rank3_tensor_oracle(alpha, x)
     assert psi(WhittakerParams(3, alpha, x)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, x", WIDE_RANK3_POINTS)
+def test_rank3_at_wide_arguments_matches_a_widened_tensor_rule(alpha, x):
+    # the oracle in the order (1, 2, 3): its own probe misses at (3, 1, 2).
+    # Its box, cut from axis profiles through the peak, is too tight here: at
+    # 192 nodes and a 6-unit pad it reads 1.6e-11 and 1.2e-11 low; at (256,
+    # 256, 192) nodes and a 10-unit pad the line agrees to 6.6e-13 and 2.4e-15
+    expected = rank3_tensor_oracle(alpha, x, nodes=(256, 256, 192), pad=10.0)
+    assert psi(WhittakerParams(3, alpha, x)) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [20.0, 50.0, 100.0])
+def test_rank3_permutation_symmetry_at_a_large_parameter(k):
+    # measured: 1.0e-14, 3.5e-10 and 7.8e-10 (the 2-D grid spread 2.2e-7 at
+    # 50 and 5.2% at 100)
+    values = [psi(WhittakerParams(3, perm, (1.0, 1.0, 1.0)))
+              for perm in itertools.permutations((k, 1.0, 2.0))]
+    assert max(values) == pytest.approx(min(values), rel=1e-9)
 
 
 def test_rank3_scale_covariance():
@@ -303,7 +333,7 @@ def test_rank3_monte_carlo_route():
     [
         ((400.0,), (1e300,), 400.0 * math.log(1e300)),
         ((400.0, 1.0), (1e300, 1.0), float(_log_psi2((400.0, 1.0), math.log(1e300), 0.0))),
-        ((1.0, 2.0, 3.0), (1e300, 1.0, 1.0), None),  # a grid value: only its range is known
+        ((1.0, 2.0, 3.0), (1e300, 1.0, 1.0), None),  # a line value: only its range is known
     ],
 )
 def test_psi_overflow_names_rank_alpha_x_and_log_psi(alpha, x, log_psi):
@@ -319,14 +349,26 @@ def test_psi_overflow_names_rank_alpha_x_and_log_psi(alpha, x, log_psi):
         assert logged == pytest.approx(log_psi, rel=1e-12)
 
 
-def test_psi3_rescales_a_grid_that_rises_past_the_probe_peak():
-    # at alpha_1 = 1e6 the grid's largest log-integrand is about 74,000 above
-    # the probe's peak: the grid is rescaled by its own maximum, so no numpy
-    # overflow comes first and the error names a finite log Psi
+def test_psi3_rescales_a_line_that_rises_past_the_probe_peak():
+    # at alpha_1 = 1e6 a node between the probe's unit steps rises further
+    # above its peak than exp holds: the line is rescaled by its own maximum,
+    # so no numpy overflow comes first and the error names a finite log Psi
     with pytest.raises(OverflowError, match=r"= exp\(([0-9.e+]+)\) overflows") as raised:
         psi(WhittakerParams(3, (1e6, 1.0, 1.0), (1.0, 1.0, 1.0)))
     logged = float(re.search(r"exp\(([^)]*)\)", str(raised.value)).group(1))
-    assert logged == pytest.approx(2.5627e7, rel=1e-4)
+    assert logged == pytest.approx(2.5630980e7, rel=1e-6)
+    # unrescaled, this line's nodes overflow exp and the value reads nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert psi(WhittakerParams(3, (1.0, 2.0, 3.0), (1e-300, 1.0, 1e300))) == 0.0
+
+
+def test_psi3_line_that_misses_its_peak_names_psi():
+    # at alpha_3 = 1e6 every node underflows against the probe's peak
+    message = (r"^Psi of rank 3 at alpha=\(1\.0, 1\.0, 1000000\.0\), x=\(1\.0, 1\.0, 1\.0\): "
+               "every node underflows against the probe's peak$")
+    with pytest.raises(NonconvergentQuadratureError, match=message):
+        psi(WhittakerParams(3, (1.0, 1.0, 1e6), (1.0, 1.0, 1.0)))
 
 
 def test_unsupported_rank():
@@ -355,13 +397,14 @@ def test_integrand_fast_path_matches_pattern_definitions():
 
 def test_probe_box_reports_nonconvergence():
     with pytest.raises(NonconvergentQuadratureError):
-        _probe_box(lambda u: np.zeros_like(u), (0.0,))
+        _probe_box(lambda u: np.zeros_like(u), 0.0)
 
 
 def unit_step_probe_box(logf, start):
-    """The box probe as one unit step at a time: three full ascent sweeps,
-    then one logf call per (axis, side) over all 400 tail steps.  The chunked
-    _probe_box must return exactly its box and peak."""
+    """The box probe as one unit step at a time, on any number of axes: three
+    full coordinate-ascent sweeps, then one logf call per (axis, side) over
+    all 400 tail steps.  On one axis the chunked _probe_box must return
+    exactly its box and peak; the oracles take their boxes from it."""
     u = np.array(start, dtype=float)
 
     def profile(axis, offsets):
@@ -405,7 +448,7 @@ def probed_integrands(monkeypatch, run):
 # the integrands of every caller: rank-1 corollaries (the tail at alpha = 0.12
 # ends at step 385, in the last chunk), the d lines of the measure predictions,
 # cut at every log(t/s), at ((1.5, 2.5), 0.5) and ((1, 1.5), 1) (tails ending
-# at steps 33 and 48, past the first chunk), and the rank-3 grids
+# at steps 33 and 48, past the first chunk), and the rank-3 d lines
 PROBED_CALLERS = {
     "rank1-2-3": lambda: corollary_check((2.0,), 3.0),
     "rank1-0.12-1": lambda: corollary_check((0.12,), 1.0),
@@ -417,16 +460,16 @@ PROBED_CALLERS = {
 }
 
 
+def unit_step_line_box(logf, start):
+    """unit_step_probe_box on one axis, in the shape _probe_box returns."""
+    (box,), peak = unit_step_probe_box(logf, (start,))
+    return box, peak
+
+
 @pytest.mark.parametrize("caller", PROBED_CALLERS)
 def test_probe_box_matches_the_unit_step_walk(monkeypatch, caller):
     (logf, start), = probed_integrands(monkeypatch, PROBED_CALLERS[caller])
-    assert _probe_box(logf, start) == unit_step_probe_box(logf, start)
-
-
-@pytest.mark.parametrize("alpha, x", RANK3_POINTS)
-def test_probe_box_matches_the_unit_step_walk_in_three_dimensions(alpha, x):
-    logf, start = _psi3_logf(alpha, x)
-    assert _probe_box(logf, start) == unit_step_probe_box(logf, start)
+    assert _probe_box(logf, start) == unit_step_line_box(logf, start)
 
 
 def _slopes(left, right):
@@ -437,41 +480,32 @@ def _slopes(left, right):
 
 def test_probe_box_walks_its_tails_to_step_400():
     logf = _slopes(1, 400)
-    assert _probe_box(logf, (0.0,)) == unit_step_probe_box(logf, (0.0,)) == ([(-3.0, 402.0)], 0.0)
+    assert _probe_box(logf, 0.0) == unit_step_line_box(logf, 0.0) == ((-3.0, 402.0), 0.0)
     logf = _slopes(17, 65)  # each end the first step of a later chunk
-    assert _probe_box(logf, (0.0,)) == ([(-19.0, 67.0)], 0.0)
+    assert _probe_box(logf, 0.0) == ((-19.0, 67.0), 0.0)
 
 
-@pytest.mark.parametrize(
-    "logf, axis",
-    [
-        (_slopes(1, 401), 0),
-        (_slopes(401, 1), 0),
-        (lambda u, v: _slopes(3, 5)(u) + _slopes(2, 401)(v), 1),
-        (lambda u, v: _slopes(401, 5)(u) + _slopes(401, 2)(v), 0),
-    ],
-)
-def test_probe_box_names_the_first_direction_that_did_not_localize(logf, axis):
-    start = (0.0,) * logf.__code__.co_argcount
-    message = f"^axis {axis} mass did not localize$"
-    for probe in (_probe_box, unit_step_probe_box):
-        with pytest.raises(NonconvergentQuadratureError, match=message):
-            probe(logf, start)
+@pytest.mark.parametrize("logf", [_slopes(1, 401), _slopes(401, 1)])
+def test_probe_box_reports_a_side_that_did_not_localize(logf):
+    with pytest.raises(NonconvergentQuadratureError, match="^mass did not localize$"):
+        _probe_box(logf, 0.0)
+    with pytest.raises(NonconvergentQuadratureError, match="^axis 0 mass did not localize$"):
+        unit_step_probe_box(logf, (0.0,))
 
 
-def test_a_rank3_probe_evaluates_under_a_thousand_points(monkeypatch):
-    # the unit-step walk evaluates about 2,100: three 81-point sweeps of two
-    # axes and 400 steps on each of four sides
+def test_a_rank3_probe_evaluates_at_most_200_points(monkeypatch):
+    # the unit-step walk evaluates 1,044: three 81-point sweeps, the peak and
+    # 400 steps on each side; the chunked walk stops after 16 steps a side
     alpha, x = RANK3_POINTS[0]
     (logf, start), = probed_integrands(monkeypatch, lambda: psi(WhittakerParams(3, alpha, x)))
     points = []
 
-    def counting(*coords):
-        points.append(np.broadcast(*coords).size)
-        return logf(*coords)
+    def counting(d):
+        points.append(np.size(d))
+        return logf(d)
 
-    assert _probe_box(counting, start) == unit_step_probe_box(logf, start)
-    assert sum(points) < 1000
+    assert _probe_box(counting, start) == unit_step_line_box(logf, start)
+    assert sum(points) <= 200
 
 
 # -- the measure ---------------------------------------------------------------
@@ -590,11 +624,11 @@ def test_corollary_rank2_is_the_tensor_rule_on_the_product_box(monkeypatch, alph
     (gamma_side, start2), (bessel_side, start_d) = probed_integrands(
         monkeypatch, lambda: corollary_check(alpha, beta)
     )
-    (((lo2, hi2),), _), (((lo_d, hi_d),), _) = (
+    ((lo2, hi2), _), ((lo_d, hi_d), _) = (
         _probe_box(gamma_side, start2), _probe_box(bessel_side, start_d)
     )
-    u2, w2 = _panel_nodes(lo2, hi2, nodes=20)
-    d, wd = _panel_nodes(lo_d, hi_d, nodes=20)
+    u2, w2 = _panel_nodes(lo2, hi2)
+    d, wd = _panel_nodes(lo_d, hi_d)
     u2, d = u2[:, None], d[None, :]
     neg = tuple(-a for a in alpha)
     tensor = float(w2 @ np.exp(_log_psi2(neg, u2 - d, u2) - beta * np.exp(-u2)) @ wd)
@@ -674,16 +708,16 @@ def test_corollary_rank2_floor(alpha, message):
     # the e^{min(alpha) d} tail of the Bessel side needs 46/min(alpha) of the
     # probe's 400 steps, as the gamma side's needs 46/(a1 + a2); the error
     # names the line that did not localize and its parameters
-    message = f"^{re.escape(message)}: axis 0 mass did not localize$"
+    message = f"^{re.escape(message)}: mass did not localize$"
     with pytest.raises(NonconvergentQuadratureError, match=message):
         corollary_check(alpha, 1.0)
 
 
 def test_rank3_nonconvergence_names_psi():
     # at alpha = 0 the walls leave the second row flat on a square of side
-    # 690, farther from its centre in s than the probe's 400 steps
+    # 690, so the d line is nearly flat over 1380 units, past the probe's 400 steps
     message = (r"^Psi of rank 3 at alpha=\(0\.0, 0\.0, 0\.0\), x=\(1e\+300, 1\.0, 1e-300\): "
-               "axis 0 mass did not localize$")
+               "mass did not localize$")
     with pytest.raises(NonconvergentQuadratureError, match=message):
         psi(WhittakerParams(3, (0.0, 0.0, 0.0), (1e300, 1.0, 1e-300)))
 
@@ -747,7 +781,7 @@ def test_measure_predictions_match_a_tensor_rule_on_the_quadrant():
     def logf(u1, u2):
         return _log_psi2(neg, u1, u2) - beta * np.exp(np.minimum(-u2, 700.0))
 
-    ((lo1, hi1), (lo2, hi2)), peak = _probe_box(logf, (0.0, 0.0))
+    ((lo1, hi1), (lo2, hi2)), peak = unit_step_probe_box(logf, (0.0, 0.0))
     u1, w1 = fine_panels(lo1 - 8.0, hi1 + 8.0, [math.log(s) for s, _ in points])
     u2, w2 = fine_panels(lo2 - 8.0, hi2 + 8.0, [math.log(t) for _, t in points])
     mass = np.zeros((u1.size, u2.size))
@@ -848,9 +882,9 @@ def test_measure_check_matches_a_report_on_scalar_draws(monkeypatch, alpha, samp
     (logf, start), = probed_integrands(
         monkeypatch, lambda: _measure_predictions(alpha, 1.0, (1.0,), (1.0,), ())
     )
-    ((lo, hi),), _ = _probe_box(logf, start)
+    (lo, hi), _ = _probe_box(logf, start)
     cuts = [math.log(p["t"] / p["s"]) for p in got["cdf_points"]]
-    assert got["diagnostics"]["d_nodes"] == len(_panel_nodes(lo, hi, cuts, nodes=20)[0])
+    assert got["diagnostics"]["d_nodes"] == len(_panel_nodes(lo, hi, cuts)[0])
 
 
 @pytest.mark.parametrize("samples", [0, -1])
