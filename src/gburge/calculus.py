@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .arrays import ShapedArray, random_array, random_symmetric_array
-from .correspondences import counterexample, gburge, gburge_up, grsk, gschutz, run_trials, tally
+from .correspondences import counterexample, gburge, gburge_up, grsk, gschutz, run_trials
 from .shapes import all_shapes
 from .values import GEOMETRIC_FLOAT, DomainError
 
@@ -192,4 +192,4 @@ def verify_jacobians(
                     if not gap <= fd_tol:
                         yield counterexample(arr, map=map_name, dual_vs_fd_gap=gap)
 
-    return tally("jacobian-symmetric" if symmetric else "jacobian", run_trials(trial, points, seed))
+    return run_trials("jacobian-symmetric" if symmetric else "jacobian", trial, points, seed)

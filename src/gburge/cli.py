@@ -2,17 +2,17 @@
 
 Four subcommands.  `apply` runs one map of `_APPLY_MAPS` on a JSON array
 file.  `verify`, `polymer` and `whittaker` run the commands of one table,
-`_COMMANDS`: the randomized identity checks (a JSON report), the Monte Carlo
-distribution checks (CSV for Laplace estimates, JSON for test reports), and
-the Whittaker functions with their integral identities.  Each command lists
-the optional flags it takes, with their defaults, and one dispatcher serves
-all three subcommands: a flag the command does not take exits 2 (`error:
-lukacs takes no -n`), and so does a needed flag left out (`--x` for `eval`,
+`_COMMANDS`: the identity, Monte Carlo and Whittaker integral checks, each
+printing one `correspondences.report` as JSON, the Laplace estimates (CSV)
+and the Whittaker values (JSON).  Each command lists the optional flags it
+takes, with their defaults, and one dispatcher serves all three
+subcommands: a flag the command does not take exits 2 (`error: lukacs
+takes no -n`), and so does a needed flag left out (`--x` for `eval`,
 `--seed` for `density-check`).  `-n` defaults to the number of `--alpha`
 values, and any other value exits 2.
 
-Exit codes: 0 when everything asked for holds, 1 when a verified identity or
-statistical check fails (the report still goes to stdout), 2 on usage errors,
+Exit codes: 0 when everything asked for holds, 1 exactly when the report
+says "pass": false (the report still goes to stdout), 2 on usage errors,
 unreadable input, or parameters outside a map's precondition.  Identical
 flags, seed included, give byte-identical output.  --threads is accepted
 and ignored: every command runs on one thread, with the same output.
@@ -37,8 +37,8 @@ from .correspondences import (
     gschutz_upper,
     inv_gburge,
     inv_grsk,
+    report,
     run_trials,
-    tally,
     tropical_limit_check,
     verify_identity,
 )
@@ -128,12 +128,6 @@ def _cmd_apply(args) -> int:
 # -- verify, polymer, whittaker: one command table -------------------------
 
 
-def _judged(report: dict) -> tuple:
-    """A report and its exit code: 1 when a trial failed or the test did not pass."""
-    ok = report["failures"] == 0 if "failures" in report else report["pass"]
-    return report, 0 if ok else 1
-
-
 def _sampled(name: str, outcomes, pool, draw=partial(random_array, domain=GEOMETRIC_RATIONAL)):
     """The run of a check on one input per trial: each `run_trials` trial
     draws draw(rng.choice(pool(max_size)), rng=rng) and compares
@@ -141,9 +135,8 @@ def _sampled(name: str, outcomes, pool, draw=partial(random_array, domain=GEOMET
 
     def run(a):
         items = pool(a.max_size)
-        draws = run_trials(lambda rng: outcomes(draw(rng.choice(items), rng=rng)),
-                           a.trials, a.seed)
-        return _judged(tally(name, draws))
+        return run_trials(name, lambda rng: outcomes(draw(rng.choice(items), rng=rng)),
+                          a.trials, a.seed)
 
     return run
 
@@ -169,39 +162,38 @@ def _persymmetric_sizes(max_size):
 
 
 def _identity(name):
-    return lambda a: _judged(verify_identity(name, a.max_size, a.trials, a.seed))
+    return lambda a: verify_identity(name, a.max_size, a.trials, a.seed)
 
 
 def _laplace(a):
     results = laplace_mc(EnvSpec(a.n, a.alpha, a.beta), a.r, samples=a.samples, seed=a.seed)
     lines = ["r,estimate,stderr,samples,seed"]
     lines += [f"{r.r!r},{r.estimate!r},{r.stderr!r},{r.samples},{r.seed}" for r in results]
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines) + "\n"
 
 
 def _lukacs(a):
     if len(a.alpha) != 2:
         raise ValueError(f"lukacs takes --alpha a,b: 2 values, got {len(a.alpha)}")
-    return _judged(check_lukacs(*a.alpha, samples=a.samples, seed=a.seed))
+    return check_lukacs(*a.alpha, samples=a.samples, seed=a.seed)
 
 
 def _eval(a):
     value = psi(WhittakerParams(a.n, a.alpha, a.x))
-    return {"n": a.n, "alpha": list(a.alpha), "x": list(a.x), "value": value}, 0
+    return {"n": a.n, "alpha": list(a.alpha), "x": list(a.x), "value": value}
 
 
 def _corollary(a):
     lhs, rhs, relerr = corollary_check(a.alpha, a.beta)
-    report = {"n": a.n, "alpha": list(a.alpha), "beta": a.beta, "lhs": lhs, "rhs": rhs,
-              "relerr": relerr}
-    return report, 0 if relerr <= a.tol else 1
+    params = {"n": a.n, "alpha": list(a.alpha), "beta": a.beta}
+    return report("corollary", params, {"lhs": lhs, "rhs": rhs, "relerr": relerr}, relerr <= a.tol)
 
 
 _NEEDED = "needed"  # a flag with no default: leaving it out exits 2
 _ALPHAS = "the number of --alpha values"  # the default of -n, and the only value it takes
 _R = (0.5, 1.0, 2.0)
 
-# subcommand -> name -> (run(args) -> (report or CSV text, exit code),
+# subcommand -> name -> (run(args) -> report, value or CSV text,
 #                        {flag: default, for each optional flag the command takes})
 _COMMANDS = {
     "verify": {
@@ -219,15 +211,15 @@ _COMMANDS = {
             {"max_size": 4, "trials": 50},
         ),
         "jacobian": (
-            lambda a: _judged(verify_jacobians(False, a.trials, a.seed, a.tol, a.max_size**2)),
+            lambda a: verify_jacobians(False, a.trials, a.seed, a.tol, a.max_size**2),
             {"max_size": 3, "trials": 10, "tol": 1e-6},
         ),
         "jacobian-symmetric": (
-            lambda a: _judged(verify_jacobians(True, a.trials, a.seed, a.tol)),
+            lambda a: verify_jacobians(True, a.trials, a.seed, a.tol),
             {"trials": 10, "tol": 1e-6},
         ),
         "tropical-limit": (
-            lambda a: _judged(tropical_limit_check(a.max_size**2, a.trials, a.seed)),
+            lambda a: tropical_limit_check(a.max_size**2, a.trials, a.seed),
             {"max_size": 3, "trials": 20},
         ),
         "replica-decomposition": (
@@ -239,14 +231,12 @@ _COMMANDS = {
     "polymer": {
         "laplace": (_laplace, {"n": _ALPHAS, "beta": 1.0, "samples": 10_000, "r": _R}),
         "ks-zzstar": (
-            lambda a: _judged(check_Z_Zstar(a.n, a.alpha, samples=a.samples, seed=a.seed)),
+            lambda a: check_Z_Zstar(a.n, a.alpha, samples=a.samples, seed=a.seed),
             {"n": _ALPHAS, "samples": 10_000},
         ),
         "lukacs": (_lukacs, {"samples": 10_000}),
         "replica": (
-            lambda a: _judged(
-                check_replica_routes(EnvSpec(a.n, a.alpha, a.beta), a.samples, a.seed, a.tol)
-            ),
+            lambda a: check_replica_routes(EnvSpec(a.n, a.alpha, a.beta), a.samples, a.seed, a.tol),
             {"n": _ALPHAS, "beta": 1.0, "samples": 10_000, "tol": 1e-10},
         ),
     },
@@ -254,8 +244,8 @@ _COMMANDS = {
         "eval": (_eval, {"n": _ALPHAS, "x": _NEEDED}),
         "corollary": (_corollary, {"n": _ALPHAS, "beta": 1.0, "tol": 1e-4}),
         "density-check": (
-            lambda a: _judged(
-                whittaker_measure_check(a.alpha, a.beta, samples=a.samples, seed=a.seed, r_values=a.r)
+            lambda a: whittaker_measure_check(
+                a.alpha, a.beta, samples=a.samples, seed=a.seed, r_values=a.r
             ),
             {"n": _ALPHAS, "beta": 1.0, "samples": 100_000, "seed": _NEEDED, "r": _R},
         ),
@@ -304,12 +294,12 @@ def _dispatch(args) -> int:
         setattr(args, flag, given)
     if "n" in flags and args.n != len(args.alpha):
         raise ValueError(f"--alpha needs {args.n} comma-separated values, got {len(args.alpha)}")
-    out, code = run(args)
+    out = run(args)
     if isinstance(out, str):
         _write(out, args.out_path)
-    else:
-        _emit_json(out, args.out_path)
-    return code
+        return 0
+    _emit_json(out, args.out_path)
+    return 1 if out.get("pass") is False else 0
 
 
 # -- parser ---------------------------------------------------------------

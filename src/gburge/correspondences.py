@@ -295,32 +295,24 @@ def composition_of_21(arr: ShapedArray, m: int, q: int) -> ShapedArray:
 # -- identity verification --------------------------------------------------------------
 
 
-def tally(name: str, outcomes, **extra) -> dict:
-    """The report of a check, one outcome per trial: None for a pass, a
-    JSON-ready counterexample for a failure.  Every `verify` check makes its
-    outcomes with `run_trials`, where a trial is one input, failed when any
-    of its comparisons failed.
-
-    Keys, in order: identity (the name), trials, failures, then the extra
-    keys as given, then first_counterexample (the first failing outcome)
-    when any trial failed.
-    """
-    outcomes = list(outcomes)
-    failed = [o for o in outcomes if o is not None]
-    report = {"identity": name, "trials": len(outcomes), "failures": len(failed), **extra}
-    if failed:
-        report["first_counterexample"] = failed[0]
-    return report
+def report(test: str, params: dict, stats: dict, passed, diagnostics=None) -> dict:
+    """The report of every check, keys in this order: test, the params as
+    given, the stats as given, pass, and the diagnostics when there are any.
+    A random check ends its params with trials or samples, then seed."""
+    out = {"test": test, **params, **stats, "pass": bool(passed)}
+    if diagnostics is not None:
+        out["diagnostics"] = diagnostics
+    return out
 
 
 def counterexample(inp: ShapedArray, **detail) -> dict:
-    """The outcome of a failed comparison, for `tally`: the input's JSON
-    under "input", then the detail as given."""
+    """The outcome of a failed comparison, for `run_trials`: the input's
+    JSON under "input", then the detail as given."""
     return {"input": inp.to_json_obj(), **detail}
 
 
-def run_trials(trial, trials: int, seed: int) -> list:
-    """The outcomes of `trials` random inputs, for `tally`.
+def run_trials(test: str, trial, trials: int, seed: int, **extra) -> dict:
+    """The report of a check on `trials` random inputs.
 
     Trial i calls trial(Random(seed ^ i)), which draws one input and
     returns or yields the outcomes of its comparisons (None for a pass, a
@@ -330,11 +322,21 @@ def run_trials(trial, trials: int, seed: int) -> list:
     every comparison returns a list.  Seeding with seed ^ i makes nearby
     seeds rerun the same inputs: at 50 trials seeds 0 and 1 share all 50
     generators, and Random(-s) equals Random(s).
+
+    The params are trials and seed.  The stats are failures (the number of
+    failed trials), then the extra keys as given, read after the last
+    trial, then first_counterexample when any trial failed.  The report
+    passes when no trial failed.
     """
-    return [
+    outcomes = (
         next((o for o in trial(random.Random(seed ^ i)) if o is not None), None)
         for i in range(trials)
-    ]
+    )
+    failed = [o for o in outcomes if o is not None]
+    stats = {"failures": len(failed), **extra}
+    if failed:
+        stats["first_counterexample"] = failed[0]
+    return report(test, {"trials": trials, "seed": seed}, stats, not failed)
 
 
 def _compare(inp: ShapedArray, lhs: ShapedArray, rhs: ShapedArray, tol):
@@ -484,14 +486,14 @@ def verify_identity(
     instead capped at 9 boxes, with exhaustive growth-sequence enumeration
     up to 8 boxes.  Each of the `trials` inputs is one `run_trials` trial,
     so reports are deterministic.  An exact domain compares with ==, an
-    inexact one to relative tolerance tol.  Returns the `tally` report.
+    inexact one to relative tolerance tol.  Returns the `run_trials` report.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; expected one of {sorted(IDENTITY_NAMES)}")
     rows = max_rows if max_rows is not None else max_size
     cols = max_cols if max_cols is not None else max_size
     fn = _TRIALS[name]
-    return tally(name, run_trials(lambda rng: fn(rng, rows, cols, domain, tol), trials, seed))
+    return run_trials(name, lambda rng: fn(rng, rows, cols, domain, tol), trials, seed)
 
 
 # -- degeneration of the geometric maps to the piecewise-linear ones ---------------------
@@ -541,7 +543,7 @@ def tropical_limit_check(
     """
     epsilons = tuple(sorted(epsilons, reverse=True))
     pool = _shape_pool(max_boxes)
-    worst = {eps: 0.0 for eps in epsilons}
+    worst = {str(eps): 0.0 for eps in epsilons}
 
     def trial(rng):
         shape = pool[rng.randrange(len(pool))]
@@ -549,14 +551,12 @@ def tropical_limit_check(
         outcomes = []  # a list, so every map runs and max_error_by_eps sees it
         for kind in ["rsk", "burge"] + (["schutz"] if shape.is_rectangular else []):
             errs = [tropical_limit_errors(trop_in, kind, eps) for eps in epsilons]
-            for eps, err in zip(epsilons, errs):
-                worst[eps] = max(worst[eps], err)
+            errors = {str(eps): err for eps, err in zip(epsilons, errs)}
+            worst.update((key, max(worst[key], err)) for key, err in errors.items())
             ok = all(err <= bound_constant * eps for eps, err in zip(epsilons, errs)) and all(
                 errs[i + 1] <= errs[i] + 1e-9 for i in range(len(errs) - 1)
             )
-            errors = {str(e): err for e, err in zip(epsilons, errs)}
             outcomes.append(None if ok else counterexample(trop_in, map=kind, errors=errors))
         return outcomes
 
-    outcomes = run_trials(trial, trials, seed)
-    return tally("tropical-limit", outcomes, max_error_by_eps={str(e): worst[e] for e in epsilons})
+    return run_trials("tropical-limit", trial, trials, seed, max_error_by_eps=worst)

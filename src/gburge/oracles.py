@@ -170,7 +170,7 @@ def _diag_product(t: ShapedArray, m: int, n: int, k: int):
 def prop4_outcomes(arr: ShapedArray, which: str) -> list:
     """Compare diagonal products of the correspondence output with the
     non-intersecting path sums, for every k (and, for the column-insertion
-    version, every border box): one `tally` outcome per comparison."""
+    version, every border box): one `run_trials` outcome per comparison."""
     dom = arr.domain
     if which == "grsk-4.1":
         if not arr.shape.is_rectangular:
@@ -198,7 +198,7 @@ def prop43_outcomes(arr: ShapedArray) -> list:
     1/t_{1,1} equals the sum of 1/w_{i,i} over the diagonal, and the sum over
     all boxes of (t_{i-1,j} + t_{i,j-1})/t_{i,j} equals the sum of all 1/w_{i,j}
     (output boundary convention: 1/2 next to the origin, 0 further out).
-    One `tally` outcome per rule."""
+    One `run_trials` outcome per rule."""
     dom = arr.domain
     t = gburge(arr)
     one = dom.one
@@ -267,7 +267,7 @@ def replica_decomposition_outcomes(weights: ShapedArray) -> list:
 
     where W' halves the antidiagonal multiplicatively (square roots there,
     untouched elsewhere).  In the exact domain the antidiagonal entries must
-    be perfect rational squares.  One `tally` outcome.
+    be perfect rational squares.  One `run_trials` outcome.
     """
     dom = weights.domain
     if not is_persymmetric(weights):

@@ -26,8 +26,9 @@ value domain, and the unchanged ``gburge`` and ``replica_Z`` map a whole
 block at once (``_burge_diagonals``, which the Whittaker measure check draws
 on, and ``check_replica_routes``).  One driver, ``_collect_samples``, serves
 every check: it checks the sample count, builds the lanes for blocks of
-``_CHUNK`` sample indices in index order on one thread, and counts the draws;
-``_report`` builds the report of every check that returns one.
+``_CHUNK`` sample indices in index order on one thread, and counts the draws.
+Every check reports through ``correspondences.report``, with samples and seed
+as its last params.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrays import ShapedArray
-from .correspondences import gburge
+from .correspondences import gburge, report
 from .oracles import enum_paths, path_sum
 from .shapes import Shape
 from .values import GEOMETRIC_FLOAT, GEOMETRIC_LANES
@@ -485,19 +486,6 @@ def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
     return results
 
 
-def _report(
-    test: str, params: dict, samples: int, seed: int, stats: dict, passed, diagnostics=None
-) -> dict:
-    """The report of a Monte Carlo check, keys in this order: test, the params
-    as given, samples, seed, the stats as given, pass, and the diagnostics
-    when there are any."""
-    report = {"test": test, **params, "samples": samples, "seed": seed, **stats}
-    report["pass"] = bool(passed)
-    if diagnostics is not None:
-        report["diagnostics"] = diagnostics
-    return report
-
-
 def _burge_diagonals(spec: EnvSpec, samples: int, seed: int):
     """The Burge diagonals (t_11, ..., t_nn) of the symmetric environments of
     Stream(seed, i), i < samples, as n arrays over i, and the sampler
@@ -550,8 +538,8 @@ def _ks_report(test: str, params: dict, samples: int, seed: int, pair) -> dict:
     diagnostics those of the sampler."""
     (xs, ys), diagnostics = _collect_samples(samples, seed, pair)
     stat, pvalue = ks_two_sample(xs, ys)
-    stats = {"statistic": stat, "pvalue": pvalue}
-    return _report(test, params, samples, seed, stats, pvalue > 0.01, diagnostics)
+    params = {**params, "samples": samples, "seed": seed}
+    return report(test, params, {"statistic": stat, "pvalue": pvalue}, pvalue > 0.01, diagnostics)
 
 
 def check_Z_Zstar(n: int, alpha, samples: int, seed: int) -> dict:
@@ -605,8 +593,9 @@ def check_replica_routes(spec: EnvSpec, samples: int, seed: int, tol: float) -> 
 
     (gaps,), _ = _collect_samples(samples, seed, draw, streams=((),))
     worst = float(gaps.max())
-    params = {"n": spec.n, "alpha": list(spec.alpha), "beta": spec.beta}
-    return _report("replica-routes", params, samples, seed, {"max_relerr": worst}, worst <= tol)
+    params = {"n": spec.n, "alpha": list(spec.alpha), "beta": spec.beta, "samples": samples,
+              "seed": seed}
+    return report("replica-routes", params, {"max_relerr": worst}, worst <= tol)
 
 
 def normalization_c(alpha, beta: float, log: bool = False) -> float:

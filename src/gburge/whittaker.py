@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymer import EnvSpec, _burge_diagonals, _check_laplace_r, _report, normalization_c
+from .correspondences import report
+from .polymer import EnvSpec, _burge_diagonals, _check_laplace_r, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
 # the last unit step of each chunk the box probe's tail walk evaluates at once: rank-3
@@ -431,8 +432,8 @@ def _measure_report(alpha, beta, seed, xs1, xs2, r_values, diagnostics):
         laplace.append({"r": r, "estimate": mc, "stderr": stderr, "predicted": predicted,
                         "sigma": sigma})
     passed = worst <= 3.0 and all(row["sigma"] <= 3.0 for row in laplace)
-    params = {"n": 2, "alpha": list(alpha), "beta": beta}
+    params = {"n": 2, "alpha": list(alpha), "beta": beta, "samples": samples, "seed": seed}
     stats = {"total_mass": total_mass, "cdf_points": cdf_points, "cdf_max_sigma": worst,
              "laplace": laplace}
     diagnostics = {**diagnostics, "d_nodes": nodes}
-    return _report("whittaker-measure", params, samples, seed, stats, passed, diagnostics)
+    return report("whittaker-measure", params, stats, passed, diagnostics)

@@ -126,8 +126,17 @@ def test_dual_matches_central_difference(shape, seed):
 
 def test_verify_jacobians_reports():
     rep = verify_jacobians(points=1, seed=2, max_boxes=5)
-    assert rep["identity"] == "jacobian"
-    assert rep["failures"] == 0
+    assert rep["test"] == "jacobian"
+    assert rep["failures"] == 0 and rep["pass"] is True
     rep = verify_jacobians(symmetric=True, points=1, seed=2)
-    assert rep["identity"] == "jacobian-symmetric"
-    assert rep["failures"] == 0
+    assert rep["test"] == "jacobian-symmetric"
+    assert rep["failures"] == 0 and rep["pass"] is True
+
+
+def test_verify_jacobians_reports_a_dual_against_difference_gap():
+    # a gap is never negative, so a negative fd_tol fails the comparison at point 0
+    rep = verify_jacobians(points=1, seed=0, max_boxes=2, fd_tol=-1.0)
+    assert rep["failures"] == 1 and rep["pass"] is False
+    cex = rep["first_counterexample"]
+    assert list(cex) == ["input", "map", "dual_vs_fd_gap"]
+    assert cex["map"] == "grsk" and cex["dual_vs_fd_gap"] >= 0

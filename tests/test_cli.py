@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,16 @@ def test_apply_order_rejected_for_maps_without_one(tmp_path, capsys):
     assert main(["apply", "--map", "schutz", "--in", src, "--order", "[[1,1]]"]) == 2
 
 
+def test_apply_malformed_order_exits_two_naming_it(capsys):
+    src = str(Path(__file__).parent / "apply_rational_3x3.json")
+    assert main(["apply", "--map", "rsk", "--in", src, "--order", "[[1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --order must be a JSON list of [row, column] pairs, got '[[1'\n"
+    )
+
+
 def test_apply_missing_file_exits_two(tmp_path, capsys):
     assert main(["apply", "--map", "burge", "--in", str(tmp_path / "absent.json")]) == 2
 
@@ -151,7 +162,7 @@ def test_verify_identity_report_and_exit_zero(capsys):
                     "--trials", "5", "--seed", "0")
     assert code == 0
     report = json.loads(out)
-    assert report == {"identity": "thm3.2", "trials": 5, "failures": 0}
+    assert report == {"test": "thm3.2", "trials": 5, "seed": 0, "failures": 0, "pass": True}
 
 
 def test_verify_is_thread_invariant(capsys):

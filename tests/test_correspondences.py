@@ -29,8 +29,8 @@ from gburge.correspondences import (
     inv_rho_at,
     inv_tau_at,
     rho_at,
+    run_trials,
     sigma_at,
-    tally,
     tau_at,
     tropical_limit_check,
     tropical_limit_errors,
@@ -336,10 +336,7 @@ def test_verify_identity_passes(name, domain):
     # appendix-C-identity needs 4x4 arrays: below that no composition is defined
     max_size = 4 if name == "appendix-C-identity" else 3
     rep = verify_identity(name, max_size=max_size, trials=5, seed=7, tol=tol, domain=domain)
-    assert rep["identity"] == name
-    assert rep["trials"] == 5
-    assert rep["failures"] == 0
-    assert "first_counterexample" not in rep
+    assert rep == {"test": name, "trials": 5, "seed": 7, "failures": 0, "pass": True}
 
 
 # below its floor a check would compare nothing: no (m, q) is admissible below
@@ -376,12 +373,39 @@ def test_verify_identity_reports_a_counterexample_when_broken():
     assert cex["input"]["domain"] == "geom-float"
 
 
-def test_tally_counts_outcomes_and_keeps_the_first_counterexample():
-    assert tally("x", [None, None]) == {"identity": "x", "trials": 2, "failures": 0}
-    assert tally("x", iter([])) == {"identity": "x", "trials": 0, "failures": 0}
-    rep = tally("x", [None, {"k": 1}, None, {"k": 2}], worst=0.5)
-    assert list(rep) == ["identity", "trials", "failures", "worst", "first_counterexample"]
+def test_run_trials_counts_failed_trials_and_keeps_the_first_counterexample():
+    passing = {"test": "x", "trials": 2, "seed": 5, "failures": 0, "pass": True}
+    assert run_trials("x", lambda rng: [None, None], 2, 5) == passing
+    assert run_trials("x", lambda rng: iter([]), 0, 5) == {**passing, "trials": 0}
+    draws = []
+    run_trials("x", lambda rng: draws.append(rng.random()) or [None], 3, 6)
+    assert draws == [random.Random(6 ^ i).random() for i in range(3)]
+    # trial 1 fails twice and trial 3 once; an extra value is read after the last trial
+    calls, last = iter(range(4)), {}
+    outcomes = {1: [None, {"k": 1}, {"k": 9}], 3: [{"k": 2}]}
+
+    def trial(rng):
+        last["trial"] = i = next(calls)
+        return outcomes.get(i, [None])
+
+    rep = run_trials("x", trial, 4, 0, worst=last)
+    assert list(rep) == [
+        "test", "trials", "seed", "failures", "worst", "first_counterexample", "pass"
+    ]
     assert rep["trials"] == 4 and rep["failures"] == 2 and rep["first_counterexample"] == {"k": 1}
+    assert rep["worst"] == {"trial": 3} and rep["pass"] is False
+
+
+def test_run_trials_does_not_resume_a_generator_after_its_first_counterexample():
+    seen = []
+
+    def trial(rng):
+        for k in range(3):
+            seen.append(k)
+            yield {"k": k} if k == 1 else None
+
+    assert run_trials("x", trial, 1, 0)["first_counterexample"] == {"k": 1}
+    assert seen == [0, 1]
 
 
 # -- degeneration to the tropical maps ----------------------------------------------------
@@ -407,7 +431,10 @@ def test_tropical_limit_check_reports_a_counterexample_after_its_errors():
     # a gap is never negative, so a negative budget fails every trial; a zero
     # budget would not, as some inputs have an exact gap of zero
     rep = tropical_limit_check(max_boxes=4, trials=2, seed=0, epsilons=(1.0,), bound_constant=-1.0)
-    assert list(rep) == ["identity", "trials", "failures", "max_error_by_eps", "first_counterexample"]
+    assert list(rep) == [
+        "test", "trials", "seed", "failures", "max_error_by_eps", "first_counterexample", "pass"
+    ]
+    assert rep["pass"] is False
     assert 0 < rep["failures"] <= rep["trials"]
     assert set(rep["first_counterexample"]) == {"input", "map", "errors"}
 

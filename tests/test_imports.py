@@ -3,9 +3,9 @@ name a module defines is used somewhere in the package, and neither importing
 the package nor running its maps, exact checks, tropical limits or KS tests
 loads scipy or mpmath; a Whittaker quadrature loads scipy.special, and
 nothing loads scipy.stats or mpmath.  One function, polymer._collect_samples,
-builds the lanes of every Monte Carlo check, and one,
+builds the lanes of every Monte Carlo check, one,
 correspondences.counterexample, builds the counterexample of every exact
-check.
+check, and one, correspondences.report, builds the report of every check.
 
 An imported name counts as used when the module reads it anywhere in its
 code (annotations included) or lists it in `__all__`.  A module-level private
@@ -243,6 +243,44 @@ def test_the_scan_sees_a_second_counterexample_builder():
         "b.py": ast.parse("EMPTY = {'input': None}\n"),
     }
     assert _input_dicts(trees) == ["a.counterexample", "a.check.fail", "b"]
+
+
+_REPORT_KEYS = ("pass", "test")
+
+
+def _pass_dicts(trees):
+    """Where the package writes a "pass" or "test" key: in a dict display, or
+    by a subscript store such as report["pass"] = ok."""
+
+    def hit(node):
+        if isinstance(node, ast.Dict):
+            keys = node.keys
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        else:
+            return False
+        return any(isinstance(key, ast.Constant) and key.value in _REPORT_KEYS for key in keys)
+
+    return _sites(trees, hit)
+
+
+def test_reports_are_built_by_the_one_builder():
+    """Every check reports in one schema, and its exit code is read from
+    "pass", so one function of the package writes the "pass" and "test" keys."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    assert _pass_dicts(trees) == ["correspondences.report"]
+
+
+def test_the_scan_sees_a_second_report_builder():
+    trees = {
+        "a.py": ast.parse(
+            "def report(t, **s):\n    return {'test': t, **s, 'pass': True}\n"
+            "def corollary(x):\n    out = {'lhs': x}\n    out['pass'] = x < 1\n    return out\n"
+            "def fine(x):\n    return {'tests': x, 'passes': x}, x['pass']\n"
+        ),
+        "b.py": ast.parse("def judge(r):\n    def inner():\n        return {'test': r}\n"),
+    }
+    assert _pass_dicts(trees) == ["a.report", "a.corollary", "b.judge.inner"]
 
 
 _COLD_START = """

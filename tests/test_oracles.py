@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gburge.arrays import ShapedArray, random_array
+from gburge.correspondences import run_trials
 from gburge.oracles import (
     EnumerationLimitError,
     enum_nonintersecting,
@@ -20,7 +21,7 @@ from gburge.oracles import (
     replica_decomposition_outcomes,
 )
 from gburge.shapes import Shape, all_shapes, rectangle
-from gburge.values import GEOMETRIC_RATIONAL
+from gburge.values import GEOMETRIC_RATIONAL, RationalDomain
 
 R = GEOMETRIC_RATIONAL
 seeds = st.integers(0, 10_000)
@@ -173,3 +174,35 @@ def test_replica_random_environments(seed, n):
     w = random_persymmetric_square_weights(n, random.Random(seed))
     assert is_persymmetric(w)
     assert counterexamples(replica_decomposition_outcomes(w)) == []
+
+
+# -- the oracles see a wrong corner constant ------------------------------------------------
+
+# the rationals with corner 1/3 in place of 1/2: every map through a corner box changes
+WRONG_CORNER = RationalDomain("geom-rational", Fraction(1, 3), Fraction(0), Fraction(1))
+
+
+def _wrong_corner_3x3(rng):
+    return random_array(rectangle(3, 3), WRONG_CORNER, rng)
+
+
+@pytest.mark.parametrize(
+    "outcomes, failed, total",
+    [
+        (lambda w: prop4_outcomes(w, "grsk-4.1"), 3, 3),
+        (lambda w: prop4_outcomes(w, "gburge-4.2"), 9, 9),
+        (prop43_outcomes, 1, 2),
+    ],
+    ids=["grsk-4.1", "gburge-4.2", "prop4.3"],
+)
+def test_the_path_oracles_see_a_wrong_corner(outcomes, failed, total):
+    got = outcomes(_wrong_corner_3x3(random.Random(0)))
+    assert (len(counterexamples(got)), len(got)) == (failed, total)
+
+
+def test_a_wrong_corner_fails_the_path_check_report():
+    rep = run_trials("prop4.1", lambda rng: prop4_outcomes(_wrong_corner_3x3(rng), "grsk-4.1"),
+                     trials=2, seed=0)
+    assert rep["pass"] is False and rep["failures"] == 2
+    assert list(rep["first_counterexample"]) == ["input", "border_box", "k", "lhs", "rhs"]
+    assert rep["first_counterexample"]["border_box"] == [3, 3]
