@@ -36,8 +36,10 @@ from .correspondences import report
 from .polymer import EnvSpec, _burge_diagonals, _check_laplace_r, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
-# the last unit step of each chunk the box probe's tail walk evaluates at once: rank-3
-# tails end within 7 steps near x = 1 (48 at x1 = 1e30), rank-2 ones within 48, slow ones 400
+# the last unit step of each chunk the box probe's tail walk evaluates at once, past the
+# steps its ascent window already holds (out to 40, or none after a third moving sweep):
+# rank-3 tails end within 7 steps near x = 1 (48 at x1 = 1e30), rank-2 ones within 48,
+# slow ones 400
 _TAIL_CHUNKS = (16, 64, 400)
 _PANEL_WIDTH = 2.5  # widest Gauss panel of every line, in log units
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
@@ -188,13 +190,16 @@ def _log_bessel_k(nu, log_half_z):
     the small-argument term Gamma(nu)/2 (z/2)^{-nu}, off by (z/2)^2/nu < 1e-11,
     or -log(z/2) - gamma at nu = 0; from nu = 50 on, where that is off by 2%
     at nu = 200, Debye's expansion to 1/nu^4 (DLMF 10.41.4), off by 1e-3/nu^5.
-    So the result is never nan or +inf."""
+    So the result is never nan or +inf.  Where no value needs either range,
+    as on most lines, it returns log kve(nu, z) - z without building them."""
     # scipy.special costs about 0.3 s and 25 MB to import, so only a quadrature pays for it
     from scipy.special import kve
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z = 2.0 * np.exp(log_half_z)
         log_k = np.log(kve(nu, z)) - z
+        if np.isfinite(log_k).all() and (z <= 1e8).all():
+            return log_k
         large = 0.5 * (math.log(0.25 * math.pi) - log_half_z) - z
         if nu >= 50:
             log_w = math.log(2.0 / nu) + log_half_z  # log(z/nu)
@@ -221,35 +226,44 @@ def _log_psi2(a, u1, u2):
 def _probe_box(logf, start):
     """Ascent over +-40 unit steps from start, at most 3 times, stopping at
     a step of 0; then on each side the first unit step out to 400 where logf
-    falls the tail drop below the peak, padded by 2.  Slow power-law tails
-    (small parameters) need long walks, but most tails end within a few
-    steps, so the walk evaluates its unit steps in the growing chunks that
-    end at _TAIL_CHUNKS, one logf call per chunk on the sides still walking,
-    and a side stops at the first chunk that holds its end.  logf broadcasts
-    over an array of points.  Returns ((lo, hi), peak)."""
+    falls the tail drop below the peak, padded by 2.  A sweep that stops
+    has evaluated logf at the peak and at its tail steps out to 40, at the
+    same points the walk would, so both come from its window; only after a
+    third sweep that moved is the peak evaluated on its own.  Slow power-law
+    tails (small parameters) need long walks, but most tails end within a
+    few steps, so the walk evaluates the unit steps past the window in the
+    growing chunks that end at _TAIL_CHUNKS, one logf call per chunk on the
+    sides still walking, and a side stops at the first chunk that holds its
+    end.  logf broadcasts over an array of points.  Returns ((lo, hi), peak)."""
     u = float(start)
-    steps = np.arange(-40.0, 41.0)
+    window = np.arange(-40.0, 41.0)
     for _ in range(3):
-        step = steps[int(np.argmax(logf(u + steps)))]
+        values = logf(u + window)
+        step = window[int(np.argmax(values))]
         u += step
         if step == 0.0:
             break
-    peak = float(logf(u))
+    centred = step == 0.0
+    peak = float(values[40] if centred else logf(u))
     if not math.isfinite(peak):
         raise NonconvergentQuadratureError("integrand has no finite peak")
     ends = {}
-    first = 1.0
-    for last in _TAIL_CHUNKS:
-        steps = np.arange(first, last + 1.0)
-        walking = [sign for sign in (-1.0, 1.0) if sign not in ends]
-        below = logf(np.concatenate([u + sign * steps for sign in walking])) < peak - _TAIL_LOG_DROP
-        for sign, row in zip(walking, below.reshape(len(walking), steps.size)):
-            if row.any():
-                ends[sign] = u + sign * steps[int(np.argmax(row))]
+    first, steps = (41.0, window[41:]) if centred else (1.0, None)
+    rows = zip((-1.0, 1.0), (values[39::-1], values[41:])) if centred else ()
+    for last in (*(c for c in _TAIL_CHUNKS if c >= first), None):
+        for sign, row in rows:
+            below = row < peak - _TAIL_LOG_DROP
+            if below.any():
+                ends[sign] = u + sign * steps[int(np.argmax(below))]
         if len(ends) == 2:
             return (ends[-1.0] - 2.0, ends[1.0] + 2.0), peak
+        if last is None:
+            raise NonconvergentQuadratureError("mass did not localize")
+        steps = np.arange(first, last + 1.0)
+        walking = [sign for sign in (-1.0, 1.0) if sign not in ends]
+        points = np.concatenate([u + sign * steps for sign in walking])
+        rows = zip(walking, logf(points).reshape(len(walking), steps.size))
         first = last + 1.0
-    raise NonconvergentQuadratureError("mass did not localize")
 
 
 @functools.cache
@@ -411,8 +425,7 @@ def _measure_predictions(alpha, beta, s_cuts, t_cuts, r_values):
 def _measure_report(alpha, beta, seed, xs1, xs2, r_values, diagnostics):
     """The whittaker-measure report on the sampled diagonals (xs1, xs2)."""
     samples = len(xs1)
-    s_cuts = [float(np.quantile(xs1, q)) for q in _QUANTILES]
-    t_cuts = [float(np.quantile(xs2, q)) for q in _QUANTILES]
+    s_cuts, t_cuts = (np.quantile(xs, _QUANTILES).tolist() for xs in (xs1, xs2))
     total_mass, cdf, laplace_at, nodes = _measure_predictions(alpha, beta, s_cuts, t_cuts, r_values)
     cdf_points = []
     for (s, t), predicted in zip(itertools.product(s_cuts, t_cuts), cdf):

@@ -508,6 +508,67 @@ def test_a_rank3_probe_evaluates_at_most_200_points(monkeypatch):
     assert sum(points) <= 200
 
 
+def counted_probe(logf, start):
+    """_probe_box(logf, start), and the array of points of each logf call it made."""
+    calls = []
+
+    def counting(d):
+        calls.append(np.atleast_1d(d).ravel().copy())
+        return logf(d)
+
+    return _probe_box(counting, start), calls
+
+
+# logf calls and points of each caller's probe: one or two ascent windows of 81
+# points, the last of which holds the peak and every tail that ends within 40
+# steps, then the chunks past step 40 (41-64 and 65-400) on the sides still
+# walking.  A first window centred one step or more away may share points with
+# the last; from the last window on no point is evaluated twice.  (A rank-3
+# probe took 4 calls and 195 points: the peak again and 16 tail steps a side)
+PROBE_COUNTS = {
+    "rank1-2-3": (2, 162),
+    "rank1-0.12-1": (4, 522),
+    "measure-1.5,2.5-0.5": (2, 162),
+    "measure-1,1.5-1": (2, 105),
+    **{f"psi3-{i}": (2, 162) for i in range(len(RANK3_POINTS))},
+}
+
+
+@pytest.mark.parametrize("caller", PROBED_CALLERS)
+def test_probe_box_evaluates_each_point_once(monkeypatch, caller):
+    (logf, start), = probed_integrands(monkeypatch, PROBED_CALLERS[caller])
+    box, calls = counted_probe(logf, start)
+    assert box == unit_step_line_box(logf, start)
+    assert (len(calls), sum(c.size for c in calls)) == PROBE_COUNTS[caller]
+    last_window = max(i for i, c in enumerate(calls) if c.size == 81)  # no chunk has 81
+    points = np.concatenate(calls[last_window:])
+    assert np.unique(points).size == points.size
+
+
+@pytest.mark.parametrize("top, sizes, fresh", [
+    (80.0, [81, 81, 81], 2),  # the third sweep stops: its window holds the tails
+    (130.0, [81, 81, 81, 1, 32, 96], 3),  # the third sweep moves: the peak on its own
+])
+def test_probe_box_after_three_sweeps(top, sizes, fresh):
+    # a peak at u = top, both sides falling 46 in 29 unit steps.  From call
+    # fresh on no point is evaluated twice: from the last window that stopped,
+    # or from the peak after a moving third sweep (its window ends on that point)
+    logf = lambda u: -1.6 * np.abs(u - top)  # noqa: E731
+    box, calls = counted_probe(logf, 0.0)
+    assert box == unit_step_line_box(logf, 0.0)
+    assert [c.size for c in calls] == sizes
+    points = np.concatenate(calls[fresh:])
+    assert np.unique(points).size == points.size
+
+
+@pytest.mark.parametrize("top", [0.0, 130.0])
+def test_probe_box_reports_a_peak_that_is_not_finite(top):
+    # the ascent stops on nan at u = top, or is still moving on -inf after 3 sweeps
+    logf = lambda u: np.where(u == top, np.nan, -np.inf)  # noqa: E731
+    with pytest.raises(NonconvergentQuadratureError, match="^integrand has no finite peak$"):
+        _probe_box(logf, 0.0)
+
+
 # -- the measure ---------------------------------------------------------------
 
 
@@ -826,6 +887,65 @@ def test_log_bessel_k_where_kve_overflows_at_large_order(nu):
         assert float(_log_bessel_k(nu, log_half_z)) == pytest.approx(want, rel=1e-14, abs=1e-11)
 
 
+def three_branch_log_bessel_k(nu, log_half_z):
+    """_log_bessel_k's formula with both fallback ranges always built: the
+    large-argument term past z = 1e8, and where kve overflows the small-argument
+    term (nu < 50, or -log(z/2) - gamma at nu = 0) or Debye's expansion."""
+    from scipy.special import kve
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = 2.0 * np.exp(log_half_z)
+        log_k = np.log(kve(nu, z)) - z
+        large = 0.5 * (math.log(0.25 * math.pi) - log_half_z) - z
+        if nu >= 50:
+            log_w = math.log(2.0 / nu) + log_half_z
+            s = np.sqrt(1.0 + np.exp(2.0 * np.minimum(log_w, 300.0)))
+            series = sum((-1.0 / (nu * s)) ** k * np.polyval(coef, 1.0 / (s * s)) / den
+                         for k, (coef, den) in enumerate(whittaker._DEBYE, start=1))
+            small = (0.5 * math.log(0.5 * math.pi / nu) - nu * (s + log_w - np.log1p(s))
+                     - 0.5 * np.log(s) + np.log1p(series))
+        elif nu > 0:
+            small = math.lgamma(nu) - math.log(2.0) - nu * log_half_z
+        else:
+            small = np.log(-log_half_z - np.euler_gamma)
+        return np.where(z > 1e8, large, np.where(np.isfinite(log_k), log_k, small))
+
+
+ORDINARY = np.linspace(-3.0, 3.0, 81)
+
+
+@pytest.mark.parametrize("nu, log_half_z, fallback", [
+    (0.0, ORDINARY, None),
+    (2.5, ORDINARY, None),
+    (60.0, ORDINARY, None),
+    (200.0, ORDINARY + 6.0, None),
+    (2.5, np.append(ORDINARY, [-300.0, -700.0]), "kve overflows below order 50"),
+    (0.0, np.append(ORDINARY, [-800.0]), "z underflows at order 0"),
+    (200.0, np.append(ORDINARY, [0.0, -5.0]), "Debye at order 200"),
+    (60.0, np.append(ORDINARY, [-8.0, -10.0]), "Debye at order 60"),
+    (1.5, np.append(ORDINARY, [math.log(5.1e7), 700.0]), "z past 1e8"),
+    (7.0, np.concatenate([ORDINARY, [-400.0, math.log(5.1e7)]]), "both ranges"),
+])
+def test_log_bessel_k_fast_path_is_the_three_branch_formula(nu, log_half_z, fallback):
+    # bit for bit, on lines where no value needs a fallback and on lines that
+    # mix ordinary values with each fallback range, where the plain formula
+    # log kve - z is off in at least one bit
+    from scipy.special import kve
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = 2.0 * np.exp(log_half_z)
+        plain = np.log(kve(nu, z)) - z
+    assert (np.isfinite(plain) & (z <= 1e8)).all() == (fallback is None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _log_bessel_k(nu, log_half_z)
+        scalars = [_log_bessel_k(nu, v) for v in log_half_z[::9]]
+    want = three_branch_log_bessel_k(nu, log_half_z)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (plain.tobytes() == want.tobytes()) == (fallback is None)
+    assert [float(v).hex() for v in scalars] == [float(v).hex() for v in want[::9]]
+
+
 def test_rank2_psi_where_kve_overflows_at_large_order():
     # K_200(2) = e^{857.9}: the small-argument leading term read 0.5% low
     alpha, x = (-100.0, -300.0), (math.exp(2.0), math.exp(2.0))
@@ -900,3 +1020,72 @@ def test_replica_laplace_matches_the_quadrature():
     result = laplace_mc(spec, [1.0], samples=30_000, seed=99)[0]
     predicted = _measure_predictions((1.0, 1.0), 0.5, (), (), (1.0,))[2][0]
     assert abs(result.estimate - predicted) <= 3 * result.stderr
+
+
+# -- bit pins -------------------------------------------------------------------
+
+# float.hex of outputs recorded before the probe reused its last ascent window,
+# _log_bessel_k skipped unneeded fallbacks and the quantiles were batched; every
+# later change to the line rule must keep them or say why they moved.  Rank-3
+# Psi at 4 points drawn as in the benchmark (random.Random(29), rounded to 3
+# digits), each at the 6 orders of alpha
+PSI3_PINS = {
+    ((0.048, -0.154, 0.345), (-0.296, 0.014, -0.219)): (
+        "0x1.d25bb4ae0e3cep-7", "0x1.d25bb4ae0e4f3p-7", "0x1.d25bb4ae0e3cep-7",
+        "0x1.d25bb4ae0e586p-7", "0x1.d25bb4ae0e4f3p-7", "0x1.d25bb4ae0e586p-7"),
+    ((-0.085, 0.474, -0.396), (-0.077, -0.385, -0.211)): (
+        "0x1.a297830de9119p-6", "0x1.a297830de90f1p-6", "0x1.a297830de9119p-6",
+        "0x1.a297830de905ap-6", "0x1.a297830de90f1p-6", "0x1.a297830de905ap-6"),
+    ((0.499, -0.171, 0.108), (-0.113, 0.323, -0.074)): (
+        "0x1.0bdac505c4dabp-6", "0x1.0bdac505c4e34p-6", "0x1.0bdac505c4dabp-6",
+        "0x1.0bdac505c4ddfp-6", "0x1.0bdac505c4e34p-6", "0x1.0bdac505c4ddfp-6"),
+    ((-0.33, -0.066, -0.092), (0.41, 0.088, -0.425)): (
+        "0x1.065d2f605b41bp-4", "0x1.065d2f605b466p-4", "0x1.065d2f605b41bp-4",
+        "0x1.065d2f605b437p-4", "0x1.065d2f605b466p-4", "0x1.065d2f605b437p-4"),
+}
+
+
+@pytest.mark.parametrize("alpha, log_x", PSI3_PINS)
+def test_rank3_psi_is_pinned_bit_for_bit(alpha, log_x):
+    x = tuple(math.exp(v) for v in log_x)
+    got = [psi(WhittakerParams(3, perm, x)).hex() for perm in itertools.permutations(alpha)]
+    assert tuple(got) == PSI3_PINS[alpha, log_x]
+
+
+# (lhs, rhs, relerr) of the benchmark's rank-2 corollary pairs
+COROLLARY_PINS = [
+    ("0x1.800000000000fp+5", "0x1.7fffffffffff8p+5", "0x1.eaaaaaaaaaab5p-49"),
+    ("0x1.8000000000008p-2", "0x1.8000000000003p-2", "0x1.aaaaaaaaaaaa7p-51"),
+    ("0x1.c463abeccb2c9p+6", "0x1.c463abeccb2c0p+6", "0x1.45f306dc9c87fp-50"),
+]
+
+
+@pytest.mark.parametrize("pair, pins", list(zip(BENCHMARK_PAIRS, COROLLARY_PINS)))
+def test_corollary_is_pinned_bit_for_bit(pair, pins):
+    assert tuple(v.hex() for v in corollary_check(*pair)) == pins
+
+
+def test_measure_predictions_are_pinned_bit_for_bit():
+    # the benchmark's measure check: alpha = (1, 1.5), beta = 1, 5000 samples, seed 11
+    report = whittaker_measure_check((1.0, 1.5), 1.0, samples=5000, seed=11)
+    points = report["cdf_points"]
+    assert report["total_mass"].hex() == "0x1.0000000000000p+0"
+    assert [p["s"].hex() for p in points[::5]] == [
+        "0x1.ae24e4da59167p-4", "0x1.4088453167448p-2", "0x1.6e9dbb1547b1fp-1",
+        "0x1.bfc165bc07d30p+0", "0x1.1d3c85ca8f345p+3"]
+    assert [p["t"].hex() for p in points[:5]] == [
+        "0x1.bd1db4e9126dep-3", "0x1.4f17274ea3394p-2", "0x1.d09da262ff3f2p-2",
+        "0x1.4f73230efd243p-1", "0x1.334c54f7a8c4cp+0"]
+    assert [p["predicted"].hex() for p in points] == [
+        "0x1.c7e8f69e9b30ep-6", "0x1.f2a75c2e6937fp-5", "0x1.4e2ef403fa63ap-4",
+        "0x1.7f237cd1e733cp-4", "0x1.92e2027715875p-4", "0x1.d15accf1c9d5ap-5",
+        "0x1.2526cb7bfd504p-3", "0x1.b22863f2d7bfdp-3", "0x1.0ea542e5e5787p-2",
+        "0x1.2fc19d2cc6fa0p-2", "0x1.33162b37e3bb0p-4", "0x1.9c6d4fa2b54ddp-3",
+        "0x1.40c0bf10aac35p-2", "0x1.a3135223522dcp-2", "0x1.ed302b5170c18p-2",
+        "0x1.67b6a4d50d93ap-4", "0x1.f7184f9cf53d7p-3", "0x1.943f2f719f6d2p-2",
+        "0x1.1108745469948p-1", "0x1.4e1280bbbe9ccp-1", "0x1.9138903c6ba6ep-4",
+        "0x1.2183e981de944p-2", "0x1.ddb8075916fcbp-2", "0x1.4c0438e9e2843p-1",
+        "0x1.a5c6473501973p-1"]
+    assert [p["predicted"].hex() for p in report["laplace"]] == [
+        "0x1.2ccefd0ae2a63p-1", "0x1.d4f9bd5cee94ep-2", "0x1.4d302243734a1p-2"]
+    assert report["diagnostics"]["d_nodes"] == 920
