@@ -157,6 +157,14 @@ def _mix64_lanes(z):
     return z ^ (z >> _S31)
 
 
+_EVERY = slice(None)  # every lane, as a basic slice: reads are views, and writes rebind
+
+
+def _pick(lanes, mask):
+    """The lanes of lanes (_EVERY or an index array) where mask holds, as an index array."""
+    return np.flatnonzero(mask) if lanes is _EVERY else lanes[mask]
+
+
 class _Lanes:
     """Stream(seed, i, *tags) for every sample index i of a block, lane k
     holding index[k]: its base key, its uint64 counter and its spare normal
@@ -164,8 +172,13 @@ class _Lanes:
 
     Every draw takes, lane by lane, the same uniforms as the scalar Stream and
     _sample_gamma would, so the values match the scalar ones up to numpy's
-    log, sin, cos and pow differing from libm in the last ulp.  Parameters
-    are not checked here: the callers pass validated ones.
+    log, sin, cos and pow differing from libm in the last ulp.  A draw on
+    every lane (the first round of a gamma draw, and its boost) takes the
+    lanes as _EVERY, reading views and rebinding count and spare whole; only
+    a draw on some of them (a retry round, or the lanes without a spare
+    normal) gathers and scatters through an index array.  Lane by lane both
+    forms compute the same bits.  Parameters are not checked here: the
+    callers pass validated ones.
     """
 
     def __init__(self, seed: int, index, *tags: int):
@@ -185,47 +198,67 @@ class _Lanes:
         return int(self.count.sum())
 
     def _uniform(self, lanes):
-        """Stream.uniform() on each of the given lanes."""
+        """Stream.uniform() on each of the given lanes (_EVERY or an index array)."""
         count = self.count[lanes] + _ONE_U64
-        self.count[lanes] = count
+        if lanes is _EVERY:
+            self.count = count
+        else:
+            self.count[lanes] = count
         z = _mix64_lanes(self.keys[lanes] + count * _GOLDEN_U64)
         return ((z >> _S11) + _ONE_U64) * 2.0**-53
 
     def _normal(self, lanes):
-        """Stream.normal() on each of the given lanes."""
-        z = self.spare[lanes]
+        """Stream.normal() on each of the given lanes (_EVERY or an index array)."""
+        z = self.spare[lanes]  # for _EVERY the spare array itself, which is rebound below
         fresh = np.isnan(z)
-        self.spare[lanes] = np.nan
-        new = lanes[fresh]
+        new = lanes if fresh.all() else _pick(lanes, fresh)
         radius = np.sqrt(-2.0 * np.log(self._uniform(new)))
         angle = 2.0 * math.pi * self._uniform(new)
-        self.spare[new] = radius * np.sin(angle)
-        z[fresh] = radius * np.cos(angle)
+        if new is lanes:
+            spare, z = radius * np.sin(angle), radius * np.cos(angle)
+        else:
+            spare = np.full(z.size, np.nan)
+            spare[fresh] = radius * np.sin(angle)
+            z[fresh] = radius * np.cos(angle)
+        if lanes is _EVERY:
+            self.spare = spare
+        else:
+            self.spare[lanes] = spare
         return z
 
     def gamma(self, shape: float):
         """_sample_gamma(shape, .) on every lane: Marsaglia-Tsang as masked
-        rejection rounds over the lanes still drawing."""
+        rejection rounds, the first over every lane and each later one over
+        the lanes still drawing; the log test runs only where the cheap
+        squeeze fails."""
         if shape < 1.0:
-            g = self.gamma(shape + 1.0)
-            return g * self._uniform(np.arange(len(self.keys))) ** (1.0 / shape)
+            return self.gamma(shape + 1.0) * self._uniform(_EVERY) ** (1.0 / shape)
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         out = np.empty(len(self.keys))
-        todo = np.arange(len(self.keys))
-        while todo.size:
+        todo = _EVERY
+        while todo is _EVERY or todo.size:
             x = self._normal(todo)
+            drawn = x.size
             v = 1.0 + c * x
             live = v > 0.0
-            lanes, x, v = todo[live], x[live], v[live]
+            lanes = todo
+            if not live.all():
+                lanes, x, v = _pick(todo, live), x[live], v[live]
             v = v * v * v
             u = self._uniform(lanes)
-            done = (u < 1.0 - 0.0331 * x * x * x * x) | (
-                np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v))
-            )
-            out[lanes[done]] = d * v[done]
-            self.rejections += todo.size - int(np.count_nonzero(done))
-            todo = np.concatenate((todo[~live], lanes[~done]))
+            done = u < 1.0 - 0.0331 * x * x * x * x
+            slow = np.flatnonzero(~done)
+            xs, vs = x[slow], v[slow]
+            done[slow] = np.log(u[slow]) < 0.5 * xs * xs + d * (1.0 - vs + np.log(vs))
+            if lanes is _EVERY:
+                out = d * v  # the lanes not done take theirs in a later round
+            else:
+                out[lanes[done]] = d * v[done]
+            self.rejections += drawn - int(np.count_nonzero(done))
+            todo = np.concatenate((_pick(todo, ~live), _pick(lanes, ~done)))
+            if todo.size == out.size:  # every lane draws again
+                todo = _EVERY
         return out
 
     def inv_gamma(self, alpha: float, beta: float):

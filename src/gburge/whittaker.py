@@ -226,25 +226,42 @@ def _log_psi2(a, u1, u2):
 def _probe_box(logf, start):
     """Ascent over +-40 unit steps from start, at most 3 times, stopping at
     a step of 0; then on each side the first unit step out to 400 where logf
-    falls the tail drop below the peak, padded by 2.  A sweep that stops
-    has evaluated logf at the peak and at its tail steps out to 40, at the
-    same points the walk would, so both come from its window; only after a
-    third sweep that moved is the peak evaluated on its own.  Slow power-law
-    tails (small parameters) need long walks, but most tails end within a
-    few steps, so the walk evaluates the unit steps past the window in the
-    growing chunks that end at _TAIL_CHUNKS, one logf call per chunk on the
-    sides still walking, and a side stops at the first chunk that holds its
-    end.  logf broadcasts over an array of points.  Returns ((lo, hi), peak)."""
+    falls the tail drop below the peak, padded by 2.  A sweep after the first
+    builds its points as u + window, and copies the value of each one that
+    equals, bit for bit, the point of the previous window it shifted onto;
+    logf sees only the others (a first step of 1 or 2 usually leaves 1 or 2).
+    The peak is the last window's value at its step, the same float as u.  A
+    sweep that stops has evaluated logf at its tail steps out to 40, at the
+    same points the walk would, so they come from its window; after a third
+    sweep that moved the walk starts at step 1.  Slow power-law tails (small
+    parameters) need long walks, but most tails end within a few steps, so
+    the walk evaluates the unit steps past the window in the growing chunks
+    that end at _TAIL_CHUNKS, one logf call per chunk on the sides still
+    walking, and a side stops at the first chunk that holds its end.  logf
+    broadcasts over an array of points.  Returns ((lo, hi), peak)."""
     u = float(start)
     window = np.arange(-40.0, 41.0)
-    for _ in range(3):
-        values = logf(u + window)
+    points = u + window
+    values = logf(points)
+    for sweep in range(3):
         step = window[int(np.argmax(values))]
         u += step
-        if step == 0.0:
+        if step == 0.0 or sweep == 2:
             break
+        # point k of the next window is meant to be point k + step of this one: copy
+        # the value where the two floats are equal, which is equal bits, as u + window
+        # is never nan and its zero is +0.0
+        shift = int(step)
+        kept = slice(max(0, -shift), 81 - max(0, shift))
+        shifted = slice(kept.start + shift, kept.stop + shift)
+        moved, copied = u + window, np.empty(81)
+        copied[kept] = values[shifted]
+        fresh = np.full(81, True)
+        np.not_equal(moved[kept], points[shifted], out=fresh[kept])
+        copied[fresh] = logf(moved[fresh])
+        points, values = moved, copied
     centred = step == 0.0
-    peak = float(values[40] if centred else logf(u))
+    peak = float(values[40 + int(step)])
     if not math.isfinite(peak):
         raise NonconvergentQuadratureError("integrand has no finite peak")
     ends = {}
@@ -401,23 +418,30 @@ def _measure_predictions(alpha, beta, s_cuts, t_cuts, r_values):
     P(x1 <= s, x2 <= t) is the h-average of Q(a, beta / min(t, s e^d)), Q the
     regularized upper incomplete gamma, cut where the min switches; E e^{-r x1}
     that of L(r e^{-d}), L(rho) = 2 (beta rho)^{a/2} K_a(2 sqrt(beta rho)) /
-    Gamma(a) the Laplace transform of x2; the total is Gamma(a) beta^{-a} int h."""
+    Gamma(a) the Laplace transform of x2; the total is Gamma(a) beta^{-a} int h.
+    Q's argument, clamped to e^700, is either the t side's, one value per t
+    cut, or the s side's, one row over the nodes per s cut, so Q is evaluated
+    on those alone and each (s, t) row picks its side node by node."""
     from scipy.special import gammaincc
 
     c = normalization_c(alpha, beta)  # first, so an overflow names the constant
     a = sum(alpha)
-    log_s = np.log(np.repeat(s_cuts, len(t_cuts)))[:, None]
-    log_t = np.log(np.tile(t_cuts, len(s_cuts)))[:, None]
+    log_s = np.log(np.asarray(s_cuts, dtype=float))[:, None, None]
+    log_t = np.log(np.asarray(t_cuts, dtype=float))[:, None]
     log_half = 0.5 * np.log(beta * np.asarray(r_values, dtype=float))[:, None]
+    q_t = gammaincc(a, np.exp(np.minimum(math.log(beta) - log_t, 700.0)))
 
     def rows(d):
-        cdf = gammaincc(a, np.exp(np.minimum(math.log(beta) - np.minimum(log_t, log_s + d), 700.0)))
+        s_side = log_s + d  # (s, 1, node): at or past log t, Q is the t side's
+        q_s = gammaincc(a, np.exp(np.minimum(math.log(beta) - s_side, 700.0)))
+        cdf = np.where(log_t <= s_side, q_t, q_s).reshape(-1, d.size)  # s outer, t inner
         half_z = log_half - 0.5 * d  # log sqrt(beta r e^{-d})
         laplace = np.exp(math.log(2.0) + a * half_z + _log_bessel_k(a, half_z) - math.lgamma(a))
         return np.vstack([np.ones_like(d), cdf, laplace])
 
     mantissas, peak, nodes = _d_line(alpha, (log_t - log_s).ravel(), rows)
-    total, cdf, laplace = mantissas[0], mantissas[1:1 + log_s.size], mantissas[1 + log_s.size:]
+    points = len(s_cuts) * len(t_cuts)
+    total, cdf, laplace = mantissas[0], mantissas[1:1 + points], mantissas[1 + points:]
     total_mass = total * math.exp(peak + math.lgamma(a) - a * math.log(beta) - math.log(c))
     return float(total_mass), (cdf / total).tolist(), (laplace / total).tolist(), nodes
 

@@ -519,18 +519,17 @@ def counted_probe(logf, start):
     return _probe_box(counting, start), calls
 
 
-# logf calls and points of each caller's probe: one or two ascent windows of 81
-# points, the last of which holds the peak and every tail that ends within 40
-# steps, then the chunks past step 40 (41-64 and 65-400) on the sides still
-# walking.  A first window centred one step or more away may share points with
-# the last; from the last window on no point is evaluated twice.  (A rank-3
-# probe took 4 calls and 195 points: the peak again and 16 tail steps a side)
+# logf calls and points of each caller's probe: one or two ascent windows, the
+# second evaluating only its points that are not, bit for bit, points of the
+# first (1 or 2 steps past its end, and any the shift rounded differently); the
+# last window holds the peak and every tail that ends within 40 steps; then the
+# chunks past step 40 (41-64 and 65-400) on the sides still walking
 PROBE_COUNTS = {
-    "rank1-2-3": (2, 162),
-    "rank1-0.12-1": (4, 522),
-    "measure-1.5,2.5-0.5": (2, 162),
+    "rank1-2-3": (2, 82),
+    "rank1-0.12-1": (4, 443),
+    "measure-1.5,2.5-0.5": (2, 82),
     "measure-1,1.5-1": (2, 105),
-    **{f"psi3-{i}": (2, 162) for i in range(len(RANK3_POINTS))},
+    "psi3-0": (2, 83), "psi3-1": (2, 82), "psi3-2": (2, 83), "psi3-3": (2, 82), "psi3-4": (2, 82),
 }
 
 
@@ -540,19 +539,36 @@ def test_probe_box_evaluates_each_point_once(monkeypatch, caller):
     box, calls = counted_probe(logf, start)
     assert box == unit_step_line_box(logf, start)
     assert (len(calls), sum(c.size for c in calls)) == PROBE_COUNTS[caller]
-    last_window = max(i for i, c in enumerate(calls) if c.size == 81)  # no chunk has 81
-    points = np.concatenate(calls[last_window:])
+    points = np.concatenate(calls)  # over the whole probe, both windows included
     assert np.unique(points).size == points.size
 
 
+def test_probe_box_evaluates_again_a_shifted_point_that_is_not_bit_equal():
+    # from 0.3 the first step is +2, and (0.3 + 2) + k is not always the float
+    # 0.3 + (k + 2) of the first window: the second window evaluates those
+    # points again, each off a first-window point by at most an ulp of the
+    # 2.3 it was shifted by, with the 2 new ones past its end, and copies the rest
+    logf = lambda u: -((u - 2.3) ** 2)  # noqa: E731
+    box, calls = counted_probe(logf, 0.3)
+    assert box == unit_step_line_box(logf, 0.3)
+    first, second = calls
+    moved = (0.3 + 2.0) + np.arange(-40.0, 41.0)
+    assert np.array_equal(second, moved[~np.isin(moved, first)])
+    again = second[second < first.max()]
+    assert again.size == 4
+    assert all(0 < np.abs(first - p).min() <= np.spacing(2.3) for p in again)
+
+
 @pytest.mark.parametrize("top, sizes, fresh", [
-    (80.0, [81, 81, 81], 2),  # the third sweep stops: its window holds the tails
-    (130.0, [81, 81, 81, 1, 32, 96], 3),  # the third sweep moves: the peak on its own
+    (80.0, [81, 40, 40], 0),  # the third sweep stops: its window holds the tails
+    (130.0, [81, 40, 40, 32, 96], 3),  # the third sweep moves: its window holds the peak
 ])
 def test_probe_box_after_three_sweeps(top, sizes, fresh):
-    # a peak at u = top, both sides falling 46 in 29 unit steps.  From call
-    # fresh on no point is evaluated twice: from the last window that stopped,
-    # or from the peak after a moving third sweep (its window ends on that point)
+    # a peak at u = top, both sides falling 46 in 29 unit steps; on integer
+    # points each window shifted by 40 evaluates only its 40 new points.  From
+    # call fresh on no point is evaluated twice: over the whole probe when the
+    # third sweep stops; after a moving one the tail walk from step 1
+    # evaluates again what its window held
     logf = lambda u: -1.6 * np.abs(u - top)  # noqa: E731
     box, calls = counted_probe(logf, 0.0)
     assert box == unit_step_line_box(logf, 0.0)
@@ -1089,3 +1105,119 @@ def test_measure_predictions_are_pinned_bit_for_bit():
     assert [p["predicted"].hex() for p in report["laplace"]] == [
         "0x1.2ccefd0ae2a63p-1", "0x1.d4f9bd5cee94ep-2", "0x1.4d302243734a1p-2"]
     assert report["diagnostics"]["d_nodes"] == 920
+
+
+# the same check at alpha = (0.2, 0.2), beta = 0.2 (5000 samples, seed 11),
+# whose slow tails take a d line of 2,480 nodes
+SMALL_ALPHA_PINS = {
+    "total_mass": "0x1.0000000000002p+0",
+    "s": ["0x1.6cfe57c28c323p+4", "0x1.de3f17ce686f9p+9", "0x1.7ccadaddd80fcp+14",
+          "0x1.8328143932b19p+20", "0x1.5360d86d39d87p+31"],
+    "t": ["0x1.6d221643994acp-3", "0x1.f3e7b8620668dp-2", "0x1.603b0570b1146p+0",
+          "0x1.323a0ade60074p+2", "0x1.2cc6f755f54d2p+6"],
+    "cdf": [
+        "0x1.9cab7243146f0p-6", "0x1.ee5642b0c582fp-5", "0x1.5ec9926ba660ep-4",
+        "0x1.92678d11aca26p-4", "0x1.a0ee31ddeaeffp-4", "0x1.9d75f0a6f7ce2p-5",
+        "0x1.135a498dd8d49p-3", "0x1.afbcc4790e278p-3", "0x1.1043a94479187p-2",
+        "0x1.3547bb5beaf2dp-2", "0x1.1649de08a7c2cp-4", "0x1.815fffd02646dp-3",
+        "0x1.3992d5aad8218p-2", "0x1.9b2b7767bd145p-2", "0x1.ee7e0cb1ee38cp-2",
+        "0x1.53e8daf240d84p-4", "0x1.e237653c9fe11p-3", "0x1.917d9bd49ac6dp-2",
+        "0x1.0db66517d5d7dp-1", "0x1.5176ece6b1e87p-1", "0x1.8765bc896e439p-4",
+        "0x1.1a38e2515d544p-2", "0x1.dd51102c4ea35p-2", "0x1.46012dbdaaafep-1",
+        "0x1.a380a5b919e59p-1"],
+    "laplace": ["0x1.6f9dfb469220bp-6", "0x1.b3659b0d09cd6p-7", "0x1.da7efcee21775p-8"],
+    "d_nodes": 2480,
+}
+
+
+def test_measure_predictions_at_small_alpha_are_pinned_bit_for_bit():
+    report = whittaker_measure_check((0.2, 0.2), 0.2, samples=5000, seed=11)
+    points = report["cdf_points"]
+    got = {
+        "total_mass": report["total_mass"].hex(),
+        "s": [p["s"].hex() for p in points[::5]],
+        "t": [p["t"].hex() for p in points[:5]],
+        "cdf": [p["predicted"].hex() for p in points],
+        "laplace": [p["predicted"].hex() for p in report["laplace"]],
+        "d_nodes": report["diagnostics"]["d_nodes"],
+    }
+    assert got == SMALL_ALPHA_PINS
+
+
+def cdf_rows_one_per_point(a, beta, s_cuts, t_cuts, d):
+    """Q(a, beta / min(t, s e^d)) at every (s, t), s outer, over the nodes d:
+    one gammaincc row per point, the measure's CDF rows before they were
+    built from one row per s cut and one value per t cut."""
+    from scipy.special import gammaincc
+
+    log_s = np.log(np.repeat(s_cuts, len(t_cuts)))[:, None]
+    log_t = np.log(np.tile(t_cuts, len(s_cuts)))[:, None]
+    return gammaincc(a, np.exp(np.minimum(math.log(beta) - np.minimum(log_t, log_s + d), 700.0)))
+
+
+def measure_cdf_rows(monkeypatch, alpha, beta, s_cuts, t_cuts):
+    """The CDF rows of _measure_predictions at these cuts, as a function of the
+    nodes, and the nodes of its d line."""
+    seen = {}
+    real = whittaker._d_line
+
+    def recording(alpha, cuts=(), rows=None):
+        def recording_rows(d):
+            seen["d"] = d
+            return rows(d)
+
+        seen["rows"] = rows
+        return real(alpha, cuts, recording_rows)
+
+    monkeypatch.setattr(whittaker, "_d_line", recording)
+    _measure_predictions(alpha, beta, s_cuts, t_cuts, (1.0,))
+    points = len(s_cuts) * len(t_cuts)
+    return (lambda d: seen["rows"](d)[1:1 + points]), seen["d"]
+
+
+def test_measure_cdf_rows_equal_one_gammaincc_row_per_point(monkeypatch):
+    # the benchmark's cuts on its own d nodes; then nodes where t = s e^d holds
+    # exactly, with their neighbours an ulp away; then cuts and nodes where
+    # beta / min(t, s e^d) passes e^700 on either side and the clamp holds it
+    alpha, beta = (1.0, 1.5), 1.0
+    a = sum(alpha)
+    report = whittaker_measure_check(alpha, beta, samples=5000, seed=11)
+    s_cuts = [p["s"] for p in report["cdf_points"][::5]]
+    t_cuts = [p["t"] for p in report["cdf_points"][:5]]
+    rows, d = measure_cdf_rows(monkeypatch, alpha, beta, s_cuts, t_cuts)
+    assert d.size == report["diagnostics"]["d_nodes"]
+    want = cdf_rows_one_per_point(a, beta, s_cuts, t_cuts, d)
+    assert rows(d).tobytes() == want.tobytes()
+
+    log_s, log_t = np.log(s_cuts)[:, None], np.log(t_cuts)
+    d = (log_t - log_s).ravel()
+    d = np.concatenate([np.nextafter(d, -np.inf), d, np.nextafter(d, np.inf)])
+    ties = log_s[:, None, :] + d == log_t[:, None]  # (s, t, node)
+    assert np.count_nonzero(ties.any(axis=2)) == 13  # 13 of the 25 (s, t) meet a node exactly
+    want = cdf_rows_one_per_point(a, beta, s_cuts, t_cuts, d)
+    assert rows(d).tobytes() == want.tobytes()
+
+    s_cuts, t_cuts = (0.5, 2.0), (1e-305, 0.3, 4.0)
+    rows, _ = measure_cdf_rows(monkeypatch, alpha, beta, s_cuts, t_cuts)
+    d = np.linspace(-760.0, 40.0, 801)
+    assert (math.log(beta) - (math.log(0.5) + d) > 700.0).sum() > 50  # the s side clamps
+    assert math.log(beta) - math.log(1e-305) > 700.0  # and so does the first t side
+    want = cdf_rows_one_per_point(a, beta, s_cuts, t_cuts, d)
+    assert rows(d).tobytes() == want.tobytes()
+
+
+def test_measure_check_evaluates_gammaincc_once_per_s_cut_node_and_t_cut(monkeypatch):
+    # one row over the d nodes per s cut and one value per t cut: 5 x 920 + 5
+    import scipy.special
+
+    values = []
+    real = scipy.special.gammaincc
+
+    def counting(a, x):
+        values.append(np.size(x))
+        return real(a, x)
+
+    monkeypatch.setattr(scipy.special, "gammaincc", counting)
+    report = whittaker_measure_check((1.0, 1.5), 1.0, samples=5000, seed=11)
+    assert report["diagnostics"]["d_nodes"] == 920
+    assert sum(values) == 5 * 920 + 5
