@@ -487,6 +487,10 @@ def verify_identity(
     up to 8 boxes.  Each of the `trials` inputs is one `run_trials` trial,
     so reports are deterministic.  An exact domain compares with ==, an
     inexact one to relative tolerance tol.  Returns the `run_trials` report.
+
+    None of the nine sees a wrong corner constant: each reports 0 failures
+    in a RationalDomain with corner 1/3 (max_size 4, 20 trials, seed 0).
+    The path identities prop4.1, prop4.2 and prop4.3 catch it.
     """
     if name not in _TRIALS:
         raise ValueError(f"unknown identity {name!r}; expected one of {sorted(IDENTITY_NAMES)}")
@@ -540,6 +544,10 @@ def tropical_limit_check(
     map on at most 9 boxes performs well under a hundred of them.  Each
     trial draws one input and runs every map on it, failing if any map
     does; max_error_by_eps is the worst gap over all trials and maps.
+
+    It cannot see a wrong geometric corner: with a LogDomain whose corner is
+    0 (geometric 1) the worst gaps read 0.139, 0.0139 and 0.00139 at seed 50,
+    in budget.  The path identities prop4.1, prop4.2 and prop4.3 catch it.
     """
     epsilons = tuple(sorted(epsilons, reverse=True))
     pool = _shape_pool(max_boxes)

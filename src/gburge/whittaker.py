@@ -36,10 +36,9 @@ from .correspondences import report
 from .polymer import EnvSpec, _burge_diagonals, _check_laplace_r, normalization_c
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
-# the last unit step of each chunk the box probe's tail walk evaluates at once, past the
-# steps its ascent window already holds (out to 40, or none after a third moving sweep):
-# rank-3 tails end within 7 steps near x = 1 (48 at x1 = 1e30), rank-2 ones within 48,
-# slow ones 400
+# the last unit step of each chunk the probe's tail walk evaluates at once, past the steps
+# its ascent lattice holds: rank-3 tails end within 7 steps near x = 1 (48 at x1 = 1e30),
+# rank-2 ones within 48, slow ones 400
 _TAIL_CHUNKS = (16, 64, 400)
 _PANEL_WIDTH = 2.5  # widest Gauss panel of every line, in log units
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # the largest argument exp keeps finite
@@ -224,63 +223,40 @@ def _log_psi2(a, u1, u2):
 
 
 def _probe_box(logf, start):
-    """Ascent over +-40 unit steps from start, at most 3 times, stopping at
-    a step of 0; then on each side the first unit step out to 400 where logf
-    falls the tail drop below the peak, padded by 2.  A sweep after the first
-    builds its points as u + window, and copies the value of each one that
-    equals, bit for bit, the point of the previous window it shifted onto;
-    logf sees only the others (a first step of 1 or 2 usually leaves 1 or 2).
-    The peak is the last window's value at its step, the same float as u.  A
-    sweep that stops has evaluated logf at its tail steps out to 40, at the
-    same points the walk would, so they come from its window; after a third
-    sweep that moved the walk starts at step 1.  Slow power-law tails (small
-    parameters) need long walks, but most tails end within a few steps, so
-    the walk evaluates the unit steps past the window in the growing chunks
-    that end at _TAIL_CHUNKS, one logf call per chunk on the sides still
-    walking, and a side stops at the first chunk that holds its end.  logf
-    broadcasts over an array of points.  Returns ((lo, hi), peak)."""
-    u = float(start)
-    window = np.arange(-40.0, 41.0)
-    points = u + window
-    values = logf(points)
-    for sweep in range(3):
-        step = window[int(np.argmax(values))]
-        u += step
-        if step == 0.0 or sweep == 2:
+    """Ascent on the lattice start + k, k an integer: logf at k in [-40, 40],
+    then, while the maximum sits on an end, at the 40 steps past that end, at
+    most twice.  The peak is the maximum, at u = start + k.  On each side the
+    box ends 2 past the first unit step out to 400 where logf falls the tail
+    drop below the peak: the steps the lattice holds come from it, and the rest
+    are walked as u + step in the growing chunks that end at _TAIL_CHUNKS, one
+    logf call per chunk and side, stopping at the chunk that holds the end.  So
+    no point is evaluated twice.  logf broadcasts over an array of points.
+    Returns ((lo, hi), peak)."""
+    k0, values = -40.0, logf(start + np.arange(-40.0, 41.0))  # values[i] is at k = k0 + i
+    for extension in range(3):
+        top = int(np.argmax(values))
+        if 0 < top < values.size - 1 or extension == 2:
             break
-        # point k of the next window is meant to be point k + step of this one: copy
-        # the value where the two floats are equal, which is equal bits, as u + window
-        # is never nan and its zero is +0.0
-        shift = int(step)
-        kept = slice(max(0, -shift), 81 - max(0, shift))
-        shifted = slice(kept.start + shift, kept.stop + shift)
-        moved, copied = u + window, np.empty(81)
-        copied[kept] = values[shifted]
-        fresh = np.full(81, True)
-        np.not_equal(moved[kept], points[shifted], out=fresh[kept])
-        copied[fresh] = logf(moved[fresh])
-        points, values = moved, copied
-    centred = step == 0.0
-    peak = float(values[40 + int(step)])
+        past = k0 + values.size if top else k0 - 40.0  # the lowest k of the 40 past the end
+        new = logf(start + (past + np.arange(40.0)))
+        values = np.append(values, new) if top else np.append(new, values)
+        k0 = min(k0, past)
+    u, peak = start + (k0 + top), float(values[top])
     if not math.isfinite(peak):
         raise NonconvergentQuadratureError("integrand has no finite peak")
-    ends = {}
-    first, steps = (41.0, window[41:]) if centred else (1.0, None)
-    rows = zip((-1.0, 1.0), (values[39::-1], values[41:])) if centred else ()
-    for last in (*(c for c in _TAIL_CHUNKS if c >= first), None):
-        for sign, row in rows:
+    ends = []
+    for sign, row in ((-1.0, values[:top][::-1]), (1.0, values[top + 1:])):
+        first = 1.0
+        for last in (*(c for c in _TAIL_CHUNKS if c > row.size), None):
             below = row < peak - _TAIL_LOG_DROP
             if below.any():
-                ends[sign] = u + sign * steps[int(np.argmax(below))]
-        if len(ends) == 2:
-            return (ends[-1.0] - 2.0, ends[1.0] + 2.0), peak
-        if last is None:
-            raise NonconvergentQuadratureError("mass did not localize")
-        steps = np.arange(first, last + 1.0)
-        walking = [sign for sign in (-1.0, 1.0) if sign not in ends]
-        points = np.concatenate([u + sign * steps for sign in walking])
-        rows = zip(walking, logf(points).reshape(len(walking), steps.size))
-        first = last + 1.0
+                ends.append(u + sign * (first + int(np.argmax(below))))
+                break
+            if last is None:
+                raise NonconvergentQuadratureError("mass did not localize")
+            first += row.size
+            row = logf(u + sign * np.arange(first, last + 1.0))
+    return (ends[0] - 2.0, ends[1] + 2.0), peak
 
 
 @functools.cache

@@ -495,7 +495,7 @@ def test_probe_box_reports_a_side_that_did_not_localize(logf):
 
 def test_a_rank3_probe_evaluates_at_most_200_points(monkeypatch):
     # the unit-step walk evaluates 1,044: three 81-point sweeps, the peak and
-    # 400 steps on each side; the chunked walk stops after 16 steps a side
+    # 400 steps on each side; the probe's 81-point lattice holds both tails
     alpha, x = RANK3_POINTS[0]
     (logf, start), = probed_integrands(monkeypatch, lambda: psi(WhittakerParams(3, alpha, x)))
     points = []
@@ -519,17 +519,15 @@ def counted_probe(logf, start):
     return _probe_box(counting, start), calls
 
 
-# logf calls and points of each caller's probe: one or two ascent windows, the
-# second evaluating only its points that are not, bit for bit, points of the
-# first (1 or 2 steps past its end, and any the shift rounded differently); the
-# last window holds the peak and every tail that ends within 40 steps; then the
-# chunks past step 40 (41-64 and 65-400) on the sides still walking
+# logf calls and points of each caller's probe: the 81-point ascent lattice,
+# which holds the peak and every tail that ends within it; then the chunks past
+# it (to step 64, then 65-400) on the side still walking
 PROBE_COUNTS = {
-    "rank1-2-3": (2, 82),
-    "rank1-0.12-1": (4, 443),
-    "measure-1.5,2.5-0.5": (2, 82),
+    "rank1-2-3": (1, 81),
+    "rank1-0.12-1": (3, 443),
+    "measure-1.5,2.5-0.5": (1, 81),
     "measure-1,1.5-1": (2, 105),
-    "psi3-0": (2, 83), "psi3-1": (2, 82), "psi3-2": (2, 83), "psi3-3": (2, 82), "psi3-4": (2, 82),
+    "psi3-0": (1, 81), "psi3-1": (1, 81), "psi3-2": (1, 81), "psi3-3": (1, 81), "psi3-4": (1, 81),
 }
 
 
@@ -539,47 +537,41 @@ def test_probe_box_evaluates_each_point_once(monkeypatch, caller):
     box, calls = counted_probe(logf, start)
     assert box == unit_step_line_box(logf, start)
     assert (len(calls), sum(c.size for c in calls)) == PROBE_COUNTS[caller]
-    points = np.concatenate(calls)  # over the whole probe, both windows included
+    points = np.concatenate(calls)
     assert np.unique(points).size == points.size
 
 
-def test_probe_box_evaluates_again_a_shifted_point_that_is_not_bit_equal():
-    # from 0.3 the first step is +2, and (0.3 + 2) + k is not always the float
-    # 0.3 + (k + 2) of the first window: the second window evaluates those
-    # points again, each off a first-window point by at most an ulp of the
-    # 2.3 it was shifted by, with the 2 new ones past its end, and copies the rest
+def test_probe_box_evaluates_the_lattice_from_its_start():
+    # from 0.3 the peak is 2 steps on: its lattice point 0.3 + 2 is the oracle's
+    # u, and its tails end within the 81 points of the one logf call
     logf = lambda u: -((u - 2.3) ** 2)  # noqa: E731
     box, calls = counted_probe(logf, 0.3)
     assert box == unit_step_line_box(logf, 0.3)
-    first, second = calls
-    moved = (0.3 + 2.0) + np.arange(-40.0, 41.0)
-    assert np.array_equal(second, moved[~np.isin(moved, first)])
-    again = second[second < first.max()]
-    assert again.size == 4
-    assert all(0 < np.abs(first - p).min() <= np.spacing(2.3) for p in again)
+    (points,) = calls
+    assert np.array_equal(points, 0.3 + np.arange(-40.0, 41.0))
 
 
-@pytest.mark.parametrize("top, sizes, fresh", [
-    (80.0, [81, 40, 40], 0),  # the third sweep stops: its window holds the tails
-    (130.0, [81, 40, 40, 32, 96], 3),  # the third sweep moves: its window holds the peak
+@pytest.mark.parametrize("top, sizes", [
+    (80.0, [81, 40, 40]),  # the peak is inside the lattice: it holds both tails
+    (130.0, [81, 40, 40, 16, 48]),  # the peak ends the lattice: the right tail walks
+    (-80.0, [81, 40, 40]),
+    (-130.0, [81, 40, 40, 16, 48]),
 ])
-def test_probe_box_after_three_sweeps(top, sizes, fresh):
-    # a peak at u = top, both sides falling 46 in 29 unit steps; on integer
-    # points each window shifted by 40 evaluates only its 40 new points.  From
-    # call fresh on no point is evaluated twice: over the whole probe when the
-    # third sweep stops; after a moving one the tail walk from step 1
-    # evaluates again what its window held
+def test_probe_box_after_three_sweeps(top, sizes):
+    # a peak at u = top, both sides falling 46 in 29 unit steps: the lattice
+    # extends twice by 40 toward it, and no point is evaluated twice
     logf = lambda u: -1.6 * np.abs(u - top)  # noqa: E731
     box, calls = counted_probe(logf, 0.0)
     assert box == unit_step_line_box(logf, 0.0)
     assert [c.size for c in calls] == sizes
-    points = np.concatenate(calls[fresh:])
+    points = np.concatenate(calls)
     assert np.unique(points).size == points.size
 
 
 @pytest.mark.parametrize("top", [0.0, 130.0])
 def test_probe_box_reports_a_peak_that_is_not_finite(top):
-    # the ascent stops on nan at u = top, or is still moving on -inf after 3 sweeps
+    # the ascent stops on nan at u = top, or still sits on an end on -inf after
+    # extending the lattice twice
     logf = lambda u: np.where(u == top, np.nan, -np.inf)  # noqa: E731
     with pytest.raises(NonconvergentQuadratureError, match="^integrand has no finite peak$"):
         _probe_box(logf, 0.0)
@@ -1066,6 +1058,41 @@ def test_rank3_psi_is_pinned_bit_for_bit(alpha, log_x):
     x = tuple(math.exp(v) for v in log_x)
     got = [psi(WhittakerParams(3, perm, x)).hex() for perm in itertools.permutations(alpha)]
     assert tuple(got) == PSI3_PINS[alpha, log_x]
+
+
+# rank-3 Psi at wide arguments, recorded before the probe's ascent became one
+# lattice: the peak 35 and 1 steps below the start, where the left tail walks
+# past the lattice (logf call sizes [81, 11] and [81, 25]), and 120 and 70
+# steps below it, where the lattice extends twice and once ([81, 40, 40, 16,
+# 48] and [81, 40, 6, 48])
+WIDE_PSI3_PINS = {
+    ((3.0, 2.0, 1.0), (1e30, 1.0, 1.0)): "0x1.193cc4a52a66dp+297",
+    ((1.0, 2.0, 3.0), (1e60, 1.0, 1e-60)): "0x1.8c8dac6a0343ep+398",
+    ((1.0, 2.0, 3.0), (1e60, 1e60, 1e-60)): "0x1.57aa37d074890p+795",
+    ((3.0, 2.0, 1.0), (1e60, 1e-30, 1e-60)): "0x1.3e9e4e4c2f315p+199",
+}
+
+
+@pytest.mark.parametrize("alpha, x", WIDE_PSI3_PINS)
+def test_rank3_psi_at_wide_arguments_is_pinned_bit_for_bit(alpha, x):
+    assert psi(WhittakerParams(3, alpha, x)).hex() == WIDE_PSI3_PINS[alpha, x]
+
+
+@pytest.mark.parametrize("alpha, log_x", PSI3_PINS)
+def test_rank3_psi_makes_4_bessel_calls_on_442_values(monkeypatch, alpha, log_x):
+    # at each order: two for the probe's 81-point lattice, two for the 140 nodes
+    x = tuple(math.exp(v) for v in log_x)
+    sizes = []
+
+    def counting(nu, log_half_z):
+        sizes.append(np.size(log_half_z))
+        return _log_bessel_k(nu, log_half_z)
+
+    monkeypatch.setattr(whittaker, "_log_bessel_k", counting)
+    for perm in itertools.permutations(alpha):
+        sizes.clear()
+        psi(WhittakerParams(3, perm, x))
+        assert (len(sizes), sum(sizes)) == (4, 442)
 
 
 # (lhs, rhs, relerr) of the benchmark's rank-2 corollary pairs
