@@ -28,7 +28,9 @@ on, and ``check_replica_routes``).  One driver, ``_collect_samples``, serves
 every check: it checks the sample count, builds the lanes for blocks of
 ``_CHUNK`` sample indices in index order on one thread, and counts the draws.
 Every check reports through ``correspondences.report``, with samples and seed
-as its last params.
+as its last params.  Each value is checked once: the parameters in ``EnvSpec``
+(alpha_i, beta, alpha_i + alpha_j), each entry in its draw, which raises
+``InverseGammaOverflowError`` off (0, inf), and each output in ``check_finite``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import ShapedArray
+from .arrays import ShapedArray, _shape_of
 from .correspondences import gburge, report
 from .oracles import enum_paths, path_sum
 from .shapes import Shape
@@ -94,6 +96,15 @@ class Stream:
         self._spare_normal = radius * math.sin(angle)
         return radius * math.cos(angle)
 
+    def _inv_gamma(self, alpha: float, beta: float) -> float:
+        """sample_inv_gamma on this stream for checked parameters: the one scalar
+        draw, InverseGammaOverflowError unless beta/G lies in (0, inf)."""
+        gamma = _sample_gamma(alpha, self)
+        value = beta / gamma if gamma else math.inf
+        if 0.0 < value < math.inf:
+            return value
+        raise _inv_gamma_error(alpha, beta, self._keys, gamma, value)
+
 
 def _sample_gamma(shape: float, rng: Stream) -> float:
     """Gamma(shape, rate 1) via the Marsaglia-Tsang squeeze method, with the
@@ -116,13 +127,14 @@ def _sample_gamma(shape: float, rng: Stream) -> float:
 
 
 class InverseGammaOverflowError(ValueError):
-    """An inverse-gamma draw beta/G left double range: at small alpha the
-    boost u^(1/alpha) of the gamma variate G can underflow."""
+    """An inverse-gamma draw beta/G left (0, inf): at small alpha the boost
+    u^(1/alpha) of G can underflow, and at a tiny beta beta/G can round to 0.0."""
 
 
-def _inv_gamma_overflow(alpha, beta, keys, gamma, where=""):
+def _inv_gamma_error(alpha, beta, keys, gamma, value, where=""):
+    fault = "underflows to 0.0" if value == 0.0 else "overflows a float"
     return InverseGammaOverflowError(
-        f"inverse-gamma draw at alpha={alpha}, beta={beta} overflows a float on {where}"
+        f"inverse-gamma draw at alpha={alpha}, beta={beta} {fault} on {where}"
         f"Stream({', '.join(map(str, keys))}): its gamma variate is {gamma!r}"
     )
 
@@ -130,16 +142,12 @@ def _inv_gamma_overflow(alpha, beta, keys, gamma, where=""):
 def sample_inv_gamma(alpha: float, beta: float, rng: Stream) -> float:
     """One draw with density (beta^alpha / Gamma(alpha)) y^{-alpha} e^{-beta/y} dy/y,
     sampled as beta over a unit-rate gamma variate; InverseGammaOverflowError
-    when that quotient leaves double range."""
+    when that quotient overflows or underflows to 0.0."""
     if not (0 < alpha < math.inf and 0 < beta < math.inf):  # nan fails too
         raise ValueError(
             f"inverse-gamma alpha and beta must be positive and finite, got ({alpha}, {beta})"
         )
-    gamma = _sample_gamma(alpha, rng)
-    value = beta / gamma if gamma else math.inf
-    if value == math.inf:
-        raise _inv_gamma_overflow(alpha, beta, rng._keys, gamma)
-    return value
+    return rng._inv_gamma(alpha, beta)
 
 
 # uint64 constants of the lanes are explicit, so that no NumPy version
@@ -263,14 +271,14 @@ class _Lanes:
 
     def inv_gamma(self, alpha: float, beta: float):
         """sample_inv_gamma(alpha, beta, .) on every lane, with its error on
-        the first lane that overflows."""
+        the first lane that overflows or underflows to 0.0."""
         gamma = self.gamma(alpha)
         with np.errstate(divide="ignore", over="ignore"):
             value = beta / gamma
-        if value.max() == np.inf:
-            lane = int(np.argmax(value))
+        if value.max() == np.inf or value.min() == 0.0:
+            lane = int(np.flatnonzero((value == np.inf) | (value == 0.0))[0])
             keys = (self.seed, int(self.index[lane]), *self.tags)
-            raise _inv_gamma_overflow(alpha, beta, keys, float(gamma[lane]), f"lane {lane}, ")
+            raise _inv_gamma_error(alpha, beta, keys, float(gamma[lane]), value[lane], f"lane {lane}, ")
         return value
 
 
@@ -299,7 +307,8 @@ def _check_laplace_r(r_values) -> list:
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Size and parameters of a symmetric log-gamma environment."""
+    """Size and parameters of a symmetric log-gamma environment, checked once:
+    each alpha[i], beta and each off-diagonal shape alpha[i] + alpha[j]."""
 
     n: int
     alpha: tuple
@@ -310,6 +319,9 @@ class EnvSpec:
         if self.n < 1 or len(self.alpha) != self.n:
             raise ValueError(f"need n positive parameters, got n={self.n}, alpha={self.alpha}")
         _check_parameters(self.alpha, self.beta)
+        for i, a in enumerate(self.alpha):
+            for j in range(i + 1, self.n):
+                _check_positive(f"alpha[{i}] + alpha[{j}]", a + self.alpha[j])
 
 
 def _symmetric_rows(spec: EnvSpec, draw):
@@ -347,16 +359,17 @@ def _replica_rows(spec: EnvSpec, draw, sqrt=math.sqrt):
     return rows
 
 
+def _env(rows, domain) -> ShapedArray:
+    """Drawn rows as an array: each draw was checked positive and finite, so none is coerced."""
+    return ShapedArray._wrap(_shape_of(tuple(map(len, rows))), tuple(map(tuple, rows)), domain)
+
+
 def sample_symmetric_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
-    return ShapedArray.from_rows(
-        _symmetric_rows(spec, lambda a, b: sample_inv_gamma(a, b, rng)), GEOMETRIC_FLOAT
-    )
+    return _env(_symmetric_rows(spec, rng._inv_gamma), GEOMETRIC_FLOAT)
 
 
 def sample_replica_env(spec: EnvSpec, rng: Stream) -> ShapedArray:
-    return ShapedArray.from_rows(
-        _replica_rows(spec, lambda a, b: sample_inv_gamma(a, b, rng)), GEOMETRIC_FLOAT
-    )
+    return _env(_replica_rows(spec, rng._inv_gamma), GEOMETRIC_FLOAT)
 
 
 # -- partition functions -------------------------------------------------------------
@@ -399,9 +412,9 @@ def burge_partition_vector(env: ShapedArray):
     function Z*^{(k)}; in particular t_{n,n} alone is the dual point-to-point
     partition function of the environment.
     """
-    if env.shape.parts != (env.shape.n_rows,) * env.shape.n_rows:
-        raise ValueError(f"need a square environment, got shape {env.shape.parts}")
-    return gburge(env).diagonal(0)
+    if (parts := env.shape.parts) != (len(parts),) * len(parts):
+        raise ValueError(f"need a square environment, got shape {parts}")
+    return tuple([row[i] for i, row in enumerate(gburge(env).rows)])
 
 
 def _staircase_Z_replica(rows):
@@ -526,8 +539,7 @@ def _burge_diagonals(spec: EnvSpec, samples: int, seed: int):
     for a whole block of indices at once, on lane arrays."""
 
     def draw(lanes):
-        rows = _symmetric_rows(spec, lanes.inv_gamma)
-        return burge_partition_vector(ShapedArray.from_rows(rows, GEOMETRIC_LANES))
+        return burge_partition_vector(_env(_symmetric_rows(spec, lanes.inv_gamma), GEOMETRIC_LANES))
 
     return _collect_samples(samples, seed, draw, streams=((),))
 
@@ -597,6 +609,7 @@ def check_lukacs(a: float, b: float, samples: int, seed: int) -> dict:
     report's diagnostics are those of check_Z_Zstar."""
     _check_positive("a", a)
     _check_positive("b", b)
+    _check_positive("a + b", a + b)
 
     def draw_triple(lanes):
         return lanes.inv_gamma(a, 1.0), lanes.inv_gamma(b, 1.0), lanes.inv_gamma(a + b, 1.0)
@@ -618,8 +631,7 @@ def check_replica_routes(spec: EnvSpec, samples: int, seed: int, tol: float) -> 
     within tol."""
 
     def draw(lanes):
-        rows = _replica_rows(spec, lanes.inv_gamma, np.sqrt)
-        env = ShapedArray.from_rows(rows, GEOMETRIC_LANES)
+        env = _env(_replica_rows(spec, lanes.inv_gamma, np.sqrt), GEOMETRIC_LANES)
         oracle = replica_Z(env, via="oracle")
         folded = replica_Z(env, via="persymmetric-burge")
         return (np.abs(oracle - folded) / np.abs(oracle),)

@@ -35,6 +35,9 @@ the named ``DOMAINS``.
 Float outputs are checked once, when a map hands back its result
 (``check_finite``), not inside the operations: a float map fed finite
 entries can still overflow, and that raises instead of returning inf or nan.
+It is one pass: a row of floats whose builtin sum is below +inf holds no
+nan and no +inf, so only a row failing that test (bad entries, or finite ones
+whose sum overflows) is searched for the box to name.  Fractions are not checked.
 """
 
 from __future__ import annotations
@@ -83,12 +86,13 @@ class ValueDomain:
 
     def check_finite(self, rows) -> None:
         """Reject a map's output rows holding a float nan or +inf, naming the
-        box (r+1, k+1) of rows[r][k].  Exact, mpf and dual-number entries
-        pass untouched."""
+        box (r+1, k+1) of rows[r][k], in one pass (see the module docstring).
+        Exact, mpf and dual-number entries pass untouched."""
         for r, row in enumerate(rows):
-            for x in row:
+            if type(row[0]) is float and sum(row) < _INF:
+                continue
+            for k, x in enumerate(row):
                 if type(x) is float and not x < _INF:
-                    k = next(k for k, y in enumerate(row) if y is x)
                     raise DomainError(f"float overflow at {_where(r, k)}: {x!r}; {_LOG_HINT}")
 
     def isclose(self, x, y, rel_tol=1e-12) -> bool:
@@ -261,6 +265,9 @@ class RationalDomain(GeometricDomain):
     def isclose(self, x, y, rel_tol=1e-12) -> bool:
         """Exact equality; rel_tol is ignored."""
         return x == y
+
+    def check_finite(self, rows) -> None:
+        """Nothing to check: a Fraction is never nan or inf."""
 
     def scalar_to_json(self, x):
         return str(x)

@@ -510,6 +510,32 @@ def test_polymer_inverse_gamma_overflow_exits_two(capsys):
     )
 
 
+def test_polymer_inverse_gamma_underflow_exits_two(capsys):
+    # at beta = 5e-324 a diagonal draw beta / G rounds to 0.0; laplace printed
+    # estimate 1.0 with stderr 0.0 for every r and exited 0
+    code = main(["polymer", "--cmd", "laplace", "-n", "2", "--alpha", "3,3", "--beta", "5e-324",
+                 "--samples", "64", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: inverse-gamma draw at alpha=3.0, beta=5e-324 underflows to 0.0 on lane 1, "
+        "Stream(1, 1): its gamma variate is 4.181568927428836\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["laplace", "ks-zzstar", "replica", "lukacs"])
+def test_polymer_overflowing_pair_sum_exits_two_naming_the_pair(capsys, name):
+    # at alpha = (1e308, 1e308) the off-diagonal shape alpha_1 + alpha_2 is inf:
+    # laplace printed estimate 1.0 with a numpy RuntimeWarning and exited 0
+    size = [] if name == "lukacs" else ["-n", "2"]
+    code = main(["polymer", "--cmd", name, *size, "--alpha", "1e308,1e308",
+                 "--samples", "64", "--seed", "1"])
+    captured = capsys.readouterr()
+    pair = "a + b" if name == "lukacs" else "alpha[0] + alpha[1]"
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {pair} must be positive and finite, got inf\n"
+
+
 def test_whittaker_density_check_small_run(capsys):
     code, out = run(capsys, "whittaker", "--cmd", "density-check", "--alpha", "1,1",
                     "--beta", "1", "--samples", "3000", "--seed", "7")

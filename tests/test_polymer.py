@@ -226,6 +226,23 @@ def test_lane_inv_gamma_overflow_names_the_first_lane(index, gamma):
         lanes.inv_gamma(0.01, 2.0)
 
 
+def test_inv_gamma_underflow_to_zero_names_alpha_beta_and_the_stream():
+    # beta / G rounded to 0.0 at beta = 5e-324 whenever G > 2, and the draw returned it
+    message = ("inverse-gamma draw at alpha=3.0, beta=5e-324 underflows to 0.0 on "
+               "Stream(1, 2): its gamma variate is 2.2374901967400715")
+    with pytest.raises(InverseGammaOverflowError, match=f"^{re.escape(message)}$"):
+        sample_inv_gamma(3.0, 5e-324, Stream(1, 2))
+    with pytest.raises(InverseGammaOverflowError, match="underflows to 0.0 on Stream"):
+        sample_symmetric_env(EnvSpec(2, (3.0, 3.0), 5e-324), Stream(1, 2))
+
+
+def test_lane_inv_gamma_underflow_to_zero_names_the_first_lane():
+    message = ("inverse-gamma draw at alpha=3.0, beta=5e-324 underflows to 0.0 on "
+               "lane 1, Stream(1, 1): its gamma variate is 4.181568927428836")
+    with pytest.raises(InverseGammaOverflowError, match=f"^{re.escape(message)}$"):
+        _Lanes(1, np.arange(64)).inv_gamma(3.0, 5e-324)
+
+
 @pytest.mark.parametrize(
     "beta, lane_digest, scalar_digest",
     [
@@ -326,6 +343,17 @@ def test_env_spec_validation():
     assert EnvSpec(2, [1, 2], 1.0).alpha == (1.0, 2.0)
 
 
+def test_env_spec_rejects_an_overflowing_pair_sum_naming_the_pair():
+    # the pair sums are the shapes of the off-diagonal draws; at (1e308, 1e308)
+    # the scalar draw once raised an unnamed error, and the lanes returned 1.0
+    for call, pair in ((lambda: EnvSpec(2, (1e308, 1e308), 1.0), "alpha[0] + alpha[1]"),
+                       (lambda: EnvSpec(3, (1.0, 1e308, 1e308), 1.0), "alpha[1] + alpha[2]"),
+                       (lambda: check_lukacs(1e308, 1e308, samples=10, seed=0), "a + b")):
+        with pytest.raises(ValueError, match=f"^{re.escape(pair)} must be positive and finite, got inf$"):
+            call()
+    assert EnvSpec(1, (1e308,), 1.0).alpha == (1e308,)  # no pair, nothing to overflow
+
+
 # (call, message): each boundary that takes a positive parameter, at nan and inf
 NON_FINITE_PARAMETERS = {
     "EnvSpec-alpha": (lambda v: EnvSpec(2, (1.0, v), 1.0), "alpha[1] must be positive and finite"),
@@ -352,6 +380,38 @@ def test_non_finite_parameters_raise_naming_the_parameter(boundary, bad):
     call, message = NON_FINITE_PARAMETERS[boundary]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}, got {bad!r}$"):
         call(bad)
+
+
+# sha256 of the rows and Burge diagonal of sample_symmetric_env, and of the
+# rows of sample_replica_env, over seeds 0, 7 and 2^40 + 3 and indices
+# 0..39 at alpha = PIN_ALPHA[:n], beta = 0.75; recorded while the samplers
+# drew through sample_inv_gamma and built their arrays with from_rows
+PIN_ALPHA = (0.3, 1.5, 0.7, 2.0, 0.45)
+PER_SAMPLE_PINS = {
+    1: ("507a658802286724cf0896c0f5b85c5737e43a61527323329ddd4c246afd063c",
+        "76d3f8654b53627927266026ef2e9b981f39c32c0e4addfa600a103d7c84da01"),
+    2: ("c9e02d9ea6d32021aded242f6064170a7acfe8a49908ee186d545b8ad5e5c491",
+        "6bb6f89031dae64340b1793c544034c22f0c6d041179293c018289646d3060e2"),
+    3: ("9f9f30fe9a5b3a591d6ccc2858d397534ac9fdf0f8a70f8a2ae905f979c6f1b0",
+        "94d43872b1fd697cdd2a35f7931b2163f1c3903e063d17b0312154df4f712168"),
+    4: ("55c0344f76e0214ad5d90b27c2d8b3ef0133b9bc3c939c863a3b7d88b1cd0fcd",
+        "090f88b28679ec22763cb493bf3e100ae6a4029e57efbd401b30be825c452e40"),
+    5: ("daa562475340bf9c3b9ef8bbe6c7e1369f8d71e4fcdf0149a665ce3ba7d2ea70",
+        "f93ef5abf13fc0700c6bfb7f5b47f3c545e12bd829344123d68c822d8f97981e"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PER_SAMPLE_PINS))
+def test_per_sample_environments_and_diagonals_are_pinned(n):
+    spec = EnvSpec(n, PIN_ALPHA[:n], 0.75)
+    sym, rep = hashlib.sha256(), hashlib.sha256()
+    for seed in (0, 7, 2**40 + 3):
+        for i in range(40):
+            env = sample_symmetric_env(spec, Stream(seed, i))
+            sym.update(np.asarray([*env.rows, burge_partition_vector(env)], dtype="<f8").tobytes())
+            rows = sample_replica_env(spec, Stream(seed, i)).rows
+            rep.update(np.asarray([x for row in rows for x in row], dtype="<f8").tobytes())
+    assert (sym.hexdigest(), rep.hexdigest()) == PER_SAMPLE_PINS[n]
 
 
 def test_symmetric_env_shape_and_symmetry():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gburge.arrays import ShapedArray
+from gburge.correspondences import gburge
 from gburge.values import (
     DOMAINS,
     GEOMETRIC_FLOAT,
@@ -413,6 +414,37 @@ def test_check_finite_rejects_float_overflow_only():
     GEOMETRIC_RATIONAL.check_finite([[Fraction(10) ** 400]])
     TROPICAL.check_finite([[-math.inf, 0.0]])
     GEOMETRIC_LANES.check_finite([[np.array([1e300, 1e-300])]])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=str)
+def test_check_finite_names_the_first_bad_box_in_a_later_row(bad):
+    # the rows before it pass on their sum; a finite row whose sum overflows
+    # is searched entry by entry and passes too
+    rows = [[1.0, 2.0, 3.0], [1e308, 1e308], [4.0, bad, math.inf]]
+    with pytest.raises(DomainError, match=rf"^float overflow at box \(3,2\) of the map's output: {bad!r};"):
+        GEOMETRIC_FLOAT.check_finite(rows)
+    with pytest.raises(DomainError, match=r"box \(2,1\)"):
+        TROPICAL.check_finite([[-math.inf, 0.0], [bad, -math.inf]])
+    # a row that does not start with a float is searched entry by entry
+    with pytest.raises(DomainError, match=r"box \(1,2\)"):
+        GEOMETRIC_FLOAT.check_finite([[mp.mpf(1), bad]])
+
+
+def test_check_finite_passes_a_finite_row_whose_sum_overflows():
+    GEOMETRIC_FLOAT.check_finite([[1e308, 1e308]])
+    GEOMETRIC_FLOAT.check_finite([[-1e308, 1e308, 1e308], [1e308, -1e308, 1e308]])
+    TROPICAL.check_finite([[1e308, 1e308, -math.inf]])
+
+
+def test_check_finite_still_names_the_overflow_of_a_map():
+    huge = ShapedArray.from_rows([[1e200, 1e200], [1e200, 1e200]], GEOMETRIC_FLOAT)
+    with pytest.raises(DomainError, match=r"^float overflow at box \(1,1\) of the map's output: inf;"):
+        gburge(huge)
+
+
+def test_rational_check_finite_reads_no_entry():
+    # a Fraction is never nan or inf, so the rational domain skips the check
+    GEOMETRIC_RATIONAL.check_finite([[math.nan, math.inf]])
 
 
 # -- lane arrays refuse what needs scalar entries -----------------------------------

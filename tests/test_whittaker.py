@@ -404,7 +404,9 @@ def unit_step_probe_box(logf, start):
     """The box probe as one unit step at a time, on any number of axes: three
     full coordinate-ascent sweeps, then one logf call per (axis, side) over
     all 400 tail steps.  On one axis the chunked _probe_box must return
-    exactly its box and peak; the oracles take their boxes from it."""
+    exactly its box and peak on a line that is unimodal within the probe's
+    reach, start + k for |k| <= 120 (on a line with two modes there the two
+    walks may climb to different ones); the oracles take their boxes from it."""
     u = np.array(start, dtype=float)
 
     def profile(axis, offsets):
@@ -469,6 +471,10 @@ def unit_step_line_box(logf, start):
 @pytest.mark.parametrize("caller", PROBED_CALLERS)
 def test_probe_box_matches_the_unit_step_walk(monkeypatch, caller):
     (logf, start), = probed_integrands(monkeypatch, PROBED_CALLERS[caller])
+    # the unit-step walk is the probe's oracle only on a line unimodal in its reach
+    values = logf(start + np.arange(-120.0, 121.0))
+    top = int(np.argmax(values))
+    assert np.all(values[:top] <= values[1:top + 1]) and np.all(values[top:-1] >= values[top + 1:])
     assert _probe_box(logf, start) == unit_step_line_box(logf, start)
 
 
