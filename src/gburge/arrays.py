@@ -3,8 +3,8 @@
 A ShapedArray assigns one value per box of a Shape, over one of the value
 domains.  Everything here is immutable: transformations return new arrays.
 Besides storage and boundary access this module provides the global symmetries
-(transpose, row/column reversal), diagonal products, and the symmetry check
-of the restricted symmetric correspondence, which maps symmetric arrays.
+(transpose, row/column reversal) and the symmetry check of the restricted
+symmetric correspondence, which maps symmetric arrays.
 """
 
 from __future__ import annotations
@@ -170,14 +170,6 @@ class ShapedArray:
         """Column reversal w^C_{i,j} = w_{i,n-j+1} (rectangular only)."""
         self._require_rectangular("reverse_cols")
         return ShapedArray._wrap(self.shape, tuple(r[::-1] for r in self._rows), self.domain)
-
-    # -- diagonals ---------------------------------------------------------------
-
-    def diagonal(self, k: int):
-        """Entries on diagonal j - i = k, in increasing i."""
-        c0 = max(0, k)
-        rows = self._rows[max(0, -k):]
-        return tuple([row[c0 + r] for r, row in enumerate(rows) if len(row) > c0 + r])
 
     # -- symmetric arrays ----------------------------------------------------------
 

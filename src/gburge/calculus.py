@@ -39,7 +39,13 @@ class Dual:
 
     Supports exactly the arithmetic the geometric maps use (+, *, /, and
     < and > on the value), so it can be stored in a float-domain array and
-    pushed through any of the correspondences.
+    pushed through any of the correspondences.  The public constructor
+    coerces its parts to a float and a float64 array.  An operator whose
+    partner is a Dual, a float or an int builds its result through _dual,
+    with no second coercion: its parts are already a float and a float64
+    array.  Any other partner (a Fraction would give an object-dtype
+    gradient) goes through the public constructor.  The gradient is a 1-D
+    array: numpy turns arithmetic on a 0-d one into a scalar.
     """
 
     __slots__ = ("value", "grad")
@@ -58,40 +64,60 @@ class Dual:
         return f"Dual({self.value}, {self.grad})"
 
     def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.grad + other.grad)
+        t = type(other)
+        if t is Dual:
+            return _dual(self.value + other.value, self.grad + other.grad)
+        if t is float or t is int:
+            return _dual(self.value + other, self.grad)
         return Dual(self.value + other, self.grad)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
+        t = type(other)
+        if t is Dual:
+            return _dual(
                 self.value * other.value,
                 self.grad * other.value + other.grad * self.value,
             )
+        if t is float or t is int:
+            return _dual(self.value * other, self.grad * other)
         return Dual(self.value * other, self.grad * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
+        t = type(other)
+        if t is Dual:
             v = self.value / other.value
-            return Dual(v, (self.grad - v * other.grad) / other.value)
+            return _dual(v, (self.grad - v * other.grad) / other.value)
+        if t is float or t is int:
+            return _dual(self.value / other, self.grad / other)
         return Dual(self.value / other, self.grad / other)
 
     def __rtruediv__(self, other):
         v = other / self.value
+        t = type(other)
+        if t is float or t is int:
+            return _dual(v, -v * self.grad / self.value)
         return Dual(v, -v * self.grad / self.value)
 
-    def _cmp_value(self, other):
-        return other.value if isinstance(other, Dual) else other
-
     def __lt__(self, other):
-        return self.value < self._cmp_value(other)
+        return self.value < (other.value if type(other) is Dual else other)
 
     def __gt__(self, other):
-        return self.value > self._cmp_value(other)
+        return self.value > (other.value if type(other) is Dual else other)
+
+
+_new_object = object.__new__
+
+
+def _dual(value: float, grad: np.ndarray) -> Dual:
+    """The Dual of a float and a float64 array, set without coercing them again."""
+    d = _new_object(Dual)
+    d.value = value
+    d.grad = grad
+    return d
 
 
 def _apply(map_name: str, arr: ShapedArray, boxes, entries) -> list:

@@ -18,10 +18,13 @@ The geometric arithmetic is written with plain Python operators, so any
 value type supporting +, *, / and ordering flows through unchanged:
 ``float``, high-precision floats and the dual numbers used for Jacobians.
 Exact ``fractions.Fraction``, the reference domain for identity checks, has
-its own op table (``RationalDomain``): each op works on the numerators and
-denominators with the gcd tricks of Knuth, TAOCP vol. 2, 4.5.1, and builds
-its reduced result through ``_coprime``, which sets Fraction's two slots
-without a second gcd or Fraction's type dispatch.  ``LogDomain(eps)``
+its own op table (``RationalDomain``): each op reads the numerators and
+denominators from Fraction's two slots, not through its properties (an int
+operand, which has no slots, falls back to the properties), works on them
+with the gcd tricks of Knuth, TAOCP vol. 2, 4.5.1, and builds its reduced
+result through ``_coprime``, which sets the two slots without a second gcd
+or Fraction's type dispatch.  A square, ``otimes(x, x)``, takes no gcd: the
+square of a reduced fraction is reduced.  ``LogDomain(eps)``
 runs the geometric maps in eps*log coordinates on floats, an entry v
 standing for exp(v/eps): its oplus and hsum are eps*logaddexp(x/eps, y/eps)
 and -eps*logaddexp(-x/eps, -y/eps) (Maslov dequantization), so the
@@ -183,15 +186,24 @@ class RationalDomain(GeometricDomain):
 
     Its op table works on numerators and denominators directly, with the
     gcd tricks of Knuth, TAOCP vol. 2, 4.5.1, and builds every result through
-    _coprime.  Int operands work too, through their numerator and denominator.
+    _coprime.  Each op reads its operands' ``_numerator`` and ``_denominator``
+    slots under one try, which skips Fraction's property calls; an int
+    operand has no such slot, and the AttributeError sends both operands
+    through the public numerator and denominator instead.  A square,
+    otimes(x, x), is built with no gcd; d_at and replica_Z square an entry
+    on every call.
     """
 
     is_exact = True
 
     def oplus(self, x, y):
         """a/b + c/d through g = gcd(b, d), then gcd(t, g), as Fraction's own +."""
-        a, b = x.numerator, x.denominator
-        c, d = y.numerator, y.denominator
+        try:
+            a, b = x._numerator, x._denominator
+            c, d = y._numerator, y._denominator
+        except AttributeError:  # an int operand
+            a, b = x.numerator, x.denominator
+            c, d = y.numerator, y.denominator
         g = _gcd(b, d)
         if g == 1:
             return _coprime(a * d + b * c, b * d)
@@ -203,17 +215,30 @@ class RationalDomain(GeometricDomain):
         return _coprime(t // g2, s * (d // g2))
 
     def otimes(self, x, y):
-        """(a/b)(c/d), cross-cancelled by gcd(a, d) and gcd(c, b)."""
-        a, b = x.numerator, x.denominator
-        c, d = y.numerator, y.denominator
+        """(a/b)(c/d), cross-cancelled by gcd(a, d) and gcd(c, b).
+
+        A square (y is x) takes no gcd: a/b is reduced, so a*a/(b*b) is too.
+        """
+        try:
+            a, b = x._numerator, x._denominator
+            c, d = y._numerator, y._denominator
+        except AttributeError:  # an int operand
+            a, b = x.numerator, x.denominator
+            c, d = y.numerator, y.denominator
+        if y is x:
+            return _coprime(a * a, b * b)
         g1 = _gcd(a, d)
         g2 = _gcd(c, b)
         return _coprime((a // g1) * (c // g2), (b // g2) * (d // g1))
 
     def odiv(self, x, y):
         """(a/b)/(c/d) = (a/b)(d/c), cross-cancelled; the zero element may not divide."""
-        a, b = x.numerator, x.denominator
-        c, d = y.numerator, y.denominator
+        try:
+            a, b = x._numerator, x._denominator
+            c, d = y._numerator, y._denominator
+        except AttributeError:  # an int operand
+            a, b = x.numerator, x.denominator
+            c, d = y.numerator, y.denominator
         if c <= 0:
             if not c:
                 raise DomainError("geometric division by zero")
@@ -229,10 +254,14 @@ class RationalDomain(GeometricDomain):
         gcd(t, g), so no gcd runs on the products.  Denominators are positive,
         so the numerators carry the sign test.
         """
-        a, c = x.numerator, y.numerator
+        try:
+            a, b = x._numerator, x._denominator
+            c, d = y._numerator, y._denominator
+        except AttributeError:  # an int operand
+            a, b = x.numerator, x.denominator
+            c, d = y.numerator, y.denominator
         if not (a > 0 and c > 0):
             raise DomainError(f"hsum needs positive arguments, got {x!r}, {y!r}")
-        b, d = x.denominator, y.denominator
         g = _gcd(a, c)
         if g == 1:
             return _coprime(a * c, b * c + a * d)

@@ -102,20 +102,6 @@ def test_reverse_rows_values():
     assert a.reverse_cols().to_lists() == [[2, 1], [4, 3]]
 
 
-def test_diagonals():
-    a = ShapedArray.from_rows([[1, 2, 3], [4, 5, 6]], R)
-    assert a.diagonal(0) == (1, 5)
-    assert a.diagonal(1) == (2, 6)
-
-
-def test_diagonal_matches_the_box_scan_on_every_small_shape():
-    for shape in all_shapes(8):
-        rows = tuple(tuple((i, j) for j in range(1, p + 1)) for i, p in enumerate(shape.parts, 1))
-        a = ShapedArray._wrap(shape, rows, R)
-        for k in range(-shape.n_rows - 2, shape.n_cols + 3):
-            assert a.diagonal(k) == tuple(a.get(i, j) for i, j in shape.boxes() if j - i == k)
-
-
 def test_json_round_trip_rational():
     a = ShapedArray.from_rows([[Fraction(1, 3), 2], [3]], R)
     obj = a.to_json_obj()

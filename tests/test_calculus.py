@@ -1,6 +1,7 @@
 """Dual-number arithmetic and log-log Jacobians of the correspondences."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +54,75 @@ def test_dual_harmonic_sum_gradient():
     assert h.value == pytest.approx(8 / 6)
     assert h.grad[0] == pytest.approx((4 / 6) ** 2)
     assert h.grad[1] == pytest.approx((2 / 6) ** 2)
+
+
+# Each operator's result built through the public constructor, from the same
+# expressions as the operator, by partner kind.
+_PUBLIC_RESULTS = {
+    "+": lambda x, y: Dual(x.value + y.value, x.grad + y.grad)
+    if isinstance(y, Dual) else Dual(x.value + y, x.grad),
+    "*": lambda x, y: Dual(x.value * y.value, x.grad * y.value + y.grad * x.value)
+    if isinstance(y, Dual) else Dual(x.value * y, x.grad * y),
+    "/": lambda x, y: Dual(x.value / y.value, (x.grad - (x.value / y.value) * y.grad) / y.value)
+    if isinstance(y, Dual) else Dual(x.value / y, x.grad / y),
+    "r+": lambda x, y: Dual(x.value + y, x.grad),
+    "r*": lambda x, y: Dual(x.value * y, x.grad * y),
+    "r/": lambda x, y: Dual(y / x.value, -(y / x.value) * x.grad / x.value),
+}
+_OPERATORS = {
+    "+": lambda x, y: x + y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+    "r+": lambda x, y: y + x,
+    "r*": lambda x, y: y * x,
+    "r/": lambda x, y: y / x,
+}
+_values = st.floats(0.01, 100.0)
+_grads = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4)
+_duals = st.builds(dual, _values, _grads)
+_partners = {
+    "Dual": _duals,
+    "float": _values,
+    "int": st.integers(1, 1000),
+}
+
+
+def _same_bits(got, want):
+    assert type(got) is Dual
+    assert type(got.value) is float and got.value.hex() == want.value.hex()
+    assert type(got.grad) is np.ndarray and got.grad.dtype == np.float64
+    assert got.grad.tobytes() == want.grad.tobytes()
+
+
+@pytest.mark.parametrize(
+    "op, partner",
+    # Dual op Dual never reaches a reflected method
+    [(op, p) for op in sorted(_OPERATORS) for p in sorted(_partners) if not (op[0] == "r" and p == "Dual")],
+)
+@given(data=st.data())
+def test_dual_operators_give_a_float_and_a_float64_gradient(op, partner, data):
+    # with a Dual, float or int partner an operator skips the public
+    # constructor's coercion; its result must equal what that constructor gives
+    x = data.draw(_duals, label="x")
+    y = data.draw(_partners[partner], label="y")
+    if partner == "Dual" and len(y.grad) != len(x.grad):
+        y = dual(y.value, np.resize(y.grad, len(x.grad)))
+    _same_bits(_OPERATORS[op](x, y), _PUBLIC_RESULTS[op](x, y))
+
+
+@pytest.mark.parametrize("op", sorted(_OPERATORS))
+@pytest.mark.parametrize("y", [Fraction(1, 3), np.float64(0.75), True], ids=repr)
+def test_dual_operators_coerce_any_other_partner(op, y):
+    # a Fraction partner makes an object-dtype gradient and an np.float64 one a
+    # numpy scalar value; the public constructor turns both back
+    x = dual(1.5, [1.0, -2.0])
+    _same_bits(_OPERATORS[op](x, y), _PUBLIC_RESULTS[op](x, y))
+
+
+def test_dual_compares_with_duals_and_numbers():
+    x, y = dual(2.0, [1.0]), dual(3.0, [0.0])
+    assert x < y and y > x and not x > y and not y < x
+    assert x < 2.5 and x > 1 and not x < Fraction(2) and x > np.float64(1.5)
 
 
 def test_abs_det_basics():

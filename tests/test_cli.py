@@ -622,6 +622,17 @@ def test_whittaker_corollary_overflowing_constant_exits_two(capsys):
     assert "overflows a float" in captured.err
 
 
+def test_whittaker_corollary_overflowing_log_gamma_exits_two_naming_it(capsys):
+    # math.lgamma(1e306) overflows; the error must name the constant and the term
+    code = main(["whittaker", "--cmd", "corollary", "-n", "2", "--alpha", "1e306,1", "--beta", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: normalization constant c(alpha=(1e+306, 1.0), beta=1.0): "
+        "log Gamma(alpha[0] = 1e+306) overflows a float\n"
+    )
+
+
 @pytest.mark.parametrize(
     "rank, alpha, x, log_psi",
     [

@@ -831,6 +831,29 @@ def test_normalization_small_case():
     assert normalization_c((1.0, 1.0), 2.0, log=True) == pytest.approx(math.log(0.25))
 
 
+@pytest.mark.parametrize("log", [True, False], ids=["log", "exp"])
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        ((1e306, 1.0), 1.0, r": log Gamma\(alpha\[0\] = 1e\+306\) overflows a float"),
+        ((1.0, 1e306), 1e-300, r": log Gamma\(alpha\[1\] = 1e\+306\) overflows a float"),
+        # each log Gamma(alpha_i) is finite; that of the pair sum is not
+        ((1.3e305, 1.0, 1.3e305), 1.0,
+         r": log Gamma\(alpha\[0\] \+ alpha\[2\] = 2\.6e\+305\) overflows a float"),
+        # the alpha_i are named before their infinite pair sum
+        ((1e308, 1e308), 1.0, r": log Gamma\(alpha\[0\] = 1e\+308\) overflows a float"),
+        # every log-gamma is finite, and their sum is not
+        ((1e305, 1e305), 1.0, r": log c = inf overflows a float"),
+    ],
+    ids=["alpha0", "alpha1", "pair-sum", "alpha-before-pair-sum", "log-c"],
+)
+def test_normalization_overflow_names_the_constant_and_its_term(alpha, beta, message, log):
+    # the log form overflows too, so it raises the same error
+    c = re.escape(f"normalization constant c(alpha={tuple(float(a) for a in alpha)}, beta={beta})")
+    with pytest.raises(OverflowError, match=f"^{c}{message}$"):
+        normalization_c(alpha, beta, log=log)
+
+
 def test_normalization_log_form_survives_overflow():
     alpha = (200.0, 300.0)
     log_c = normalization_c(alpha, 1.0, log=True)

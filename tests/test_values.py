@@ -2,6 +2,7 @@
 
 import math
 import re
+import unittest.mock
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gburge import values
 from gburge.arrays import ShapedArray
 from gburge.correspondences import gburge
 from gburge.values import (
@@ -176,6 +178,21 @@ def test_rational_ops_take_int_operands(op, x, y):
     want = _RATIONAL_OPS[op][2]
     _exactly(getattr(GEOMETRIC_RATIONAL, op)(x, y), want(Fraction(x), y))
     _exactly(getattr(GEOMETRIC_RATIONAL, op)(y, x), want(Fraction(y), x))
+
+
+@given(x=rationals_or_zero)
+def test_rational_square_takes_no_gcd_and_is_the_fraction_square(x):
+    # otimes(x, x) builds a*a/(b*b) with no gcd, since the square of a reduced
+    # fraction is reduced; an equal but distinct operand takes the gcd path
+    copy = Fraction(x.numerator, x.denominator)
+    assert copy is not x
+    with unittest.mock.patch.object(values, "_gcd", wraps=math.gcd) as gcd:
+        square = GEOMETRIC_RATIONAL.otimes(x, x)
+        assert gcd.call_count == 0
+        product = GEOMETRIC_RATIONAL.otimes(x, copy)
+        assert gcd.call_count == 2
+    _exactly(square, x * x)
+    _exactly(product, x * x)
 
 
 @pytest.mark.parametrize("zero", [Fraction(0), 0], ids=repr)
