@@ -232,14 +232,9 @@ def _rational_sqrt(x: Fraction) -> Fraction:
 
 
 def is_persymmetric(weights: ShapedArray) -> bool:
-    if not weights.shape.is_rectangular or weights.shape.n_rows != weights.shape.n_cols:
-        return False
-    n = weights.shape.n_rows
-    return all(
-        weights.get(i, j) == weights.get(n - j + 1, n - i + 1)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
+    """w_{i,j} = w_{n-j+1,n-i+1} on an n x n square: exactly when the row
+    reversal is symmetric (which also needs the square)."""
+    return weights.shape.is_rectangular and weights.reverse_rows().is_symmetric()
 
 
 def random_persymmetric_square_weights(n: int, rng) -> ShapedArray:
@@ -281,10 +276,17 @@ def replica_decomposition_outcomes(weights: ShapedArray) -> list:
     modified = weights.with_entries(roots)
 
     z_full = path_sum(weights, enum_paths(n, n))
-    z_repl = dom.zero
-    for a in range(1, n + 1):
-        b = n + 1 - a
-        half = path_sum(modified, _paths_between((1, 1), (a, b)))
-        z_repl = dom.oplus(z_repl, dom.otimes(half, half))
+    return [_outcome(dom, weights, z_full, replica_sum(modified))]
 
-    return [_outcome(dom, weights, z_full, z_repl)]
+
+def replica_sum(weights: ShapedArray):
+    """The replica sum over a = 1..n of the squared point-to-point sum from
+    (1,1) to (a, n+1-a), by path enumeration: it reads the weights on the
+    staircase i + j <= n + 1 of their n rows."""
+    dom = weights.domain
+    n = weights.shape.n_rows
+    total = dom.zero
+    for a in range(1, n + 1):
+        half = path_sum(weights, enum_paths(a, n + 1 - a))
+        total = dom.oplus(total, dom.otimes(half, half))
+    return total

@@ -20,7 +20,9 @@ time in pure Python; they are the per-sample API and the test oracle.  Every
 Monte Carlo check draws on numpy lanes instead (``_Lanes``): lane k is
 sample index k, holds that index's stream state, and takes the same uniforms
 as the scalar stream, so its values match the scalar ones up to numpy and
-libm differing in the last ulp.  The Burge map runs on lanes too: an
+libm differing in the last ulp.  Each draw gathers the lanes it runs on
+through one index array, so a lane's values rest on its own stream alone,
+whichever block it is drawn in.  The Burge map runs on lanes too: an
 environment whose entries are lane arrays lives in the ``GEOMETRIC_LANES``
 value domain, and the unchanged ``gburge`` and ``replica_Z`` map a whole
 block at once (``_burge_diagonals``, which the Whittaker measure check draws
@@ -43,7 +45,7 @@ import numpy as np
 
 from .arrays import ShapedArray, _shape_of
 from .correspondences import gburge, report
-from .oracles import enum_paths, path_sum
+from .oracles import replica_sum
 from .shapes import Shape
 from .values import GEOMETRIC_FLOAT, GEOMETRIC_LANES
 
@@ -165,14 +167,6 @@ def _mix64_lanes(z):
     return z ^ (z >> _S31)
 
 
-_EVERY = slice(None)  # every lane, as a basic slice: reads are views, and writes rebind
-
-
-def _pick(lanes, mask):
-    """The lanes of lanes (_EVERY or an index array) where mask holds, as an index array."""
-    return np.flatnonzero(mask) if lanes is _EVERY else lanes[mask]
-
-
 class _Lanes:
     """Stream(seed, i, *tags) for every sample index i of a block, lane k
     holding index[k]: its base key, its uint64 counter and its spare normal
@@ -180,12 +174,11 @@ class _Lanes:
 
     Every draw takes, lane by lane, the same uniforms as the scalar Stream and
     _sample_gamma would, so the values match the scalar ones up to numpy's
-    log, sin, cos and pow differing from libm in the last ulp.  A draw on
-    every lane (the first round of a gamma draw, and its boost) takes the
-    lanes as _EVERY, reading views and rebinding count and spare whole; only
-    a draw on some of them (a retry round, or the lanes without a spare
-    normal) gathers and scatters through an index array.  Lane by lane both
-    forms compute the same bits.  Parameters are not checked here: the
+    log, sin, cos and pow differing from libm in the last ulp.  Each draw names
+    the lanes it runs on by one index array, every lane or some of them alike
+    (a retry round, or the lanes without a spare normal), and gathers and
+    scatters through it; so a lane's values rest on its own stream alone, not
+    on which lanes share its block.  Parameters are not checked here: the
     callers pass validated ones.
     """
 
@@ -206,67 +199,48 @@ class _Lanes:
         return int(self.count.sum())
 
     def _uniform(self, lanes):
-        """Stream.uniform() on each of the given lanes (_EVERY or an index array)."""
+        """Stream.uniform() on each of the given lanes (an index array)."""
         count = self.count[lanes] + _ONE_U64
-        if lanes is _EVERY:
-            self.count = count
-        else:
-            self.count[lanes] = count
+        self.count[lanes] = count
         z = _mix64_lanes(self.keys[lanes] + count * _GOLDEN_U64)
         return ((z >> _S11) + _ONE_U64) * 2.0**-53
 
     def _normal(self, lanes):
-        """Stream.normal() on each of the given lanes (_EVERY or an index array)."""
-        z = self.spare[lanes]  # for _EVERY the spare array itself, which is rebound below
+        """Stream.normal() on each of the given lanes (an index array)."""
+        z = self.spare[lanes]
         fresh = np.isnan(z)
-        new = lanes if fresh.all() else _pick(lanes, fresh)
+        new = lanes[fresh]
+        self.spare[lanes] = np.nan
         radius = np.sqrt(-2.0 * np.log(self._uniform(new)))
         angle = 2.0 * math.pi * self._uniform(new)
-        if new is lanes:
-            spare, z = radius * np.sin(angle), radius * np.cos(angle)
-        else:
-            spare = np.full(z.size, np.nan)
-            spare[fresh] = radius * np.sin(angle)
-            z[fresh] = radius * np.cos(angle)
-        if lanes is _EVERY:
-            self.spare = spare
-        else:
-            self.spare[lanes] = spare
+        self.spare[new] = radius * np.sin(angle)
+        z[fresh] = radius * np.cos(angle)
         return z
 
     def gamma(self, shape: float):
         """_sample_gamma(shape, .) on every lane: Marsaglia-Tsang as masked
-        rejection rounds, the first over every lane and each later one over
-        the lanes still drawing; the log test runs only where the cheap
-        squeeze fails."""
+        rejection rounds over the lanes still drawing; the log test runs only
+        where the cheap squeeze fails."""
+        todo = np.arange(len(self.keys))
         if shape < 1.0:
-            return self.gamma(shape + 1.0) * self._uniform(_EVERY) ** (1.0 / shape)
+            return self.gamma(shape + 1.0) * self._uniform(todo) ** (1.0 / shape)
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(len(self.keys))
-        todo = _EVERY
-        while todo is _EVERY or todo.size:
+        out = np.empty(todo.size)
+        while todo.size:
             x = self._normal(todo)
-            drawn = x.size
             v = 1.0 + c * x
             live = v > 0.0
-            lanes = todo
-            if not live.all():
-                lanes, x, v = _pick(todo, live), x[live], v[live]
+            lanes, x, v = todo[live], x[live], v[live]
             v = v * v * v
             u = self._uniform(lanes)
             done = u < 1.0 - 0.0331 * x * x * x * x
             slow = np.flatnonzero(~done)
             xs, vs = x[slow], v[slow]
             done[slow] = np.log(u[slow]) < 0.5 * xs * xs + d * (1.0 - vs + np.log(vs))
-            if lanes is _EVERY:
-                out = d * v  # the lanes not done take theirs in a later round
-            else:
-                out[lanes[done]] = d * v[done]
-            self.rejections += drawn - int(np.count_nonzero(done))
-            todo = np.concatenate((_pick(todo, ~live), _pick(lanes, ~done)))
-            if todo.size == out.size:  # every lane draws again
-                todo = _EVERY
+            out[lanes[done]] = d * v[done]
+            self.rejections += todo.size - int(np.count_nonzero(done))
+            todo = np.concatenate((todo[~live], lanes[~done]))
         return out
 
     def inv_gamma(self, alpha: float, beta: float):
@@ -426,24 +400,21 @@ def _staircase_Z_replica(rows):
 def replica_Z(weights: ShapedArray, via: str = "persymmetric-burge"):
     """Replica partition function of triangular weights on {i + j <= n + 1}.
 
-    The oracle route enumerates the two half-path sums per endpoint and sums
-    their squared products.  The persymmetric-burge route squares the
-    antidiagonal back, unfolds to the persymmetric matrix, reverses rows to a
-    symmetric matrix, and reads t_{n,n} of its column-insertion image (the
-    dual partition function).  The two agree identically.
+    The oracle route is oracles.replica_sum: it enumerates the half-path sum
+    to each antidiagonal endpoint and sums their squares.  The
+    persymmetric-burge route squares the antidiagonal back, unfolds to the
+    persymmetric matrix, reverses rows to a symmetric matrix, and reads
+    t_{n,n} of its column-insertion image (the dual partition function).  The
+    two agree identically.
     """
     n = weights.shape.n_rows
     if weights.shape != Shape(tuple(range(n, 0, -1))):
         raise ValueError(f"weights must live on the staircase (n..1), got {weights.shape.parts}")
-    dom = weights.domain
     if via == "oracle":
-        total = dom.zero
-        for a in range(1, n + 1):
-            half = path_sum(weights, enum_paths(a, n + 1 - a))
-            total = dom.oplus(total, dom.otimes(half, half))
-        return total
+        return replica_sum(weights)
     if via != "persymmetric-burge":
         raise ValueError(f"unknown route {via!r}; expected oracle or persymmetric-burge")
+    dom = weights.domain
     rows = [[None] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(1, n + 2 - i):

@@ -55,12 +55,14 @@ class NonconvergentQuadratureError(RuntimeError):
 
 def _check_pattern(z):
     """Raise ValueError unless z is a triangular pattern: row i holds the i
-    positive entries z_{i,1..i}, and row n is the argument."""
+    entries z_{i,1..i}, each in (0, inf), and row n is the argument."""
     for i, row in enumerate(z, start=1):
         if len(row) != i:
             raise ValueError(f"row {i} must have {i} entries, got {len(row)}")
         if any(v <= 0 for v in row):
             raise ValueError(f"row {i} has a nonpositive entry")
+        if not all(v < math.inf for v in row):  # nan fails too
+            raise ValueError(f"row {i} has an entry that is not finite")
 
 
 def energy(z):
@@ -383,6 +385,8 @@ def whittaker_measure_check(alpha, beta: float, samples: int, seed: int,
     if len(alpha) != 2:
         raise ValueError("the end-to-end check is implemented for n = 2")
     r_values = _check_laplace_r(r_values)
+    if samples == 1:  # the standard errors divide by samples - 1; below 1 the driver says so
+        raise ValueError("samples must be at least 2 for the standard errors, got 1")
     (t11, t22), diagnostics = _burge_diagonals(EnvSpec(2, alpha, beta), samples, seed)
     return _measure_report(alpha, beta, seed, t22, t11, r_values, diagnostics)
 

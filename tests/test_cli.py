@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,19 @@ def test_replica_and_density_check_samples_below_one_exit_two(capsys, argv, samp
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"error: samples must be at least 1, got {samples}" in captured.err
+
+
+def test_density_check_one_sample_exits_two_naming_samples(capsys):
+    # it printed two numpy RuntimeWarnings and "Out of range float values are
+    # not JSON compliant: nan"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["whittaker", "--cmd", "density-check", "--alpha", "1,1.5",
+                     "--samples", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: samples must be at least 2 for the standard errors, got 1\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_polymer_requires_a_seed(capsys):

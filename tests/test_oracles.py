@@ -19,6 +19,7 @@ from gburge.oracles import (
     prop43_outcomes,
     random_persymmetric_square_weights,
     replica_decomposition_outcomes,
+    replica_sum,
 )
 from gburge.shapes import Shape, all_shapes, rectangle
 from gburge.values import GEOMETRIC_RATIONAL, RationalDomain
@@ -145,6 +146,20 @@ def test_persymmetric_detection():
     assert is_persymmetric(ShapedArray.from_rows([[1, 4], [4, 1]], R))
     assert not is_persymmetric(ShapedArray.from_rows([[1, 4], [4, 3]], R))
     assert not is_persymmetric(rand(Shape((2, 1)), 0))
+    # persymmetric but not symmetric, symmetric but not persymmetric, and not square
+    assert is_persymmetric(ShapedArray.from_rows([[1, 2, 3], [4, 5, 2], [6, 4, 1]], R))
+    assert not is_persymmetric(ShapedArray.from_rows([[1, 2], [2, 3]], R))
+    assert not is_persymmetric(ShapedArray.from_rows([[1, 1, 1], [1, 1, 1]], R))
+    assert not is_persymmetric(ShapedArray.from_rows([[1, 1], [1, 1], [1, 1]], R))
+
+
+def test_replica_sum_squares_the_sum_to_each_antidiagonal_endpoint():
+    # the paths to (1, 2) and (2, 1) cover {a, b} and {a, c}
+    a, b, c = Fraction(2), Fraction(3, 5), Fraction(7)
+    staircase = ShapedArray.from_rows([[a, b], [c]], R)
+    assert replica_sum(staircase) == (a * b) ** 2 + (a * c) ** 2
+    square = ShapedArray.from_rows([[a, b], [c, Fraction(11)]], R)
+    assert replica_sum(square) == replica_sum(staircase)  # off the staircase is not read
 
 
 def test_replica_frozen_2x2():

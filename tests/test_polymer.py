@@ -306,28 +306,29 @@ def test_lane_state_after_a_sequence_of_draws_is_pinned(lanes_n, want):
     assert lane_state_digests(lanes_n) == want
 
 
-@pytest.mark.parametrize("lanes_n", [1, 7, 4096])
-def test_a_draw_on_every_lane_gathers_through_no_index_array(monkeypatch, lanes_n):
-    # _uniform and _normal take every lane as a basic slice (views, and the
-    # counters and spares rebound whole); only a proper subset of the lanes,
-    # in a retry round or the lanes with no spare normal, is an index array
-    calls = []
-    for name in ("_uniform", "_normal"):
-        real = getattr(_Lanes, name)
+def draws_in_blocks(seed, index, cuts, shape):
+    """Two gamma draws at shape on the lanes of index, split at cuts into
+    blocks of their own: the values, counters and spare normals (as bits, so
+    the NaN pattern too) concatenated over the blocks, and the rejections."""
+    parts = []
+    for block in np.split(index, cuts):
+        lanes = _Lanes(seed, block)
+        values = np.stack([lanes.gamma(shape), lanes.gamma(shape)], axis=1)
+        parts.append((values, lanes.count, lanes.spare, lanes.rejections))
+    values, count, spare, rejections = zip(*parts)
+    return (np.concatenate(values).view(np.uint64).tolist(), np.concatenate(count).tolist(),
+            np.concatenate(spare).view(np.uint64).tolist(), sum(rejections))
 
-        def recording(self, lanes, real=real, name=name):
-            calls.append((name, lanes))
-            return real(self, lanes)
 
-        monkeypatch.setattr(_Lanes, name, recording)
-    lanes = _Lanes(12, np.arange(lanes_n))
-    for shape in (0.05, 0.3, 1.0, 2.5, 7.0):
-        lanes.inv_gamma(shape, 1.0)
-    first = next(arg for name, arg in calls if name == "_normal")
-    assert first == slice(None)
-    sizes = [arg.size for _, arg in calls if isinstance(arg, np.ndarray)]
-    assert all(size < lanes_n for size in sizes)
-    assert sum(not isinstance(arg, np.ndarray) for _, arg in calls) >= 10
+@pytest.mark.parametrize("cuts", [(1,), (4096,), (2000, 2001)], ids=str)
+@pytest.mark.parametrize("shape", [0.05, 1.0, 7.0])
+def test_a_lanes_draws_do_not_depend_on_its_block_mates(shape, cuts):
+    # each draw gathers its lanes through an index array, and _CHUNK splits the
+    # indices into blocks: 4097 indices drawn whole or as blocks, one of size 1
+    seed, index = 12, np.arange(1000, 5097)
+    whole = draws_in_blocks(seed, index, (), shape)
+    assert draws_in_blocks(seed, index, cuts, shape) == whole
+    assert whole[3] > 0  # rejection rounds ran
 
 
 # -- environments ---------------------------------------------------------------

@@ -79,6 +79,15 @@ def test_pattern_validation():
             fn(((1.0, 2.0),))
         with pytest.raises(ValueError, match="row 2 has a nonpositive entry"):
             fn(((1.0,), (0.0, 2.0)))
+        # nan and +inf passed the v <= 0 test: type_vector([[nan]]) returned (nan,),
+        # and energy([[1.0], [inf, 1.0]]) returned 1.0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^row 1 has an entry that is not finite$"):
+                fn(((bad,),))
+            with pytest.raises(ValueError, match="^row 2 has an entry that is not finite$"):
+                fn(((1.0,), (bad, 1.0)))
+        with pytest.raises(ValueError, match="^row 2 has a nonpositive entry$"):
+            fn(((1.0,), (1.0, -math.inf)))
         fn(((2.0,), (3.0, 5.0)))
 
 
@@ -1025,6 +1034,18 @@ def test_measure_check_matches_a_report_on_scalar_draws(monkeypatch, alpha, samp
 def test_measure_check_needs_a_sample(samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         whittaker_measure_check((1.0, 1.0), 1.0, samples=samples, seed=0)
+
+
+def test_measure_check_needs_two_samples_before_any_draw(monkeypatch):
+    # one sample has no standard error: np.std(ddof=1) warned twice and gave nan,
+    # which the report could not print
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew or integrated before checking samples")
+
+    monkeypatch.setattr(whittaker, "_burge_diagonals", unreachable)
+    monkeypatch.setattr(whittaker, "_measure_predictions", unreachable)
+    with pytest.raises(ValueError, match="^samples must be at least 2 for the standard errors, got 1$"):
+        whittaker_measure_check((1.0, 1.5), 1.0, samples=1, seed=1)
 
 
 def test_replica_laplace_matches_the_quadrature():
