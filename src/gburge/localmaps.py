@@ -14,18 +14,23 @@ the maps act by
     a_{i,j}:  w_{i,j} -> (A otimes H) odiv w_{i,j}
     b_{i,j}:  w_{i,j} -> (A otimes w_{i,j+1}) odiv w_{i,j}
     c_{i,j}:  w_{i,j} -> w_{i,j} otimes A
-    d^{k,l}_{i,j}:  w_{i,j} -> hsum(w_{i,j}, w_{k,l} otimes A)
-                    w_{k,l} -> ((w_{k,l} otimes A) odiv w_{i,j}^2
-                                oplus  1 odiv w_{i,j}) otimes H
+    d^{k,l}_{i,j}:  w_{i,j} -> w' = hsum(w_{i,j}, zA),  zA = w_{k,l} otimes A
+                    w_{k,l} -> (zA odiv w') otimes (H odiv w_{i,j})
     e^{k,l}_{i,j}:  swaps w_{i,j} and w_{k,l}
+
+d is written in ratio form, seven ops: 1/w' = 1/w_{i,j} + 1/zA, so
+(zA odiv w') otimes (H odiv w_{i,j}) = (zA/w_{i,j}^2 + 1/w_{i,j}) H.
 
 a and b are involutions; c, d are bijections whose inverses are derived by
 solving the defining relations (subtraction-free, hence valid verbatim in the
 tropical domain too) and validated by round-trip tests:
 
     c^{-1}:  w -> w odiv A
-    d^{-1}:  w_{i,j} = w'_{i,j} oplus (H odiv w'_{k,l})
-             w_{k,l} = (w'_{i,j} otimes w'_{k,l} otimes w_{i,j}) odiv (A otimes H)
+    d^{-1}:  w_{i,j} = w'_{i,j} oplus q,  q = H odiv w'_{k,l}
+             w_{k,l} = (w_{i,j} odiv A) otimes (w'_{i,j} odiv q)
+
+d^{-1} is in ratio form too, seven ops: w'_{i,j} odiv q = w'_{i,j} w'_{k,l} / H,
+so w_{k,l} = w'_{i,j} w'_{k,l} w_{i,j} / (A H), the solved relation.
 
 a, d and d^{-1} take A as an optional argument: the 21-map composition of the
 commutation proof uses shifted variants whose A is the left neighbour alone.
@@ -140,8 +145,8 @@ def d_at(g, i, j, k, l, A=None):
         A = dom.oplus(r[i - 1][j], r[i][j - 1])
     H = dom.hsum(r[i + 1][j], r[i][j + 1])
     w, zA = r[i][j], dom.otimes(r[k][l], A)
-    r[i][j] = dom.hsum(w, zA)
-    r[k][l] = dom.otimes(dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)), H)
+    r[i][j] = wp = dom.hsum(w, zA)
+    r[k][l] = dom.otimes(dom.odiv(zA, wp), dom.odiv(H, w))
 
 
 def inv_d_at(g, i, j, k, l, A=None):
@@ -149,9 +154,9 @@ def inv_d_at(g, i, j, k, l, A=None):
     if A is None:
         A = dom.oplus(r[i - 1][j], r[i][j - 1])
     H = dom.hsum(r[i + 1][j], r[i][j + 1])
-    wp, zp = r[i][j], r[k][l]
-    r[i][j] = w = dom.oplus(wp, dom.odiv(H, zp))
-    r[k][l] = dom.odiv(dom.otimes(dom.otimes(wp, zp), w), dom.otimes(A, H))
+    wp, q = r[i][j], dom.odiv(H, r[k][l])
+    r[i][j] = w = dom.oplus(wp, q)
+    r[k][l] = dom.otimes(dom.odiv(w, A), dom.odiv(wp, q))
 
 
 def e_at(g, i, j, k, l):

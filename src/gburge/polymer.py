@@ -487,6 +487,8 @@ def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
     the digits of the result.
     """
     r_values = _check_laplace_r(r_values)
+    if samples == 1:  # the standard errors divide by samples - 1; _collect_samples refuses 0 and below
+        raise ValueError("samples must be at least 2 for the standard errors, got 1")
 
     def draw(lanes):
         z = _staircase_Z_replica(_replica_rows(spec, lanes.inv_gamma, np.sqrt))
@@ -498,7 +500,7 @@ def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
     for r, block_sums, block_squares in zip(r_values, sums.T, squares.T):
         mean = _kahan_total(block_sums.tolist()) / samples
         total_sq = _kahan_total(block_squares.tolist())
-        var = max(total_sq - samples * mean * mean, 0.0) / max(samples - 1, 1)
+        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
         results.append(MCResult(r, mean, math.sqrt(var / samples), samples, seed))
     return results
 

@@ -190,8 +190,8 @@ class RationalDomain(GeometricDomain):
     slots under one try, which skips Fraction's property calls; an int
     operand has no such slot, and the AttributeError sends both operands
     through the public numerator and denominator instead.  A square,
-    otimes(x, x), is built with no gcd; d_at and replica_Z square an entry
-    on every call.
+    otimes(x, x), is built with no gcd; replica_Z squares an entry on every
+    call.
     """
 
     is_exact = True

@@ -476,6 +476,15 @@ def test_density_check_one_sample_exits_two_naming_samples(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_laplace_one_sample_exits_two_naming_samples(capsys):
+    # it printed a standard error of 0.0 and exited 0
+    code = main(["polymer", "--cmd", "laplace", "-n", "2", "--alpha", "1,1.5",
+                 "--samples", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: samples must be at least 2 for the standard errors, got 1\n"
+
+
 def test_polymer_requires_a_seed(capsys):
     with pytest.raises(SystemExit) as info:
         main(["polymer", "--cmd", "laplace", "-n", "2", "--alpha", "1,1"])

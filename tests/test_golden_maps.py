@@ -1,8 +1,9 @@
 """Map outputs pinned bit for bit: gburge, grsk, their inverses, gschutz and
 gburge_up on fixed arrays over Fraction, float, max-plus and float lanes.
 
-golden_maps.json holds each input and the output the maps gave before the
-scratch grid was padded with its boundary; a change to the grid or the
+golden_maps.json holds each input and the output the maps gave when the
+kernels d and d^{-1} took their ratio forms (the Fraction and max-plus
+outputs are older and did not move then); a change to the grid or the
 kernels must reproduce them exactly, so the order of the arithmetic is part
 of what is pinned.  Floats are stored with float.hex, and a gburge_up case
 stores only the rows i <= j of its symmetric input and output.  To

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gburge.arrays import ShapedArray, random_array
-from gburge.correspondences import gburge_up
+from gburge.correspondences import _left, gburge_up
 from gburge.localmaps import Grid, a_at, b_at, c_at, d_at, e_at, inv_c_at, inv_d_at
 from gburge.shapes import ShapeError, rectangle
-from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, TROPICAL, DomainError
+from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, TROPICAL, DomainError, RationalDomain
 
 R = GEOMETRIC_RATIONAL
 seeds = st.integers(0, 10_000)
@@ -187,3 +187,129 @@ def test_d_up_example():
     # new w_22 = (1/1 + 1/1) * (1/2) = 1
     assert out.get(2, 2) == 1
     assert out.is_symmetric()
+
+
+# -- d and d^{-1} in ratio form, against their earlier forms -------------------------------
+
+
+def d_nine_ops(g, i, j, k, l, A=None):
+    """d as written before its ratio form, in nine domain ops:
+    w'_{k,l} = ((zA odiv w^2) oplus (1 odiv w)) otimes H."""
+    dom, r = g.domain, g.rows
+    if A is None:
+        A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    H = dom.hsum(r[i + 1][j], r[i][j + 1])
+    w, zA = r[i][j], dom.otimes(r[k][l], A)
+    r[i][j] = dom.hsum(w, zA)
+    r[k][l] = dom.otimes(dom.oplus(dom.odiv(zA, dom.otimes(w, w)), dom.odiv(dom.one, w)), H)
+
+
+def inv_d_eight_ops(g, i, j, k, l, A=None):
+    """d^{-1} as written before its ratio form, in eight domain ops:
+    w_{k,l} = (w' otimes w'_{k,l} otimes w) odiv (A otimes H)."""
+    dom, r = g.domain, g.rows
+    if A is None:
+        A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    H = dom.hsum(r[i + 1][j], r[i][j + 1])
+    wp, zp = r[i][j], r[k][l]
+    r[i][j] = w = dom.oplus(wp, dom.odiv(H, zp))
+    r[k][l] = dom.odiv(dom.otimes(dom.otimes(wp, zp), w), dom.otimes(A, H))
+
+
+def d_planted(g, i, j, k, l, A=None):
+    """The ratio form of d with a planted defect: w in place of w' in zA odiv w'."""
+    dom, r = g.domain, g.rows
+    if A is None:
+        A = dom.oplus(r[i - 1][j], r[i][j - 1])
+    H = dom.hsum(r[i + 1][j], r[i][j + 1])
+    w, zA = r[i][j], dom.otimes(r[k][l], A)
+    r[i][j] = dom.hsum(w, zA)
+    r[k][l] = dom.otimes(dom.odiv(zA, w), dom.odiv(H, w))
+
+
+# (i,j), (k,l) on a 3x3 square: the chains of tau and the 21-map composition's far box
+D_BOXES = [((1, 1), (2, 2)), ((1, 1), (3, 3)), ((2, 2), (3, 3)), ((2, 1), (3, 3)),
+           ((1, 2), (3, 3)), ((2, 1), (3, 2))]
+PAIRS = [(d_at, d_nine_ops), (inv_d_at, inv_d_eight_ops)]
+
+
+def grids_after(w, kernels, ij, kl, shifted):
+    """The grid rows each kernel leaves from w at (ij, kl); with shifted, every
+    kernel takes the 21-map composition's A, the left neighbour alone."""
+    out = []
+    for kernel in kernels:
+        g = Grid.of(w)
+        A = _left(g, *ij) if shifted else None
+        kernel(g, *ij, *kl, A=A)
+        out.append(g.rows)
+    return out
+
+
+@given(seeds, domains, st.booleans())
+def test_ratio_forms_equal_the_earlier_forms_over_fractions_and_max_plus(seed, dom, shifted):
+    # max-plus entries are integers, so both forms are exact there too
+    w = rand(rectangle(3, 3), seed, dom)
+    for ij, kl in D_BOXES:
+        for pair in PAIRS:
+            new, old = grids_after(w, pair, ij, kl, shifted)
+            assert new == old
+
+
+@given(seeds, st.booleans())
+def test_ratio_forms_match_the_earlier_forms_on_floats(seed, shifted):
+    # entries log-uniform on [1/e, e]; the golden maps moved by at most 1.2e-15
+    w = rand(rectangle(3, 3), seed, GEOMETRIC_FLOAT)
+    for ij, kl in D_BOXES:
+        for pair in PAIRS:
+            new, old = grids_after(w, pair, ij, kl, shifted)
+            for x, y in zip(sum(new, []), sum(old, [])):
+                assert abs(x - y) <= 1e-14 * max(abs(x), abs(y))
+
+
+class CountingRational(RationalDomain):
+    """The rational domain, counting the calls of its four ops."""
+
+    def __init__(self):
+        super().__init__("counting-rational", R.corner, R.zero, R.one)
+        self.calls = 0
+
+    def oplus(self, x, y):
+        self.calls += 1
+        return super().oplus(x, y)
+
+    def otimes(self, x, y):
+        self.calls += 1
+        return super().otimes(x, y)
+
+    def odiv(self, x, y):
+        self.calls += 1
+        return super().odiv(x, y)
+
+    def hsum(self, x, y):
+        self.calls += 1
+        return super().hsum(x, y)
+
+
+@pytest.mark.parametrize(
+    "kernel, ops", [(d_at, 7), (inv_d_at, 7), (d_nine_ops, 9), (inv_d_eight_ops, 8)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_ratio_forms_take_seven_domain_ops(kernel, ops):
+    w = rand(rectangle(3, 3), 1)
+    dom = CountingRational()
+    for ij, kl in D_BOXES:
+        for shifted in (False, True):
+            g = Grid(w.shape, dom, w.rows)
+            A = _left(g, *ij) if shifted else None
+            dom.calls = 0
+            kernel(g, *ij, *kl, A=A)
+            # a given A saves the oplus that reads it
+            assert dom.calls == ops - shifted
+
+
+def test_a_planted_defect_fails_the_fraction_comparison():
+    for seed in range(20):
+        w = rand(rectangle(3, 3), seed)
+        for ij, kl in D_BOXES:
+            planted, old = grids_after(w, (d_planted, d_nine_ops), ij, kl, False)
+            assert planted[kl[0]][kl[1]] != old[kl[0]][kl[1]]
