@@ -20,10 +20,13 @@ the maps act by
 
 d is written in ratio form, seven ops: 1/w' = 1/w_{i,j} + 1/zA, so
 (zA odiv w') otimes (H odiv w_{i,j}) = (zA/w_{i,j}^2 + 1/w_{i,j}) H.
+Over max-plus this holds on finite entries only: at the tropical zero
+zA = -inf, w' = -inf too and zA odiv w' raises DomainError, where the limit
+of the geometric map is H odiv w_{i,j}.
 
 a and b are involutions; c, d are bijections whose inverses are derived by
-solving the defining relations (subtraction-free, hence valid verbatim in the
-tropical domain too) and validated by round-trip tests:
+solving the defining relations (subtraction-free, hence valid verbatim on
+finite tropical entries too) and validated by round-trip tests:
 
     c^{-1}:  w -> w odiv A
     d^{-1}:  w_{i,j} = w'_{i,j} oplus q,  q = H odiv w'_{k,l}

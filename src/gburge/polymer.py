@@ -279,6 +279,13 @@ def _check_laplace_r(r_values) -> list:
     return r_values
 
 
+def _check_standard_error_samples(samples) -> None:
+    """A standard error divides by samples - 1, so one sample is refused;
+    _collect_samples refuses 0 and below."""
+    if samples == 1:
+        raise ValueError("samples must be at least 2 for the standard errors, got 1")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Size and parameters of a symmetric log-gamma environment, checked once:
@@ -487,8 +494,7 @@ def laplace_mc(spec: EnvSpec, r_values, samples: int, seed: int):
     the digits of the result.
     """
     r_values = _check_laplace_r(r_values)
-    if samples == 1:  # the standard errors divide by samples - 1; _collect_samples refuses 0 and below
-        raise ValueError("samples must be at least 2 for the standard errors, got 1")
+    _check_standard_error_samples(samples)
 
     def draw(lanes):
         z = _staircase_Z_replica(_replica_rows(spec, lanes.inv_gamma, np.sqrt))

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondences import report
-from .polymer import EnvSpec, _burge_diagonals, _check_laplace_r, normalization_c
+from .polymer import (
+    EnvSpec,
+    _burge_diagonals,
+    _check_laplace_r,
+    _check_standard_error_samples,
+    normalization_c,
+)
 
 _TAIL_LOG_DROP = 46.0  # stop once the integrand falls this far below its peak
 # the last unit step of each chunk the probe's tail walk evaluates at once, past the steps
@@ -385,8 +391,7 @@ def whittaker_measure_check(alpha, beta: float, samples: int, seed: int,
     if len(alpha) != 2:
         raise ValueError("the end-to-end check is implemented for n = 2")
     r_values = _check_laplace_r(r_values)
-    if samples == 1:  # the standard errors divide by samples - 1; below 1 the driver says so
-        raise ValueError("samples must be at least 2 for the standard errors, got 1")
+    _check_standard_error_samples(samples)
     (t11, t22), diagnostics = _burge_diagonals(EnvSpec(2, alpha, beta), samples, seed)
     return _measure_report(alpha, beta, seed, t22, t11, r_values, diagnostics)
 

@@ -2,6 +2,7 @@
 a padded grid: the kernels check no box, so each test picks boxes the map
 finds."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -216,17 +217,6 @@ def inv_d_eight_ops(g, i, j, k, l, A=None):
     r[k][l] = dom.odiv(dom.otimes(dom.otimes(wp, zp), w), dom.otimes(A, H))
 
 
-def d_planted(g, i, j, k, l, A=None):
-    """The ratio form of d with a planted defect: w in place of w' in zA odiv w'."""
-    dom, r = g.domain, g.rows
-    if A is None:
-        A = dom.oplus(r[i - 1][j], r[i][j - 1])
-    H = dom.hsum(r[i + 1][j], r[i][j + 1])
-    w, zA = r[i][j], dom.otimes(r[k][l], A)
-    r[i][j] = dom.hsum(w, zA)
-    r[k][l] = dom.otimes(dom.odiv(zA, w), dom.odiv(H, w))
-
-
 # (i,j), (k,l) on a 3x3 square: the chains of tau and the 21-map composition's far box
 D_BOXES = [((1, 1), (2, 2)), ((1, 1), (3, 3)), ((2, 2), (3, 3)), ((2, 1), (3, 3)),
            ((1, 2), (3, 3)), ((2, 1), (3, 2))]
@@ -307,9 +297,13 @@ def test_ratio_forms_take_seven_domain_ops(kernel, ops):
             assert dom.calls == ops - shifted
 
 
-def test_a_planted_defect_fails_the_fraction_comparison():
-    for seed in range(20):
-        w = rand(rectangle(3, 3), seed)
-        for ij, kl in D_BOXES:
-            planted, old = grids_after(w, (d_planted, d_nine_ops), ij, kl, False)
-            assert planted[kl[0]][kl[1]] != old[kl[0]][kl[1]]
+def test_d_raises_at_the_tropical_zero_and_its_inverse_does_not():
+    # zA = -inf makes w' = min(w, zA) = -inf, and zA odiv w' is -inf - -inf;
+    # d^{-1} still maps the geometric limit (-inf, H - w) back to (w, -inf)
+    w = ShapedArray.from_rows([[0, 1, 2], [3, -math.inf, 1], [2, 0.5, 1.5]], TROPICAL)
+    with pytest.raises(DomainError, match="tropical division by -inf"):
+        d_at(Grid.of(w), 1, 1, 2, 2)
+    image = ShapedArray.from_rows([[-math.inf, 1, 2], [3, 1, 1], [2, 0.5, 1.5]], TROPICAL)
+    g = Grid.of(image)
+    inv_d_at(g, 1, 1, 2, 2)
+    assert (g.rows[1][1], g.rows[2][2]) == (0.0, -math.inf)
