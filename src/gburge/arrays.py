@@ -47,9 +47,10 @@ class ShapedArray:
     """Immutable array of one value per box of a Young diagram.
 
     Indices are 1-based throughout, matching the box convention of Shape.
-    Entries are validated against the domain on construction; exotic numeric
-    types (dual numbers, high-precision floats) are allowed in the
-    ``geom-float`` domain and flow through all maps unchanged.
+    Entries are validated against the domain on construction, and a rejected
+    entry raises DomainError naming its box; exotic numeric types (dual
+    numbers, high-precision floats) are allowed in the ``geom-float`` domain
+    and flow through all maps unchanged.
     """
 
     __slots__ = ("shape", "domain", "_rows")
@@ -61,7 +62,15 @@ class ShapedArray:
         for i, (row, want) in enumerate(zip(rows, shape.parts), start=1):
             if len(row) != want:
                 raise ShapeError(f"row {i} has {len(row)} entries, shape wants {want}")
-            coerced.append(tuple(map(coerce, row)))
+            try:
+                coerced.append(tuple(map(coerce, row)))
+            except DomainError as exc:  # search the failed row for the box to name
+                for j, x in enumerate(row, start=1):
+                    try:
+                        coerce(x)
+                    except DomainError:
+                        break
+                raise DomainError(f"box ({i},{j}): {exc}") from None
         self.shape = shape
         self.domain = domain
         self._rows = tuple(coerced)

@@ -39,7 +39,6 @@ from .arrays import ShapedArray, random_array, random_symmetric_array
 from .localmaps import (
     Grid,
     _need,
-    _upper_grid,
     a_at,
     b_at,
     c_at,
@@ -200,7 +199,8 @@ def gburge_up(arr: ShapedArray) -> ShapedArray:
     prefixes of that order are Young diagrams, which is what the restricted
     map needs.
     """
-    return _run(_upper_grid(arr, "gburge_up"), tau_up_at, arr.shape.upper_part()).to_array()
+    arr.require_symmetric("gburge_up")
+    return _run(Grid.of(arr), tau_up_at, arr.shape.upper_part()).to_array()
 
 
 # -- the local commutation relation ---------------------------------------------------

@@ -20,13 +20,11 @@ the maps act by
 
 d is written in ratio form, seven ops: 1/w' = 1/w_{i,j} + 1/zA, so
 (zA odiv w') otimes (H odiv w_{i,j}) = (zA/w_{i,j}^2 + 1/w_{i,j}) H.
-Over max-plus this holds on finite entries only: at the tropical zero
-zA = -inf, w' = -inf too and zA odiv w' raises DomainError, where the limit
-of the geometric map is H odiv w_{i,j}.
 
 a and b are involutions; c, d are bijections whose inverses are derived by
-solving the defining relations (subtraction-free, hence valid verbatim on
-finite tropical entries too) and validated by round-trip tests:
+solving the defining relations (subtraction-free, hence valid verbatim in
+max-plus too, whose interior entries are finite) and validated by
+round-trip tests:
 
     c^{-1}:  w -> w odiv A
     d^{-1}:  w_{i,j} = w'_{i,j} oplus q,  q = H odiv w'_{k,l}
@@ -45,16 +43,17 @@ kernel writes r[i][j] = ... directly.  Kernels check no box.  A diagonal map
 at (k,l) touches only boxes of the order ideal below (k,l), so each public
 entry point, all of them in correspondences, checks its boxes once: the
 correspondences through the growth-sequence or rectangle check, gburge_up
-through _upper_grid, the commutation through _need, and the 21-map
+through the symmetry check, the commutation through _need, and the 21-map
 composition through its own box test.  The error names the map, the box
 and, for an order, the step.
 
 The restricted symmetric map gburge_up takes and returns a symmetric
-ShapedArray; _upper_grid checks the symmetry once, when the map is entered.
+ShapedArray, in any domain; it checks the symmetry once, when it is entered.
 At a diagonal box the two arguments of A and of H coincide, so
-A = x oplus x = 2x and H = hsum(x, x) = x/2: there c and d write diagonal
-boxes only.  Off the diagonal, correspondences.tau_up_at runs tau and copies
-the boxes it changed to their mirror boxes.
+A = x oplus x and H = hsum(x, x) (2x and x/2 geometrically, x in max-plus):
+there c and d write diagonal boxes only.  Off the diagonal,
+correspondences.tau_up_at runs tau and copies the boxes it changed to their
+mirror boxes.
 
 A chain of local maps on one grid costs one array copy.  Handing a grid back
 as an array is the one place a float overflow is caught: every entry goes
@@ -65,7 +64,6 @@ from __future__ import annotations
 
 from .arrays import ShapedArray
 from .shapes import ShapeError
-from .values import DomainError
 
 
 # -- mutable scratch grids ---------------------------------------------------------
@@ -92,15 +90,6 @@ class Grid:
         rows = tuple([tuple(row[1:]) for row in self.rows[1:]])
         self.domain.check_finite(rows)
         return ShapedArray._wrap(self.shape, rows, self.domain)
-
-
-def _upper_grid(arr: ShapedArray, name: str) -> Grid:
-    """The Grid of arr, checked once for the restricted map name: the
-    domain must be geometric and the array symmetric."""
-    if arr.domain.is_tropical:
-        raise DomainError("the restricted symmetric maps are defined in the geometric domains only")
-    arr.require_symmetric(name)
-    return Grid.of(arr)
 
 
 def _need(shape, name, i, j, *more):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .arrays import ShapedArray, random_array
 from .correspondences import counterexample, gburge, grsk
 from .shapes import rectangle
-from .values import GEOMETRIC_RATIONAL, ValueDomain
+from .values import GEOMETRIC_RATIONAL, LogCoordinates, ValueDomain
 
 ENUMERATION_LIMIT = 10**7
 
@@ -260,9 +260,10 @@ def replica_decomposition_outcomes(weights: ShapedArray) -> list:
 
         Z_{n,n}(W) = sum over a+b = n+1 of Z'_{a,b}(W')^2
 
-    where W' halves the antidiagonal multiplicatively (square roots there,
-    untouched elsewhere).  In the exact domain the antidiagonal entries must
-    be perfect rational squares.  One `run_trials` outcome.
+    where W' halves the antidiagonal multiplicatively (otimes square roots
+    there, so halves in max-plus and LogDomain, untouched elsewhere).  In
+    the exact domain the antidiagonal entries must be perfect rational
+    squares.  One `run_trials` outcome.
     """
     dom = weights.domain
     if not is_persymmetric(weights):
@@ -272,7 +273,10 @@ def replica_decomposition_outcomes(weights: ShapedArray) -> list:
     for i in range(1, n + 1):
         j = n + 1 - i
         w = weights.get(i, j)
-        roots[(i, j)] = _rational_sqrt(w) if dom.is_exact else w**0.5
+        if dom.is_exact:
+            roots[(i, j)] = _rational_sqrt(w)
+        else:  # the otimes square root: w/2 where otimes is +
+            roots[(i, j)] = w / 2 if isinstance(dom, LogCoordinates) else w**0.5
     modified = weights.with_entries(roots)
 
     z_full = path_sum(weights, enum_paths(n, n))

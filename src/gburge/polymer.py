@@ -626,46 +626,35 @@ def normalization_c(alpha, beta: float, log: bool = False) -> float:
     """The environment's normalization constant
     beta^(-sum alpha) * prod Gamma(alpha_i) * prod_{i<j} Gamma(alpha_i+alpha_j),
     computed in log space (pass log=True to keep it there).  An OverflowError
-    names the constant, and the alpha_i or pair sum whose log-gamma overflows,
-    or log c itself where the finite terms sum past the double range."""
+    names the constant and the first term whose log-gamma is not finite, the
+    alpha_i before the pair sums, or log c itself where the finite terms sum
+    past the double range."""
     alpha = [float(a) for a in alpha]
     _check_parameters(alpha, beta)
-    try:
-        total = -sum(alpha) * math.log(beta)
-        total += sum(math.lgamma(a) for a in alpha)
-        total += sum(
-            math.lgamma(alpha[i] + alpha[j])
-            for i in range(len(alpha))
-            for j in range(i + 1, len(alpha))
-        )
-    except OverflowError:  # a log-gamma past the double range
-        total = math.inf
+    n = len(alpha)
+    total = -sum(alpha) * math.log(beta)
+    for terms in ([(i,) for i in range(n)], [(i, j) for i in range(n) for j in range(i + 1, n)]):
+        logs = []
+        for at in terms:
+            x = sum(alpha[i] for i in at)
+            try:
+                y = math.lgamma(x)
+            except OverflowError:  # a log-gamma past the double range
+                y = math.inf
+            if not y < math.inf:  # lgamma(inf) is inf
+                term = f"log Gamma({' + '.join(f'alpha[{i}]' for i in at)} = {x!r})"
+                raise OverflowError(f"{_c_name(alpha, beta)}: {term} overflows a float")
+            logs.append(y)
+        total += sum(logs)
     if not -math.inf < total < math.inf:
-        raise OverflowError(_log_c_overflow(alpha, beta, total))
+        raise OverflowError(f"{_c_name(alpha, beta)}: log c = {total!r} overflows a float")
     if log:
         return total
     try:
         return math.exp(total)
     except OverflowError:
-        raise OverflowError(
-            f"normalization constant c(alpha={tuple(alpha)}, beta={beta}) = exp({total!r}) "
-            "overflows a float"
-        ) from None
+        raise OverflowError(f"{_c_name(alpha, beta)} = exp({total!r}) overflows a float") from None
 
 
-def _log_c_overflow(alpha, beta, total) -> str:
-    """The error text for a log c that is not finite: it names the first term
-    whose log-gamma is not finite, alpha_i before the pair sums alpha_i +
-    alpha_j, or log c itself when every term is finite."""
-    c = f"normalization constant c(alpha={tuple(alpha)}, beta={beta})"
-    n = len(alpha)
-    for at in [(i,) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]:
-        x = sum(alpha[i] for i in at)
-        try:
-            if math.lgamma(x) < math.inf:  # lgamma(inf) is inf
-                continue
-        except OverflowError:
-            pass
-        name = " + ".join(f"alpha[{i}]" for i in at)
-        return f"{c}: log Gamma({name} = {x!r}) overflows a float"
-    return f"{c}: log c = {total!r} overflows a float"
+def _c_name(alpha, beta) -> str:
+    return f"normalization constant c(alpha={tuple(alpha)}, beta={beta})"

@@ -35,12 +35,20 @@ whole block at once; it checks its preconditions with ``np.all`` and names
 the first failing lane.  It holds no serializable values and is not one of
 the named ``DOMAINS``.
 
+The max-plus ``TROPICAL`` and ``LogDomain(eps)`` are the two domains of log
+coordinates (``LogCoordinates``): every interior entry, and every output, is
+a finite float, and their zero -inf lives only on the padded boundary of the
+local maps.  The max-plus maps are the classical Burge correspondence on
+N-matrices, which have no -inf entries either, and they are bijections on
+finite entries only.
+
 Float outputs are checked once, when a map hands back its result
 (``check_finite``), not inside the operations: a float map fed finite
-entries can still overflow, and that raises instead of returning inf or nan.
-It is one pass: a row of floats whose builtin sum is below +inf holds no
-nan and no +inf, so only a row failing that test (bad entries, or finite ones
-whose sum overflows) is searched for the box to name.  Fractions are not checked.
+entries can still overflow, and that raises instead of returning an
+infinity or nan.  It is one pass: a row of floats whose builtin sum lies
+strictly between -inf and +inf holds no nan and no infinity, so only a row
+failing that test (bad entries, or finite ones whose sum overflows) is
+searched for the box to name.  Fractions are not checked.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ class ValueDomain:
     is_tropical = False
     is_exact = False  # True where entries compare with ==
     holds_arrays = False  # True where an entry is a 1-D array of lanes
+    _overflow_hint = f"; {_LOG_HINT}"  # what a check_finite error suggests
 
     def __init__(self, name: str, corner, zero, one):
         self.name = name
@@ -88,22 +97,29 @@ class ValueDomain:
         return f"ValueDomain({self.name!r})"
 
     def check_finite(self, rows) -> None:
-        """Reject a map's output rows holding a float nan or +inf, naming the
-        box (r+1, k+1) of rows[r][k], in one pass (see the module docstring).
-        Exact, mpf and dual-number entries pass untouched."""
+        """Reject a map's output rows holding a float nan, +inf or -inf,
+        naming the box (r+1, k+1) of rows[r][k], in one pass (see the module
+        docstring).  Exact, mpf and dual-number entries pass untouched."""
         for r, row in enumerate(rows):
-            if type(row[0]) is float and sum(row) < _INF:
+            if type(row[0]) is float and -_INF < sum(row) < _INF:
                 continue
             for k, x in enumerate(row):
-                if type(x) is float and not x < _INF:
-                    raise DomainError(f"float overflow at {_where(r, k)}: {x!r}; {_LOG_HINT}")
+                if type(x) is float and not -_INF < x < _INF:
+                    raise DomainError(f"float overflow at {_where(r, k)}: {x!r}{self._overflow_hint}")
 
     def isclose(self, x, y, rel_tol=1e-12) -> bool:
-        """Equality to relative tolerance rel_tol."""
+        """Equality to relative tolerance rel_tol.  An infinity, the zero -inf
+        of the log coordinates among them, is close to itself only."""
         if x == y:
             return True
         scale = max(abs(x), abs(y), 1e-300)
-        return abs(x - y) <= rel_tol * scale
+        return abs(x - y) <= rel_tol * scale < _INF
+
+    def scalar_to_json(self, x):
+        return float(x)
+
+    def scalar_from_json(self, obj):
+        return self.coerce(float(obj))
 
 
 class GeometricDomain(ValueDomain):
@@ -157,12 +173,6 @@ class GeometricDomain(ValueDomain):
         if not positive:
             raise DomainError(f"geometric interior entries must be positive and finite, got {x!r}")
         return x
-
-    def scalar_to_json(self, x):
-        return float(x)
-
-    def scalar_from_json(self, obj):
-        return self.coerce(float(obj))
 
 
 _new_object = object.__new__
@@ -372,8 +382,27 @@ class GeometricLanes(GeometricDomain):
                     )
 
 
-class TropicalDomain(ValueDomain):
-    """The max-plus reals with -inf: the piecewise-linear limit of the geometric maps."""
+class LogCoordinates(ValueDomain):
+    """What the two domains of log coordinates share, TROPICAL and
+    LogDomain(eps): the zero is -inf, and every interior entry and every map
+    output is a finite float.  -inf lives only on the padded boundary, and
+    isclose (ValueDomain's) finds it close to itself only."""
+
+    _overflow_hint = ""  # these are the log coordinates the hint suggests
+
+    def coerce(self, x) -> float:
+        """Normalize an interior entry, a finite real number stored as float."""
+        try:
+            y = x if type(x) is float else float(x) if isinstance(x, Real) else _NAN
+        except OverflowError:  # an int or Fraction beyond the double range
+            y = _INF
+        if not -_INF < y < _INF:
+            raise DomainError(f"{self.name} interior entries must be finite real numbers, got {x!r}")
+        return y
+
+
+class TropicalDomain(LogCoordinates):
+    """The max-plus reals: the piecewise-linear limit of the geometric maps."""
 
     is_tropical = True
 
@@ -395,34 +424,8 @@ class TropicalDomain(ValueDomain):
         """Tropical min."""
         return x if x <= y else y
 
-    def coerce(self, x) -> Any:
-        """Normalize an interior entry, a real number (int, float, Fraction,
-        stored as float) or -inf."""
-        y = x
-        if type(x) is not float:
-            try:
-                y = float(x) if isinstance(x, Real) else _NAN
-            except OverflowError:  # an int or Fraction beyond the double range
-                y = _NAN
-        if y != y or y == _INF:
-            raise DomainError(f"tropical entry must be real or -inf, got {x!r}")
-        return y
 
-    def isclose(self, x, y, rel_tol=1e-12) -> bool:
-        if x == _NEG_INF or y == _NEG_INF:
-            return x == y
-        return super().isclose(x, y, rel_tol)
-
-    def scalar_to_json(self, x):
-        return "-inf" if x == _NEG_INF else float(x)
-
-    def scalar_from_json(self, obj):
-        if obj == "-inf":
-            return _NEG_INF
-        return self.coerce(float(obj))
-
-
-class LogDomain(ValueDomain):
+class LogDomain(LogCoordinates):
     """The positive reals in eps*log coordinates: the entry v stands for exp(v/eps).
 
     Maslov dequantization at temperature eps: oplus is
@@ -431,7 +434,7 @@ class LogDomain(ValueDomain):
     and 1: corner -eps*log(2), zero -inf, one 0.  Entries are finite floats
     at every eps, where the geometric values exp(v/eps) overflow doubles.
     As eps -> 0 the table tends to the tropical one.  Not one of the named
-    DOMAINS: it is built for a temperature, and has no JSON form.
+    DOMAINS: it is built for a temperature, and no JSON array is read into it.
     """
 
     def __init__(self, eps: float):
@@ -466,23 +469,6 @@ class LogDomain(ValueDomain):
             raise DomainError(f"hsum needs positive arguments, got log-domain {x!r}, {y!r}")
         lo, hi = (x, y) if x <= y else (y, x)
         return lo - self.eps * math.log1p(math.exp((lo - hi) / self.eps))
-
-    def coerce(self, x) -> float:
-        """Normalize an interior entry, a finite real number stored as float."""
-        try:
-            y = x if type(x) is float else float(x) if isinstance(x, Real) else _NAN
-        except OverflowError:  # an int or Fraction beyond the double range
-            y = _INF
-        if not -_INF < y < _INF:
-            raise DomainError(f"log-domain interior entries must be finite real numbers, got {x!r}")
-        return y
-
-    def check_finite(self, rows) -> None:
-        """Reject a map's output rows holding nan or +-inf, naming the box."""
-        for r, row in enumerate(rows):
-            for k, x in enumerate(row):
-                if not -_INF < x < _INF:
-                    raise DomainError(f"log-domain entry {x!r} at {_where(r, k)}")
 
 
 GEOMETRIC_RATIONAL = RationalDomain("geom-rational", Fraction(1, 2), Fraction(0), Fraction(1))

@@ -41,6 +41,19 @@ def test_float_entries_must_be_finite():
         ShapedArray.from_rows([[math.nan]], GEOMETRIC_FLOAT)
 
 
+@pytest.mark.parametrize("domain, bad, message", [
+    (R, 0.5, "rational domain rejects floats (got 0.5); pass Fraction, int or 'p/q'"),
+    (GEOMETRIC_FLOAT, -1.0, "geometric interior entries must be positive and finite, got -1.0"),
+    (TROPICAL, -math.inf, "tropical interior entries must be finite real numbers, got -inf"),
+    (GEOMETRIC_LANES, np.array([1.0, 0.0]),
+     "geometric interior entries must be positive and finite, got 0.0 in lane 1"),
+], ids=["rational", "float", "tropical", "lanes"])
+def test_a_rejected_entry_names_its_box(domain, bad, message):
+    one = np.ones(2) if domain.holds_arrays else 1
+    with pytest.raises(DomainError, match=f"^{re.escape(f'box (2,2): {message}')}$"):
+        ShapedArray.from_rows([[one, one, one], [one, bad, bad]], domain)
+
+
 def test_get_and_indexing():
     a = ShapedArray.from_rows([[1, 2], [3]], R)
     assert a.get(1, 2) == 2
@@ -113,10 +126,14 @@ def test_json_round_trip_rational():
 
 
 def test_json_round_trip_tropical():
-    a = ShapedArray.from_rows([[1.0, -math.inf], [0.5]], TROPICAL)
+    a = ShapedArray.from_rows([[1.0, -2.5], [0.5]], TROPICAL)
     obj = json.loads(a.to_json())
-    assert obj["rows"][0][1] == "-inf"
+    assert obj["rows"][0][1] == -2.5
     assert ShapedArray.from_json_obj(obj) == a
+    # there is no "-inf" token: max-plus entries are finite reals
+    obj["rows"][0][1] = "-inf"
+    with pytest.raises(DomainError, match=r"^box \(1,2\): tropical interior entries must be finite"):
+        ShapedArray.from_json_obj(obj)
 
 
 def test_map_entries_domain_change():

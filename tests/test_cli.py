@@ -115,8 +115,11 @@ def test_apply_malformed_array_object_exits_two(tmp_path, capsys):
         ({"shape": [2], "domain": "tropical", "rows": [[1, None]]}, "box (1,2): float() argument"),
         ({"shape": [1, 1], "domain": "geom-rational", "rows": [["1"], ["1/0"]]},
          "box (2,1): rational entries must be Fraction, int or 'p/q', got '1/0'"),
+        # max-plus entries are finite reals: there is no "-inf" token
+        ({"shape": [2], "domain": "tropical", "rows": [[1, "-inf"]]},
+         "box (1,2): tropical interior entries must be finite real numbers, got -inf"),
     ],
-    ids=["float-x", "tropical-null", "rational-1/0"],
+    ids=["float-x", "tropical-null", "rational-1/0", "tropical-minus-inf"],
 )
 def test_apply_bad_entry_exits_two_naming_its_box(tmp_path, capsys, obj, message):
     assert main(["apply", "--map", "rsk", "--in", write_array(tmp_path, obj)]) == 2
@@ -143,6 +146,14 @@ def test_apply_float_overflow_exits_two(tmp_path, capsys):
     assert "error: float overflow at box (1,1)" in captured.err
 
 
+def test_apply_max_plus_overflow_exits_two_naming_its_box(tmp_path, capsys):
+    low = {"shape": [2, 2], "domain": "tropical", "rows": [[-1e308, -1e308], [-1e308, -1e308]]}
+    assert main(["apply", "--map", "burge", "--in", write_array(tmp_path, low)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: float overflow at box (1,2) of the map's output: -inf\n"
+
+
 def test_apply_burge_up_needs_a_symmetric_array(tmp_path, capsys):
     assert main(["apply", "--map", "burge-up", "--in", write_array(tmp_path, SQUARE)]) == 2
 
@@ -153,6 +164,14 @@ def test_apply_burge_up_on_symmetric_input(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert rows[0][1] == rows[1][0]
+
+
+def test_apply_burge_up_runs_in_max_plus(capsys):
+    src = str(Path(__file__).parent / "apply_tropical_3x3.json")
+    outs = [run(capsys, "apply", "--map", m, "--in", src) for m in ("burge-up", "burge")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    assert json.loads(outs[0][1])["rows"] == [[-4.0, 1.0, 6.0], [1.0, 0.0, 7.0], [6.0, 7.0, 13.0]]
 
 
 # -- verify ---------------------------------------------------------------

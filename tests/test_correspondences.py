@@ -234,6 +234,20 @@ def test_symmetric_route_agrees(seed, n):
     assert gburge_up(w) == t
 
 
+def test_max_plus_symmetric_route_agrees_on_every_self_conjugate_shape():
+    # 20 random integer arrays on each of the 32 self-conjugate shapes of at
+    # most 16 boxes: the restricted map runs in max-plus, as gburge does
+    rng = random.Random(36)
+    shapes = [s for s in all_shapes(16) if s.is_self_conjugate()]
+    assert len(shapes) == 32
+    for shape in shapes:
+        for _ in range(20):
+            w = random_symmetric_array(shape, TROPICAL, rng)
+            t = gburge_up(w)
+            assert t == gburge(w)
+            assert t.is_symmetric()
+
+
 def test_single_diagonal_maps_match_whole_map_on_one_box():
     w = ShapedArray.from_rows([[Fraction(5, 3)]], R)
     for kernel, whole in ((rho_at, grsk), (tau_at, gburge)):
@@ -328,11 +342,6 @@ _IDENTITY_CASES = [pytest.param(n, GEOMETRIC_RATIONAL, id=n) for n in sorted(IDE
 @pytest.mark.parametrize("name, domain", _IDENTITY_CASES)
 def test_verify_identity_passes(name, domain):
     tol = 1e-9 if domain is GEOMETRIC_FLOAT else 1e-12
-    if name == "prop5.1" and domain is TROPICAL:
-        # the restricted symmetric map is defined geometrically only
-        with pytest.raises(DomainError):
-            verify_identity(name, max_size=3, trials=5, seed=7, domain=domain)
-        return
     # appendix-C-identity needs 4x4 arrays: below that no composition is defined
     max_size = 4 if name == "appendix-C-identity" else 3
     rep = verify_identity(name, max_size=max_size, trials=5, seed=7, tol=tol, domain=domain)
@@ -549,6 +558,14 @@ def test_float_overflow_from_finite_entries_raises():
     with mp.workprec(150):
         wide = huge.map_entries(mp.mpf)
         assert gburge(wide).get(2, 2) > 0
+
+
+def test_max_plus_overflow_from_finite_entries_raises():
+    # -1e308 + -1e308 is -inf: an output, not an entry, and it is refused
+    low = ShapedArray.from_rows([[-1e308, -1e308], [-1e308, -1e308]], TROPICAL)
+    for f in (gburge, gburge_up):
+        with pytest.raises(DomainError, match=r"^float overflow at box \(1,2\) of the map's output: -inf$"):
+            f(low)
 
 
 def test_lane_overflow_names_the_box_and_the_lane():

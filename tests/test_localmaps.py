@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gburge.arrays import ShapedArray, random_array
-from gburge.correspondences import _left, gburge_up
+from gburge.correspondences import _left, gburge, gburge_up
 from gburge.localmaps import Grid, a_at, b_at, c_at, d_at, e_at, inv_c_at, inv_d_at
 from gburge.shapes import ShapeError, rectangle
 from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_RATIONAL, TROPICAL, DomainError, RationalDomain
@@ -153,10 +153,9 @@ def test_c_uses_corner_convention_at_the_origin():
     assert run(w, (c_at, 1, 1)).get(1, 1) == 3
 
 
-def test_upper_maps_need_a_geometric_domain():
-    up = ShapedArray.from_rows([[1.0, 1.0], [1.0, 1.0]], TROPICAL)
-    with pytest.raises(DomainError):
-        gburge_up(up)
+def test_upper_map_runs_in_max_plus():
+    up = ShapedArray.from_rows([[1.0, 2.0], [2.0, -3.0]], TROPICAL)
+    assert gburge_up(up) == gburge(up)
 
 
 def test_upper_maps_need_a_symmetric_array():
@@ -297,13 +296,8 @@ def test_ratio_forms_take_seven_domain_ops(kernel, ops):
             assert dom.calls == ops - shifted
 
 
-def test_d_raises_at_the_tropical_zero_and_its_inverse_does_not():
-    # zA = -inf makes w' = min(w, zA) = -inf, and zA odiv w' is -inf - -inf;
-    # d^{-1} still maps the geometric limit (-inf, H - w) back to (w, -inf)
-    w = ShapedArray.from_rows([[0, 1, 2], [3, -math.inf, 1], [2, 0.5, 1.5]], TROPICAL)
-    with pytest.raises(DomainError, match="tropical division by -inf"):
-        d_at(Grid.of(w), 1, 1, 2, 2)
-    image = ShapedArray.from_rows([[-math.inf, 1, 2], [3, 1, 1], [2, 0.5, 1.5]], TROPICAL)
-    g = Grid.of(image)
-    inv_d_at(g, 1, 1, 2, 2)
-    assert (g.rows[1][1], g.rows[2][2]) == (0.0, -math.inf)
+def test_the_tropical_zero_never_reaches_d_as_an_entry():
+    # at zA = -inf, d would divide by w' = min(w, zA) = -inf; the array
+    # refuses the entry first, naming its box
+    with pytest.raises(DomainError, match=r"^box \(2,2\): tropical interior entries must be finite"):
+        ShapedArray.from_rows([[0, 1, 2], [3, -math.inf, 1], [2, 0.5, 1.5]], TROPICAL)

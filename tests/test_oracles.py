@@ -22,7 +22,7 @@ from gburge.oracles import (
     replica_sum,
 )
 from gburge.shapes import Shape, all_shapes, rectangle
-from gburge.values import GEOMETRIC_RATIONAL, RationalDomain
+from gburge.values import GEOMETRIC_RATIONAL, TROPICAL, LogDomain, RationalDomain
 
 R = GEOMETRIC_RATIONAL
 seeds = st.integers(0, 10_000)
@@ -189,6 +189,31 @@ def test_replica_random_environments(seed, n):
     w = random_persymmetric_square_weights(n, random.Random(seed))
     assert is_persymmetric(w)
     assert counterexamples(replica_decomposition_outcomes(w)) == []
+
+
+def _persymmetric_integers(n, domain, rng):
+    """Random integer n x n weights over domain with w_{i,j} = w_{n-j+1,n-i+1}."""
+    rows = [[rng.randint(-10, 10) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n - i, n):  # below the antidiagonal: copy the mirror box
+            rows[i][j] = rows[n - 1 - j][n - 1 - i]
+    return ShapedArray.from_rows(rows, domain)
+
+
+def test_replica_max_plus_example():
+    # the otimes square root of w is w/2 where otimes is +: lhs and rhs both 13
+    w = ShapedArray.from_rows([[1, 2, 4], [3, 2, 2], [5, 3, 1]], TROPICAL)
+    assert is_persymmetric(w)
+    assert replica_decomposition_outcomes(w) == [None]
+
+
+@pytest.mark.parametrize("domain", [TROPICAL, LogDomain(1.0)], ids=lambda d: d.name)
+def test_replica_random_environments_in_log_coordinates(domain):
+    rng = random.Random(36)
+    for _ in range(150):
+        w = _persymmetric_integers(rng.randint(2, 5), domain, rng)
+        assert is_persymmetric(w)
+        assert counterexamples(replica_decomposition_outcomes(w)) == []
 
 
 # -- the oracles see a wrong corner constant ------------------------------------------------

@@ -237,11 +237,10 @@ def test_coerce_float_domain():
 
 def test_coerce_tropical():
     assert TROPICAL.coerce(3) == 3.0
-    assert TROPICAL.coerce(-math.inf) == -math.inf
-    with pytest.raises(DomainError):
-        TROPICAL.coerce(math.inf)
-    with pytest.raises(DomainError):
-        TROPICAL.coerce(math.nan)
+    assert TROPICAL.coerce(-1e308) == -1e308
+    for bad in (-math.inf, math.inf, math.nan):
+        with pytest.raises(DomainError, match="^tropical interior entries must be finite real numbers"):
+            TROPICAL.coerce(bad)
 
 
 def test_coerce_tropical_stores_real_numbers_as_floats():
@@ -283,8 +282,11 @@ def test_a_json_entry_that_is_not_a_number_raises_a_value_error(dom):
 
 
 def test_a_bad_tropical_entry_fails_when_the_array_is_built():
-    with pytest.raises(DomainError, match="tropical entry must be real or -inf, got 'x'"):
+    msg = r"^box \(1,2\): tropical interior entries must be finite real numbers, got "
+    with pytest.raises(DomainError, match=msg + "'x'$"):
         ShapedArray.from_rows([[1.0, "x"]], TROPICAL)
+    with pytest.raises(DomainError, match=msg + "-inf$"):
+        ShapedArray.from_rows([[1.0, -math.inf]], TROPICAL)
 
 
 def test_isclose_semantics():
@@ -294,6 +296,14 @@ def test_isclose_semantics():
     assert not GEOMETRIC_FLOAT.isclose(1.0, 1.001)
     assert TROPICAL.isclose(-math.inf, -math.inf)
     assert not TROPICAL.isclose(-math.inf, 0.0)
+    # every finite value is within rel_tol * inf of an infinity, so an
+    # infinite scale compares with ==: the log zero -inf, and a float +inf
+    assert not LogDomain(1.0).isclose(-math.inf, 0.0)
+    for dom in (TROPICAL, LogDomain(1.0), GEOMETRIC_FLOAT):
+        for inf in (-math.inf, math.inf):
+            assert not dom.isclose(inf, 1.0)
+            assert not dom.isclose(1.0, inf)
+            assert dom.isclose(inf, inf)
 
 
 def test_scalar_json_round_trip():
@@ -302,8 +312,10 @@ def test_scalar_json_round_trip():
     assert dom.scalar_from_json("3/7") == Fraction(3, 7)
     with pytest.raises(DomainError):
         dom.scalar_from_json(0.5)
-    assert TROPICAL.scalar_to_json(-math.inf) == "-inf"
-    assert TROPICAL.scalar_from_json("-inf") == -math.inf
+    assert TROPICAL.scalar_to_json(-2.5) == -2.5
+    assert TROPICAL.scalar_from_json(-2.5) == -2.5
+    with pytest.raises(DomainError, match="finite real numbers, got -inf"):
+        TROPICAL.scalar_from_json("-inf")
     assert GEOMETRIC_FLOAT.scalar_from_json(1.5) == 1.5
 
 
@@ -429,11 +441,11 @@ def test_check_finite_rejects_float_overflow_only():
     # exact, high-precision and finite values pass untouched
     GEOMETRIC_FLOAT.check_finite([[1e300, mp.mpf("1e400")]])
     GEOMETRIC_RATIONAL.check_finite([[Fraction(10) ** 400]])
-    TROPICAL.check_finite([[-math.inf, 0.0]])
+    TROPICAL.check_finite([[-1e308, 0.0]])
     GEOMETRIC_LANES.check_finite([[np.array([1e300, 1e-300])]])
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf], ids=str)
 def test_check_finite_names_the_first_bad_box_in_a_later_row(bad):
     # the rows before it pass on their sum; a finite row whose sum overflows
     # is searched entry by entry and passes too
@@ -441,7 +453,7 @@ def test_check_finite_names_the_first_bad_box_in_a_later_row(bad):
     with pytest.raises(DomainError, match=rf"^float overflow at box \(3,2\) of the map's output: {bad!r};"):
         GEOMETRIC_FLOAT.check_finite(rows)
     with pytest.raises(DomainError, match=r"box \(2,1\)"):
-        TROPICAL.check_finite([[-math.inf, 0.0], [bad, -math.inf]])
+        TROPICAL.check_finite([[-1.0, 0.0], [bad, -math.inf]])
     # a row that does not start with a float is searched entry by entry
     with pytest.raises(DomainError, match=r"box \(1,2\)"):
         GEOMETRIC_FLOAT.check_finite([[mp.mpf(1), bad]])
@@ -450,7 +462,7 @@ def test_check_finite_names_the_first_bad_box_in_a_later_row(bad):
 def test_check_finite_passes_a_finite_row_whose_sum_overflows():
     GEOMETRIC_FLOAT.check_finite([[1e308, 1e308]])
     GEOMETRIC_FLOAT.check_finite([[-1e308, 1e308, 1e308], [1e308, -1e308, 1e308]])
-    TROPICAL.check_finite([[1e308, 1e308, -math.inf]])
+    TROPICAL.check_finite([[1e308, 1e308], [-1e308, -1e308]])
 
 
 def test_check_finite_still_names_the_overflow_of_a_map():
