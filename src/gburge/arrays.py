@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .shapes import Shape, ShapeError
-from .values import DomainError, ValueDomain, domain_by_name
+from .values import DOMAINS, DomainError, ValueDomain, domain_by_name
 
 # from_rows builds one Shape per tuple of row lengths and reuses it
 _shape_of = functools.lru_cache(maxsize=128)(Shape)
@@ -140,12 +140,17 @@ class ShapedArray:
     get_with_boundary = entry_with_boundary
 
     def with_entries(self, updates) -> "ShapedArray":
-        """New array with the boxes in ``updates`` (a {(i,j): value} dict) replaced."""
+        """New array with the boxes in ``updates`` (a {(i,j): value} dict)
+        replaced; a rejected value raises DomainError naming its box, as
+        construction does."""
         rows = [list(r) for r in self._rows]
         for (i, j), val in updates.items():
             if not self.shape.contains((i, j)):
                 raise ShapeError(f"box ({i},{j}) not in shape {self.shape.parts}")
-            rows[i - 1][j - 1] = self.domain.coerce(val)
+            try:
+                rows[i - 1][j - 1] = self.domain.coerce(val)
+            except DomainError as exc:
+                raise DomainError(f"box ({i},{j}): {exc}") from None
         return ShapedArray._wrap(self.shape, tuple(map(tuple, rows)), self.domain)
 
     def to_lists(self):
@@ -211,7 +216,14 @@ class ShapedArray:
     # -- serialization ----------------------------------------------------------------
 
     def to_json_obj(self):
+        """The JSON object of the array; only a named domain (one of
+        ``DOMAINS``, which from_json_obj reads back) is written."""
         self._scalars_only("to_json")
+        if self.domain.name not in DOMAINS:
+            raise DomainError(
+                f"to_json: {self.domain.name} is not a named domain, and no JSON array "
+                f"is read into it; expected one of {sorted(DOMAINS)}"
+            )
         return {
             "shape": list(self.shape.parts),
             "domain": self.domain.name,

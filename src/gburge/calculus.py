@@ -9,6 +9,14 @@ from forward-mode dual numbers pushed through the exact arithmetic of the
 maps (default); central differences in log-coordinates are the cross-check
 of that route, and agreement between the two guards against a systematic
 error in either.
+
+A dual number carries the gradient of the log of its value, d log v /
+d log w, so an input entry is seeded with a row of the identity and an
+output's gradient is its row of the log-log Jacobian, with no rescaling.
+In these coordinates a product or quotient adds or subtracts the two
+gradients and a float factor leaves the gradient as it is; a sum s = x + y
+takes the weighted mean g_x (x/s) + g_y (y/s), so a harmonic sum
+xy/(x+y) has log-derivatives y/(x+y) and x/(x+y); and c/x has -g_x.
 """
 
 from __future__ import annotations
@@ -19,7 +27,16 @@ import math
 import numpy as np
 
 from .arrays import ShapedArray, random_array, random_symmetric_array
-from .correspondences import counterexample, gburge, gburge_up, grsk, gschutz, run_trials
+from .correspondences import (
+    _row_major,
+    _upper_row_major,
+    counterexample,
+    gburge,
+    gburge_up,
+    grsk,
+    gschutz,
+    run_trials,
+)
 from .shapes import all_shapes
 from .values import GEOMETRIC_FLOAT, DomainError
 
@@ -35,17 +52,27 @@ MAP_NAMES = tuple(_MAPS)
 
 
 class Dual:
-    """First-order dual number: a value plus a gradient vector.
+    """First-order dual number in log coordinates: a value v and the
+    gradient of log v, d log v / d log w, as one float64 array.
 
     Supports exactly the arithmetic the geometric maps use (+, *, /, and
     < and > on the value), so it can be stored in a float-domain array and
-    pushed through any of the correspondences.  The public constructor
-    coerces its parts to a float and a float64 array.  An operator whose
-    partner is a Dual, a float or an int builds its result through _dual,
-    with no second coercion: its parts are already a float and a float64
-    array.  Any other partner (a Fraction would give an object-dtype
-    gradient) goes through the public constructor.  The gradient is a 1-D
-    array: numpy turns arithmetic on a 0-d one into a scalar.
+    pushed through any of the correspondences.  In log coordinates the
+    rules are:
+
+    - a product or quotient adds or subtracts the gradients (one numpy
+      call), and a float or int factor leaves the gradient as it is;
+    - a sum s = x + y takes the weighted mean g_x (x/s) + g_y (y/s), a
+      number summand having g = 0, and a zero summand returns the Dual
+      itself, which has the same bits;
+    - ``c / x`` has the gradient -g_x.
+
+    The public constructor coerces its parts to a float and a float64
+    array.  An operator whose partner is a Dual, a float or an int builds
+    its result through _dual, with no second coercion: its parts are
+    already a float and a float64 array.  Any other partner (an np.float64
+    would give a numpy scalar value) goes through the public constructor.  The gradient is a 1-D array: numpy turns
+    arithmetic on a 0-d one into a scalar.
     """
 
     __slots__ = ("value", "grad")
@@ -54,53 +81,47 @@ class Dual:
         self.value = float(value)
         self.grad = np.asarray(grad, dtype=float)
 
-    @classmethod
-    def seed(cls, value, dim, index):
-        grad = np.zeros(dim)
-        grad[index] = 1.0
-        return cls(value, grad)
-
     def __repr__(self):
         return f"Dual({self.value}, {self.grad})"
 
     def __add__(self, other):
         t = type(other)
         if t is Dual:
-            return _dual(self.value + other.value, self.grad + other.grad)
+            s = self.value + other.value
+            return _dual(s, self.grad * (self.value / s) + other.grad * (other.value / s))
         if t is float or t is int:
-            return _dual(self.value + other, self.grad)
-        return Dual(self.value + other, self.grad)
+            if other == 0:
+                return self
+            s = self.value + other
+            return _dual(s, self.grad * (self.value / s))
+        s = self.value + other
+        return Dual(s, self.grad * (self.value / s))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         t = type(other)
         if t is Dual:
-            return _dual(
-                self.value * other.value,
-                self.grad * other.value + other.grad * self.value,
-            )
+            return _dual(self.value * other.value, self.grad + other.grad)
         if t is float or t is int:
-            return _dual(self.value * other, self.grad * other)
-        return Dual(self.value * other, self.grad * other)
+            return _dual(self.value * other, self.grad)
+        return Dual(self.value * other, self.grad)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         t = type(other)
         if t is Dual:
-            v = self.value / other.value
-            return _dual(v, (self.grad - v * other.grad) / other.value)
+            return _dual(self.value / other.value, self.grad - other.grad)
         if t is float or t is int:
-            return _dual(self.value / other, self.grad / other)
-        return Dual(self.value / other, self.grad / other)
+            return _dual(self.value / other, self.grad)
+        return Dual(self.value / other, self.grad)
 
     def __rtruediv__(self, other):
-        v = other / self.value
         t = type(other)
         if t is float or t is int:
-            return _dual(v, -v * self.grad / self.value)
-        return Dual(v, -v * self.grad / self.value)
+            return _dual(other / self.value, -self.grad)
+        return Dual(other / self.value, -self.grad)
 
     def __lt__(self, other):
         return self.value < (other.value if type(other) is Dual else other)
@@ -146,16 +167,18 @@ def loglog_jacobian(map_name: str, arr: ShapedArray, mode: str = "forward-dual",
         raise ValueError(f"unsupported map {map_name!r}; expected one of {MAP_NAMES}")
     if arr.domain is not GEOMETRIC_FLOAT:
         raise DomainError("jacobians are computed in the float domain")
-    boxes = list(arr.shape.boxes())
     if map_name == "gburge_up":
         arr.require_symmetric("gburge_up")
-        boxes = arr.shape.upper_part()
+        boxes = _upper_row_major(arr.shape)
+    else:
+        boxes = _row_major(arr.shape)
     w = [float(arr.get(*box)) for box in boxes]
     dim = len(boxes)
     if mode == "forward-dual":
-        out = _apply(map_name, arr, boxes, [Dual.seed(x, dim, b) for b, x in enumerate(w)])
-        # d log t_a / d log w_b = (w_b / t_a) dt_a/dw_b
-        return np.array([t.grad / t.value for t in out]).reshape(dim, dim) * w
+        # entry b carries d log w_b / d log w = row b of the identity, and
+        # output a carries row a of the Jacobian, d log t_a / d log w
+        out = _apply(map_name, arr, boxes, list(map(_dual, w, np.eye(dim))))
+        return np.array([t.grad for t in out]).reshape(dim, dim)
     if mode == "central-difference":
         jac = np.empty((dim, dim))
         for b in range(dim):

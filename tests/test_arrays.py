@@ -12,7 +12,15 @@ from hypothesis import given, strategies as st
 
 from gburge.arrays import ShapedArray, random_array, random_symmetric_array
 from gburge.shapes import Shape, ShapeError, all_shapes, rectangle, symmetric_closure
-from gburge.values import GEOMETRIC_FLOAT, GEOMETRIC_LANES, GEOMETRIC_RATIONAL, TROPICAL, DomainError
+from gburge.values import (
+    DOMAINS,
+    GEOMETRIC_FLOAT,
+    GEOMETRIC_LANES,
+    GEOMETRIC_RATIONAL,
+    TROPICAL,
+    DomainError,
+    LogDomain,
+)
 
 R = GEOMETRIC_RATIONAL
 
@@ -86,6 +94,18 @@ def test_with_entries():
         a.with_entries({(2, 2): Fraction(1)})
 
 
+@pytest.mark.parametrize("domain, bad, message", [
+    (TROPICAL, -math.inf, "tropical interior entries must be finite real numbers, got -inf"),
+    (GEOMETRIC_FLOAT, 0.0, "geometric interior entries must be positive and finite, got 0.0"),
+], ids=["tropical", "float"])
+def test_with_entries_names_the_box_of_a_rejected_value(domain, bad, message):
+    # the same prefix as construction gives: the replica and persymmetric
+    # oracles build their arrays through with_entries
+    a = ShapedArray.from_rows([[1.0, 2.0], [3.0, 4.0]], domain)
+    with pytest.raises(DomainError, match=f"^{re.escape(f'box (1,2): {message}')}$"):
+        a.with_entries({(1, 1): 5.0, (1, 2): bad})
+
+
 @given(shapes_to_6, seeds)
 def test_transpose_is_an_involution(shape, seed):
     a = rand(shape, seed)
@@ -134,6 +154,17 @@ def test_json_round_trip_tropical():
     obj["rows"][0][1] = "-inf"
     with pytest.raises(DomainError, match=r"^box \(1,2\): tropical interior entries must be finite"):
         ShapedArray.from_json_obj(obj)
+
+
+def test_json_round_trip_of_every_named_domain_and_none_of_a_log_domain():
+    # every JSON array is read into a named domain, so only those are written:
+    # a LogDomain(eps) array wrote "log-0.5", which from_json could not read
+    for domain in DOMAINS.values():
+        a = random_array(rectangle(2, 3), domain, random.Random(5))
+        assert ShapedArray.from_json(a.to_json()) == a
+    log = ShapedArray.from_rows([[1.0, -2.5], [0.5]], LogDomain(0.5))
+    with pytest.raises(DomainError, match=r"^to_json: log-0\.5 is not a named domain"):
+        log.to_json()
 
 
 def test_map_entries_domain_change():

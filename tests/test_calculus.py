@@ -25,20 +25,20 @@ def dual(v, grad):
 
 
 def test_dual_arithmetic():
+    # the gradient is d log v / d log w: x = w_1 and y = w_2 carry e_1 and e_2
     x = dual(2.0, [1, 0])
     y = dual(3.0, [0, 1])
     s = x + y
-    assert s.value == 5.0 and list(s.grad) == [1, 1]
+    assert s.value == 5.0 and list(s.grad) == [2 / 5, 3 / 5]
     p = x * y
-    assert p.value == 6.0 and list(p.grad) == [3, 2]
+    assert p.value == 6.0 and list(p.grad) == [1, 1]
     q = x / y
-    assert q.value == pytest.approx(2 / 3)
-    assert q.grad[0] == pytest.approx(1 / 3)
-    assert q.grad[1] == pytest.approx(-2 / 9)
+    assert q.value == 2 / 3 and list(q.grad) == [1, -1]
     r = 1 / x
-    assert r.value == 0.5 and r.grad[0] == pytest.approx(-0.25)
-    assert (x + 1).value == 3.0
-    assert (2 * x).value == 4.0
+    assert r.value == 0.5 and list(r.grad) == [-1, 0]
+    assert (x + 1).value == 3.0 and list((x + 1).grad) == [2 / 3, 0]
+    assert (2 * x).value == 4.0 and list((2 * x).grad) == [1, 0]
+    assert (x / 4).value == 0.5 and list((x / 4).grad) == [1, 0]
 
 
 def test_dual_comparisons():
@@ -46,28 +46,45 @@ def test_dual_comparisons():
     assert x > 0 and x < 3
 
 
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0, Fraction(0), np.float64(0.0), False], ids=repr)
+def test_dual_plus_zero_keeps_the_value_and_the_gradient(zero):
+    # the general rule's factor x/(x + 0) is exactly 1.0, so every zero gives
+    # the same bits; a float or int zero returns the Dual itself
+    x = dual(1.5, [1.0, -2.0])
+    for s in (x + zero, zero + x):
+        assert s.value == x.value and s.grad.tobytes() == x.grad.tobytes()
+        assert s is x or type(zero) not in (int, float)
+
+
 def test_dual_harmonic_sum_gradient():
-    # h(x,y) = xy/(x+y); dh/dx = (y/(x+y))^2
+    # h(x,y) = xy/(x+y): d log h / d log x = y/(x+y), d log h / d log y = x/(x+y)
     x = dual(2.0, [1, 0])
     y = dual(4.0, [0, 1])
-    h = x * y / (x + y)
+    h = GEOMETRIC_FLOAT.hsum(x, y)
     assert h.value == pytest.approx(8 / 6)
-    assert h.grad[0] == pytest.approx((4 / 6) ** 2)
-    assert h.grad[1] == pytest.approx((2 / 6) ** 2)
+    assert h.grad[0] == pytest.approx(4 / 6, rel=1e-15)
+    assert h.grad[1] == pytest.approx(2 / 6, rel=1e-15)
 
 
-# Each operator's result built through the public constructor, from the same
-# expressions as the operator, by partner kind.
+def _plus(x, y):
+    s = x.value + y
+    return Dual(s, x.grad * (x.value / s))
+
+
+# Each operator's result built through the public constructor, from the
+# log-gradient rules, by partner kind: with a Dual partner a product or
+# quotient gives x.grad +- y.grad and a sum the weighted mean, bit for bit.
 _PUBLIC_RESULTS = {
-    "+": lambda x, y: Dual(x.value + y.value, x.grad + y.grad)
-    if isinstance(y, Dual) else Dual(x.value + y, x.grad),
-    "*": lambda x, y: Dual(x.value * y.value, x.grad * y.value + y.grad * x.value)
-    if isinstance(y, Dual) else Dual(x.value * y, x.grad * y),
-    "/": lambda x, y: Dual(x.value / y.value, (x.grad - (x.value / y.value) * y.grad) / y.value)
-    if isinstance(y, Dual) else Dual(x.value / y, x.grad / y),
-    "r+": lambda x, y: Dual(x.value + y, x.grad),
-    "r*": lambda x, y: Dual(x.value * y, x.grad * y),
-    "r/": lambda x, y: Dual(y / x.value, -(y / x.value) * x.grad / x.value),
+    "+": lambda x, y: Dual(x.value + y.value, x.grad * (x.value / (x.value + y.value))
+                           + y.grad * (y.value / (x.value + y.value)))
+    if isinstance(y, Dual) else _plus(x, y),
+    "*": lambda x, y: Dual(x.value * y.value, x.grad + y.grad)
+    if isinstance(y, Dual) else Dual(x.value * y, x.grad),
+    "/": lambda x, y: Dual(x.value / y.value, x.grad - y.grad)
+    if isinstance(y, Dual) else Dual(x.value / y, x.grad),
+    "r+": _plus,
+    "r*": lambda x, y: Dual(x.value * y, x.grad),
+    "r/": lambda x, y: Dual(y / x.value, -x.grad),
 }
 _OPERATORS = {
     "+": lambda x, y: x + y,
@@ -102,7 +119,8 @@ def _same_bits(got, want):
 @given(data=st.data())
 def test_dual_operators_give_a_float_and_a_float64_gradient(op, partner, data):
     # with a Dual, float or int partner an operator skips the public
-    # constructor's coercion; its result must equal what that constructor gives
+    # constructor's coercion; its result must equal what that constructor
+    # gives from the log-gradient rules
     x = data.draw(_duals, label="x")
     y = data.draw(_partners[partner], label="y")
     if partner == "Dual" and len(y.grad) != len(x.grad):
@@ -113,8 +131,8 @@ def test_dual_operators_give_a_float_and_a_float64_gradient(op, partner, data):
 @pytest.mark.parametrize("op", sorted(_OPERATORS))
 @pytest.mark.parametrize("y", [Fraction(1, 3), np.float64(0.75), True], ids=repr)
 def test_dual_operators_coerce_any_other_partner(op, y):
-    # a Fraction partner makes an object-dtype gradient and an np.float64 one a
-    # numpy scalar value; the public constructor turns both back
+    # an np.float64 partner makes a numpy scalar value, which the public
+    # constructor turns back into a float; a Fraction or bool one a float
     x = dual(1.5, [1.0, -2.0])
     _same_bits(_OPERATORS[op](x, y), _PUBLIC_RESULTS[op](x, y))
 
@@ -133,8 +151,9 @@ def test_abs_det_basics():
 
 
 def test_identity_map_jacobian():
+    # each entry is seeded with its row of the identity, read back unscaled
     arr = rand(Shape((3, 2)), 1)
-    assert np.allclose(loglog_jacobian("identity", arr), np.eye(5))
+    assert np.array_equal(loglog_jacobian("identity", arr), np.eye(5))
 
 
 def test_unsupported_map_and_domain():
@@ -192,6 +211,26 @@ def test_dual_matches_central_difference(shape, seed):
     jd = loglog_jacobian("gburge", arr)
     jf = loglog_jacobian("gburge", arr, mode="central-difference", h=1e-5)
     assert float(np.max(np.abs(jd - jf))) <= 10 * 1e-5**2 + 1e-10
+
+
+def _maps_on(shape):
+    return (["grsk", "gburge"] + (["gschutz"] if shape.is_rectangular else [])
+            + (["gburge_up"] if shape.is_self_conjugate() else []))
+
+
+@pytest.mark.parametrize("shape", list(all_shapes(8)), ids=lambda s: "x".join(map(str, s.parts)))
+def test_every_map_on_every_small_shape_is_unimodular(shape):
+    # dual against central difference, and |det| = 1, on every shape of up
+    # to 8 boxes: grsk and gburge everywhere, gschutz on rectangles and
+    # gburge_up on self-conjugate shapes (with a symmetric input)
+    rng = random.Random(len(shape.parts) * 100 + shape.n_cols)
+    for map_name in _maps_on(shape):
+        draw = random_symmetric_array if map_name == "gburge_up" else random_array
+        arr = draw(shape, GEOMETRIC_FLOAT, rng)
+        jd = loglog_jacobian(map_name, arr)
+        jf = loglog_jacobian(map_name, arr, mode="central-difference")
+        assert float(np.max(np.abs(jd - jf))) <= 1e-8, map_name
+        assert abs(abs_det(jd) - 1.0) <= 1e-12, map_name
 
 
 def test_verify_jacobians_reports():
