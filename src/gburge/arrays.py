@@ -216,14 +216,9 @@ class ShapedArray:
     # -- serialization ----------------------------------------------------------------
 
     def to_json_obj(self):
-        """The JSON object of the array; only a named domain (one of
-        ``DOMAINS``, which from_json_obj reads back) is written."""
+        """The JSON object of the array, in any scalar domain: a counterexample
+        carries its input this way.  Only a named domain is read back."""
         self._scalars_only("to_json")
-        if self.domain.name not in DOMAINS:
-            raise DomainError(
-                f"to_json: {self.domain.name} is not a named domain, and no JSON array "
-                f"is read into it; expected one of {sorted(DOMAINS)}"
-            )
         return {
             "shape": list(self.shape.parts),
             "domain": self.domain.name,
@@ -231,7 +226,15 @@ class ShapedArray:
         }
 
     def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
+        """The JSON text of the array, which from_json reads back; only a
+        named domain (one of ``DOMAINS``) is written."""
+        obj = self.to_json_obj()
+        if self.domain.name not in DOMAINS:
+            raise DomainError(
+                f"to_json: {self.domain.name} is not a named domain, and no JSON array "
+                f"is read into it; expected one of {sorted(DOMAINS)}"
+            )
+        return json.dumps(obj, indent=indent)
 
     @classmethod
     def from_json_obj(cls, obj) -> "ShapedArray":

@@ -27,16 +27,7 @@ import math
 import numpy as np
 
 from .arrays import ShapedArray, random_array, random_symmetric_array
-from .correspondences import (
-    _row_major,
-    _upper_row_major,
-    counterexample,
-    gburge,
-    gburge_up,
-    grsk,
-    gschutz,
-    run_trials,
-)
+from .correspondences import counterexample, gburge, gburge_up, grsk, gschutz, run_trials
 from .shapes import all_shapes
 from .values import GEOMETRIC_FLOAT, DomainError
 
@@ -63,16 +54,17 @@ class Dual:
     - a product or quotient adds or subtracts the gradients (one numpy
       call), and a float or int factor leaves the gradient as it is;
     - a sum s = x + y takes the weighted mean g_x (x/s) + g_y (y/s), a
-      number summand having g = 0, and a zero summand returns the Dual
-      itself, which has the same bits;
+      number summand having g = 0, and a float or int zero returns the
+      Dual itself, which has the same bits;
     - ``c / x`` has the gradient -g_x.
 
     The public constructor coerces its parts to a float and a float64
     array.  An operator whose partner is a Dual, a float or an int builds
     its result through _dual, with no second coercion: its parts are
     already a float and a float64 array.  Any other partner (an np.float64
-    would give a numpy scalar value) goes through the public constructor.  The gradient is a 1-D array: numpy turns
-    arithmetic on a 0-d one into a scalar.
+    would give a numpy scalar value) goes through the public constructor.
+    The gradient is a 1-D array: numpy turns arithmetic on a 0-d one into a
+    scalar.
     """
 
     __slots__ = ("value", "grad")
@@ -167,11 +159,10 @@ def loglog_jacobian(map_name: str, arr: ShapedArray, mode: str = "forward-dual",
         raise ValueError(f"unsupported map {map_name!r}; expected one of {MAP_NAMES}")
     if arr.domain is not GEOMETRIC_FLOAT:
         raise DomainError("jacobians are computed in the float domain")
+    boxes = list(arr.shape.boxes())
     if map_name == "gburge_up":
         arr.require_symmetric("gburge_up")
-        boxes = _upper_row_major(arr.shape)
-    else:
-        boxes = _row_major(arr.shape)
+        boxes = arr.shape.upper_part()
     w = [float(arr.get(*box)) for box in boxes]
     dim = len(boxes)
     if mode == "forward-dual":

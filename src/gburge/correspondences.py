@@ -134,13 +134,6 @@ def _row_major(shape: Shape) -> tuple:
     return tuple(shape.boxes())
 
 
-@functools.lru_cache(maxsize=128)
-def _upper_row_major(shape: Shape) -> tuple:
-    """The boxes on or above the diagonal of a self-conjugate shape, in
-    row-major order (gburge_up's order), built once per shape."""
-    return tuple(shape.upper_part())
-
-
 def _resolve_order(shape: Shape, order, name):
     """Row-major by default, else order checked once, naming its first bad step."""
     if order is None:
@@ -207,7 +200,7 @@ def gburge_up(arr: ShapedArray) -> ShapedArray:
     map needs.
     """
     arr.require_symmetric("gburge_up")
-    return _run(Grid.of(arr), tau_up_at, _upper_row_major(arr.shape)).to_array()
+    return _run(Grid.of(arr), tau_up_at, arr.shape.upper_part()).to_array()
 
 
 # -- the local commutation relation ---------------------------------------------------

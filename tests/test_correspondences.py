@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gburge import correspondences
 from gburge.arrays import ShapedArray, random_array, random_symmetric_array
-from gburge.calculus import Dual, loglog_jacobian
+from gburge.calculus import Dual
 from gburge.correspondences import (
     IDENTITY_NAMES,
     admissible_commutation_boxes,
@@ -152,20 +152,6 @@ def test_gburge_up_rejects_a_shape_that_is_not_self_conjugate():
                r"box \(3,1\) has no mirror box \(1,3\) in shape \(2, 2, 2\)$")
     with pytest.raises(ShapeError, match=message):
         gburge_up(w)
-
-
-def test_gburge_up_builds_its_upper_order_once_per_shape(monkeypatch):
-    # the order is cached beside _row_major, for gburge_up and its Jacobian
-    calls = []
-    upper_part = Shape.upper_part
-    monkeypatch.setattr(Shape, "upper_part", lambda self: calls.append(self) or upper_part(self))
-    correspondences._upper_row_major.cache_clear()
-    sym = random_symmetric_array(Shape((3, 3, 2)), GEOMETRIC_FLOAT, random.Random(1))
-    for _ in range(3):
-        assert gburge_up(sym) == gburge(sym)
-        loglog_jacobian("gburge_up", sym)
-    assert calls == [sym.shape]
-    correspondences._upper_row_major.cache_clear()
 
 
 # -- structural properties -------------------------------------------------------------

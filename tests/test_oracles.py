@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gburge import oracles
 from gburge.arrays import ShapedArray, random_array
 from gburge.correspondences import run_trials
 from gburge.oracles import (
@@ -214,6 +215,16 @@ def test_replica_random_environments_in_log_coordinates(domain):
         w = _persymmetric_integers(rng.randint(2, 5), domain, rng)
         assert is_persymmetric(w)
         assert counterexamples(replica_decomposition_outcomes(w)) == []
+
+
+def test_a_log_domain_replica_mismatch_reports_its_input(monkeypatch):
+    # a planted defect in the replica sum: the counterexample carries the
+    # LogDomain input, though to_json refuses to write it as an array file
+    w = _persymmetric_integers(3, LogDomain(1.0), random.Random(7))
+    monkeypatch.setattr(oracles, "replica_sum", lambda m, real=replica_sum: real(m) + 1.0)
+    (cex,) = replica_decomposition_outcomes(w)
+    assert cex["input"] == {"shape": [3, 3, 3], "domain": "log-1.0", "rows": w.to_lists()}
+    assert cex["rhs"] - cex["lhs"] == pytest.approx(1.0)
 
 
 # -- the oracles see a wrong corner constant ------------------------------------------------
