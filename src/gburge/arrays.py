@@ -47,10 +47,10 @@ class ShapedArray:
     """Immutable array of one value per box of a Young diagram.
 
     Indices are 1-based throughout, matching the box convention of Shape.
-    Entries are validated against the domain on construction, and a rejected
-    entry raises DomainError naming its box; exotic numeric types (dual
-    numbers, high-precision floats) are allowed in the ``geom-float`` domain
-    and flow through all maps unchanged.
+    Entries are checked on construction by the domain's coerce, the one
+    entry rule, and a rejected entry raises DomainError naming its box;
+    exotic numeric types (dual numbers, high-precision floats) are allowed
+    in the ``geom-float`` domain and flow through all maps unchanged.
     """
 
     __slots__ = ("shape", "domain", "_rows")
@@ -141,17 +141,14 @@ class ShapedArray:
 
     def with_entries(self, updates) -> "ShapedArray":
         """New array with the boxes in ``updates`` (a {(i,j): value} dict)
-        replaced; a rejected value raises DomainError naming its box, as
-        construction does."""
+        replaced, built by the constructor: a rejected value raises
+        DomainError naming its box."""
         rows = [list(r) for r in self._rows]
         for (i, j), val in updates.items():
             if not self.shape.contains((i, j)):
                 raise ShapeError(f"box ({i},{j}) not in shape {self.shape.parts}")
-            try:
-                rows[i - 1][j - 1] = self.domain.coerce(val)
-            except DomainError as exc:
-                raise DomainError(f"box ({i},{j}): {exc}") from None
-        return ShapedArray._wrap(self.shape, tuple(map(tuple, rows)), self.domain)
+            rows[i - 1][j - 1] = val
+        return ShapedArray(self.shape, rows, self.domain)
 
     def to_lists(self):
         return [list(r) for r in self._rows]
@@ -245,12 +242,6 @@ class ShapedArray:
             rows = [list(row) for row in obj["rows"]]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed array object: {exc}") from None
-        for i, row in enumerate(rows, start=1):
-            for j, x in enumerate(row, start=1):
-                try:
-                    row[j - 1] = domain.scalar_from_json(x)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise DomainError(f"box ({i},{j}): {exc}") from None
         return cls(shape, rows, domain)
 
     @classmethod

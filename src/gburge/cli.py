@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import re
 import sys
 from functools import partial
@@ -86,7 +87,7 @@ def _emit_json(obj, out_path) -> None:
 def _parse_order(text: str):
     try:
         raw = json.loads(text)
-        return tuple((int(i), int(j)) for i, j in raw)
+        return tuple((operator.index(i), operator.index(j)) for i, j in raw)
     except (json.JSONDecodeError, TypeError, ValueError):
         raise ValueError(
             f"--order must be a JSON list of [row, column] pairs, got {text!r}"

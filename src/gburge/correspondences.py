@@ -503,29 +503,20 @@ def verify_identity(
 # -- degeneration of the geometric maps to the piecewise-linear ones ---------------------
 
 
-def _map_by_kind(kind: str):
-    try:
-        return {"rsk": grsk, "burge": gburge, "schutz": gschutz}[kind]
-    except KeyError:
-        raise ValueError(f"unknown map kind {kind!r}; expected rsk, burge or schutz") from None
-
-
-def tropical_limit_errors(trop_in: ShapedArray, kind: str, eps: float) -> float:
+def tropical_limit_errors(trop_in: ShapedArray, apply_map, epsilons) -> list:
     """Max entrywise gap between eps*log(geometric map at exp(./eps)) and the
-    tropical map, for one input array.
+    tropical map, for one max-plus input array and each eps in epsilons.
 
-    The geometric map runs in LogDomain(eps), on the eps*log coordinates
-    themselves, so no exp(x/eps) is ever formed and doubles suffice at
-    every eps.
+    apply_map (grsk, gburge or gschutz) maps trop_in once in max-plus, then
+    in LogDomain(eps) for each eps, on the same rows: the eps*log coordinates
+    themselves, so no exp(x/eps) is formed and doubles suffice at every eps.
     """
-    apply_map = _map_by_kind(kind)
-    trop_out = apply_map(trop_in)
-    log_out = apply_map(trop_in.map_entries(float, LogDomain(eps)))
-    return max(
-        abs(x - y)
-        for rx, ry in zip(log_out.rows, trop_out.rows)
-        for x, y in zip(rx, ry)
-    )
+    trop_out = apply_map(trop_in).rows
+    gaps = []
+    for eps in epsilons:
+        log_out = apply_map(ShapedArray._wrap(trop_in.shape, trop_in.rows, LogDomain(eps))).rows
+        gaps.append(max(abs(x - y) for rx, ry in zip(log_out, trop_out) for x, y in zip(rx, ry)))
+    return gaps
 
 
 def tropical_limit_check(
@@ -552,13 +543,14 @@ def tropical_limit_check(
     epsilons = tuple(sorted(epsilons, reverse=True))
     pool = _shape_pool(max_boxes)
     worst = {str(eps): 0.0 for eps in epsilons}
+    maps = (("rsk", grsk), ("burge", gburge), ("schutz", gschutz))
 
     def trial(rng):
         shape = pool[rng.randrange(len(pool))]
         trop_in = random_array(shape, TROPICAL, rng)
         outcomes = []  # a list, so every map runs and max_error_by_eps sees it
-        for kind in ["rsk", "burge"] + (["schutz"] if shape.is_rectangular else []):
-            errs = [tropical_limit_errors(trop_in, kind, eps) for eps in epsilons]
+        for kind, apply_map in maps if shape.is_rectangular else maps[:2]:
+            errs = tropical_limit_errors(trop_in, apply_map, epsilons)
             errors = {str(eps): err for eps, err in zip(epsilons, errs)}
             worst.update((key, max(worst[key], err)) for key, err in errors.items())
             ok = all(err <= bound_constant * eps for eps, err in zip(epsilons, errs)) and all(

@@ -9,6 +9,7 @@ order in which diagonal maps are composed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -35,7 +36,10 @@ class Shape:
     parts: tuple[int, ...]
 
     def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        try:  # a float or a string is refused, not truncated
+            parts = tuple(map(operator.index, parts))
+        except TypeError:
+            raise ShapeError(f"shape parts must be integers, got {list(parts)}") from None
         for p in parts:
             if p <= 0:
                 raise ShapeError(f"shape parts must be positive, got {parts}")

@@ -42,6 +42,11 @@ local maps.  The max-plus maps are the classical Burge correspondence on
 N-matrices, which have no -inf entries either, and they are bijections on
 finite entries only.
 
+Each domain's ``coerce`` is its one entry rule.  ``ShapedArray``'s constructor
+runs it and names the box of a rejected entry; JSON entries reach it as JSON
+gives them, so float and max-plus entries are numbers (not the string "1.5"),
+and rational ones Fractions, ints or 'p/q' strings (not floats).
+
 Float outputs are checked once, when a map hands back its result
 (``check_finite``), not inside the operations: a float map fed finite
 entries can still overflow, and that raises instead of returning an
@@ -117,9 +122,6 @@ class ValueDomain:
 
     def scalar_to_json(self, x):
         return float(x)
-
-    def scalar_from_json(self, obj):
-        return self.coerce(float(obj))
 
 
 class GeometricDomain(ValueDomain):
@@ -310,11 +312,6 @@ class RationalDomain(GeometricDomain):
 
     def scalar_to_json(self, x):
         return str(x)
-
-    def scalar_from_json(self, obj):
-        if isinstance(obj, float):
-            raise DomainError(f"rational entries must be strings or ints, got {obj!r}")
-        return self.coerce(obj)
 
 
 def _first(bad) -> int:

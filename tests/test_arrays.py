@@ -145,6 +145,12 @@ def test_json_round_trip_rational():
     assert ShapedArray.from_json_obj(json.loads(a.to_json())) == a
 
 
+def test_a_json_shape_part_is_an_integer_not_truncated():
+    obj = {"shape": [2.7, "1"], "domain": "geom-float", "rows": [[1.0, 2.0], [3.0]]}
+    with pytest.raises(ShapeError, match=re.escape("shape parts must be integers, got [2.7, '1']")):
+        ShapedArray.from_json_obj(obj)
+
+
 def test_json_round_trip_tropical():
     a = ShapedArray.from_rows([[1.0, -2.5], [0.5]], TROPICAL)
     obj = json.loads(a.to_json())

@@ -85,12 +85,15 @@ def test_apply_order_rejected_for_maps_without_one(tmp_path, capsys):
 
 def test_apply_malformed_order_exits_two_naming_it(capsys):
     src = str(Path(__file__).parent / "apply_rational_3x3.json")
-    assert main(["apply", "--map", "rsk", "--in", src, "--order", "[[1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: --order must be a JSON list of [row, column] pairs, got '[[1'\n"
-    )
+    # a row-major order whose first row is 1.0: a coordinate is an integer, not truncated
+    float_row = json.dumps([[1.0, 1]] + [[i, j] for i in (1, 2, 3) for j in (1, 2, 3)][1:])
+    for order in ("[[1", float_row):
+        assert main(["apply", "--map", "rsk", "--in", src, "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --order must be a JSON list of [row, column] pairs, got {order!r}\n"
+        )
 
 
 def test_apply_missing_file_exits_two(tmp_path, capsys):
@@ -111,21 +114,30 @@ def test_apply_malformed_array_object_exits_two(tmp_path, capsys):
     "obj, message",
     [
         ({"shape": [1], "domain": "geom-float", "rows": [["x"]]},
-         "box (1,1): could not convert string to float: 'x'"),
-        ({"shape": [2], "domain": "tropical", "rows": [[1, None]]}, "box (1,2): float() argument"),
+         "box (1,1): geometric interior entries must be real numbers, got 'x'\n"),
+        ({"shape": [2], "domain": "tropical", "rows": [[1, None]]},
+         "box (1,2): tropical interior entries must be finite real numbers, got None\n"),
         ({"shape": [1, 1], "domain": "geom-rational", "rows": [["1"], ["1/0"]]},
-         "box (2,1): rational entries must be Fraction, int or 'p/q', got '1/0'"),
+         "box (2,1): rational entries must be Fraction, int or 'p/q', got '1/0'\n"),
         # max-plus entries are finite reals: there is no "-inf" token
         ({"shape": [2], "domain": "tropical", "rows": [[1, "-inf"]]},
-         "box (1,2): tropical interior entries must be finite real numbers, got -inf"),
+         "box (1,2): tropical interior entries must be finite real numbers, got '-inf'\n"),
+        # float and max-plus entries are JSON numbers, not strings that parse as one
+        ({"shape": [1], "domain": "geom-float", "rows": [["1.5"]]},
+         "box (1,1): geometric interior entries must be real numbers, got '1.5'\n"),
+        ({"shape": [1], "domain": "tropical", "rows": [["1.5"]]},
+         "box (1,1): tropical interior entries must be finite real numbers, got '1.5'\n"),
+        ({"shape": [1], "domain": "geom-rational", "rows": [[1.5]]},
+         "box (1,1): rational domain rejects floats (got 1.5); pass Fraction, int or 'p/q'\n"),
     ],
-    ids=["float-x", "tropical-null", "rational-1/0", "tropical-minus-inf"],
+    ids=["float-x", "tropical-null", "rational-1/0", "tropical-minus-inf", "float-string-number",
+         "tropical-string-number", "rational-float"],
 )
 def test_apply_bad_entry_exits_two_naming_its_box(tmp_path, capsys, obj, message):
     assert main(["apply", "--map", "rsk", "--in", write_array(tmp_path, obj)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err == f"error: {message}"
 
 
 def test_apply_infinite_entry_exits_two(tmp_path, capsys):

